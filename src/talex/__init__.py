@@ -35,8 +35,8 @@ from .charcurves import (CensusResult, PlaneCurve, Psi2Certificate, census,
                          certify_psi2, change_of_variables, curve_components,
                          eliminate_w, hlm_r, hlm_r6_cleared,
                          monic_witness_report, pretzel935_presentation,
-                         psi2_certified, psi2_polynomial, r6_factors,
-                         resultant_curve, solve_on_curve)
+                         psi2_polynomial, r6_factors, resultant_curve,
+                         solve_on_curve)
 
 __version__ = "0.1.0"
 

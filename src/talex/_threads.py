@@ -1,9 +1,10 @@
-"""Parallelism cap shared by the sampling loops.
+"""Parallelism cap for the monic-scan constraint sweep.
 
-TALEX_THREADS caps the worker count for loops whose iterations are
-independent (signature probing, constraint sweeps).  Unset or 1 means
-fully sequential execution; results are collected in submission order
-either way, so output bytes do not depend on the setting.
+TALEX_THREADS caps the worker count for the sweep steps of
+``talex monic-scan``, its only caller; the steps are independent.  Unset
+or 1 means fully sequential execution; results are collected in
+submission order either way, so output bytes do not depend on the
+setting.
 """
 
 from __future__ import annotations

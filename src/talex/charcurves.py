@@ -46,7 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AlgebraError, CertificationError, SolveError
+from .errors import (AlgebraError, CertificationError, RootFindingError,
+                     SolveError)
 from .laurent import LaurentPoly
 from .matrix import det
 from .multipoly import MultiPoly, exact_divide, resultant
@@ -453,10 +454,7 @@ def leading_determinant_sample(rho: Representation) -> complex:
             if not entry.is_zero() and not (0 <= entry.min_exp()
                                             and entry.max_exp() <= 1):
                 raise AlgebraError("Fox matrix entry is not linear in t")
-    d = det(mat)
-    if isinstance(d, LaurentPoly):
-        return complex(d[4])
-    return 0j
+    return complex(det(mat)[4])
 
 
 def trace_table_residual(rho: Representation, x_value: complex) -> float:
@@ -502,28 +500,27 @@ def _curve_sample_points(curve: PlaneCurve, rng: np.random.Generator,
                      0.8 * rng.standard_normal())
         try:
             zs = curve.z_values(y0)
-        except Exception:
+        except (AlgebraError, RootFindingError):
             continue
         for z0 in zs:
             pts.append((y0, z0))
     return pts
 
 
-def certify_psi2(n_samples: int = 12, seed: int = 0,
-                 tol: float = 1e-6) -> Psi2Certificate:
-    """Sample characters on both curves and compare psi_2 to det(A).
+def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve], n_samples: int = 12,
+                 seed: int = 0, tol: float = 1e-6) -> Psi2Certificate:
+    """Sample characters on both curves (C, C') and compare psi_2 to det(A).
 
     Raises CertificationError if either comparison exceeds tol at any
     sample, or if too few representations can be solved.
     """
     rng = np.random.default_rng(seed)
-    c_curve, cp_curve = curve_components()
     psi = psi2_polynomial()
     collected = 0
     max_det = 0.0
     max_tr = 0.0
     per_curve = max(1, n_samples // 2)
-    for curve in (c_curve, cp_curve):
+    for curve in curves:
         got = 0
         for y0, z0 in _curve_sample_points(curve, rng, budget=8 * per_curve):
             if got >= per_curve:
@@ -553,13 +550,6 @@ def certify_psi2(n_samples: int = 12, seed: int = 0,
     return cert
 
 
-def psi2_certified(n_samples: int = 20, seed: int = 0, tol: float = 1e-6
-                   ) -> tuple[MultiPoly, Psi2Certificate]:
-    """The closed form together with its sampled certification report."""
-    return psi2_polynomial(), certify_psi2(n_samples=n_samples, seed=seed,
-                                           tol=tol)
-
-
 def solve_witness_invariant(y0: complex, z0: complex, seed: int = 0,
                             restarts: int = 60) -> tuple[Representation,
                                                          TwistedAlex]:
@@ -570,16 +560,15 @@ def solve_witness_invariant(y0: complex, z0: complex, seed: int = 0,
     return rho, ta
 
 
-def monic_witness_report(seed: int = 0, restarts: int = 60,
+def monic_witness_report(monic: CensusResult, seed: int = 0,
+                         restarts: int = 60,
                          residual_tol: float = 1e-8) -> list[dict]:
-    """Close the loop on the monic census: every witness of the exact
-    count-6 census is solved to a representation and its twisted leading
-    coefficient is reported; solver failure or residual above tol is an
-    error (the census and the invariant engine must agree)."""
-    _, cprime = curve_components()
-    result = census(cprime, 1)
+    """Close the loop on a monic census (C' at 1): every witness of it is
+    solved to a representation and its twisted leading coefficient is
+    reported; solver failure or residual above tol is an error (the census
+    and the invariant engine must agree)."""
     out = []
-    for i, (y0, z0) in enumerate(result.witnesses):
+    for i, (y0, z0) in enumerate(monic.witnesses):
         try:
             rho, ta = solve_witness_invariant(y0, z0, seed=seed + i,
                                               restarts=restarts)

@@ -347,15 +347,17 @@ def _cmd_satellite(cfg: RunConfig) -> None:
 
 
 def _cmd_pretzel935(cfg: RunConfig) -> None:
-    c_curve, cp_curve = charcurves.curve_components()
-    psi, cert = charcurves.psi2_certified(n_samples=20, seed=cfg.seed)
+    curves = charcurves.curve_components()
+    c_curve, cp_curve = curves
+    psi = charcurves.psi2_polynomial()
+    cert = charcurves.certify_psi2(curves, n_samples=20, seed=cfg.seed)
     c18 = charcurves.census(c_curve, 18, cluster_radius=cfg.tol_cluster,
                             residual_tol=cfg.tol_residual)
     monic = charcurves.census(cp_curve, 1, cluster_radius=cfg.tol_cluster,
                               residual_tol=cfg.tol_residual)
     nongenus = charcurves.census(cp_curve, 0, cluster_radius=cfg.tol_cluster,
                                  residual_tol=cfg.tol_residual)
-    loop = charcurves.monic_witness_report(seed=cfg.seed,
+    loop = charcurves.monic_witness_report(monic, seed=cfg.seed,
                                            residual_tol=cfg.tol_residual)
     payload = {
         "curves": {"C": c_curve.to_text(), "Cprime": cp_curve.to_text()},

@@ -1,23 +1,25 @@
 """Square matrices over the package's coefficient domains.
 
-det() dispatches on the entry domain:
+det() has three paths, chosen by the entry domain:
 
-  * exact scalars (Fraction) and exact polynomial entries (LaurentPoly
-    with rational coefficients, MultiPoly): fraction-free Bareiss
-    elimination with row pivoting.  Every division performed is exact in
-    the entry ring, which each entry type enforces by raising on an
-    inexact quotient.
-  * complex scalars: LU with partial pivoting (numpy).
+  * exact Laurent entries (LaurentPoly with rational coefficients):
+    fraction-free Bareiss elimination with row pivoting.
+  * MultiPoly entries: the same Bareiss elimination.  On both Bareiss
+    paths every division performed is exact in the entry ring, which each
+    entry type enforces by raising on an inexact quotient.
   * Laurent entries with complex coefficients: evaluation at scaled roots
     of unity, one numpy LU determinant per sample point, followed by an
     inverse DFT.  The exponent window of the determinant is bounded by
     row-wise exponent sums, so the interpolation is exact in exact
     arithmetic and stable in floating arithmetic.
+
+Scalar entries are lifted to constant Laurent polynomials, so the
+determinant of a scalar matrix is a constant LaurentPoly, and that of the
+empty matrix is LaurentPoly.one().
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
@@ -86,39 +88,32 @@ def det(rows):
     if any(len(r) != n for r in rows):
         raise AlgebraError("matrix is not square")
     if n == 0:
-        return Fraction(1)
+        return LaurentPoly.one()
 
     kinds = {_entry_kind(e) for row in rows for e in row}
-    if kinds <= {"exact"}:
-        return _bareiss(rows, Fraction(1), lambda x: x == 0)
-    if kinds <= {"exact", "float"}:
-        return complex(np.linalg.det(np.array(rows, dtype=complex)))
     if kinds <= {"multi"}:
-        vars = rows[0][0].vars
-        return _bareiss(rows, MultiPoly.constant(vars, 1), lambda x: x.is_zero())
+        return _bareiss(rows, MultiPoly.constant(rows[0][0].vars, 1))
+    if "multi" in kinds:
+        raise AlgebraError("mixed matrix entry domains: %r" % kinds)
+    rows = [[e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e)
+             for e in row] for row in rows]
     if kinds <= {"exact", "laurent_exact"}:
-        rows = [[e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e)
-                 for e in row] for row in rows]
-        return _bareiss(rows, LaurentPoly.one(), lambda x: x.is_zero())
-    if kinds <= {"exact", "float", "laurent_exact", "laurent_float"}:
-        rows = [[e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e)
-                 for e in row] for row in rows]
-        return _interpolated_det(rows)
-    raise AlgebraError("mixed matrix entry domains: %r" % kinds)
+        return _bareiss(rows, LaurentPoly.one())
+    return _interpolated_det(rows)
 
 
-def _bareiss(rows, one, is_zero):
+def _bareiss(rows, one):
     """Fraction-free elimination; divisions are exact in the entry domain."""
     n = len(rows)
     m = [list(r) for r in rows]
     sign = 1
     prev = one
     for k in range(n - 1):
-        if is_zero(m[k][k]):
-            pivot = next((i for i in range(k + 1, n) if not is_zero(m[i][k])), None)
+        if m[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, n)
+                          if not m[i][k].is_zero()), None)
             if pivot is None:
-                zero = one - one
-                return zero
+                return one - one
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):

@@ -8,10 +8,11 @@ and jumps only across roots of odd multiplicity; the averaged convention
 takes the mean of the two one-sided values, recovering a well-defined
 number at the roots themselves.  sigma(1) = 0 always (H(1) = 0).
 
-Loading validates det(V - V^T) = +-1, the fairness check that V actually
-is a Seifert matrix of a knot; everything downstream is cross-checked
-against delta(t), which any Seifert surface of the same knot reproduces
-up to units.
+Loading computes delta(t) once and validates its value at t = 1,
+det(V - V^T) = +-1, the fairness check that V actually is a Seifert
+matrix of a knot; everything downstream is cross-checked against
+delta(t), which any Seifert surface of the same knot reproduces up to
+units.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ class SeifertMatrix:
         if self.n % 2 != 0:
             raise ParseError("Seifert matrix of a knot has even size, got %d"
                              % self.n)
-        pairing = det([[Fraction(self.rows[i][j] - self.rows[j][i])
-                        for j in range(self.n)] for i in range(self.n)])
+        self._delta = det([[LaurentPoly({0: Fraction(self.rows[i][j]),
+                                         1: -Fraction(self.rows[j][i])})
+                             for j in range(self.n)] for i in range(self.n)])
+        pairing = self._delta.evaluate(Fraction(1))   # det(V - V^T)
         if pairing not in (1, -1):
             raise ParseError("det(V - V^T) = %s; a knot Seifert matrix needs "
                              "+-1" % pairing)
@@ -64,13 +67,7 @@ class SeifertMatrix:
 
     def alexander(self) -> LaurentPoly:
         """det(V - t V^T), exact; equals the Alexander polynomial up to units."""
-        entries = [[LaurentPoly({0: Fraction(self.rows[i][j]),
-                                 1: -Fraction(self.rows[j][i])})
-                    for j in range(self.n)] for i in range(self.n)]
-        if self.n == 0:
-            return LaurentPoly.one()
-        d = det(entries)
-        return d if isinstance(d, LaurentPoly) else LaurentPoly.constant(d)
+        return self._delta
 
     def genus(self) -> int:
         return self.n // 2
@@ -82,8 +79,6 @@ class SeifertMatrix:
 def _check_delta(v: SeifertMatrix, delta: LaurentPoly | None) -> LaurentPoly:
     """The working Alexander polynomial, cross-checked against the matrix."""
     own = v.alexander()
-    if own.is_zero():
-        raise AlgebraError("det(V - tV^T) vanishes identically")
     if delta is not None:
         a = own.shift(-own.min_exp())
         b = delta.shift(-delta.min_exp())

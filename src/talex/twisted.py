@@ -152,10 +152,7 @@ def wada_invariant(p: Presentation, rho: Representation,
     p.require_deficiency_one()
     n = p.num_generators
     k = n - 1 if removed is None else removed
-    num = det(fox_matrix_laurent(p, rho, k))
-    if not isinstance(num, LaurentPoly):
-        num = LaurentPoly.constant(num)
-    num = num.cleanup(clean_eps)
+    num = det(fox_matrix_laurent(p, rho, k)).cleanup(clean_eps)
 
     g = rho.image(FreeWord([k + 1]))
     tr, dt = g[0][0] + g[1][1], g[0][0] * g[1][1] - g[0][1] * g[1][0]
@@ -195,8 +192,6 @@ def alexander(p: Presentation, removed: int | None = None) -> LaurentPoly:
             row.append(LaurentPoly(coeffs))
         rows.append(row)
     d = det(rows)
-    if not isinstance(d, LaurentPoly):
-        d = LaurentPoly.constant(d)
     if d.is_zero():
         raise AlgebraError("Fox determinant vanishes; input does not present "
                            "a knot group at deficiency one")

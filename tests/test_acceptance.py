@@ -124,7 +124,7 @@ def criterion_04():
     """psi_2 certified on >= 20 solved representations; det A within 1e-6
     of x^3+6x^2+6x+5, and of 18 on the parabola component, < 30 s."""
     def check():
-        cert = cc.certify_psi2(n_samples=20, seed=0)
+        cert = cc.certify_psi2(cc.curve_components(), n_samples=20, seed=0)
         assert cert.samples >= 20
         assert cert.ok
         assert cert.max_det_error <= 1e-6
@@ -149,7 +149,8 @@ def criterion_05():
 def criterion_06():
     """All six monic witnesses solve (residual <= 1e-8) with leading
     coefficient within 1e-5 of 1."""
-    rows = cc.monic_witness_report(seed=0)
+    _, cprime = cc.curve_components()
+    rows = cc.monic_witness_report(cc.census(cprime, 1), seed=0)
     assert len(rows) == 6
     for row in rows:
         assert row["residual"] <= 1e-8

@@ -140,14 +140,14 @@ class TestPsi2:
         assert p.evaluate({"x": Fraction(1)}) == 18
 
     def test_certification_on_sampled_representations(self):
-        cert = cc.certify_psi2(n_samples=6, seed=0)
+        cert = cc.certify_psi2(cc.curve_components(), n_samples=6, seed=0)
         assert cert.ok
         assert cert.samples >= 6
         assert cert.max_det_error <= 1e-6
         assert cert.max_trace_error <= 1e-6
 
     def test_certificate_json_shape(self):
-        cert = cc.certify_psi2(n_samples=2, seed=1)
+        cert = cc.certify_psi2(cc.curve_components(), n_samples=2, seed=1)
         d = cert.to_json_dict()
         assert set(d) == {"samples", "max_det_error", "max_trace_error",
                           "tol", "ok"}
@@ -161,11 +161,6 @@ class TestPsi2:
         rho = cc.solve_on_curve(1.0, 1.0, seed=0)
         lead = cc.leading_determinant_sample(rho)
         assert abs(lead - 5) < 1e-6
-
-    def test_psi2_certified_returns_closed_form_with_certificate(self):
-        poly, cert = cc.psi2_certified(n_samples=4)
-        assert poly == cc.psi2_polynomial()
-        assert cert.ok
 
 
 class TestCensus:
@@ -235,10 +230,18 @@ class TestSolveOnCurve:
         assert ta.polynomial is not None
 
     def test_monic_witness_loop(self):
-        rows = cc.monic_witness_report(seed=0)
+        _, Cp = cc.curve_components()
+        rows = cc.monic_witness_report(cc.census(Cp, 1), seed=0)
         assert len(rows) == 6
         for row in rows:
             assert row["residual"] <= 1e-8
             lead = complex(row["leading"][0], row["leading"][1])
             assert abs(lead - 1) <= 1e-5
             assert row["monic"]
+
+    def test_monic_witness_loop_reports_the_given_census(self):
+        _, Cp = cc.curve_components()
+        monic = cc.census(Cp, 1, cluster_radius=1e-6)
+        rows = cc.monic_witness_report(monic)
+        reported = [(complex(*r["y"]), complex(*r["z"])) for r in rows]
+        assert reported == list(monic.witnesses)

@@ -59,7 +59,16 @@ class TestScalarDeterminants:
         rng = np.random.default_rng(23)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rows = [[complex(e) for e in row] for row in m]
-        assert abs(det(rows) - np.linalg.det(m)) < 1e-9
+        assert abs(complex(det(rows)[0]) - np.linalg.det(m)) < 1e-9
+
+    def test_scalar_and_empty_results_are_constant_laurent(self):
+        empty = det([])
+        assert isinstance(empty, LaurentPoly) and empty == LaurentPoly.one()
+        exact = det([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]])
+        assert isinstance(exact, LaurentPoly) and exact == LaurentPoly.constant(5)
+        floating = det([[2.0, 1j], [1, 3]])
+        assert floating.min_exp() == floating.max_exp() == 0
+        assert abs(complex(floating[0]) - (6 - 1j)) < 1e-12
 
     def test_non_square_rejected(self):
         with pytest.raises(AlgebraError):

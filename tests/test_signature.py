@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import talex.signature as signature
 from talex.errors import AlgebraError, CertificationError, ParseError
 from talex.laurent import LaurentPoly
+from talex.presentations import pd_to_wirtinger
 from talex.signature import (
     SeifertMatrix,
     averaged_signature,
@@ -15,6 +17,7 @@ from talex.signature import (
     lt_signature_detail,
     signature_jumps,
 )
+from talex.twisted import alexander
 
 from conftest import P, TREFOIL_V, load_fixture_text, normalized
 
@@ -77,6 +80,22 @@ class TestSeifertMatrix:
     def test_genus_is_half_rank(self):
         assert trefoil_v().genus() == 1
         assert v820().genus() == 3
+
+    def test_one_determinant_per_matrix(self, monkeypatch):
+        calls = []
+        real_det = signature.det
+
+        def counting_det(rows):
+            calls.append(len(rows))
+            return real_det(rows)
+
+        monkeypatch.setattr(signature, "det", counting_det)
+        v = v935()
+        v.alexander()
+        signature_jumps(v)
+        is_identically_zero(v)
+        averaged_signature(v, -1.0)
+        assert calls == [2]
 
 
 class TestLtSignature:
@@ -204,3 +223,31 @@ class TestIsIdenticallyZero:
     def test_unknot_style_matrices(self):
         assert is_identically_zero(SeifertMatrix([[0, 1], [0, 0]]))
         assert is_identically_zero(SeifertMatrix([]))
+
+
+def torus_seifert(n):
+    """Seifert matrix of T(2, n): -I plus ones on the superdiagonal."""
+    return [[-1 if j == i else 1 if j == i + 1 else 0 for j in range(n - 1)]
+            for i in range(n - 1)]
+
+
+def torus_pd(n):
+    """PD code of T(2, n): X[2k+1, 2k+1+n, 2k+2, 2k+2+n], edges mod 2n."""
+    def edge(e):
+        return (e - 1) % (2 * n) + 1
+    return [(edge(2 * k + 1), edge(2 * k + 1 + n), edge(2 * k + 2),
+             edge(2 * k + 2 + n)) for k in range(n)]
+
+
+@pytest.mark.parametrize("n", range(3, 14, 2))
+class TestTorusKnotsT2n:
+    def test_alexander_closed_form(self, n):
+        closed = LaurentPoly({k: Fraction((-1) ** k) for k in range(n)})
+        delta = normalized(SeifertMatrix(torus_seifert(n)).alexander())
+        assert delta in (closed, -closed)
+        assert alexander(pd_to_wirtinger(torus_pd(n))) == closed
+
+    def test_signature_and_jumps(self, n):
+        v = SeifertMatrix(torus_seifert(n))
+        assert lt_signature(v, -1.0) == -(n - 1)
+        assert len(signature_jumps(v)) == n - 1
