@@ -20,7 +20,7 @@ from .laurent import (LaurentPoly, LaurentRational, has_simple_root,
 from .multipoly import MultiPoly, exact_divide, resultant, sylvester_matrix
 from .matrix import SquareMatrix, det
 from .roots import complex_roots, distinct_values, unit_circle_roots
-from .representations import (Character, Representation, abelian_rep,
+from .representations import (Representation, abelian_rep,
                               burde_derham_check, character_of,
                               parse_constraints, reducible_formula,
                               satellite_alexander, solve_representation)

@@ -173,6 +173,14 @@ class LaurentPoly:
         """Multiply by t^k."""
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
 
+    def unit_normal(self) -> "LaurentPoly":
+        """The representative up to units +-t^k: lowest exponent 0 and a
+        positive leading coefficient.  Exact coefficients only."""
+        if not self.is_exact():
+            raise AlgebraError("unit normal form needs exact coefficients")
+        p = self.shift(-self.min_exp())
+        return -p if p.leading() < 0 else p
+
     def scale(self, c) -> "LaurentPoly":
         return self * LaurentPoly.constant(c)
 

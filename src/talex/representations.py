@@ -31,6 +31,7 @@ from .words import FreeWord
 Matrix2 = tuple[tuple[object, object], tuple[object, object]]
 
 _EXACT_ID: Matrix2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+_COMPLEX_ID: Matrix2 = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
 def _mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
@@ -58,13 +59,14 @@ class Representation:
         self.matrices: list[Matrix2] = [
             ((m[0][0], m[0][1]), (m[1][0], m[1][1])) for m in matrices]
         self.residual = float(residual)
+        self._exact = all(isinstance(e, Rational)
+                          for m in self.matrices for row in m for e in row)
 
     def is_exact(self) -> bool:
-        return all(isinstance(e, Rational)
-                   for m in self.matrices for row in m for e in row)
+        return self._exact
 
     def image(self, w: FreeWord) -> Matrix2:
-        out = _EXACT_ID if self.is_exact() else (((1 + 0j), 0j), (0j, (1 + 0j)))
+        out = _EXACT_ID if self._exact else _COMPLEX_ID
         for x in w:
             m = self.matrices[abs(x) - 1]
             if x < 0:
@@ -135,24 +137,10 @@ class Representation:
         return cls(presentation, mats, residual)
 
 
-class Character:
-    """A trace function recorded on finitely many words."""
-
-    def __init__(self, values: dict[FreeWord, object]):
-        self.values = dict(values)
-
-    def __getitem__(self, w: FreeWord):
-        return self.values[w]
-
-    def items(self):
-        return self.values.items()
-
-    def __repr__(self):
-        return "Character(%d words)" % len(self.values)
-
-
-def character_of(rho: Representation, words: list[FreeWord]) -> Character:
-    return Character({w: rho.trace(w) for w in words})
+def character_of(rho: Representation,
+                 words: list[FreeWord]) -> dict[FreeWord, object]:
+    """The trace function recorded on finitely many words."""
+    return {w: rho.trace(w) for w in words}
 
 
 def abelian_rep(p: Presentation, lam) -> Representation:
@@ -237,10 +225,7 @@ def satellite_alexander(pattern: LaurentPoly, companion: LaurentPoly,
         prod = pattern
     else:
         prod = pattern * companion.substitute_power(winding)
-    prod = prod.shift(-prod.min_exp())
-    if prod.leading() < 0:
-        prod = -prod
-    return prod
+    return prod.unit_normal()
 
 
 def parse_constraints(text: str, p: Presentation) -> dict[FreeWord, complex]:
@@ -263,20 +248,6 @@ def parse_constraints(text: str, p: Presentation) -> dict[FreeWord, complex]:
     return out
 
 
-def _validate_constraints(p: Presentation, constraints: dict[FreeWord, complex]):
-    if not p.wirtinger:
-        return
-    gen_targets = {}
-    for w, v in constraints.items():
-        if len(w) == 1 and next(iter(w)) > 0:
-            gen_targets[next(iter(w))] = v
-    vals = list(gen_targets.values())
-    for v in vals[1:]:
-        if abs(v - vals[0]) > 1e-9:
-            raise SolveError("Wirtinger generators are conjugate, so their "
-                             "trace targets must agree; got %r" % (vals,))
-
-
 def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                          seed: int = 0, restarts: int = 50,
                          tol: float = 1e-10, max_iter: int = 60,
@@ -291,12 +262,17 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
     n = p.num_generators
     constraints = {w if isinstance(w, FreeWord) else p.word(w): complex(v)
                    for w, v in constraints.items()}
-    _validate_constraints(p, constraints)
 
     gen_trace: dict[int, complex] = {}
     for w, v in constraints.items():
         if len(w) == 1 and next(iter(w)) > 0:
             gen_trace[next(iter(w)) - 1] = v
+    if p.wirtinger:
+        vals = list(gen_trace.values())
+        for v in vals[1:]:
+            if abs(v - vals[0]) > 1e-9:
+                raise SolveError("Wirtinger generators are conjugate, so their "
+                                 "trace targets must agree; got %r" % (vals,))
     y0 = gen_trace.get(0, gen_trace.get(1, 2.5 + 0j))
 
     nfree = max(n - 2, 0)

@@ -50,6 +50,7 @@ class SeifertMatrix:
         if pairing not in (1, -1):
             raise ParseError("det(V - V^T) = %s; a knot Seifert matrix needs "
                              "+-1" % pairing)
+        self._unit_roots = None
 
     @classmethod
     def from_text(cls, text: str) -> "SeifertMatrix":
@@ -69,30 +70,18 @@ class SeifertMatrix:
         """det(V - t V^T), exact; equals the Alexander polynomial up to units."""
         return self._delta
 
+    def unit_roots(self) -> list[tuple[float, int]]:
+        """(angle, multiplicity) of the unit-circle roots of delta, found on
+        first use and kept."""
+        if self._unit_roots is None:
+            self._unit_roots = unit_circle_roots(self._delta)
+        return self._unit_roots
+
     def genus(self) -> int:
         return self.n // 2
 
     def __repr__(self):
         return "SeifertMatrix(%dx%d)" % (self.n, self.n)
-
-
-def _check_delta(v: SeifertMatrix, delta: LaurentPoly | None) -> LaurentPoly:
-    """The working Alexander polynomial, cross-checked against the matrix."""
-    own = v.alexander()
-    if delta is not None:
-        a = own.shift(-own.min_exp())
-        b = delta.shift(-delta.min_exp())
-        if a.leading() < 0:
-            a = -a
-        if not b.is_exact():
-            raise AlgebraError("cross-check polynomial must be exact")
-        if b.leading() < 0:
-            b = -b
-        if a != b:
-            raise CertificationError(
-                "det(V - tV^T) = %s does not match the supplied polynomial "
-                "%s up to units" % (own.to_text(), delta.to_text()))
-    return own
 
 
 def _hermitian_form(v: SeifertMatrix, omega: complex) -> np.ndarray:
@@ -123,7 +112,17 @@ def lt_signature(v: SeifertMatrix, omega: complex,
 
 def _unit_root_angles(v: SeifertMatrix, delta: LaurentPoly | None = None
                       ) -> list[tuple[float, int]]:
-    return unit_circle_roots(_check_delta(v, delta))
+    """The unit-circle roots of det(V - tV^T), after cross-checking a
+    supplied delta against it up to units."""
+    if delta is not None:
+        if not delta.is_exact():
+            raise AlgebraError("cross-check polynomial must be exact")
+        own = v.alexander()
+        if own.unit_normal() != delta.unit_normal():
+            raise CertificationError(
+                "det(V - tV^T) = %s does not match the supplied polynomial "
+                "%s up to units" % (own.to_text(), delta.to_text()))
+    return v.unit_roots()
 
 
 def _min_angular_gap(angles: list[float]) -> float:
@@ -166,7 +165,7 @@ def averaged_signature(v: SeifertMatrix, omega: complex,
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-12:
         raise AlgebraError("omega must lie on the unit circle")
-    angles = [a for a, _ in _unit_root_angles(v)]
+    angles = [a for a, _ in v.unit_roots()]
     theta = float(np.angle(omega))
     radius = _safe_radius(angles, theta)
     if eps is None:

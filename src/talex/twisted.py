@@ -36,43 +36,57 @@ DEFAULT_POLY_TOL = 1e-8
 DEFAULT_MONIC_TOL = 1e-5
 
 
-def phi_evaluate(elem, rho: Representation) -> list[list[LaurentPoly]]:
-    """Apply Phi = (t^abelianization tensor rho) to a group ring element.
+_RANK_ONE = ((Fraction(1),),)
 
-    Returns a 2x2 matrix of Laurent polynomials, exact when rho is exact.
-    """
-    entries: list[list[dict]] = [[{}, {}], [{}, {}]]
+
+def _phi(elem, image, size: int) -> list[list[LaurentPoly]]:
+    """Apply t^abelianization tensor image to a group ring element, where
+    image sends a word to a size x size matrix."""
+    entries: list[list[dict]] = [[{} for _ in range(size)] for _ in range(size)]
     for w, c in elem.terms.items():
         k = abelianization_exponent(w)
-        m = rho.image(w)
-        for i in (0, 1):
-            for j in (0, 1):
+        m = image(w)
+        for i in range(size):
+            for j in range(size):
                 d = entries[i][j]
                 d[k] = d.get(k, 0) + c * m[i][j]
-    return [[LaurentPoly(entries[i][j]) for j in (0, 1)] for i in (0, 1)]
+    return [[LaurentPoly(d) for d in row] for row in entries]
 
 
-def fox_matrix_laurent(p: Presentation, rho: Representation,
-                       removed: int) -> list[list[LaurentPoly]]:
-    """The Phi-image of the Fox matrix with one generator column removed,
-    assembled as a 2(n-1) x 2(n-1) matrix of Laurent polynomial entries."""
+def _fox_matrix(p: Presentation, removed: int, image,
+                size: int) -> list[list[LaurentPoly]]:
+    """The Fox matrix with one generator column removed, each entry
+    expanded into its size x size Phi-block."""
     p.require_deficiency_one()
     n = p.num_generators
     if not 0 <= removed < n:
         raise AlgebraError("removed column %d out of range" % removed)
     rows: list[list[LaurentPoly]] = []
     for r in p.relators:
-        top: list[LaurentPoly] = []
-        bottom: list[LaurentPoly] = []
+        block_rows: list[list[LaurentPoly]] = [[] for _ in range(size)]
         for j in range(n):
             if j == removed:
                 continue
-            block = phi_evaluate(fox_derivative(r, j), rho)
-            top.extend(block[0])
-            bottom.extend(block[1])
-        rows.append(top)
-        rows.append(bottom)
+            block = _phi(fox_derivative(r, j), image, size)
+            for out, row in zip(block_rows, block):
+                out.extend(row)
+        rows.extend(block_rows)
     return rows
+
+
+def phi_evaluate(elem, rho: Representation) -> list[list[LaurentPoly]]:
+    """Apply Phi = (t^abelianization tensor rho) to a group ring element.
+
+    Returns a 2x2 matrix of Laurent polynomials, exact when rho is exact.
+    """
+    return _phi(elem, rho.image, 2)
+
+
+def fox_matrix_laurent(p: Presentation, rho: Representation,
+                       removed: int) -> list[list[LaurentPoly]]:
+    """The Phi-image of the Fox matrix with one generator column removed,
+    assembled as a 2(n-1) x 2(n-1) matrix of Laurent polynomial entries."""
+    return _fox_matrix(p, removed, rho.image, 2)
 
 
 @dataclass
@@ -173,31 +187,12 @@ def alexander(p: Presentation, removed: int | None = None) -> LaurentPoly:
     delta(1) = +-1 is enforced as a cross-check that the input presents a
     knot group with meridional abelianization.
     """
-    p.require_deficiency_one()
-    n = p.num_generators
-    if n == 1:
-        return LaurentPoly.one()
-    k = n - 1 if removed is None else removed
-    rows = []
-    for r in p.relators:
-        row = []
-        for j in range(n):
-            if j == k:
-                continue
-            elem = fox_derivative(r, j)
-            coeffs: dict[int, Fraction] = {}
-            for w, c in elem.terms.items():
-                e = abelianization_exponent(w)
-                coeffs[e] = coeffs.get(e, Fraction(0)) + c
-            row.append(LaurentPoly(coeffs))
-        rows.append(row)
-    d = det(rows)
+    k = p.num_generators - 1 if removed is None else removed
+    d = det(_fox_matrix(p, k, lambda w: _RANK_ONE, 1))
     if d.is_zero():
         raise AlgebraError("Fox determinant vanishes; input does not present "
                            "a knot group at deficiency one")
-    d = d.shift(-d.min_exp())
-    if d.leading() < 0:
-        d = -d
+    d = d.unit_normal()
     if d.evaluate(Fraction(1)) not in (1, -1):
         raise CertificationError(
             "delta(1) = %s violates the knot condition delta(1) = +-1"

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talex.errors import AlgebraError, NonPolynomialError
 from talex.laurent import (
@@ -142,6 +144,33 @@ class TestCleanup:
     def test_exact_input_unchanged(self):
         p = P(1, Fraction(1, 10 ** 30))
         assert p.cleanup(1e-10) == p
+
+
+nonzero_exact = st.dictionaries(
+    st.integers(-8, 8),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool),
+    min_size=1, max_size=6).map(LaurentPoly)
+
+
+class TestUnitNormal:
+    @settings(deadline=None)
+    @given(nonzero_exact, st.integers(-10, 10), st.sampled_from([1, -1]))
+    def test_invariant_under_units(self, p, k, sign):
+        n = p.unit_normal()
+        assert (p.shift(k) * sign).unit_normal() == n
+        assert n.min_exp() == 0
+        assert n.leading() > 0
+        assert n.shift(p.min_exp()) in (p, -p)
+
+    def test_examples(self):
+        assert P(-7, 13, -7, min_exp=-3).unit_normal() == P(7, -13, 7)
+        assert LaurentPoly.one().unit_normal() == LaurentPoly.one()
+
+    def test_rejects_float_and_zero(self):
+        with pytest.raises(AlgebraError):
+            CP(1, 2).unit_normal()
+        with pytest.raises(AlgebraError):
+            LaurentPoly.zero().unit_normal()
 
 
 class TestSerialization:

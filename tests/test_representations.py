@@ -93,6 +93,13 @@ class TestCharacters:
         assert chi[words[0]] == Fraction(5, 2)
         assert chi[words[1]] == Fraction(17, 4)
 
+    def test_character_is_a_plain_dict(self, trefoil):
+        rho = abelian_rep(trefoil, Fraction(3))
+        words = [trefoil.word("a"), trefoil.word("b")]
+        chi = character_of(rho, words)
+        assert type(chi) is dict
+        assert chi == {w: Fraction(10, 3) for w in words}
+
     def test_characters_are_conjugation_invariant(self, trefoil_irr):
         rng = np.random.default_rng(7)
         words = [trefoil_irr.presentation.word(w)

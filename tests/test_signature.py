@@ -97,6 +97,23 @@ class TestSeifertMatrix:
         averaged_signature(v, -1.0)
         assert calls == [2]
 
+    def test_unit_circle_roots_once_per_matrix(self, monkeypatch):
+        calls = []
+        real_roots = signature.unit_circle_roots
+
+        def counting_roots(p):
+            calls.append(p)
+            return real_roots(p)
+
+        monkeypatch.setattr(signature, "unit_circle_roots", counting_roots)
+        v = v820()
+        jumps = signature_jumps(v)
+        assert is_identically_zero(v)
+        averaged_signature(v, -1.0)
+        assert calls == [v.alexander()]
+        assert jumps == signature_jumps(v)
+        assert v.unit_roots() is v.unit_roots()
+
 
 class TestLtSignature:
     def test_trefoil_values(self):

@@ -87,6 +87,12 @@ class TestAlexander:
         assert d.leading() > 0
         assert d.evaluate(Fraction(1)) in (1, -1)
 
+    def test_every_removed_column_agrees(self, p935):
+        for k in range(p935.num_generators):
+            assert alexander(p935, removed=k) == P(7, -13, 7)
+        with pytest.raises(AlgebraError):
+            alexander(p935, removed=p935.num_generators)
+
     def test_free_group_gives_one(self):
         p = parse_presentation("gens: a\n")
         assert alexander(p) == P(1)
