@@ -182,17 +182,8 @@ def invert_change_of_variables(q: MultiPoly) -> MultiPoly:
     if tuple(q.vars) != YBW_VARS:
         raise AlgebraError("expected variables %s" % (YBW_VARS,))
     y1 = _mono("y1")
-    y2 = _mono("y2")
-    v = _mono("v")
-    b_img = y1 * y1 - _const(2)
-    w_img = y1 * v
-    out = MultiPoly.zero(RV_VARS)
-    for (beta, i, gamma), coeff in q.terms.items():
-        if min(beta, i, gamma) < 0:
-            raise AlgebraError("negative exponent in substitution input")
-        term = MultiPoly(RV_VARS, {(0, beta, 0): coeff})
-        out = out + term * (b_img ** i) * (w_img ** gamma)
-    return out
+    return q.compose({"y": _mono("y2"), "b": y1 * y1 - _const(2),
+                      "w": y1 * _mono("v")}, MultiPoly.zero(RV_VARS))
 
 
 def _with_vars(p: MultiPoly, vars_: tuple) -> MultiPoly:
@@ -251,15 +242,10 @@ class PlaneCurve:
     def evaluate(self, y, z):
         return self.poly.evaluate({"y": y, "z": z})
 
-    def y_slice(self, y0: complex) -> LaurentPoly:
-        """The univariate polynomial z -> curve(y0, z)."""
-        coeffs: dict[int, complex] = {}
-        for (a, b), coeff in self.poly.terms.items():
-            coeffs[b] = coeffs.get(b, 0j) + complex(coeff) * (complex(y0) ** a)
-        return LaurentPoly(coeffs).cleanup()
-
     def z_values(self, y0: complex) -> list[complex]:
-        slice_ = self.y_slice(y0)
+        """The roots z of the univariate polynomial z -> curve(y0, z)."""
+        slice_ = self.poly.compose({"y": complex(y0), "z": LaurentPoly.t()},
+                                   LaurentPoly.zero()).cleanup()
         if slice_.is_zero():
             raise AlgebraError("curve is identically zero along y = %r" % y0)
         if slice_.degree() == 0:
@@ -301,14 +287,6 @@ def psi2_polynomial() -> MultiPoly:
     return x ** 3 + x * x * 6 + x * 6 + one * 5
 
 
-def _psi2_laurent(shift=Fraction(0)) -> LaurentPoly:
-    """psi_2(x) - shift as a univariate polynomial in x."""
-    p = psi2_polynomial()
-    coeffs = {exps[0]: coeff for exps, coeff in p.terms.items()}
-    coeffs[0] = coeffs.get(0, Fraction(0)) - shift
-    return LaurentPoly(coeffs)
-
-
 @dataclasses.dataclass
 class CensusResult:
     """Outcome of counting curve characters with a given leading value.
@@ -341,18 +319,6 @@ class CensusResult:
         }
 
 
-def _psi2_on_curve_minus_c(c: Fraction) -> MultiPoly:
-    """psi_2(y^2 - z) - c as an exact polynomial over (y, z)."""
-    y = MultiPoly.var(YZ_VARS, "y")
-    z = MultiPoly.var(YZ_VARS, "z")
-    x_img = y * y - z
-    p = psi2_polynomial()
-    out = MultiPoly.zero(YZ_VARS)
-    for (k,), coeff in p.terms.items():
-        out = out + (x_img ** k).scale(coeff)
-    return out - MultiPoly.constant(YZ_VARS, Fraction(c))
-
-
 def census(curve: PlaneCurve, c, cluster_radius: float = 1e-8,
            residual_tol: float = 1e-8) -> CensusResult:
     """Count characters on the curve where psi_2(y^2 - z) equals c.
@@ -368,23 +334,27 @@ def census(curve: PlaneCurve, c, cluster_radius: float = 1e-8,
         c = c.real
     if isinstance(c, float) and c.is_integer():
         c = int(c)
-    exact_c = isinstance(c, (int, Fraction))
-    if exact_c:
+    psi = psi2_polynomial()
+    t = LaurentPoly.t()
+    if isinstance(c, (int, Fraction)):
         c_val = Fraction(c)
-        if exact_divide(_psi2_on_curve_minus_c(c_val), curve.poly) is not None:
+        y = MultiPoly.var(YZ_VARS, "y")
+        z = MultiPoly.var(YZ_VARS, "z")
+        on_curve = psi.compose({"x": y * y - z}, MultiPoly.zero(YZ_VARS)) - c_val
+        if exact_divide(on_curve, curve.poly) is not None:
             return CensusResult(curve.name, c_val, None, [], [])
-        shifted = _psi2_laurent(c_val)
     else:
         c_val = complex(c)
-        shifted = _psi2_laurent() - LaurentPoly.constant(c_val)
-    x_roots = complex_roots(shifted, cluster_radius=cluster_radius,
+    x_roots = complex_roots(psi.compose({"x": t}, LaurentPoly.zero()) - c_val,
+                            cluster_radius=cluster_radius,
                             residual_tol=residual_tol)
     witnesses: list[tuple[complex, complex]] = []
     degenerate: list[complex] = []
     for x0, _ in x_roots:
         # On the slice x = x0 the constraint z = y^2 - x0 turns the curve
         # into a univariate polynomial in y.
-        slice_poly = _curve_on_x_slice(curve, x0)
+        slice_poly = curve.poly.compose({"y": t, "z": t * t - x0},
+                                        LaurentPoly.zero()).cleanup()
         if slice_poly.is_zero():
             # The whole slice lies on the curve: infinitely many points.
             return CensusResult(curve.name, c, None, [], [])
@@ -406,19 +376,6 @@ def _dedupe_pairs(pairs: list[tuple[complex, complex]], radius: float
         if all(abs(y0 - a) + abs(z0 - b) > radius for a, b in out):
             out.append((y0, z0))
     return out
-
-
-def _curve_on_x_slice(curve: PlaneCurve, x0) -> LaurentPoly:
-    """curve(y, y^2 - x0) as a univariate polynomial in y."""
-    if isinstance(x0, Fraction):
-        base = LaurentPoly({2: Fraction(1), 0: -x0})
-    else:
-        base = LaurentPoly({2: complex(1.0), 0: -complex(x0)})
-    out = LaurentPoly.zero()
-    for (a, b), coeff in curve.poly.terms.items():
-        term = LaurentPoly({a: coeff if base.is_exact() else complex(coeff)})
-        out = out + term * (base ** b)
-    return out if out.is_exact() else out.cleanup()
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +419,8 @@ def trace_table_residual(rho: Representation, x_value: complex) -> float:
     worst = 0.0
     for word_text, coeffs in TRACE_TABLE:
         w = rho.presentation.word(word_text)
-        predicted = sum(complex(cc) * complex(x_value) ** k
-                        for k, cc in enumerate(coeffs))
+        predicted = LaurentPoly.from_coefficients(coeffs).evaluate(
+            complex(x_value))
         worst = max(worst, abs(complex(rho.trace(w)) - predicted))
     return worst
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -66,8 +67,11 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("tol_clean", "tol_cluster", "tol_residual"):
-            if getattr(self, name) <= 0:
-                raise ParseError("%s must be positive" % name.replace("_", "-"))
+            value = getattr(self, name)
+            if not 0 < value < math.inf:    # also refuses nan
+                raise ParseError("%s must be %s" % (
+                    name.replace("_", "-"),
+                    "positive" if value <= 0 else "finite"))
 
 
 def _read_text(path: str) -> str:

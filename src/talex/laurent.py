@@ -16,7 +16,7 @@ to units t^k.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
+from numbers import Number, Rational
 
 from .errors import AlgebraError, NonPolynomialError
 
@@ -161,6 +161,9 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise AlgebraError("negative power of a Laurent polynomial")
+        if n and len(self.coeffs) == 1:
+            (k, c), = self.coeffs.items()
+            return LaurentPoly({k * n: c ** n})
         out, base = LaurentPoly.one(), self
         while n:
             if n & 1:
@@ -192,6 +195,8 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
+            if not isinstance(other, Number):
+                return NotImplemented
             other = LaurentPoly.constant(other)
         if set(self.coeffs) != set(other.coeffs):
             return False

@@ -7,6 +7,10 @@ trace-polynomial recursion needs for its intermediate values.  Operations
 that only make sense for honest polynomials (exact_divide, resultant,
 content normalization) check for nonnegative exponents first.
 
+Evaluation and substitution are one operation, compose(images, zero):
+the ring map sending each variable to a number, a LaurentPoly or a
+MultiPoly.  A negative power needs a nonzero number or a monomial image.
+
 The monomial order used throughout is lex in the stored variable order;
 Python's tuple comparison on exponent vectors implements it directly.
 """
@@ -14,8 +18,7 @@ Python's tuple comparison on exponent vectors implements it directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from numbers import Rational
+from numbers import Number, Rational
 
 from .errors import AlgebraError
 
@@ -141,6 +144,10 @@ class MultiPoly:
         return self * other
 
     def __pow__(self, n: int) -> "MultiPoly":
+        """n-th power; a negative n needs a monomial."""
+        if n and len(self.terms) == 1:
+            (ex, c), = self.terms.items()
+            return MultiPoly(self.vars, {tuple(e * n for e in ex): c ** n})
         if n < 0:
             raise AlgebraError("negative polynomial power")
         out = MultiPoly.constant(self.vars, 1)
@@ -223,48 +230,44 @@ class MultiPoly:
 
     # -- substitution -----------------------------------------------------------
 
+    def compose(self, images: dict, zero):
+        """The ring map sending each variable v to images[v]: the sum over
+        terms of c * prod images[v]**e, started from zero.
+
+        An image is a number, a LaurentPoly or a MultiPoly.  Variables with
+        numeric images are evaluated first, term by term in stored variable
+        order, into one coefficient per exponent vector of the others; each
+        such coefficient then multiplies the matching product of powers.
+        A negative power needs a nonzero number or a monomial image.
+        """
+        num = [i for i, v in enumerate(self.vars) if isinstance(images[v], Number)]
+        rest = [i for i in range(len(self.vars)) if i not in num]
+        grouped: dict[tuple, object] = {}
+        for ex, c in self.terms.items():
+            for i in num:
+                c = c * _power(images[self.vars[i]], ex[i])
+            key = tuple(ex[i] for i in rest)
+            grouped[key] = grouped.get(key, 0) + c
+        total = zero
+        for key, c in grouped.items():
+            for i, e in zip(rest, key):
+                c = c * _power(images[self.vars[i]], e)
+            total = total + c
+        return total
+
     def substitute(self, name: str, value) -> "MultiPoly":
         """Replace a variable by an exact rational constant or a MultiPoly
         over the same variable tuple.  Requires nonnegative exponents in the
         substituted variable unless the value is a nonzero constant."""
-        i = self.vars.index(name)
         if isinstance(value, MultiPoly):
             self._check(value)
             if self.min_exponent_in(name) < 0:
                 raise AlgebraError("polynomial substitution into negative powers")
-            out = MultiPoly.zero(self.vars)
-            # Horner in the substituted variable.
-            byexp: dict[int, MultiPoly] = {}
-            for ex, c in self.terms.items():
-                k = ex[i]
-                rest = list(ex)
-                rest[i] = 0
-                part = byexp.setdefault(k, MultiPoly.zero(self.vars))
-                part.terms[tuple(rest)] = part.terms.get(tuple(rest), Fraction(0)) + c
-            for k in sorted(byexp, reverse=True):
-                byexp[k] = MultiPoly(self.vars, byexp[k].terms)
-            top = max(byexp) if byexp else 0
-            for k in range(top, -1, -1):
-                out = out * value + byexp.get(k, MultiPoly.zero(self.vars))
-            return out
-        c0 = Fraction(value)
-        terms: dict[tuple, Fraction] = {}
-        for ex, c in self.terms.items():
-            k = ex[i]
-            if k < 0 and c0 == 0:
-                raise AlgebraError("substituting 0 into a negative power")
-            factor = c0 ** k if k >= 0 else Fraction(1) / (c0 ** (-k))
-            rest = list(ex)
-            rest[i] = 0
-            key = tuple(rest)
-            s = terms.get(key, Fraction(0)) + c * factor
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+        else:
+            value = Fraction(value)
+        images = {v: MultiPoly.var(self.vars, v) for v in self.vars}
+        images[name] = value
+        return self.compose(images, MultiPoly.zero(self.vars))
 
     def evaluate(self, assignment: dict[str, object]):
         """Numeric value at a full assignment (complex or Fraction entries)."""
@@ -272,17 +275,7 @@ class MultiPoly:
         if missing:
             raise AlgebraError("no value for variables %r" % missing)
         exact = all(isinstance(assignment[v], (int, Rational)) for v in self.vars)
-        total = Fraction(0) if exact else 0j
-        for ex, c in self.terms.items():
-            term = Fraction(c) if exact else complex(c)
-            for v, e in zip(self.vars, ex):
-                x = assignment[v]
-                if e >= 0:
-                    term = term * x ** e
-                else:
-                    term = term / (x ** (-e))
-            total = total + term
-        return total
+        return self.compose(assignment, Fraction(0) if exact else 0j)
 
     # -- normalization ------------------------------------------------------------
 
@@ -349,6 +342,16 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return "MultiPoly(%s)" % self.to_text()
+
+
+def _power(x, e: int):
+    """x**e for a number or a polynomial; a negative power of a number is
+    exact for rationals and refused for zero."""
+    if e >= 0 or not isinstance(x, Number):
+        return x ** e
+    if x == 0:
+        raise AlgebraError("substituting 0 into a negative power")
+    return (Fraction(x) if isinstance(x, Rational) else x) ** e
 
 
 def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:

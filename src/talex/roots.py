@@ -17,8 +17,6 @@ RootFindingError rather than returning an uncertified value.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import AlgebraError, RootFindingError

@@ -51,6 +51,7 @@ class SeifertMatrix:
             raise ParseError("det(V - V^T) = %s; a knot Seifert matrix needs "
                              "+-1" % pairing)
         self._unit_roots = None
+        self._jumps: dict[float, list[tuple[float, int]]] = {}
 
     @classmethod
     def from_text(cls, text: str) -> "SeifertMatrix":
@@ -186,9 +187,12 @@ def signature_jumps(v: SeifertMatrix, delta: LaurentPoly | None = None,
     delta, when supplied, is only a cross-check: it must agree with
     det(V - tV^T) up to units.  Roots of even multiplicity may leave the
     signature unchanged; those contribute no entry, so a knot whose
-    signature function is identically zero reports an empty list.
+    signature function is identically zero reports an empty list.  The
+    jumps are found once per matrix and zero_tol, and kept.
     """
     roots = _unit_root_angles(v, delta)
+    if zero_tol in v._jumps:
+        return v._jumps[zero_tol]
     angles = [a for a, _ in roots]
     gap = _min_angular_gap(angles)
     eps = gap / 2.0
@@ -204,6 +208,7 @@ def signature_jumps(v: SeifertMatrix, delta: LaurentPoly | None = None,
                 % (theta, mult))
         if jump != 0:
             out.append((theta, jump))
+    v._jumps[zero_tol] = out
     return out
 
 
@@ -217,7 +222,7 @@ def is_identically_zero(v: SeifertMatrix, delta: LaurentPoly | None = None,
     delta, when supplied, is cross-checked against det(V - tV^T).
     """
     roots = _unit_root_angles(v, delta)
-    if any(j != 0 for _, j in signature_jumps(v, delta)):
+    if signature_jumps(v, delta):
         return False
     angles = sorted(a for a, _ in roots)
     probes = []

@@ -69,11 +69,17 @@ class TestAlexanderCommand:
         assert code == 2
         assert json.loads(err)["error"] == "ParseError"
 
-    def test_negative_tolerance_rejected(self, run):
-        code, _, err = run("alexander", "--pres", "fixtures/3_1.pres",
-                           "--tol-clean=-1")
-        assert code == 2
-        assert json.loads(err)["error"] == "ParseError"
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("flag", ["clean", "cluster", "residual"])
+    def test_negative_tolerance_rejected(self, run, flag, value):
+        # a nan or infinite bound makes every "val > bound" test false
+        code, out, err = run("alexander", "--pres", "fixtures/3_1.pres",
+                             "--tol-%s=%s" % (flag, value))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "reason": "tol-%s must be %s" % (
+                flag, "finite" if value in ("nan", "inf") else "positive")}
 
 
 class TestTwistedCommand:

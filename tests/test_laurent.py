@@ -75,6 +75,19 @@ class TestArithmetic:
         with pytest.raises(AlgebraError):
             LaurentPoly.t() ** -1
 
+    def test_monomial_powers(self):
+        m = LaurentPoly({-2: Fraction(3, 2)})
+        assert m ** 3 == LaurentPoly({-6: Fraction(27, 8)}) == m * m * m
+        assert m ** 0 == LaurentPoly.one()
+        z = LaurentPoly({1: 0.3 + 1.1j})
+        assert abs((z ** 5 - z * z * z * z * z)[5]) < 1e-12
+
+    def test_equality_with_non_numbers(self):
+        one = LaurentPoly.one()
+        assert (one == None) is False  # noqa: E711
+        assert one != "1" and one != [1]
+        assert one == 1 and one == Fraction(1) and one == 1.0
+
     def test_degree_additivity_for_products(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talex.errors import AlgebraError
+from talex.laurent import LaurentPoly
 from talex.multipoly import MultiPoly, exact_divide, resultant, sylvester_matrix
 
 YZ = ("y", "z")
@@ -121,6 +124,88 @@ class TestSubstitution:
     def test_complex_evaluate(self):
         p = mk(YZ, {(2, 0): 1, (0, 1): -1})
         assert abs(p.evaluate({"y": 1j, "z": 0j}) - (-1)) < 1e-12
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _polys(vars_, exponents):
+    keys = st.tuples(*[exponents] * len(vars_))
+    return st.dictionaries(keys, small_fractions, max_size=4).map(
+        lambda terms: MultiPoly(vars_, terms))
+
+
+yz_polys = _polys(YZ, st.integers(0, 3))
+laurent_images = st.dictionaries(st.integers(-2, 2), small_fractions,
+                                 min_size=1, max_size=3).map(LaurentPoly)
+ST = ("s", "t")
+
+
+@st.composite
+def ring_maps(draw):
+    """(images of y and z, zero of the target) for one target ring."""
+    target = draw(st.sampled_from(["fraction", "laurent", "multi", "mixed"]))
+    if target == "fraction":
+        return {"y": draw(small_fractions), "z": draw(small_fractions)}, Fraction(0)
+    if target == "laurent":
+        return ({"y": draw(laurent_images), "z": draw(laurent_images)},
+                LaurentPoly.zero())
+    if target == "multi":
+        st_polys = _polys(ST, st.integers(0, 2))
+        return ({"y": draw(st_polys), "z": draw(st_polys)},
+                MultiPoly.zero(ST))
+    return ({"y": draw(small_fractions), "z": draw(laurent_images)},
+            LaurentPoly.zero())
+
+
+class TestCompose:
+    @settings(deadline=None, max_examples=60)
+    @given(yz_polys, yz_polys, ring_maps())
+    def test_ring_map(self, p, q, ring_map):
+        images, zero = ring_map
+
+        def f(x):
+            return x.compose(images, zero)
+
+        assert f(p + q) == f(p) + f(q)
+        assert f(p * q) == f(p) * f(q)
+        assert f(MultiPoly.constant(YZ, 3)) == zero + 3
+
+    def test_images_of_variables(self):
+        p = mk(YZ, {(2, 1): 3, (0, 0): -1})    # 3 y^2 z - 1
+        t = LaurentPoly.t()
+        assert p.compose({"y": t, "z": t - 1}, LaurentPoly.zero()) == \
+            3 * t ** 3 - 3 * t ** 2 - 1
+        assert p.compose({"y": Fraction(2), "z": 1j}, 0j) == 12j - 1
+
+    def test_substitute_keeps_negative_powers_of_other_variables(self):
+        vars_ = ("y1", "y2", "v")
+        p = MultiPoly(vars_, {(-1, 1, 0): 1, (2, 0, 1): 3})  # y1^-1 y2 + 3 y1^2 v
+        q = p.substitute("v", 2)
+        assert q == MultiPoly(vars_, {(-1, 1, 0): 1, (2, 0, 0): 6})
+        assert q.to_text() == "6*y1^2 + y1^-1*y2"
+
+    def test_zero_into_negative_power(self):
+        p = mk(YZ, {(-1, 0): 1, (0, 1): 1})    # y^-1 + z
+        with pytest.raises(AlgebraError, match="substituting 0 into a negative"):
+            p.substitute("y", 0)
+        with pytest.raises(AlgebraError, match="substituting 0 into a negative"):
+            p.evaluate({"y": 0j, "z": 1j})
+        assert p.substitute("y", Fraction(1, 2)) == MultiPoly.var(YZ, "z") + 2
+
+    def test_non_monomial_into_negative_power(self):
+        p = mk(YZ, {(-2, 1): 1})                # y^-2 z
+        z = MultiPoly.var(YZ, "z")
+        with pytest.raises(AlgebraError):
+            p.substitute("y", z + 1)
+        with pytest.raises(AlgebraError):
+            p.compose({"y": z + 1, "z": z}, MultiPoly.zero(YZ))
+        with pytest.raises(AlgebraError):
+            p.compose({"y": LaurentPoly.t(), "z": Fraction(1)},
+                      LaurentPoly.zero())
+        # a monomial image is inverted: (2z)^-2 z = z^-1 / 4
+        assert p.compose({"y": 2 * z, "z": z}, MultiPoly.zero(YZ)) == \
+            mk(YZ, {(0, -1): Fraction(1, 4)})
 
 
 class TestNormalization:

@@ -114,6 +114,23 @@ class TestSeifertMatrix:
         assert jumps == signature_jumps(v)
         assert v.unit_roots() is v.unit_roots()
 
+    def test_jumps_once_per_matrix(self, monkeypatch):
+        calls = []
+        real_detail = signature.lt_signature_detail
+
+        def counting_detail(v, omega, zero_tol=signature.DEFAULT_ZERO_TOL):
+            calls.append(omega)
+            return real_detail(v, omega, zero_tol)
+
+        monkeypatch.setattr(signature, "lt_signature_detail", counting_detail)
+        v = v820()
+        jumps = signature_jumps(v)
+        assert len(calls) == 4          # both sides of its two circle roots
+        assert is_identically_zero(v)
+        assert len(calls) == 4 + 2 + 16  # only the probes are new
+        assert signature_jumps(v) is jumps
+        assert len(calls) == 22
+
 
 class TestLtSignature:
     def test_trefoil_values(self):
