@@ -2,11 +2,16 @@
 
 det() has three paths, chosen by the entry domain:
 
-  * exact Laurent entries (LaurentPoly with rational coefficients):
-    fraction-free Bareiss elimination with row pivoting.
-  * MultiPoly entries: the same Bareiss elimination.  On both Bareiss
-    paths every division performed is exact in the entry ring, which each
-    entry type enforces by raising on an inexact quotient.
+  * exact Laurent entries (LaurentPoly with rational coefficients): each
+    row is cleared into Z[t], multiplied by the lcm of its coefficient
+    denominators and shifted by its lowest exponent, and fraction-free
+    Bareiss elimination (Bareiss 1968) with row pivoting runs on dense
+    lists of Python ints, skipping the rows that have a zero in the pivot
+    column.  The scale and the shift are undone at the end.
+  * MultiPoly entries: the same Bareiss elimination on the entries
+    themselves.  On both Bareiss paths every division performed is exact
+    in the entry ring, and an inexact quotient raises
+    NonPolynomialError.
   * Laurent entries with complex coefficients: evaluation at scaled roots
     of unity, one numpy LU determinant per sample point, followed by an
     inverse DFT.  The exponent window of the determinant is bounded by
@@ -20,11 +25,13 @@ empty matrix is LaurentPoly.one().
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 import numpy as np
 
-from .errors import AlgebraError
+from .errors import AlgebraError, NonPolynomialError
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly
 
@@ -98,12 +105,13 @@ def det(rows):
     rows = [[e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e)
              for e in row] for row in rows]
     if kinds <= {"exact", "laurent_exact"}:
-        return _bareiss(rows, LaurentPoly.one())
+        return _integer_det(rows)
     return _interpolated_det(rows)
 
 
 def _bareiss(rows, one):
-    """Fraction-free elimination; divisions are exact in the entry domain."""
+    """Fraction-free elimination over MultiPoly entries; divisions are exact
+    in the entry ring."""
     n = len(rows)
     m = [list(r) for r in rows]
     sign = 1
@@ -123,6 +131,123 @@ def _bareiss(rows, one):
         prev = m[k][k]
     result = m[n - 1][n - 1]
     return result if sign > 0 else -result
+
+
+def _integer_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Bareiss elimination over Z[t] for exact Laurent entries.
+
+    Row i is multiplied by the lcm L_i of its coefficient denominators and
+    by t^-s_i, s_i its lowest exponent, so every entry becomes a dense
+    list of ints, constant term first.  The determinant of the cleared
+    matrix, divided by prod L_i and shifted by sum s_i, is the answer.
+    """
+    n = len(rows)
+    m = []
+    shift, scale = 0, 1
+    for row in rows:
+        nonzero = [e for e in row if not e.is_zero()]
+        if not nonzero:
+            return LaurentPoly.zero()
+        low = min(e.min_exp() for e in nonzero)
+        den = lcm(*(c.denominator for e in nonzero for c in e.coeffs.values()))
+        shift += low
+        scale *= den
+        m.append([_cleared(e, low, den) for e in row])
+    # Bareiss step k turns a row with a zero in column k into itself times
+    # pivot_k / pivot_(k-1).  Those factors telescope, so such a row is left
+    # alone: its next update divides by base[i], the pivot it last saw, and
+    # on becoming the pivot row it is first brought up to date.
+    prev = [1]
+    base = [prev] * n
+    sign = 1
+    for k in range(n):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return LaurentPoly.zero()
+            m[k], m[pivot] = m[pivot], m[k]
+            base[k], base[pivot] = base[pivot], base[k]
+            sign = -sign
+        top = m[k]
+        if base[k] is not prev:
+            top[k:] = [_zt_exact_div(_zt_mul(x, prev), base[k]) for x in top[k:]]
+        piv = top[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            a = row[k]
+            if not a:
+                continue
+            for j in range(k + 1, n):
+                x, b = row[j], top[j]
+                if b:
+                    num = _zt_sub(_zt_mul(x, piv), _zt_mul(a, b))
+                elif x:
+                    num = _zt_mul(x, piv)
+                else:
+                    continue
+                row[j] = _zt_exact_div(num, base[i])
+            row[k] = []
+            base[i] = piv
+        prev = piv
+    # The last pivot is the determinant of the cleared matrix.
+    return LaurentPoly({shift + e: Fraction(sign * c, scale)
+                        for e, c in enumerate(prev) if c})
+
+
+def _cleared(e: LaurentPoly, low: int, den: int) -> list[int]:
+    """den * t^-low * e as a dense int list, constant term first."""
+    if e.is_zero():
+        return []
+    out = [0] * (e.max_exp() - low + 1)
+    for k, c in e.coeffs.items():
+        out[k - low] = c.numerator * (den // c.denominator)
+    return out
+
+
+# Z[t] arithmetic on dense int lists, constant term first, with no zero
+# at the top; the zero polynomial is [].
+
+def _zt_mul(p: list[int], q: list[int]) -> list[int]:
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return out
+
+
+def _zt_sub(p: list[int], q: list[int]) -> list[int]:
+    if len(p) < len(q):
+        p = p + [0] * (len(q) - len(p))
+    out = [a - b for a, b in zip(p, q)] + p[len(q):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zt_exact_div(num: list[int], den: list[int]) -> list[int]:
+    """num / den in Z[t]; NonPolynomialError unless the quotient is exact."""
+    if den == [1] or not num:
+        return num
+    deg = len(den) - 1
+    lead = den[-1]
+    rem = list(num)
+    quot = [0] * max(len(num) - deg, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + deg], lead)
+        if r:
+            break
+        if c:
+            quot[i] = c
+            for j in range(deg):
+                rem[i + j] -= c * den[j]
+    else:
+        if not any(rem[:deg]):
+            return quot
+    raise NonPolynomialError("inexact division in Z[t] (degree %d by %d)"
+                             % (len(num) - 1, deg))
 
 
 def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:

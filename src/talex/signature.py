@@ -222,7 +222,7 @@ def is_identically_zero(v: SeifertMatrix, delta: LaurentPoly | None = None,
     delta, when supplied, is cross-checked against det(V - tV^T).
     """
     roots = _unit_root_angles(v, delta)
-    if signature_jumps(v, delta):
+    if signature_jumps(v, delta, zero_tol):
         return False
     angles = sorted(a for a, _ in roots)
     probes = []

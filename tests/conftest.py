@@ -33,6 +33,14 @@ def normalized(p):
     return p.shift(-p.min_exp()) if not p.is_zero() else p
 
 
+def torus_pd(n):
+    """PD code of T(2, n): X[2k+1, 2k+1+n, 2k+2, 2k+2+n], edges mod 2n."""
+    def edge(e):
+        return (e - 1) % (2 * n) + 1
+    return [(edge(2 * k + 1), edge(2 * k + 1 + n), edge(2 * k + 2),
+             edge(2 * k + 2 + n)) for k in range(n)]
+
+
 def equal_up_to_even_shift(a: LaurentRational, b: LaurentRational) -> bool:
     """Equality of rational functions up to multiplication by t^{2i}."""
     lhs = a.num * b.den

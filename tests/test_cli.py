@@ -1,10 +1,15 @@
 """The talex command line: text output, JSON output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import talex
 from talex.cli import main
+from talex.fixtures import fixture_path
 
 
 @pytest.fixture
@@ -262,3 +267,14 @@ class TestDispatch:
         a = run("alexander", "--pres", "fixtures/9_35.pres", "--json")
         b = run("alexander", "--pres", "fixtures/9_35.pres", "--json")
         assert a == b
+
+    def test_python_dash_m(self, run):
+        pd = fixture_path("3_1.pd")
+        src = os.path.dirname(os.path.dirname(talex.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "talex", "alexander",
+                               "--pd", pd], capture_output=True, text=True,
+                              env=env, check=False)
+        assert proc.returncode == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            run("alexander", "--pd", pd)

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from talex.errors import AlgebraError
+from talex.errors import AlgebraError, NonPolynomialError
 from talex.laurent import LaurentPoly
-from talex.matrix import SquareMatrix, det
+from talex.matrix import SquareMatrix, _zt_exact_div, det
 from talex.multipoly import MultiPoly
 
 from conftest import CP, P
@@ -121,6 +123,89 @@ class TestLaurentDeterminants:
         d = det([[a, LaurentPoly.zero()], [CP(5), b]])
         assert abs(complex(d[-3]) - 1) < 1e-12
         assert d.min_exp() == -3
+
+
+_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+_entries = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.dictionaries(st.integers(-3, 3), _fractions, max_size=3).map(LaurentPoly))
+
+
+def _square(n):
+    return st.lists(st.lists(_entries, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+_matrices = st.integers(0, 4).flatmap(_square)
+_matrix_pairs = st.integers(0, 4).flatmap(lambda n: st.tuples(_square(n),
+                                                               _square(n)))
+
+
+class TestIntegerBareiss:
+    """The exact Laurent path: rows cleared into Z[t], Bareiss on ints."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_matrices)
+    def test_agrees_with_cofactor_expansion(self, rows):
+        assert det(rows) == _cofactor_det(rows, LaurentPoly.one())
+
+    @settings(max_examples=40, deadline=None)
+    @given(_matrix_pairs)
+    def test_multiplicative(self, pair):
+        a, b = pair
+        ab = (SquareMatrix(a) * SquareMatrix(b)).rows
+        assert det(ab) == det(a) * det(b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_matrices)
+    def test_agrees_with_interpolated_float_determinant(self, rows):
+        exact = det(rows)
+        floated = [[LaurentPoly({k: complex(c) for k, c in e.coeffs.items()})
+                    for e in row] for row in rows]
+        diff = det(floated) - exact
+        assert diff.max_abs() <= 1e-9 * max(1.0, exact.max_abs())
+
+    def test_inexact_quotient_raises(self):
+        assert _zt_exact_div([2, 4, 6], [2]) == [1, 2, 3]
+        assert _zt_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
+        with pytest.raises(NonPolynomialError):
+            _zt_exact_div([1, 3], [2])          # 3/2 is not an integer
+        with pytest.raises(NonPolynomialError):
+            _zt_exact_div([1, 0, 1], [1, 1])    # remainder 2
+        with pytest.raises(NonPolynomialError):
+            _zt_exact_div([1, 0, 1], [1, 2])    # leading 1 over 2
+        with pytest.raises(NonPolynomialError):
+            _zt_exact_div([1], [0, 1])          # degree too low
+
+    def test_zero_row(self):
+        t = LaurentPoly.t()
+        half = LaurentPoly.constant(Fraction(1, 2))
+        assert det([[t, half], [LaurentPoly.zero(), LaurentPoly.zero()]]) \
+            == LaurentPoly.zero()
+
+    def test_one_by_one(self):
+        e = LaurentPoly({-2: Fraction(1, 3), 1: Fraction(-5, 4)})
+        assert det([[e]]) == e
+        assert det([[Fraction(7, 2)]]) == LaurentPoly.constant(Fraction(7, 2))
+
+    def test_lifted_scalars_and_negative_exponents(self):
+        a = LaurentPoly({-3: Fraction(1, 2), -1: Fraction(2, 3)})
+        b = LaurentPoly({-2: Fraction(-1, 6)})
+        got = det([[a, 2], [b, Fraction(3, 5)]])
+        assert got == a * Fraction(3, 5) - b * 2
+        assert got.min_exp() == -3
+
+    def test_pivoting_sign(self):
+        z = LaurentPoly.zero()
+        t = LaurentPoly.t()
+        half = LaurentPoly.constant(Fraction(1, 2))
+        assert det([[z, t], [half, z]]) == -(t * half)
+
+    def test_swap_brings_a_skipped_row_up(self):
+        # Step 1 skips row 2, whose column-1 entry is then zero, and
+        # updates row 3; step 2 swaps the two, as row 2 is zero in column 2.
+        rows = [[-2, 1, 0, 1], [-1, 1, 1, 3], [-2, 1, 0, 3], [-2, -2, 0, -1]]
+        assert det(rows) == _cofactor_det(rows, 1) == 12
 
 
 class TestMultiPolyDeterminants:

@@ -19,7 +19,7 @@ from talex.signature import (
 )
 from talex.twisted import alexander
 
-from conftest import P, TREFOIL_V, load_fixture_text, normalized
+from conftest import P, TREFOIL_V, load_fixture_text, normalized, torus_pd
 
 W6 = np.pi / 3  # angle of the first trefoil circle root
 
@@ -130,6 +130,18 @@ class TestSeifertMatrix:
         assert len(calls) == 4 + 2 + 16  # only the probes are new
         assert signature_jumps(v) is jumps
         assert len(calls) == 22
+
+    def test_identically_zero_keeps_its_tolerance(self, monkeypatch):
+        tols = []
+        real_sig = signature.lt_signature
+
+        def recording_sig(v, omega, zero_tol=signature.DEFAULT_ZERO_TOL):
+            tols.append(zero_tol)
+            return real_sig(v, omega, zero_tol)
+
+        monkeypatch.setattr(signature, "lt_signature", recording_sig)
+        assert not is_identically_zero(trefoil_v(), zero_tol=0.25)
+        assert tols and set(tols) == {0.25}
 
 
 class TestLtSignature:
@@ -263,14 +275,6 @@ def torus_seifert(n):
     """Seifert matrix of T(2, n): -I plus ones on the superdiagonal."""
     return [[-1 if j == i else 1 if j == i + 1 else 0 for j in range(n - 1)]
             for i in range(n - 1)]
-
-
-def torus_pd(n):
-    """PD code of T(2, n): X[2k+1, 2k+1+n, 2k+2, 2k+2+n], edges mod 2n."""
-    def edge(e):
-        return (e - 1) % (2 * n) + 1
-    return [(edge(2 * k + 1), edge(2 * k + 1 + n), edge(2 * k + 2),
-             edge(2 * k + 2 + n)) for k in range(n)]
 
 
 @pytest.mark.parametrize("n", range(3, 14, 2))

@@ -24,12 +24,14 @@ from talex import (
     wada_invariant,
 )
 from talex.laurent import LaurentPoly, LaurentRational
+from talex.presentations import pd_to_wirtinger
 
 from conftest import (
     P,
     equal_up_to_even_shift,
     load_fixture_text,
     random_det1_matrix,
+    torus_pd,
 )
 
 
@@ -164,6 +166,22 @@ class TestWadaInvariant:
         explicit = wada_invariant(trefoil, rho,
                                   removed=trefoil.num_generators - 1)
         assert default.value == explicit.value
+
+
+@pytest.mark.parametrize("n", (23, 31))
+class TestLargeTorusKnotsT2n:
+    """Closed forms beyond the sizes the torus_exact benchmark runs."""
+
+    def test_alexander_closed_form(self, n):
+        closed = LaurentPoly({k: Fraction((-1) ** k) for k in range(n)})
+        assert alexander(pd_to_wirtinger(torus_pd(n))) == closed
+
+    def test_exact_twist_is_reducible_formula(self, n):
+        p = pd_to_wirtinger(torus_pd(n))
+        lam = Fraction(3, 2)
+        ta = wada_invariant(p, abelian_rep(p, lam))
+        closed = LaurentPoly({k: Fraction((-1) ** k) for k in range(n)})
+        assert equal_up_to_even_shift(ta.value, reducible_formula(closed, lam))
 
 
 class TestMakeTwisted:
