@@ -41,6 +41,7 @@ psi_2(x) = c intersected with the curve, computed exactly.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -450,18 +451,21 @@ class Psi2Certificate:
 
 
 def _curve_sample_points(curve: PlaneCurve, rng: np.random.Generator,
-                         budget: int) -> list[tuple[complex, complex]]:
-    pts = []
-    for _ in range(budget):
-        y0 = complex(2.2 + 0.8 * rng.standard_normal(),
-                     0.8 * rng.standard_normal())
+                         budget: int) -> Iterator[tuple[complex, complex]]:
+    """Points (y0, z0) on the curve, slicing it at y0 only on demand.
+
+    All budget values of y0 are drawn up front, so the generator's state
+    afterwards does not depend on how many points the caller takes.
+    """
+    ys = [complex(2.2 + 0.8 * rng.standard_normal(),
+                  0.8 * rng.standard_normal()) for _ in range(budget)]
+    for y0 in ys:
         try:
             zs = curve.z_values(y0)
         except (AlgebraError, RootFindingError):
             continue
         for z0 in zs:
-            pts.append((y0, z0))
-    return pts
+            yield y0, z0
 
 
 def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve], n_samples: int = 12,

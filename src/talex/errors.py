@@ -36,9 +36,28 @@ class NonPolynomialError(AlgebraError):
 
 class SolveError(TalexError):
     """Newton iteration failed to reach the residual target within the
-    restart budget, or found only solutions of the wrong kind."""
+    restart budget, or found only solutions of the wrong kind.
+
+    The solver's counters ride along as attributes (zero, and an infinite
+    best residual, when no restart ran): restarts run, Newton iterations
+    and line-search halvings summed over them, the smallest final max|f|
+    of any restart, and the restarts ended by each stopping rule that then
+    failed the residual test (rejected_at_floor, rejected_stagnant).
+    """
 
     exit_code = 5
+
+    def __init__(self, message: str, *, restarts: int = 0,
+                 iterations: int = 0, halvings: int = 0,
+                 best_residual: float = float("inf"),
+                 rejected_at_floor: int = 0, rejected_stagnant: int = 0):
+        super().__init__(message)
+        self.restarts = restarts
+        self.iterations = iterations
+        self.halvings = halvings
+        self.best_residual = best_residual
+        self.rejected_at_floor = rejected_at_floor
+        self.rejected_stagnant = rejected_stagnant
 
 
 class RootFindingError(TalexError):

@@ -12,9 +12,9 @@ det() has three paths, chosen by the entry domain:
     themselves.  On both Bareiss paths every division performed is exact
     in the entry ring, and an inexact quotient raises
     NonPolynomialError.
-  * Laurent entries with complex coefficients: evaluation at scaled roots
-    of unity, one numpy LU determinant per sample point, followed by an
-    inverse DFT.  The exponent window of the determinant is bounded by
+  * Laurent entries with complex coefficients: evaluation of the nonzero
+    entries at scaled roots of unity, one numpy LU determinant per sample
+    point, followed by an inverse DFT.  The exponent window of the determinant is bounded by
     row-wise exponent sums, so the interpolation is exact in exact
     arithmetic and stable in floating arithmetic.
 
@@ -261,10 +261,16 @@ def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         lo += min(a for a, _ in exts)
         hi += max(b for _, b in exts)
     npts = hi - lo + 1
+    # only the nonzero entries are evaluated; the rest stay 0 at every point
+    where = [(i, k) for i, row in enumerate(rows)
+             for k, e in enumerate(row) if not e.is_zero()]
+    entries = [rows[i][k] for i, k in where]
+    at = tuple(np.array(ix, dtype=int) for ix in zip(*where))
     values = np.empty(npts, dtype=complex)
     for j in range(npts):
         t = np.exp(2j * np.pi * j / npts)
-        mat = np.array([[complex(e.evaluate(t)) for e in row] for row in rows])
+        mat = np.zeros((n, n), dtype=complex)
+        mat[at] = [complex(e.evaluate(t)) for e in entries]
         values[j] = np.linalg.det(mat) * np.exp(-2j * np.pi * j * lo / npts)
     coeffs = np.fft.fft(values) / npts
     scale = np.max(np.abs(coeffs)) or 1.0

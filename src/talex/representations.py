@@ -14,6 +14,17 @@ four free entries plus a soft det-1 constraint.  Trace targets enter the
 residual with weight 1 alongside the relator entries.  Any irreducible
 pair of images can be conjugated into this gauge, so the gauge costs no
 generality for the representations of interest.
+
+The Jacobian is exact: a word's derivative is the sum over its letters of
+prefix * (derivative of the letter) * suffix, the matrix form of the Fox
+prefix scan, and each gauge coordinate moves one entry of one generator
+(plus the 1/a and 1/b corners of the first two).  Two fixed rules end a
+restart early.  At the rounding floor (residual norm <= 1e-12) a Newton
+step that does not halve the norm means rounding, not the iterate, limits
+the residual, so the restart stops instead of halving the step.  A restart
+whose norm has not fallen below 0.95 times its value 10 iterations earlier
+sits at a least-squares minimum that is no solution and is abandoned.  The
+usual residual test then accepts or rejects the restart's last point.
 """
 
 from __future__ import annotations
@@ -25,28 +36,10 @@ import numpy as np
 
 from .errors import AlgebraError, ParseError, SolveError
 from .laurent import LaurentPoly, LaurentRational
+from ._sl2 import (_COMPLEX_ID, _EXACT_ID, Matrix2, _Equations, _jacobian,
+                   _mat_adjugate, _mat_det, _mat_mul, _residual, _unpack)
 from .presentations import Presentation
 from .words import FreeWord
-
-Matrix2 = tuple[tuple[object, object], tuple[object, object]]
-
-_EXACT_ID: Matrix2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-_COMPLEX_ID: Matrix2 = ((1 + 0j, 0j), (0j, 1 + 0j))
-
-
-def _mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
-
-
-def _mat_det(a: Matrix2):
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
-def _mat_adjugate(a: Matrix2) -> Matrix2:
-    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
 
 
 class Representation:
@@ -248,6 +241,17 @@ def parse_constraints(text: str, p: Presentation) -> dict[FreeWord, complex]:
     return out
 
 
+# The stopping rules of the module docstring.
+_ROUNDING_FLOOR = 1e-12
+_STAGNATION_WINDOW = 10
+_STAGNATION_FACTOR = 0.95
+# Relative singular-value cutoff of the Newton least-squares step.  The
+# gauge leaves one conjugation (by diagonal matrices) unfixed, which the
+# exact Jacobian resolves as a singular value of the order of the residual;
+# without a cutoff near a solution the step runs along that direction.
+_RCOND = 1e-10
+
+
 def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                          seed: int = 0, restarts: int = 50,
                          tol: float = 1e-10, max_iter: int = 60,
@@ -275,43 +279,8 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                                  "trace targets must agree; got %r" % (vals,))
     y0 = gen_trace.get(0, gen_trace.get(1, 2.5 + 0j))
 
-    nfree = max(n - 2, 0)
-    nvars = (2 if n >= 1 else 0) + (2 if n >= 2 else 0) + 4 * nfree
-
-    def unpack(x: np.ndarray) -> list[Matrix2]:
-        mats: list[Matrix2] = []
-        if n >= 1:
-            a, q = x[0], x[1]
-            mats.append(((a, q), (0j, 1.0 / a)))
-        if n >= 2:
-            b, d = x[2], x[3]
-            mats.append(((b, 0j), (d, 1.0 / b)))
-        for i in range(nfree):
-            e = x[4 + 4 * i: 8 + 4 * i]
-            mats.append(((e[0], e[1]), (e[2], e[3])))
-        return mats
-
-    def residual_vec(x: np.ndarray) -> np.ndarray:
-        mats = unpack(x)
-        rho = Representation(p, mats)
-        out = []
-        for r in p.relators:
-            m = rho.image(r)
-            out.extend([m[0][0] - 1.0, m[0][1], m[1][0], m[1][1] - 1.0])
-        for i in range(nfree):
-            out.append(_mat_det(mats[2 + i]) - 1.0)
-        for w, v in constraints.items():
-            out.append(rho.trace(w) - v)
-        return np.array(out, dtype=complex)
-
-    def jacobian(x: np.ndarray, f0: np.ndarray) -> np.ndarray:
-        h = 1e-7
-        cols = []
-        for k in range(nvars):
-            xk = x.copy()
-            xk[k] += h
-            cols.append((residual_vec(xk) - f0) / h)
-        return np.array(cols).T
+    eq = _Equations(p, constraints)
+    nfree, nvars = eq.nfree, eq.nvars
 
     def eigen_guess(tr: complex, rng) -> complex:
         disc = np.sqrt(complex(tr * tr - 4.0))
@@ -394,6 +363,9 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
 
     rng = np.random.default_rng(seed)
     best_reducible = None
+    iterations = halvings = 0
+    best = np.inf
+    rejected = {"floor": 0, "stagnant": 0}
     for _ in range(restarts):
         x = np.zeros(nvars, dtype=complex)
         jit = 0.15 * (rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars))
@@ -423,39 +395,60 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
             e = x[4 + 4 * i: 8 + 4 * i]
             seeded.append(((e[0], e[1]), (e[2], e[3])))
 
-        f = residual_vec(x)
+        f = _residual(eq, x)
         norm = np.linalg.norm(f)
+        history = [norm]
+        stop = None
         for _ in range(max_iter):
             if norm < 1e-14:
                 break
-            J = jacobian(x, f)
-            step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-            lam, improved = 1.0, False
+            iterations += 1
+            step, *_ = np.linalg.lstsq(_jacobian(eq, x), -f, rcond=_RCOND)
+            at_floor = norm <= _ROUNDING_FLOOR
+            lam, nn = 1.0, np.inf
             for _ in range(25):
                 xn = x + lam * step
-                if abs(xn[0]) < 1e-8 or (n >= 2 and abs(xn[2]) < 1e-8):
-                    lam *= 0.5
-                    continue
-                fn = residual_vec(xn)
-                nn = np.linalg.norm(fn)
-                if nn < norm:
-                    x, f, norm, improved = xn, fn, nn, True
-                    break
+                if abs(xn[0]) >= 1e-8 and (n < 2 or abs(xn[2]) >= 1e-8):
+                    fn = _residual(eq, xn)
+                    nn = np.linalg.norm(fn)
+                    # at the floor only the full step is worth trying
+                    if nn < norm or at_floor:
+                        break
                 lam *= 0.5
-            if not improved:
+                halvings += 1
+            converging = nn < 0.5 * norm
+            if nn < norm:
+                x, f, norm = xn, fn, nn
+            elif not at_floor:
+                break           # no step length lowered the norm
+            if at_floor and not converging:
+                stop = "floor"
+                break
+            history.append(norm)
+            if (len(history) > _STAGNATION_WINDOW and not
+                    norm < _STAGNATION_FACTOR * history[-1 - _STAGNATION_WINDOW]):
+                stop = "stagnant"
                 break
 
-        if np.max(np.abs(f)) <= tol:
-            rho = Representation(p, unpack(x))
+        worst = float(np.max(np.abs(f)))
+        best = min(best, worst)
+        if worst <= tol:
+            rho = Representation(p, _unpack(x, n))
             rho.residual = rho.relator_residual()
             if require_irreducible and rho.is_reducible():
                 best_reducible = rho
                 continue
             return rho
+        if stop in rejected:
+            rejected[stop] += 1
 
+    counters = {"restarts": restarts, "iterations": iterations,
+                "halvings": halvings, "best_residual": best,
+                "rejected_at_floor": rejected["floor"],
+                "rejected_stagnant": rejected["stagnant"]}
     if best_reducible is not None:
         raise SolveError("only reducible representations found (commutator "
                          "traces all within 1e-6 of 2) where an irreducible "
-                         "one was requested")
+                         "one was requested", **counters)
     raise SolveError("Newton iteration failed to reach residual %.1e within "
-                     "%d restarts" % (tol, restarts))
+                     "%d restarts" % (tol, restarts), **counters)

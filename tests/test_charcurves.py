@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from talex import charcurves as cc
@@ -127,6 +128,29 @@ class TestPlaneCurves:
     def test_requires_the_curve_variables(self):
         with pytest.raises(AlgebraError):
             cc.PlaneCurve(MultiPoly.var(("a", "b"), "a"), name="bogus")
+
+    def test_sample_points_slice_lazily_in_the_eager_rng_order(self,
+                                                              monkeypatch):
+        _, Cp = cc.curve_components()
+        rng = np.random.default_rng(5)
+        ys = [complex(2.2 + 0.8 * rng.standard_normal(),
+                      0.8 * rng.standard_normal()) for _ in range(16)]
+        eager = [(y0, z0) for y0 in ys for z0 in Cp.z_values(y0)]
+        after_draws = rng.standard_normal()
+
+        sliced = []
+        z_values = cc.PlaneCurve.z_values
+        monkeypatch.setattr(cc.PlaneCurve, "z_values",
+                            lambda self, y0: sliced.append(y0)
+                            or z_values(self, y0))
+        rng = np.random.default_rng(5)
+        points = cc._curve_sample_points(Cp, rng, budget=16)
+        first = next(points)
+        assert sliced == ys[:1]
+        # every y0 was drawn before the first point came out
+        assert rng.standard_normal() == after_draws
+        assert [first] + list(points) == eager
+        assert sliced == ys
 
 
 class TestPsi2:

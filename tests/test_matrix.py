@@ -125,6 +125,51 @@ class TestLaurentDeterminants:
         assert d.min_exp() == -3
 
 
+def _dense_interpolated_det(rows):
+    """The interpolation determinant evaluating every entry, zeros too."""
+    n = len(rows)
+    lo = sum(min(e.min_exp() for e in row if not e.is_zero()) for row in rows)
+    hi = sum(max(e.max_exp() for e in row if not e.is_zero()) for row in rows)
+    npts = hi - lo + 1
+    values = np.empty(npts, dtype=complex)
+    for j in range(npts):
+        t = np.exp(2j * np.pi * j / npts)
+        mat = np.array([[complex(e.evaluate(t)) for e in row] for row in rows])
+        values[j] = np.linalg.det(mat) * np.exp(-2j * np.pi * j * lo / npts)
+    coeffs = np.fft.fft(values) / npts
+    scale = np.max(np.abs(coeffs)) or 1.0
+    return LaurentPoly({lo + m: complex(c) for m, c in enumerate(coeffs)
+                        if abs(c) > 1e-13 * scale})
+
+
+_complex_entries = st.one_of(
+    st.just(LaurentPoly.zero()), st.just(LaurentPoly.zero()),
+    st.dictionaries(st.integers(-3, 3),
+                    st.complex_numbers(min_magnitude=0.1, max_magnitude=9),
+                    min_size=1, max_size=3).map(LaurentPoly))
+
+
+@st.composite
+def _sparse_complex_matrices(draw):
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(_complex_entries, min_size=n, max_size=n))
+            for _ in range(n)]
+    for i, row in enumerate(rows):     # no zero rows: both paths return 0
+        if all(e.is_zero() for e in row):
+            row[i] = LaurentPoly({0: 1 + 0j})
+    return rows
+
+
+class TestInterpolatedDet:
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse_complex_matrices())
+    def test_sparse_evaluation_is_bit_identical(self, rows):
+        def bits(poly):
+            return {k: (c.real.hex(), c.imag.hex())
+                    for k, c in poly.coeffs.items()}
+        assert bits(det(rows)) == bits(_dense_interpolated_det(rows))
+
+
 _fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 _entries = st.one_of(
     st.just(LaurentPoly.zero()),

@@ -2,9 +2,12 @@
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import talex
 from talex import (
@@ -21,8 +24,9 @@ from talex import (
     solve_representation,
 )
 from talex.errors import SolveError
+from talex._sl2 import _Equations, _jacobian, _residual
 
-from conftest import P, random_det1_matrix
+from conftest import P, load_fixture_text, random_det1_matrix
 
 
 class TestAbelianRep:
@@ -276,3 +280,102 @@ class TestSolveRepresentation:
         assert rho.relator_residual() <= 1e-10
         for w, t in curve_constraints(2.5, 5.25).items():
             assert abs(rho.trace(p935.word(w)) - t) < 1e-8
+
+
+@lru_cache(maxsize=None)
+def _jacobian_case(knot):
+    """A presentation and trace constraints whose words mix generators,
+    inverse letters and lengths; 8_20 is a Wirtinger presentation with
+    six generators beyond the gauged pair."""
+    if knot == "8_20":
+        p = talex.pd_to_wirtinger(talex.parse_pd(load_fixture_text("8_20.pd")))
+        words = ["a", "ab", "cBa", "hGfE", "dC"]
+    else:
+        p = parse_presentation(load_fixture_text(knot + ".pres"))
+        words = {"3_1": ["a", "b", "ab", "aB", "abAb"],
+                 "9_35": ["a", "ab", "bc", "ca", "cA", "aCbB"]}[knot]
+    cons = {p.word(w): complex(1.5 - 0.25 * k, 0.1 * k)
+            for k, w in enumerate(words)}
+    return _Equations(p, cons)
+
+
+def _central_differences(eq, x, h=1e-6):
+    cols = [(_residual(eq, x + h * e) - _residual(eq, x - h * e)) / (2 * h)
+            for e in np.eye(eq.nvars)]
+    return np.array(cols).T
+
+
+class TestExactJacobian:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["3_1", "9_35", "8_20"]), st.integers(0, 2 ** 32 - 1))
+    def test_matches_central_differences(self, knot, seed):
+        eq = _jacobian_case(knot)
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal(eq.nvars)
+             + 1j * rng.standard_normal(eq.nvars)) * 0.7
+        # the diagonal gauge entries a and b stay away from 0
+        x[0] = cmath.exp(complex(rng.uniform(-0.5, 0.5), rng.uniform(0, 6.3)))
+        x[2] = cmath.exp(complex(rng.uniform(-0.5, 0.5), rng.uniform(0, 6.3)))
+        jac = _jacobian(eq, x)
+        assert jac.shape == (len(_residual(eq, x)), eq.nvars)
+        err = np.max(np.abs(jac - _central_differences(eq, x)))
+        assert err <= 1e-6 * np.max(np.abs(jac))
+
+    def test_residual_rows(self, trefoil):
+        cons = {trefoil.word("a"): 2.1 + 0j, trefoil.word("ab"): 1.0 + 0j}
+        eq = _Equations(trefoil, cons)
+        x = np.array([2.0, 0.5, 1.25, -1.0], dtype=complex)
+        rho = Representation(trefoil, [((2.0, 0.5), (0.0, 0.5)),
+                                       ((1.25, 0.0), (-1.0, 0.8))])
+        m = rho.image(trefoil.relators[0])
+        want = [m[0][0] - 1, m[0][1], m[1][0], m[1][1] - 1,
+                rho.trace(trefoil.word("a")) - 2.1,
+                rho.trace(trefoil.word("ab")) - 1.0]
+        assert np.allclose(_residual(eq, x), want, rtol=0, atol=1e-14)
+
+    def test_empty_constraint_word(self, p935):
+        # a word that freely reduces to 1 has constant trace 2
+        cons = {talex.FreeWord([1, -1]): 0.5 + 0j, p935.word("ab"): 1.0 + 0j}
+        eq = _Equations(p935, cons)
+        x = np.linspace(0.5, 1.2, eq.nvars).astype(complex)
+        assert _residual(eq, x)[-2] == 1.5
+        jac = _jacobian(eq, x)
+        assert not jac[-2].any()
+        assert np.allclose(jac, _central_differences(eq, x), atol=1e-6)
+
+
+class TestSolveCounters:
+    def test_off_curve_restarts_stop_early(self, trefoil):
+        # tr(ab) = 0.8 is off the nonabelian character line at tr(a) = 2.1
+        cons = {trefoil.word("a"): 2.1 + 0j, trefoil.word("b"): 2.1 + 0j,
+                trefoil.word("ab"): 0.8 + 0j}
+        with pytest.raises(SolveError) as info:
+            solve_representation(trefoil, cons, seed=0)
+        exc = info.value
+        assert str(exc) == ("Newton iteration failed to reach residual "
+                            "1.0e-10 within 50 restarts")
+        assert exc.restarts == 50
+        assert exc.iterations <= 20 * exc.restarts   # 60 without the rules
+        assert exc.halvings > 0
+        assert exc.best_residual > 1e-10
+        assert exc.rejected_stagnant == 50
+        assert exc.rejected_at_floor == 0
+
+    def test_reducible_error_carries_counters(self, trefoil):
+        s = complex(3 ** 0.5)
+        cons = {trefoil.word("a"): s, trefoil.word("b"): s,
+                trefoil.word("ab"): 1.0 + 0j}
+        with pytest.raises(SolveError, match="reducible") as info:
+            solve_representation(trefoil, cons, seed=0, restarts=40)
+        assert info.value.restarts == 40
+        assert info.value.best_residual <= 1e-10
+        assert info.value.iterations > 0
+
+    def test_counters_default_before_any_restart(self, p820):
+        cons = {p820.word("a"): 2.0 + 0j, p820.word("b"): 3.0 + 0j}
+        with pytest.raises(SolveError, match="conjugate") as info:
+            solve_representation(p820, cons)
+        exc = info.value
+        assert (exc.restarts, exc.iterations, exc.halvings) == (0, 0, 0)
+        assert exc.best_residual == float("inf")
+        assert exc.args == (str(exc),)
