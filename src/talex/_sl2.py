@@ -1,11 +1,14 @@
-"""2x2 matrices over SL(2,C) as nested tuples, and the equations that
+"""2x2 matrices over SL(2,C), and the equations that
 representations.solve_representation solves in its gauge.
 
-A matrix is ((m00, m01), (m10, m11)); the adjugate is the inverse exactly
-when the determinant is 1.  The gauge coordinates x of n generators are
-(a, q) for A = [[a, q], [0, 1/a]], (b, d) for B = [[b, 0], [d, 1/b]] and
-four free entries for each further generator.  _residual and _jacobian
-evaluate the solver's equations and their exact Jacobian at x.
+Representation keeps its matrices as nested tuples ((m00, m01), (m10, m11));
+the adjugate is the inverse exactly when the determinant is 1.  The gauge
+coordinates x of n generators are (a, q) for A = [[a, q], [0, 1/a]], (b, d)
+for B = [[b, 0], [d, 1/b]] and four free entries for each further
+generator.  _residual and _jacobian evaluate the solver's equations and
+their exact Jacobian at x.  They hold the letter images as flat 4-tuples
+(m00, m01, m10, m11) and multiply them entry by entry in local variables,
+which is the solver's inner loop.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ Matrix2 = tuple[tuple[object, object], tuple[object, object]]
 
 _EXACT_ID: Matrix2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 _COMPLEX_ID: Matrix2 = ((1 + 0j, 0j), (0j, 1 + 0j))
+_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)   # flat, as the solver's kernel uses it
 
 
 def _mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
@@ -38,20 +42,25 @@ def _mat_adjugate(a: Matrix2) -> Matrix2:
     return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
 
 
-def _unpack(x, n: int) -> list[Matrix2]:
-    """Generator images in the gauge: A = [[a, q], [0, 1/a]] from (a, q),
-    B = [[b, 0], [d, 1/b]] from (b, d), four free entries for the rest."""
-    mats: list[Matrix2] = []
+def _gauge_images(x, n: int) -> list[tuple]:
+    """Flat generator images (m00, m01, m10, m11) in the gauge:
+    A = [[a, q], [0, 1/a]] from (a, q), B = [[b, 0], [d, 1/b]] from (b, d),
+    four free entries for the rest."""
+    mats = []
     if n >= 1:
         a, q = x[0], x[1]
-        mats.append(((a, q), (0j, 1.0 / a)))
+        mats.append((a, q, 0j, 1.0 / a))
     if n >= 2:
         b, d = x[2], x[3]
-        mats.append(((b, 0j), (d, 1.0 / b)))
-    for i in range(max(n - 2, 0)):
-        e = x[4 + 4 * i: 8 + 4 * i]
-        mats.append(((e[0], e[1]), (e[2], e[3])))
+        mats.append((b, 0j, d, 1.0 / b))
+    for i in range(4, 4 * n - 4, 4):
+        mats.append(tuple(x[i:i + 4]))
     return mats
+
+
+def _unpack(x, n: int) -> list[Matrix2]:
+    """The generator images in the gauge as nested tuples."""
+    return [((m00, m01), (m10, m11)) for m00, m01, m10, m11 in _gauge_images(x, n)]
 
 
 class _Equations:
@@ -63,9 +72,10 @@ class _Equations:
     n + g for its inverse.  The Jacobian's term table has one term for
     each letter, each coordinate its generator depends on and each matrix
     entry (i, j) of the letter that the coordinate moves, with a sign and
-    a factor kind (0: 1, 1: d(1/a)/da, 2: d(1/b)/db); it is sorted by
-    (word, coordinate) so that np.add.reduceat sums each Jacobian entry's
-    terms.
+    a factor kind (0: 1, 1: d(1/a)/da, 2: d(1/b)/db).  The table, kept as
+    terms = [(word, coordinate, slot, i, j, sign, kind), ...] with slot
+    the letter's position among all letters, is sorted by (word,
+    coordinate) so that np.add.reduceat sums each Jacobian entry's terms.
     """
 
     def __init__(self, p: Presentation, constraints: dict[FreeWord, complex]):
@@ -96,46 +106,81 @@ class _Equations:
                                       1.0 if i == j else -1.0, kind))
                 slot += 1
         terms.sort(key=lambda t: t[:2])
+        self.terms = terms
         cols = list(zip(*terms)) or [()] * 7
-        word, var = np.array(cols[0], dtype=int), np.array(cols[1], dtype=int)
-        self.slot, self.row_i, self.col_j = (np.array(c, dtype=int)
-                                             for c in cols[2:5])
+        word, var, slot, row_i, col_j = (np.array(c, dtype=int)
+                                         for c in cols[:5])
         self.sign = np.array(cols[5], dtype=float)
         self.kind = np.array(cols[6], dtype=int)
         new_group = np.ones(len(terms), dtype=bool)
         new_group[1:] = (word[1:] != word[:-1]) | (var[1:] != var[:-1])
         self.starts = np.flatnonzero(new_group)
-        self.group_word, self.group_var = word[self.starts], var[self.starts]
+        # Flat gathers from the scans' entry lists: column row_i of each
+        # term's prefix, row col_j of its suffix.
+        pair = np.arange(2)
+        self.pre_at = 4 * slot[:, None] + 2 * pair + row_i[:, None]
+        self.suf_at = 4 * slot[:, None] + 2 * col_j[:, None] + pair
+        # Flat destinations in the (rows, nvars) Jacobian: the four entries
+        # of each relator group, the det rows, one trace entry per
+        # constraint group.  Groups are sorted by word, relators first.
+        gword, gvar = word[self.starts], var[self.starts]
+        self.nrel_groups = int(np.sum(gword < self.nrel))
+        rel_w, rel_v = gword[:self.nrel_groups], gvar[:self.nrel_groups]
+        self.rel_to = ((4 * rel_w[:, None] + np.arange(4)) * self.nvars
+                       + rel_v[:, None]).ravel()
+        free = np.arange(self.nfree)[:, None]
+        self.det_to = ((4 * self.nrel + free) * self.nvars + 4 + 4 * free
+                       + np.arange(4)).ravel()
+        tr_row = 4 * self.nrel + self.nfree + gword[self.nrel_groups:] - self.nrel
+        self.trace_to = tr_row * self.nvars + gvar[self.nrel_groups:]
+        self.nrows = 4 * self.nrel + self.nfree + len(self.targets)
 
 
-def _letter_images(eq: _Equations, x: np.ndarray) -> list[Matrix2]:
-    """Images of the letter codes at x: generators, then their inverses."""
-    gens = _unpack(x.tolist(), eq.n)
-    return gens + [_mat_adjugate(m) for m in gens]
+def _letter_images(eq: _Equations, x: np.ndarray) -> list[tuple]:
+    """Flat images of the letter codes at x: generators, then their
+    adjugates (inverses in SL2)."""
+    gens = _gauge_images(x.tolist(), eq.n)
+    return gens + [(m11, -m01, -m10, m00) for m00, m01, m10, m11 in gens]
 
 
-def _word_image(imgs: list[Matrix2], w: list[int]) -> Matrix2:
-    if not w:
-        return _COMPLEX_ID
-    m = imgs[w[0]]
-    for c in w[1:]:
-        m = _mat_mul(m, imgs[c])
-    return m
+# _residual squares its bound and widens it by this relative margin, far
+# above the rounding difference between its running sum and
+# np.linalg.norm, so that a point is never rejected against its own norm.
+_BOUND_MARGIN = 1e-12
 
 
-def _residual(eq: _Equations, x: np.ndarray) -> np.ndarray:
-    """f(x), the rows described in _Equations."""
+def _residual(eq: _Equations, x: np.ndarray, bound: float = np.inf):
+    """f(x), the rows described in _Equations, or None as soon as the
+    relator rows, summed word by word, make the norm of f exceed bound."""
     imgs = _letter_images(eq, x)
-    out = []
-    for w in eq.words[:eq.nrel]:
-        m = _word_image(imgs, w)
-        out += (m[0][0] - 1.0, m[0][1], m[1][0], m[1][1] - 1.0)
-    for m in imgs[2:eq.n]:
-        out.append(_mat_det(m) - 1.0)
-    for w in eq.words[eq.nrel:]:
-        m = _word_image(imgs, w)
-        out.append(m[0][0] + m[1][1])
-    f = np.array(out, dtype=complex)
+    limit = bound * bound * (1.0 + _BOUND_MARGIN)
+    rel, traces = [], []
+    total = 0.0
+    for k, w in enumerate(eq.words):
+        if w:
+            m00, m01, m10, m11 = imgs[w[0]]
+            for c in w[1:]:
+                b00, b01, b10, b11 = imgs[c]
+                m00, m01, m10, m11 = (m00 * b00 + m01 * b10,
+                                      m00 * b01 + m01 * b11,
+                                      m10 * b00 + m11 * b10,
+                                      m10 * b01 + m11 * b11)
+        else:
+            m00, m01, m10, m11 = _IDENTITY
+        if k >= eq.nrel:
+            traces.append(m00 + m11)
+            continue
+        m00 -= 1.0
+        m11 -= 1.0
+        rel += (m00, m01, m10, m11)
+        total += (m00.real * m00.real + m00.imag * m00.imag
+                  + m01.real * m01.real + m01.imag * m01.imag
+                  + m10.real * m10.real + m10.imag * m10.imag
+                  + m11.real * m11.real + m11.imag * m11.imag)
+        if total > limit:
+            return None
+    dets = [m00 * m11 - m01 * m10 - 1.0 for m00, m01, m10, m11 in imgs[2:eq.n]]
+    f = np.array(rel + dets + traces, dtype=complex)
     f[len(f) - len(eq.targets):] -= eq.targets
     return f
 
@@ -146,33 +191,47 @@ def _jacobian(eq: _Equations, x: np.ndarray) -> np.ndarray:
     A word's derivative is the matrix analogue of the Fox prefix scan,
     d(m_1 ... m_L)/dx = sum_l (m_1 ... m_{l-1}) dm_l/dx (m_{l+1} ... m_L).
     Each term of eq's table moves one entry (i, j) of one letter, so it
-    contributes column i of the prefix times row j of the suffix.
+    contributes column i of the prefix times row j of the suffix.  The
+    scans list the entries of every prefix and suffix, four per letter.
     """
     imgs = _letter_images(eq, x)
     pre, suf = [], []
     for w in filter(None, eq.words):
-        heads = [_COMPLEX_ID]
-        for c in w[:-1]:
-            heads.append(imgs[c] if len(heads) == 1
-                         else _mat_mul(heads[-1], imgs[c]))
-        tails = [_COMPLEX_ID]
-        for c in w[:0:-1]:
-            tails.append(imgs[c] if len(tails) == 1
-                         else _mat_mul(imgs[c], tails[-1]))
-        pre += heads
+        pre += _IDENTITY
+        # suffixes from the right, each stored backwards: reversing the
+        # word's list puts them in letter order with entries in order
+        tails = list(_IDENTITY)
+        if len(w) > 1:
+            m00, m01, m10, m11 = imgs[w[0]]
+            pre += (m00, m01, m10, m11)
+            for c in w[1:-1]:
+                b00, b01, b10, b11 = imgs[c]
+                m00, m01, m10, m11 = (m00 * b00 + m01 * b10,
+                                      m00 * b01 + m01 * b11,
+                                      m10 * b00 + m11 * b10,
+                                      m10 * b01 + m11 * b11)
+                pre += (m00, m01, m10, m11)
+            b00, b01, b10, b11 = imgs[w[-1]]
+            tails += (b11, b10, b01, b00)
+            for c in w[-2:0:-1]:
+                a00, a01, a10, a11 = imgs[c]
+                b00, b01, b10, b11 = (a00 * b00 + a01 * b10,
+                                      a00 * b01 + a01 * b11,
+                                      a10 * b00 + a11 * b10,
+                                      a10 * b01 + a11 * b11)
+                tails += (b11, b10, b01, b00)
         suf += reversed(tails)
     pre, suf = np.array(pre, dtype=complex), np.array(suf, dtype=complex)
     factors = np.array([1.0, -1.0 / x[0] ** 2,
                         -1.0 / x[2] ** 2 if eq.n >= 2 else 0.0])
     coef = eq.sign * factors[eq.kind]
-    terms = (coef[:, None, None] * pre[eq.slot, :, eq.row_i][:, :, None]
-             * suf[eq.slot, eq.col_j, :][:, None, :])
-    dw = np.zeros((len(eq.words), eq.nvars, 2, 2), dtype=complex)
-    dw[eq.group_word, eq.group_var] = np.add.reduceat(terms, eq.starts, axis=0)
-    ddet = np.zeros((eq.nfree, eq.nvars), dtype=complex)
-    for f, m in enumerate(imgs[2:eq.n]):
-        ddet[f, 4 + 4 * f: 8 + 4 * f] = (m[1][1], -m[1][0], -m[0][1], m[0][0])
-    return np.concatenate((
-        dw[:eq.nrel].transpose(0, 2, 3, 1).reshape(-1, eq.nvars),
-        ddet,
-        dw[eq.nrel:, :, 0, 0] + dw[eq.nrel:, :, 1, 1]))
+    terms = (coef[:, None, None] * pre[eq.pre_at][:, :, None]
+             * suf[eq.suf_at][:, None, :])
+    sums = np.add.reduceat(terms, eq.starts, axis=0)
+    jac = np.zeros(eq.nrows * eq.nvars, dtype=complex)
+    jac[eq.rel_to] = sums[:eq.nrel_groups].ravel()
+    jac[eq.det_to] = [e for m00, m01, m10, m11 in imgs[2:eq.n]
+                      for e in (m11, -m10, -m01, m00)]
+    jac[eq.trace_to] = (sums[eq.nrel_groups:, 0, 0]
+                        + sums[eq.nrel_groups:, 1, 1])
+    return jac.reshape(eq.nrows, eq.nvars)

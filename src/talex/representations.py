@@ -71,9 +71,6 @@ class Representation:
         m = self.image(w)
         return m[0][0] + m[1][1]
 
-    def determinant_drift(self) -> float:
-        return max(abs(complex(_mat_det(m)) - 1.0) for m in self.matrices)
-
     def relator_residual(self) -> float:
         worst = 0.0
         for r in self.presentation.relators:
@@ -409,8 +406,10 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
             for _ in range(25):
                 xn = x + lam * step
                 if abs(xn[0]) >= 1e-8 and (n < 2 or abs(xn[2]) >= 1e-8):
-                    fn = _residual(eq, xn)
-                    nn = np.linalg.norm(fn)
+                    # a candidate whose relator rows alone reach the
+                    # current norm is rejected before the rest is summed
+                    fn = _residual(eq, xn, np.inf if at_floor else norm)
+                    nn = np.inf if fn is None else np.linalg.norm(fn)
                     # at the floor only the full step is worth trying
                     if nn < norm or at_floor:
                         break

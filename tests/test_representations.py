@@ -1,6 +1,7 @@
 """SL(2,C) representations: exact diagonal ones and solved nonabelian ones."""
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,7 +25,8 @@ from talex import (
     solve_representation,
 )
 from talex.errors import SolveError
-from talex._sl2 import _Equations, _jacobian, _residual
+from talex._sl2 import (_COMPLEX_ID, _Equations, _jacobian, _mat_adjugate,
+                        _mat_mul, _residual, _unpack)
 
 from conftest import P, load_fixture_text, random_det1_matrix
 
@@ -84,9 +86,6 @@ class TestRepresentation:
         g = random_det1_matrix(np.random.default_rng(0))
         conj = trefoil_irr.conjugate(g)
         assert conj.relator_residual() < 1e-8
-
-    def test_determinant_drift(self, trefoil_irr):
-        assert trefoil_irr.determinant_drift() < 1e-12
 
 
 class TestCharacters:
@@ -237,7 +236,8 @@ class TestSolveRepresentation:
                 trefoil.word("ab"): 1.0 + 0j}
         rho = solve_representation(trefoil, cons, seed=0)
         assert rho.relator_residual() <= 1e-10
-        assert rho.determinant_drift() <= 1e-12
+        for (a, q), (d, b) in rho.matrices:
+            assert abs(a * b - q * d - 1.0) <= 1e-12
         assert abs(rho.trace(trefoil.word("a")) - tau) < 1e-9
         assert not rho.is_reducible()
 
@@ -283,10 +283,11 @@ class TestSolveRepresentation:
 
 
 @lru_cache(maxsize=None)
-def _jacobian_case(knot):
+def _jacobian_case(knot, constrained=True):
     """A presentation and trace constraints whose words mix generators,
     inverse letters and lengths; 8_20 is a Wirtinger presentation with
-    six generators beyond the gauged pair."""
+    six generators beyond the gauged pair.  Unconstrained, the equations
+    are the relators and the det rows alone."""
     if knot == "8_20":
         p = talex.pd_to_wirtinger(talex.parse_pd(load_fixture_text("8_20.pd")))
         words = ["a", "ab", "cBa", "hGfE", "dC"]
@@ -296,7 +297,83 @@ def _jacobian_case(knot):
                  "9_35": ["a", "ab", "bc", "ca", "cA", "aCbB"]}[knot]
     cons = {p.word(w): complex(1.5 - 0.25 * k, 0.1 * k)
             for k, w in enumerate(words)}
-    return _Equations(p, cons)
+    return _Equations(p, cons if constrained else {})
+
+
+def _random_point(eq, seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal(eq.nvars)
+         + 1j * rng.standard_normal(eq.nvars)) * 0.7
+    # the diagonal gauge entries a and b stay away from 0
+    x[0] = cmath.exp(complex(rng.uniform(-0.5, 0.5), rng.uniform(0, 6.3)))
+    x[2] = cmath.exp(complex(rng.uniform(-0.5, 0.5), rng.uniform(0, 6.3)))
+    return x
+
+
+def _nested_images(eq, x):
+    gens = _unpack(x.tolist(), eq.n)
+    return gens + [_mat_adjugate(m) for m in gens]
+
+
+def _nested_product(imgs, w):
+    if not w:
+        return _COMPLEX_ID
+    m = imgs[w[0]]
+    for c in w[1:]:
+        m = _mat_mul(m, imgs[c])
+    return m
+
+
+def _reference_residual(eq, x):
+    """_residual by one nested-tuple product per letter."""
+    imgs = _nested_images(eq, x)
+    rows = []
+    for w in eq.words[:eq.nrel]:
+        m = _nested_product(imgs, w)
+        rows += (m[0][0] - 1.0, m[0][1], m[1][0], m[1][1] - 1.0)
+    rows += [m[0][0] * m[1][1] - m[0][1] * m[1][0] - 1.0
+             for m in imgs[2:eq.n]]
+    for w in eq.words[eq.nrel:]:
+        m = _nested_product(imgs, w)
+        rows.append(m[0][0] + m[1][1])
+    f = np.array(rows, dtype=complex)
+    f[len(f) - len(eq.targets):] -= eq.targets
+    return f
+
+
+def _reference_jacobian(eq, x):
+    """_jacobian by nested-tuple prefix and suffix scans, eq's term table
+    summed per (word, coordinate) into a dense (word, coordinate, 2, 2)
+    buffer, and its rows cut out of that buffer."""
+    imgs = _nested_images(eq, x)
+    pre, suf = [], []
+    for w in filter(None, eq.words):
+        heads = [_COMPLEX_ID]
+        for c in w[:-1]:
+            heads.append(imgs[c] if len(heads) == 1
+                         else _mat_mul(heads[-1], imgs[c]))
+        tails = [_COMPLEX_ID]
+        for c in w[:0:-1]:
+            tails.append(imgs[c] if len(tails) == 1
+                         else _mat_mul(imgs[c], tails[-1]))
+        pre += heads
+        suf += reversed(tails)
+    pre, suf = np.array(pre, dtype=complex), np.array(suf, dtype=complex)
+    word, var, slot, i, j, sign, kind = map(np.array, zip(*eq.terms))
+    factors = np.array([1.0, -1.0 / x[0] ** 2, -1.0 / x[2] ** 2])
+    terms = ((sign * factors[kind])[:, None, None]
+             * pre[slot, :, i][:, :, None] * suf[slot, j, :][:, None, :])
+    starts = np.flatnonzero(np.r_[True, (word[1:] != word[:-1])
+                                  | (var[1:] != var[:-1])])
+    dw = np.zeros((len(eq.words), eq.nvars, 2, 2), dtype=complex)
+    dw[word[starts], var[starts]] = np.add.reduceat(terms, starts, axis=0)
+    ddet = np.zeros((eq.nfree, eq.nvars), dtype=complex)
+    for f, m in enumerate(imgs[2:eq.n]):
+        ddet[f, 4 + 4 * f: 8 + 4 * f] = (m[1][1], -m[1][0], -m[0][1], m[0][0])
+    return np.concatenate((
+        dw[:eq.nrel].transpose(0, 2, 3, 1).reshape(-1, eq.nvars),
+        ddet,
+        dw[eq.nrel:, :, 0, 0] + dw[eq.nrel:, :, 1, 1]))
 
 
 def _central_differences(eq, x, h=1e-6):
@@ -310,16 +387,22 @@ class TestExactJacobian:
     @given(st.sampled_from(["3_1", "9_35", "8_20"]), st.integers(0, 2 ** 32 - 1))
     def test_matches_central_differences(self, knot, seed):
         eq = _jacobian_case(knot)
-        rng = np.random.default_rng(seed)
-        x = (rng.standard_normal(eq.nvars)
-             + 1j * rng.standard_normal(eq.nvars)) * 0.7
-        # the diagonal gauge entries a and b stay away from 0
-        x[0] = cmath.exp(complex(rng.uniform(-0.5, 0.5), rng.uniform(0, 6.3)))
-        x[2] = cmath.exp(complex(rng.uniform(-0.5, 0.5), rng.uniform(0, 6.3)))
+        x = _random_point(eq, seed)
         jac = _jacobian(eq, x)
         assert jac.shape == (len(_residual(eq, x)), eq.nvars)
         err = np.max(np.abs(jac - _central_differences(eq, x)))
         assert err <= 1e-6 * np.max(np.abs(jac))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["3_1", "9_35", "8_20"]), st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_nested_tuple_scans(self, knot, seed):
+        # the flat kernel does the same floating-point operations in the
+        # same order, so solver trajectories do not move by a bit
+        eq = _jacobian_case(knot)
+        x = _random_point(eq, seed)
+        # bytes, not values: the signs of zero entries must agree too
+        assert _residual(eq, x).tobytes() == _reference_residual(eq, x).tobytes()
+        assert _jacobian(eq, x).tobytes() == _reference_jacobian(eq, x).tobytes()
 
     def test_residual_rows(self, trefoil):
         cons = {trefoil.word("a"): 2.1 + 0j, trefoil.word("ab"): 1.0 + 0j}
@@ -344,6 +427,39 @@ class TestExactJacobian:
         assert np.allclose(jac, _central_differences(eq, x), atol=1e-6)
 
 
+class TestBoundedResidual:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["3_1", "9_35", "8_20"]), st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.floats(0.0, 2.0), st.just(math.inf)))
+    def test_none_only_past_the_bound(self, knot, seed, scale):
+        eq = _jacobian_case(knot)
+        x = _random_point(eq, seed)
+        f = _residual(eq, x)
+        relator_sq = float(np.sum(np.abs(f[:4 * eq.nrel]) ** 2))
+        bound = scale * math.sqrt(relator_sq)
+        got = _residual(eq, x, bound)
+        if got is None:
+            assert relator_sq > bound * bound
+        else:
+            assert got.tobytes() == f.tobytes()
+        if relator_sq > bound * bound * (1 + 1e-9):
+            assert got is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["3_1", "9_35", "8_20"]), st.integers(0, 2 ** 32 - 1))
+    def test_never_rejected_against_its_own_norm(self, knot, seed):
+        # Without constraints and with det-1 free generators the relator
+        # rows carry all of f, so the running sum and np.linalg.norm differ
+        # only by rounding; the margin must cover that difference.
+        eq = _jacobian_case(knot, constrained=False)
+        x = _random_point(eq, seed)
+        rng = np.random.default_rng(seed)
+        for k in range(4, eq.nvars, 4):
+            x[k:k + 4] = np.ravel(random_det1_matrix(rng))
+        f = _residual(eq, x)
+        assert _residual(eq, x, np.linalg.norm(f)).tobytes() == f.tobytes()
+
+
 class TestSolveCounters:
     def test_off_curve_restarts_stop_early(self, trefoil):
         # tr(ab) = 0.8 is off the nonabelian character line at tr(a) = 2.1
@@ -360,6 +476,11 @@ class TestSolveCounters:
         assert exc.best_residual > 1e-10
         assert exc.rejected_stagnant == 50
         assert exc.rejected_at_floor == 0
+        # the exact trajectory at seed 0: a kernel change that moves a
+        # single rounding shows up here
+        assert exc.iterations == 822
+        assert exc.halvings == 2929
+        assert exc.best_residual == pytest.approx(0.10947189467409418, rel=1e-9)
 
     def test_reducible_error_carries_counters(self, trefoil):
         s = complex(3 ** 0.5)
