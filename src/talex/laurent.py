@@ -229,10 +229,6 @@ class LaurentPoly:
             raise AlgebraError("t -> 0*t is not a Laurent substitution")
         return LaurentPoly({k: c * _pow_any(a, k) for k, c in self.coeffs.items()})
 
-    def reversed_variable(self) -> "LaurentPoly":
-        """t -> 1/t."""
-        return LaurentPoly({-k: c for k, c in self.coeffs.items()})
-
     # -- division ----------------------------------------------------------
 
     def divmod_poly(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:

@@ -1,17 +1,15 @@
 """Square matrices over the package's coefficient domains.
 
-det() has three paths, chosen by the entry domain:
+det() has two elimination kernels, chosen by the entry domain:
 
-  * exact Laurent entries (LaurentPoly with rational coefficients): each
-    row is cleared into Z[t], multiplied by the lcm of its coefficient
-    denominators and shifted by its lowest exponent, and fraction-free
-    Bareiss elimination (Bareiss 1968) with row pivoting runs on dense
-    lists of Python ints, skipping the rows that have a zero in the pivot
-    column.  The scale and the shift are undone at the end.
-  * MultiPoly entries: the same Bareiss elimination on the entries
-    themselves.  On both Bareiss paths every division performed is exact
-    in the entry ring, and an inexact quotient raises
-    NonPolynomialError.
+  * exact entries: each row is cleared into Z[t], multiplied by the lcm
+    of its coefficient denominators and shifted by its lowest exponent,
+    and fraction-free Bareiss elimination (Bareiss 1968) with row
+    pivoting runs on dense lists of Python ints, skipping the rows that
+    have a zero in the pivot column.  The scale and the shift are undone
+    at the end.  Every division is exact in Z[t]; an inexact quotient
+    raises NonPolynomialError.  MultiPoly entries are first packed into
+    one variable by a Kronecker substitution, and the result is unpacked.
   * Laurent entries with complex coefficients: evaluation of the nonzero
     entries at scaled roots of unity, one numpy LU determinant per sample
     point, followed by an inverse DFT.  The exponent window of the determinant is bounded by
@@ -28,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
+from operator import mul
 
 import numpy as np
 
@@ -98,8 +97,8 @@ def det(rows):
         return LaurentPoly.one()
 
     kinds = {_entry_kind(e) for row in rows for e in row}
-    if kinds <= {"multi"}:
-        return _bareiss(rows, MultiPoly.constant(rows[0][0].vars, 1))
+    if kinds == {"multi"}:
+        return _packed_det(rows)
     if "multi" in kinds:
         raise AlgebraError("mixed matrix entry domains: %r" % kinds)
     rows = [[e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e)
@@ -107,30 +106,6 @@ def det(rows):
     if kinds <= {"exact", "laurent_exact"}:
         return _integer_det(rows)
     return _interpolated_det(rows)
-
-
-def _bareiss(rows, one):
-    """Fraction-free elimination over MultiPoly entries; divisions are exact
-    in the entry ring."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n)
-                          if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return one - one
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = one - one
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign > 0 else -result
 
 
 def _integer_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -192,6 +167,49 @@ def _integer_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     # The last pivot is the determinant of the cleared matrix.
     return LaurentPoly({shift + e: Fraction(sign * c, scale)
                         for e, c in enumerate(prev) if c})
+
+
+def _packed_det(rows: list[list[MultiPoly]]) -> MultiPoly:
+    """The determinant of MultiPoly entries through _integer_det.
+
+    Kronecker packing: for variable i let lo_i be the sum over rows of the
+    row's lowest exponent in i and W_i the sum of the rows' exponent spans
+    in i.  Each term of the determinant takes one entry from every row, so
+    its exponent in i lies in [lo_i, lo_i + W_i].  Sending y_i to t^P_i,
+    with mixed-radix places P_0 = 1 and P_(i+1) = P_i (W_i + 1), is a ring
+    map, so it commutes with det, and it is one-to-one on that exponent
+    box: after subtracting sum lo_i P_i, the digits of a packed exponent
+    are the offsets e_i - lo_i, read off with divmod.
+    """
+    vars_ = rows[0][0].vars
+    if any(e.vars != vars_ for row in rows for e in row):
+        raise AlgebraError("variable mismatch in MultiPoly matrix")
+    lo = [0] * len(vars_)
+    width = [0] * len(vars_)
+    for row in rows:
+        exps = [ex for e in row for ex in e.terms]
+        if not exps:
+            return MultiPoly.zero(vars_)
+        for i, col in enumerate(zip(*exps)):
+            low = min(col)
+            lo[i] += low
+            width[i] += max(col) - low
+    places = [1]
+    for w in width[:-1]:
+        places.append(places[-1] * (w + 1))
+    packed = [[LaurentPoly({sum(map(mul, ex, places)): c
+                            for ex, c in e.terms.items()}) for e in row]
+              for row in rows]
+    base = sum(map(mul, lo, places))
+    terms = {}
+    for k, c in _integer_det(packed).coeffs.items():
+        k -= base
+        ex = []
+        for low, w in zip(lo, width):
+            k, r = divmod(k, w + 1)
+            ex.append(low + r)
+        terms[tuple(ex)] = c
+    return MultiPoly(vars_, terms)
 
 
 def _cleared(e: LaurentPoly, low: int, den: int) -> list[int]:

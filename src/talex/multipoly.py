@@ -3,9 +3,9 @@
 A MultiPoly carries an ordered variable tuple and a term map from integer
 exponent vectors to nonzero Fractions.  Exponents may be negative: the
 ring is really a localization (Laurent in selected variables), which the
-trace-polynomial recursion needs for its intermediate values.  Operations
-that only make sense for honest polynomials (exact_divide, resultant,
-content normalization) check for nonnegative exponents first.
+trace-polynomial recursion needs for its intermediate values.
+exact_divide needs honest polynomials and checks for nonnegative
+exponents first; resultant needs them only in the eliminated variable.
 
 Evaluation and substitution are one operation, compose(images, zero):
 the ring map sending each variable to a number, a LaurentPoly or a
@@ -173,14 +173,6 @@ class MultiPoly:
             return MultiPoly.constant(self.vars, x)
         raise TypeError("cannot coerce %r into MultiPoly" % (x,))
 
-    def __truediv__(self, other) -> "MultiPoly":
-        """Exact division (used by fraction-free elimination); raises on failure."""
-        other = self._as_poly(other)
-        q = exact_divide(self, other)
-        if q is None:
-            raise AlgebraError("inexact multivariate division")
-        return q
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             if isinstance(other, (int, Rational)):
@@ -194,20 +186,6 @@ class MultiPoly:
 
     # -- variable plumbing -----------------------------------------------------
 
-    def permute_vars(self, new_order: tuple[str, ...]) -> "MultiPoly":
-        """Reinterpret under a permutation of the variable tuple.
-
-        The polynomial is unchanged mathematically; only the storage order
-        moves.  To swap two variables' roles use swap_vars.
-        """
-        new_order = tuple(new_order)
-        if sorted(new_order) != sorted(self.vars):
-            raise AlgebraError("%r is not a permutation of %r" % (new_order, self.vars))
-        idx = [self.vars.index(v) for v in new_order]
-        out = MultiPoly(new_order)
-        out.terms = {tuple(ex[i] for i in idx): c for ex, c in self.terms.items()}
-        return out
-
     def swap_vars(self, a: str, b: str) -> "MultiPoly":
         """The polynomial with variables a and b exchanged (same var tuple)."""
         i, j = self.vars.index(a), self.vars.index(b)
@@ -218,14 +196,6 @@ class MultiPoly:
             terms[tuple(lst)] = c
         out = MultiPoly(self.vars)
         out.terms = terms
-        return out
-
-    def rename_vars(self, mapping: dict[str, str]) -> "MultiPoly":
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new_vars)) != len(new_vars):
-            raise AlgebraError("renaming collides: %r" % (new_vars,))
-        out = MultiPoly(new_vars)
-        out.terms = dict(self.terms)
         return out
 
     # -- substitution -----------------------------------------------------------
@@ -418,7 +388,8 @@ def sylvester_matrix(p: MultiPoly, q: MultiPoly, name: str) -> list[list[MultiPo
 def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     """Resultant eliminating the named variable, as a polynomial in the rest.
 
-    Computed as the Sylvester determinant by fraction-free elimination.
+    Computed as the Sylvester determinant by det(), whose entries may carry
+    negative powers of the remaining variables.
     Degenerate degrees: if either input is constant in the variable, the
     resultant is that constant raised to the other's degree.
     """

@@ -117,13 +117,6 @@ class TestArithmetic:
         q = p.compose_scale(Fraction(2))  # 1 + 4 t^2
         assert q == P(1, 0, 4)
 
-    def test_reversed_variable(self):
-        p = P(1, -2, 3)
-        r = p.reversed_variable()
-        assert r == LaurentPoly({0: Fraction(1), -1: Fraction(-2), -2: Fraction(3)})
-        palindrome = P(7, -13, 7)
-        assert palindrome.reversed_variable().shift(2) == palindrome
-
 
 class TestDivision:
     def test_exact_quotient(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from talex.errors import AlgebraError, NonPolynomialError
 from talex.laurent import LaurentPoly
 from talex.matrix import SquareMatrix, _zt_exact_div, det
-from talex.multipoly import MultiPoly
+from talex.multipoly import MultiPoly, resultant
 
 from conftest import CP, P
 
@@ -253,7 +253,57 @@ class TestIntegerBareiss:
         assert det(rows) == _cofactor_det(rows, 1) == 12
 
 
+_MULTI_VARS = ("y", "z", "w")
+
+
+@st.composite
+def _multi_matrices(draw):
+    """(variables, n x n MultiPoly matrix) with Laurent exponents in [-2, 2]."""
+    vars_ = _MULTI_VARS[:draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(-2, 2)] * len(vars_))
+    entries = st.one_of(st.just({}),
+                        st.dictionaries(exps, _fractions, max_size=3))
+    rows = [[MultiPoly(vars_, draw(entries)) for _ in range(n)]
+            for _ in range(n)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [MultiPoly.zero(vars_)] * n
+    return vars_, rows
+
+
 class TestMultiPolyDeterminants:
+    """MultiPoly entries packed into Z[t] for the integer Bareiss."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_multi_matrices())
+    def test_packed_agrees_with_cofactor_expansion(self, case):
+        vars_, rows = case
+        assert det(rows) == _cofactor_det(rows, MultiPoly.constant(vars_, 1))
+
+    def test_negative_exponents(self):
+        vars_ = ("y", "z")
+        y = MultiPoly.var(vars_, "y")
+        z = MultiPoly.var(vars_, "z")
+        one = MultiPoly.constant(vars_, 1)
+        yinv = MultiPoly.var(vars_, "y", -1)
+        assert det([[yinv, one], [one, z]]) == yinv * z - one
+
+    def test_resultant_with_negative_powers_outside_the_variable(self):
+        vars_ = ("y", "w")
+        y = MultiPoly.var(vars_, "y")
+        w = MultiPoly.var(vars_, "w")
+        yinv = MultiPoly.var(vars_, "y", -1)
+        assert resultant(w * w - yinv, w - y, "w") == y * y - yinv
+
+    def test_domains_and_variables_must_agree(self):
+        y = MultiPoly.var(("y", "z"), "y")
+        w = MultiPoly.var(("y", "w"), "w")
+        one = MultiPoly.constant(("y", "z"), 1)
+        with pytest.raises(AlgebraError):
+            det([[y, w], [one, one]])
+        with pytest.raises(AlgebraError):
+            det([[y, LaurentPoly.t()], [one, one]])
+
     def test_two_by_two(self):
         vars = ("y", "z")
         y = MultiPoly.var(vars, "y")
