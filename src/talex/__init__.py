@@ -32,7 +32,7 @@ from .signature import (SeifertMatrix, averaged_signature,
                         is_identically_zero, lt_signature,
                         lt_signature_detail, signature_jumps)
 from .charcurves import (CensusResult, PlaneCurve, Psi2Certificate, census,
-                         certify_psi2, change_of_variables, curve_components,
+                         certify_psi2, curve_components,
                          eliminate_w, hlm_r, hlm_r6_cleared,
                          monic_witness_report, pretzel935_presentation,
                          psi2_polynomial, r6_factors, resultant_curve,

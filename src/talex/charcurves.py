@@ -20,15 +20,20 @@ variables from a recursively defined family r_m(y1, y2, v):
 
 with sign pattern (t_1, ..., t_5) = (1, -1, 1, -1, 1).  The recursion
 lives in the localization Z[y1^{-1}]; y1^5 r_6 is an honest polynomial.
-After the change of variables
+In the coordinates
 
-    y = y2,   b = y1^2 - 2,   w = y1 v,
+    y = y2,   b = y1^2 - 2,   w = y1 v
 
-the slice b = -1 together with the second defining equation
-w^2 - w y + z - 1 = 0 eliminates to a plane curve in (y, z) that factors
-as (y^2 - z - 1)^2 times an irreducible quartic-cubic C'.  The two
-factors C : y^2 - z - 1 and C' are the two curves of irreducible
-characters this module exposes.
+the slice b = -1 is y1^2 = 1.  There a monomial y1^a y2^beta v^gamma
+equals y^beta w^gamma y1^(a - gamma), and y1^(a - gamma) = 1 because
+every monomial of y1^5 r_6 has a - gamma even; so the slice is the ring
+map y1 -> 1, y2 -> y, v -> w, taken straight into (y, z, w).  (The other
+branch y1 = -1, w = -v gives the same polynomial, for the same reason.)
+Together with the second defining equation w^2 - w y + z - 1 = 0 the
+slice eliminates to a plane curve in (y, z) that factors as
+(y^2 - z - 1)^2 times an irreducible quartic-cubic C'.  The two factors
+C : y^2 - z - 1 and C' are the two curves of irreducible characters this
+module exposes.
 
 On either curve the leading coefficient of the twisted Alexander
 polynomial is a single trace polynomial psi_2(x) = x^3 + 6x^2 + 6x + 5
@@ -49,26 +54,21 @@ import numpy as np
 
 from .errors import (AlgebraError, CertificationError, RootFindingError,
                      SolveError)
+from .fixtures import fixture_path
 from .laurent import LaurentPoly
 from .matrix import det
 from .multipoly import MultiPoly, exact_divide, resultant
 from .presentations import Presentation, parse_presentation
 from .representations import Representation, solve_representation
 from .roots import complex_roots
-from .twisted import TwistedAlex, fox_matrix_laurent, wada_invariant
+from .twisted import fox_matrix_laurent, wada_invariant
 
 RV_VARS = ("y1", "y2", "v")
-YBW_VARS = ("y", "b", "w")
 YZ_VARS = ("y", "z")
+YZW_VARS = ("y", "z", "w")
 
 # Sign pattern t_1 .. t_5 entering the trace recursion.
 T_SIGNS = (1, -1, 1, -1, 1)
-
-PRETZEL935_TEXT = """\
-gens: a b c
-rel: aBabAbCbCBcB
-rel: bCbcBcAcACaC
-"""
 
 #: Trace-identity table on the curves: word -> polynomial in x = y^2 - z.
 #: Each entry is (word over the presentation's generators, coefficients of
@@ -82,8 +82,10 @@ TRACE_TABLE = (
 
 
 def pretzel935_presentation() -> Presentation:
-    """The standard two-relator, three-meridian presentation."""
-    return parse_presentation(PRETZEL935_TEXT)
+    """The standard two-relator, three-meridian presentation (the packaged
+    fixture 9_35.pres)."""
+    with open(fixture_path("9_35.pres"), encoding="utf-8") as fh:
+        return parse_presentation(fh.read())
 
 
 def _mono(var: str, vars_: tuple = RV_VARS, power: int = 1) -> MultiPoly:
@@ -152,79 +154,30 @@ def r6_factors() -> tuple[MultiPoly, MultiPoly]:
     return quad, cubic
 
 
-def change_of_variables(p: MultiPoly) -> MultiPoly:
-    """Rewrite a polynomial in (y1, y2, v) through y = y2, b = y1^2 - 2, w = y1 v.
-
-    Each monomial y1^a y2^beta v^gamma becomes w^gamma y^beta (b+2)^{e/2}
-    with e = a - gamma; a residual negative or odd power of y1 is an
-    error (the input is then not in the image of the substitution).
-    """
-    if tuple(p.vars) != RV_VARS:
-        raise AlgebraError("expected variables %s" % (RV_VARS,))
-    out = MultiPoly.zero(YBW_VARS)
-    b_plus_2 = MultiPoly.var(YBW_VARS, "b") + MultiPoly.constant(YBW_VARS, 2)
-    for (a, beta, gamma), coeff in p.terms.items():
-        e = a - gamma
-        if e < 0:
-            raise AlgebraError(
-                "monomial y1^%d y2^%d v^%d has v-degree exceeding y1-degree"
-                % (a, beta, gamma))
-        if e % 2 != 0:
-            raise AlgebraError(
-                "monomial y1^%d y2^%d v^%d leaves an odd residual y1 power"
-                % (a, beta, gamma))
-        mono = MultiPoly(YBW_VARS, {(beta, 0, gamma): coeff})
-        out = out + mono * (b_plus_2 ** (e // 2))
-    return out
-
-
-def invert_change_of_variables(q: MultiPoly) -> MultiPoly:
-    """Substitute y -> y2, b -> y1^2 - 2, w -> y1 v (round-trip check)."""
-    if tuple(q.vars) != YBW_VARS:
-        raise AlgebraError("expected variables %s" % (YBW_VARS,))
-    y1 = _mono("y1")
-    return q.compose({"y": _mono("y2"), "b": y1 * y1 - _const(2),
-                      "w": y1 * _mono("v")}, MultiPoly.zero(RV_VARS))
-
-
-def _with_vars(p: MultiPoly, vars_: tuple) -> MultiPoly:
-    """Re-express p over a variable tuple containing all of its support."""
-    index = {name: i for i, name in enumerate(vars_)}
-    terms = {}
-    for exps, coeff in p.terms.items():
-        new = [0] * len(vars_)
-        for name, e in zip(p.vars, exps):
-            if e != 0:
-                if name not in index:
-                    raise AlgebraError("variable %s not in target %s"
-                                       % (name, vars_))
-                new[index[name]] = e
-        terms[tuple(new)] = coeff
-    return MultiPoly(vars_, terms)
-
-
 def slice_b_minus_one() -> MultiPoly:
-    """y1^5 r_6 in (y, b, w) coordinates, restricted to b = -1."""
-    q = change_of_variables(hlm_r6_cleared())
-    return q.substitute("b", Fraction(-1))
+    """y1^5 r_6 on the slice b = y1^2 - 2 = -1, over (y, z, w)."""
+    return hlm_r6_cleared().compose(
+        {"y1": 1, "y2": MultiPoly.var(YZW_VARS, "y"),
+         "v": MultiPoly.var(YZW_VARS, "w")}, MultiPoly.zero(YZW_VARS))
 
 
 def second_equation() -> MultiPoly:
     """The companion defining equation w^2 - w y + z - 1 in (y, z, w)."""
-    vars_ = ("y", "z", "w")
-    w = MultiPoly.var(vars_, "w")
-    yy = MultiPoly.var(vars_, "y")
-    zz = MultiPoly.var(vars_, "z")
-    return w * w - w * yy + zz - MultiPoly.constant(vars_, 1)
+    w = MultiPoly.var(YZW_VARS, "w")
+    yy = MultiPoly.var(YZW_VARS, "y")
+    zz = MultiPoly.var(YZW_VARS, "z")
+    return w * w - w * yy + zz - MultiPoly.constant(YZW_VARS, 1)
 
 
 def eliminate_w(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Resultant in w of two polynomials, returned over (y, z)."""
-    vars_ = ("y", "z", "w")
-    res = resultant(_with_vars(p, vars_), _with_vars(q, vars_), "w")
+    """Resultant in w of two polynomials over (y, z, w), returned over (y, z)."""
+    if tuple(p.vars) != YZW_VARS or tuple(q.vars) != YZW_VARS:
+        raise AlgebraError("eliminate_w needs polynomials over %s"
+                           % (YZW_VARS,))
+    res = resultant(p, q, "w")
     if res.degree_in("w") > 0:
         raise AlgebraError("resultant still involves w")
-    return _with_vars(res, YZ_VARS)
+    return MultiPoly(YZ_VARS, {ex[:2]: c for ex, c in res.terms.items()})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -511,16 +464,6 @@ def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve], n_samples: int = 12,
     return cert
 
 
-def solve_witness_invariant(y0: complex, z0: complex, seed: int = 0,
-                            restarts: int = 60) -> tuple[Representation,
-                                                         TwistedAlex]:
-    """Solve a curve character to a representation and twist it."""
-    rho = solve_on_curve(y0, z0, seed=seed, restarts=restarts)
-    pres = rho.presentation
-    ta = wada_invariant(pres, rho)
-    return rho, ta
-
-
 def monic_witness_report(monic: CensusResult, seed: int = 0,
                          restarts: int = 60,
                          residual_tol: float = 1e-8) -> list[dict]:
@@ -531,20 +474,20 @@ def monic_witness_report(monic: CensusResult, seed: int = 0,
     out = []
     for i, (y0, z0) in enumerate(monic.witnesses):
         try:
-            rho, ta = solve_witness_invariant(y0, z0, seed=seed + i,
-                                              restarts=restarts)
+            rho = solve_on_curve(y0, z0, seed=seed + i, restarts=restarts)
         except SolveError as exc:
             raise CertificationError(
                 "monic witness (%r, %r) did not solve: %s" % (y0, z0, exc)
             ) from exc
-        if rho.relator_residual() > residual_tol:
+        ta = wada_invariant(rho.presentation, rho)
+        if rho.residual > residual_tol:
             raise CertificationError(
                 "monic witness residual %.3g exceeds %.3g"
-                % (rho.relator_residual(), residual_tol))
+                % (rho.residual, residual_tol))
         out.append({
             "y": [y0.real, y0.imag],
             "z": [z0.real, z0.imag],
-            "residual": rho.relator_residual(),
+            "residual": rho.residual,
             "leading": [complex(ta.leading).real, complex(ta.leading).imag],
             "monic": bool(ta.monic),
         })

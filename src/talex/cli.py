@@ -22,6 +22,7 @@ class (2 parse, 3 algebra, 4 non-polynomial quotient, 5 solver,
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -31,7 +32,8 @@ from fractions import Fraction
 
 from . import charcurves
 from ._threads import ordered_map
-from .errors import NonPolynomialError, ParseError, SolveError, TalexError
+from .errors import (AlgebraError, NonPolynomialError, ParseError, SolveError,
+                     TalexError)
 from .fixtures import fixture_path
 from .laurent import LaurentPoly
 from .presentations import parse_pd, parse_presentation, pd_to_wirtinger
@@ -111,14 +113,18 @@ def _parse_scalar(text: str):
     if "," in text:
         re_s, im_s = text.split(",", 1)
         try:
-            return complex(float(re_s), float(im_s))
+            value = complex(float(re_s), float(im_s))
         except ValueError:
             raise ParseError("bad scalar %r" % text) from None
-    try:
-        return complex(text)
-    except ValueError:
-        raise ParseError("bad scalar %r (expected p/q, re,im or a+bj)"
-                         % text) from None
+    else:
+        try:
+            value = complex(text)
+        except ValueError:
+            raise ParseError("bad scalar %r (expected p/q, re,im or a+bj)"
+                             % text) from None
+    if not cmath.isfinite(value):
+        raise ParseError("non-finite scalar %r" % text)
+    return value
 
 
 def _load_representation(cfg: RunConfig, p) -> Representation:
@@ -142,7 +148,10 @@ def _load_alex_file(path: str) -> LaurentPoly:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError("bad polynomial JSON in %s: %s" % (path, exc)) from None
-    return LaurentPoly.from_json_dict(data)
+    try:
+        return LaurentPoly.from_json_dict(data)
+    except AlgebraError as exc:
+        raise ParseError("%s: %s" % (path, exc)) from None
 
 
 def _fmt_complex(z) -> str:
@@ -221,6 +230,8 @@ def _parse_sweep(text: str, p):
             steps = int(parts[9])
         except ValueError:
             raise ParseError("bad sweep numbers in %r" % line) from None
+        if not (cmath.isfinite(start) and cmath.isfinite(end)):
+            raise ParseError("non-finite sweep endpoint in %r" % line)
         if steps < 2:
             raise ParseError("sweep needs at least 2 steps")
         sweep = (p.word(parts[1]), parts[1], start, end, steps)
@@ -232,6 +243,8 @@ def _parse_sweep(text: str, p):
 
 def _cmd_monic_scan(cfg: RunConfig) -> None:
     p = _load_presentation(cfg)
+    if cfg.rep or cfg.lam:
+        raise ParseError("monic-scan takes --constraints, not --rep or --lambda")
     if not cfg.constraints:
         raise ParseError("monic-scan requires --constraints")
     base, (word, word_text, start, end, steps) = _parse_sweep(
@@ -327,7 +340,11 @@ def _cmd_signature(cfg: RunConfig) -> None:
                           if jumps else "none"),
              "identically zero: %s" % ("yes" if ident else "no")]
     if cfg.lam:
-        omega = complex(_parse_scalar(cfg.lam))
+        try:
+            omega = complex(_parse_scalar(cfg.lam))
+        except OverflowError:
+            raise ParseError("--lambda %r overflows a complex number"
+                             % cfg.lam) from None
         sig, excluded = lt_signature_detail(v, omega)
         avg = averaged_signature(v, omega)
         payload.update({"omega": [omega.real, omega.imag],

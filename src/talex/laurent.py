@@ -15,6 +15,7 @@ to units t^k.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from numbers import Number, Rational
 
@@ -282,18 +283,26 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LaurentPoly":
-        if "coeffs" not in data or not isinstance(data["coeffs"], dict):
-            raise AlgebraError("Laurent JSON needs a 'coeffs' mapping")
+        if not isinstance(data, dict) or not isinstance(data.get("coeffs"), dict):
+            raise AlgebraError("bad Laurent JSON: needs a 'coeffs' mapping")
         coeffs: dict[int, object] = {}
-        for k, v in data["coeffs"].items():
-            if isinstance(v, str):
-                coeffs[int(k)] = Fraction(v)
-            elif isinstance(v, (list, tuple)) and len(v) == 2:
-                coeffs[int(k)] = complex(float(v[0]), float(v[1]))
-            elif isinstance(v, (int, float)):
-                coeffs[int(k)] = Fraction(v) if isinstance(v, int) else complex(v)
-            else:
-                raise AlgebraError("bad coefficient entry %r" % (v,))
+        try:
+            for k, v in data["coeffs"].items():
+                if isinstance(v, str):
+                    coeffs[int(k)] = Fraction(v)
+                elif isinstance(v, (list, tuple)) and len(v) == 2:
+                    coeffs[int(k)] = complex(float(v[0]), float(v[1]))
+                elif isinstance(v, (int, float)):
+                    coeffs[int(k)] = (Fraction(v) if isinstance(v, int)
+                                      else complex(v))
+                else:
+                    raise AlgebraError("bad Laurent JSON: coefficient entry %r"
+                                       % (v,))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise AlgebraError("bad Laurent JSON: %s" % exc) from None
+        if not all(cmath.isfinite(c) for c in coeffs.values()
+                   if isinstance(c, complex)):
+            raise AlgebraError("bad Laurent JSON: non-finite coefficient")
         return cls(coeffs)
 
     def to_text(self, var: str = "t") -> str:

@@ -29,6 +29,7 @@ usual residual test then accepts or rejects the restart's last point.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from numbers import Rational
 
@@ -120,6 +121,9 @@ class Representation:
             mats = []
             for flat in gens:
                 e = [complex(float(re), float(im)) for re, im in flat]
+                if len(e) != 4 or not all(map(cmath.isfinite, e)):
+                    raise ParseError("bad representation JSON: a generator "
+                                     "needs four finite entries")
                 mats.append(((e[0], e[1]), (e[2], e[3])))
             residual = float(data.get("residual", 0.0))
         except (KeyError, TypeError, ValueError) as exc:
@@ -234,6 +238,8 @@ def parse_constraints(text: str, p: Presentation) -> dict[FreeWord, complex]:
             val = complex(float(parts[3]), float(parts[4]))
         except ValueError:
             raise ParseError("line %d: bad numeric value" % lineno) from None
+        if not cmath.isfinite(val):
+            raise ParseError("line %d: non-finite value" % lineno)
         out[w] = val
     return out
 

@@ -94,7 +94,7 @@ def lt_signature_detail(v: SeifertMatrix, omega: complex,
                         zero_tol: float = DEFAULT_ZERO_TOL) -> tuple[int, int]:
     """(signature, number of excluded near-zero eigenvalues) at omega."""
     omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-12:
+    if not abs(abs(omega) - 1.0) <= 1e-12:    # also refuses nan
         raise AlgebraError("omega must lie on the unit circle, got |omega| = %r"
                            % abs(omega))
     if v.n == 0:
@@ -164,7 +164,7 @@ def averaged_signature(v: SeifertMatrix, omega: complex,
     at omega = 1 it gives 0, since delta(1) = +-1 keeps roots away.
     """
     omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-12:
+    if not abs(abs(omega) - 1.0) <= 1e-12:    # also refuses nan
         raise AlgebraError("omega must lie on the unit circle")
     angles = [a for a, _ in v.unit_roots()]
     theta = float(np.angle(omega))

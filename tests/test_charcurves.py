@@ -8,9 +8,10 @@ import pytest
 from talex import charcurves as cc
 from talex.errors import AlgebraError
 from talex.multipoly import MultiPoly, exact_divide
+from talex.twisted import wada_invariant
 
 YZ = ("y", "z")
-YBW = ("y", "b", "w")
+YZW = ("y", "z", "w")
 
 
 def mk(vars, terms):
@@ -18,13 +19,13 @@ def mk(vars, terms):
 
 
 def quad_slice_factor():
-    # w^2 - wy + y^2 - 2, exponents ordered (y, b, w)
-    return mk(YBW, {(0, 0, 2): 1, (1, 0, 1): -1, (2, 0, 0): 1, (0, 0, 0): -2})
+    # w^2 - wy + y^2 - 2, exponents ordered (y, z, w)
+    return mk(YZW, {(0, 0, 2): 1, (1, 0, 1): -1, (2, 0, 0): 1, (0, 0, 0): -2})
 
 
 def cubic_slice_factor():
     # w^3 - w^2 y + w y^2 - y
-    return mk(YBW, {(0, 0, 3): 1, (1, 0, 2): -1, (2, 0, 1): 1, (1, 0, 0): -1})
+    return mk(YZW, {(0, 0, 3): 1, (1, 0, 2): -1, (2, 0, 1): 1, (1, 0, 0): -1})
 
 
 def curve_c_poly():
@@ -70,27 +71,32 @@ class TestTraceRecursion:
         assert exact_divide(rest, cubic) is not None
 
 
-class TestChangeOfVariables:
-    def test_round_trip(self):
-        cleared = cc.hlm_r6_cleared()
-        changed = cc.change_of_variables(cleared)
-        assert set(changed.vars) == {"y", "b", "w"}
-        assert cc.invert_change_of_variables(changed) == cleared
-
-    def test_rejects_odd_residual_powers(self):
-        vars = cc.hlm_r6_cleared().vars
-        with pytest.raises(AlgebraError):
-            cc.change_of_variables(MultiPoly.var(vars, "y1"))
-
-    def test_rejects_excess_v_exponents(self):
-        vars = cc.hlm_r6_cleared().vars
-        with pytest.raises(AlgebraError):
-            cc.change_of_variables(MultiPoly.var(vars, "v"))
-
-
 class TestSliceAndElimination:
     def test_slice_is_the_factored_product(self):
         assert cc.slice_b_minus_one() == quad_slice_factor() * cubic_slice_factor()
+
+    @staticmethod
+    def _slice(p, y1, v_sign):
+        y = MultiPoly.var(YZW, "y")
+        w = MultiPoly.var(YZW, "w")
+        return p.compose({"y1": y1, "y2": y, "v": w * v_sign},
+                         MultiPoly.zero(YZW))
+
+    def test_slice_does_not_depend_on_the_sign_of_y1(self):
+        # b = y1^2 - 2 = -1 has the two branches y1 = 1 (w = v) and
+        # y1 = -1 (w = -v); both give the same slice.
+        cleared = cc.hlm_r6_cleared()
+        assert self._slice(cleared, -1, -1) == cc.slice_b_minus_one()
+        # an odd residual power of y1 would break that symmetry
+        odd = cleared + MultiPoly.var(cleared.vars, "y1")
+        assert self._slice(odd, -1, -1) != self._slice(odd, 1, 1)
+
+    def test_eliminate_w_requires_the_yzw_variables(self):
+        q = cc.second_equation()
+        with pytest.raises(AlgebraError):
+            cc.eliminate_w(cc.hlm_r6_cleared(), q)
+        with pytest.raises(AlgebraError):
+            cc.eliminate_w(q, MultiPoly.var(("y", "w"), "w"))
 
     def test_second_equation_variables(self):
         q = cc.second_equation()
@@ -249,7 +255,8 @@ class TestSolveOnCurve:
         assert resid <= 1e-6
 
     def test_witness_invariant_bundle(self):
-        rho, ta = cc.solve_witness_invariant(2.5, 2.5 ** 2 - 1.0, seed=0)
+        rho = cc.solve_on_curve(2.5, 2.5 ** 2 - 1.0, seed=0)
+        ta = wada_invariant(rho.presentation, rho)
         assert rho.relator_residual() <= 1e-8
         assert ta.polynomial is not None
 

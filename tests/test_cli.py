@@ -258,6 +258,67 @@ class TestPretzelCommand:
         assert a == b
 
 
+_SLICE_WITH = "trace a = %s 0\ntrace b = 2.1 0\ntrace ab = 1 0\n"
+_SWEEP = "trace a = 2.1 0\ntrace b = 2.1 0\nsweep ab = 0.8 0 .. 1.2 0 steps 3\n"
+
+# (case id, {file name: contents}, argv); every case must exit 2.
+MALFORMED = [
+    ("twisted-inf-trace", {"c": _SLICE_WITH % "inf"},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--constraints", "c"]),
+    ("genus-nan-trace", {"c": _SLICE_WITH % "nan"},
+     ["genus", "--pres", "fixtures/3_1.pres", "--constraints", "c"]),
+    ("monic-scan-nan-sweep",
+     {"c": "trace a = 2.1 0\ntrace b = 2.1 0\nsweep ab = nan 0 .. 1 0 steps 3\n"},
+     ["monic-scan", "--pres", "fixtures/3_1.pres", "--constraints", "c"]),
+    ("signature-nan-lambda", {},
+     ["signature", "--seifert", "fixtures/3_1.seifert", "--lambda=nan"]),
+    ("signature-overflowing-lambda", {},
+     ["signature", "--seifert", "fixtures/3_1.seifert", "--lambda=1e999"]),
+    ("twisted-nan-lambda", {},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--lambda=nan"]),
+    ("twisted-inf-lambda-pair", {},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--lambda=1,inf"]),
+    ("satellite-bad-coefficient", {"p": '{"coeffs": {"0": "x"}}'},
+     ["satellite", "--pattern", "p", "--companion", "fixtures/3_1.alex"]),
+    ("satellite-bad-exponent", {"p": '{"coeffs": {"q": 1}}'},
+     ["satellite", "--pattern", "p", "--companion", "fixtures/3_1.alex"]),
+    ("satellite-not-a-mapping", {"p": "5"},
+     ["satellite", "--pattern", "p", "--companion", "fixtures/3_1.alex"]),
+    ("satellite-nan-coefficient", {"p": '{"coeffs": {"0": NaN, "1": 1}}'},
+     ["satellite", "--pattern", "p", "--companion", "fixtures/3_1.alex"]),
+    ("satellite-zero-denominator", {"p": '{"coeffs": {"0": "1/0"}}'},
+     ["satellite", "--pattern", "fixtures/3_1.alex", "--companion", "p"]),
+    ("twisted-nan-rep-entry",
+     {"r": '{"generators": [[[NaN, 0], [0, 0], [0, 0], [0.5, 0]], '
+           '[[2, 0], [0, 0], [0, 0], [0.5, 0]]]}'},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--rep", "r"]),
+    ("twisted-short-rep-generator", {"r": '{"generators": [[[1, 0]]]}'},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--rep", "r"]),
+    ("monic-scan-rep", {"c": _SWEEP, "r": "{}"},
+     ["monic-scan", "--pres", "fixtures/3_1.pres", "--constraints", "c",
+      "--rep", "r"]),
+    ("monic-scan-lambda", {"c": _SWEEP},
+     ["monic-scan", "--pres", "fixtures/3_1.pres", "--constraints", "c",
+      "--lambda=1"]),
+]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("files, argv", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_exit_two_with_one_json_reason(self, run, tmp_path, files, argv):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ParseError"
+
+
 class TestDispatch:
     def test_unknown_command(self, run):
         with pytest.raises(SystemExit):

@@ -118,6 +118,33 @@ class TestArithmetic:
         assert q == P(1, 0, 4)
 
 
+exact_laurent = st.dictionaries(
+    st.integers(-4, 4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    max_size=4).map(LaurentPoly)
+
+
+class TestRingAxiomProperties:
+    @settings(deadline=None)
+    @given(exact_laurent, exact_laurent, exact_laurent)
+    def test_associative_and_commutative(self, p, q, r):
+        assert (p + q) + r == p + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p + q == q + p
+        assert p * q == q * p
+
+    @settings(deadline=None)
+    @given(exact_laurent, exact_laurent, exact_laurent)
+    def test_distributive(self, p, q, r):
+        assert p * (q + r) == p * q + p * r
+
+    @settings(deadline=None)
+    @given(exact_laurent)
+    def test_additive_inverse(self, p):
+        assert p + (-p) == LaurentPoly.zero()
+        assert (p + (-p)).is_zero()
+
+
 class TestDivision:
     def test_exact_quotient(self):
         t = LaurentPoly.t()

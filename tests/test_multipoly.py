@@ -148,6 +148,38 @@ def ring_maps(draw):
             LaurentPoly.zero())
 
 
+laurent_yz_polys = _polys(YZ, st.integers(-2, 2))
+nonzero_yz_polys = yz_polys.filter(lambda p: not p.is_zero())
+
+
+class TestRingAxiomProperties:
+    """Ring axioms with negative exponents allowed."""
+
+    @settings(deadline=None)
+    @given(laurent_yz_polys, laurent_yz_polys, laurent_yz_polys)
+    def test_associative_and_commutative(self, p, q, r):
+        assert (p + q) + r == p + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p + q == q + p
+        assert p * q == q * p
+
+    @settings(deadline=None)
+    @given(laurent_yz_polys, laurent_yz_polys, laurent_yz_polys)
+    def test_distributive(self, p, q, r):
+        assert p * (q + r) == p * q + p * r
+
+    @settings(deadline=None)
+    @given(laurent_yz_polys)
+    def test_additive_inverse(self, p):
+        assert p + (-p) == MultiPoly.zero(YZ)
+        assert (p + (-p)).is_zero()
+
+    @settings(deadline=None)
+    @given(yz_polys, nonzero_yz_polys)
+    def test_exact_divide_round_trip(self, p, q):
+        assert exact_divide(p * q, q) == p
+
+
 class TestCompose:
     @settings(deadline=None, max_examples=60)
     @given(yz_polys, yz_polys, ring_maps())

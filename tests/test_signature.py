@@ -167,6 +167,10 @@ class TestLtSignature:
         with pytest.raises(AlgebraError):
             lt_signature(trefoil_v(), 0.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(AlgebraError):
+            lt_signature(trefoil_v(), complex("nan"))
+
     def test_conjugation_symmetry(self):
         v = v935()
         rng = np.random.default_rng(3)
@@ -220,6 +224,10 @@ class TestAveragedSignature:
     def test_off_circle_rejected(self):
         with pytest.raises(AlgebraError):
             averaged_signature(trefoil_v(), 2.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(AlgebraError):
+            averaged_signature(trefoil_v(), complex("nan"))
 
     def test_half_integer_average_near_step(self):
         v = trefoil_v()
