@@ -378,7 +378,7 @@ def _cmd_pretzel935(cfg: RunConfig) -> None:
                               residual_tol=cfg.tol_residual)
     nongenus = charcurves.census(cp_curve, 0, cluster_radius=cfg.tol_cluster,
                                  residual_tol=cfg.tol_residual)
-    loop = charcurves.monic_witness_report(monic, seed=cfg.seed,
+    loop = charcurves.monic_witness_report(monic,
                                            residual_tol=cfg.tol_residual)
     payload = {
         "curves": {"C": c_curve.to_text(), "Cprime": cp_curve.to_text()},

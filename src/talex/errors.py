@@ -36,7 +36,8 @@ class NonPolynomialError(AlgebraError):
 
 class SolveError(TalexError):
     """Newton iteration failed to reach the residual target within the
-    restart budget, or found only solutions of the wrong kind.
+    restart budget, a closed-form construction missed it, or either found
+    only solutions of the wrong kind.
 
     The solver's counters ride along as attributes (zero, and an infinite
     best residual, when no restart ran): restarts run, Newton iterations

@@ -288,6 +288,11 @@ class LaurentPoly:
         coeffs: dict[int, object] = {}
         try:
             for k, v in data["coeffs"].items():
+                # bool is an int subclass, so true would read as 1
+                if isinstance(v, bool) or (isinstance(v, (list, tuple)) and
+                                           any(isinstance(e, bool) for e in v)):
+                    raise AlgebraError("bad Laurent JSON: boolean coefficient "
+                                       "%r" % (v,))
                 if isinstance(v, str):
                     coeffs[int(k)] = Fraction(v)
                 elif isinstance(v, (list, tuple)) and len(v) == 2:

@@ -120,7 +120,10 @@ class Representation:
             gens = data["generators"]
             mats = []
             for flat in gens:
-                e = [complex(float(re), float(im)) for re, im in flat]
+                pairs = [(re, im) for re, im in flat]
+                if any(isinstance(v, bool) for pair in pairs for v in pair):
+                    raise ParseError("bad representation JSON: boolean entry")
+                e = [complex(float(re), float(im)) for re, im in pairs]
                 if len(e) != 4 or not all(map(cmath.isfinite, e)):
                     raise ParseError("bad representation JSON: a generator "
                                      "needs four finite entries")
@@ -244,6 +247,53 @@ def parse_constraints(text: str, p: Presentation) -> dict[FreeWord, complex]:
     return out
 
 
+def _det_one_on_trace_rows(prods: list, traces: list,
+                           stable: bool = False) -> list[np.ndarray]:
+    """The 2x2 matrices C, flattened to (c00, c01, c10, c11), with
+    tr(P_k C) = traces[k] for each P_k in prods and det C = 1.
+
+    The trace rows are linear in C.  When they are consistent and leave a
+    one-dimensional null space, C = c0 + s nv (c0 their minimum-norm
+    solution, nv a null vector) and det C = 1 is a quadratic in s: the
+    result lists C at its two roots, the +sqrt root first, or at its one
+    root when the quadratic is linear.  Otherwise it is empty.  With
+    stable, the root of smaller magnitude is q0 / (q2 s) from the larger
+    one instead of the textbook formula, which cancels when the roots
+    differ greatly in size; solve_representation keeps the textbook
+    formula, which fixes its seeds and hence its trajectories.
+    """
+    mat = np.array([[p[0][0], p[1][0], p[0][1], p[1][1]] for p in prods],
+                   dtype=complex)
+    b = np.array(traces, dtype=complex)
+    c0, *_ = np.linalg.lstsq(mat, b, rcond=None)
+    if np.linalg.norm(mat @ c0 - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
+        return []
+    _, sv, vh = np.linalg.svd(mat)
+    null = vh[np.sum(sv > 1e-10 * sv[0]):].conj().T
+    if null.shape[1] != 1:
+        return []
+    nv = null[:, 0]
+
+    def det4(u):
+        return u[0] * u[3] - u[1] * u[2]
+
+    q2 = det4(nv)
+    q1 = c0[0] * nv[3] + nv[0] * c0[3] - c0[1] * nv[2] - nv[1] * c0[2]
+    q0 = det4(c0) - 1.0
+    if abs(q2) > 1e-12:
+        disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
+        roots = [(-q1 + disc) / (2 * q2), (-q1 - disc) / (2 * q2)]
+        if stable:
+            big = 0 if abs(roots[0]) >= abs(roots[1]) else 1
+            if roots[big] != 0:
+                roots[1 - big] = q0 / (q2 * roots[big])
+    elif abs(q1) > 1e-12:
+        roots = [-q0 / q1]
+    else:
+        return []
+    return [c0 + s * nv for s in roots]
+
+
 # The stopping rules of the module docstring.
 _ROUNDING_FLOOR = 1e-12
 _STAGNATION_WINDOW = 10
@@ -317,8 +367,8 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
         direction scaled to reach det = 1 starts Newton on the entire trace
         slice, leaving only the relators to satisfy.
         """
-        rows = [[1.0 + 0j, 0j, 0j, 1.0 + 0j]]
-        rhs = [gen_trace.get(gi - 1, y0)]
+        prods = [np.eye(2, dtype=complex)]
+        traces = [gen_trace.get(gi - 1, y0)]
         for w, v in constraints.items():
             letters = list(w)
             if len(letters) < 2 or letters.count(gi) != 1:
@@ -332,36 +382,14 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                 m = np.array(seeded[l - 1] if l > 0 else
                              _mat_adjugate(seeded[-l - 1]), dtype=complex)
                 pm = pm @ m
-            rows.append([pm[0, 0], pm[1, 0], pm[0, 1], pm[1, 1]])
-            rhs.append(v)
-        if len(rows) < 3:
+            prods.append(pm)
+            traces.append(v)
+        if len(prods) < 3:
             return None
-        mat = np.array(rows, dtype=complex)
-        b = np.array(rhs, dtype=complex)
-        c0, *_ = np.linalg.lstsq(mat, b, rcond=None)
-        if np.linalg.norm(mat @ c0 - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
+        cands = _det_one_on_trace_rows(prods, traces)
+        if not cands:
             return None
-        _, sv, vh = np.linalg.svd(mat)
-        null = vh[np.sum(sv > 1e-10 * sv[0]):].conj().T
-        if null.shape[1] != 1:
-            return None
-        nv = null[:, 0]
-
-        def det4(u):
-            return u[0] * u[3] - u[1] * u[2]
-
-        q2 = det4(nv)
-        q1 = c0[0] * nv[3] + nv[0] * c0[3] - c0[1] * nv[2] - nv[1] * c0[2]
-        q0 = det4(c0) - 1.0
-        if abs(q2) > 1e-12:
-            disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
-            s = (-q1 + disc) / (2 * q2) if rng.integers(2) \
-                else (-q1 - disc) / (2 * q2)
-        elif abs(q1) > 1e-12:
-            s = -q0 / q1
-        else:
-            return None
-        c = c0 + s * nv
+        c = cands[0] if len(cands) == 1 or rng.integers(2) else cands[1]
         return c if np.all(np.isfinite(c)) else None
 
     rng = np.random.default_rng(seed)

@@ -95,7 +95,7 @@ def trefoil_irr(trefoil):
 def p935_curve_rep():
     """One solved 9_35 representation on the curve component y^2 = z + 1."""
     from talex import charcurves
-    return charcurves.solve_on_curve(2.5, 2.5 ** 2 - 1.0, seed=0)
+    return charcurves.solve_on_curve(2.5, 2.5 ** 2 - 1.0)
 
 
 TREFOIL_V = [[-1, 1], [0, -1]]

@@ -65,7 +65,7 @@ def _pretzel_sample_reps():
            (1.0 + 0j, 1.0 + 0j)]
     _, cprime = cc.curve_components()
     pts.append(cc.census(cprime, 1).witnesses[0])
-    return [cc.solve_on_curve(y0, z0, seed=i) for i, (y0, z0) in enumerate(pts)]
+    return [cc.solve_on_curve(y0, z0) for y0, z0 in pts]
 
 
 def _timed(fn):
@@ -129,7 +129,7 @@ def criterion_04():
         assert cert.ok
         assert cert.max_det_error <= 1e-6
         for y0 in (2.5, 2.3 + 0.2j):
-            rho = cc.solve_on_curve(y0, y0 * y0 - 1.0, seed=0)
+            rho = cc.solve_on_curve(y0, y0 * y0 - 1.0)
             assert abs(cc.leading_determinant_sample(rho) - 18) <= 1e-6
     _, dt = _timed(check)
     assert dt < 30.0, "certification took %.2fs" % dt
@@ -150,7 +150,7 @@ def criterion_06():
     """All six monic witnesses solve (residual <= 1e-8) with leading
     coefficient within 1e-5 of 1."""
     _, cprime = cc.curve_components()
-    rows = cc.monic_witness_report(cc.census(cprime, 1), seed=0)
+    rows = cc.monic_witness_report(cc.census(cprime, 1))
     assert len(rows) == 6
     for row in rows:
         assert row["residual"] <= 1e-8

@@ -1,13 +1,20 @@
 """The pretzel-knot character-variety computation end to end."""
 
+import cmath
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talex import charcurves as cc
-from talex.errors import AlgebraError
+from talex._sl2 import _Equations, _residual
+from talex.cli import main
+from talex.errors import AlgebraError, SolveError
 from talex.multipoly import MultiPoly, exact_divide
+from talex.representations import _det_one_on_trace_rows, solve_representation
 from talex.twisted import wada_invariant
 
 YZ = ("y", "z")
@@ -188,7 +195,7 @@ class TestPsi2:
 
     def test_detA_at_x_zero_point(self):
         # (y, z) = (1, 1) lies on the second component with x = 0
-        rho = cc.solve_on_curve(1.0, 1.0, seed=0)
+        rho = cc.solve_on_curve(1.0, 1.0)
         lead = cc.leading_determinant_sample(rho)
         assert abs(lead - 5) < 1e-6
 
@@ -255,14 +262,14 @@ class TestSolveOnCurve:
         assert resid <= 1e-6
 
     def test_witness_invariant_bundle(self):
-        rho = cc.solve_on_curve(2.5, 2.5 ** 2 - 1.0, seed=0)
+        rho = cc.solve_on_curve(2.5, 2.5 ** 2 - 1.0)
         ta = wada_invariant(rho.presentation, rho)
         assert rho.relator_residual() <= 1e-8
         assert ta.polynomial is not None
 
     def test_monic_witness_loop(self):
         _, Cp = cc.curve_components()
-        rows = cc.monic_witness_report(cc.census(Cp, 1), seed=0)
+        rows = cc.monic_witness_report(cc.census(Cp, 1))
         assert len(rows) == 6
         for row in rows:
             assert row["residual"] <= 1e-8
@@ -276,3 +283,109 @@ class TestSolveOnCurve:
         rows = cc.monic_witness_report(monic)
         reported = [(complex(*r["y"]), complex(*r["z"])) for r in rows]
         assert reported == list(monic.witnesses)
+
+
+def _newton_on_curve(y0, z0, seed):
+    """The Newton solve that solve_on_curve's closed form replaces."""
+    return solve_representation(cc.pretzel935_presentation(),
+                                cc.curve_constraints(y0, z0), seed=seed,
+                                restarts=60)
+
+
+def _equation_residual(rho, y0, z0):
+    """max|f| over the solver's relator, det and trace rows at rho."""
+    pres = rho.presentation
+    eq = _Equations(pres, {pres.word(w): v for w, v
+                           in cc.curve_constraints(y0, z0).items()})
+    (a, q), (_, _) = rho.matrices[0]
+    (b, _), (d, _) = rho.matrices[1]
+    c = [e for row in rho.matrices[2] for e in row]
+    return float(np.max(np.abs(_residual(eq, np.array([a, q, b, d, *c])))))
+
+
+def _construction_points():
+    """The sampled acceptance points (two on C, two on C') and the six
+    monic witnesses on C'."""
+    _, cprime = cc.curve_components()
+    witnesses = cc.census(cprime, 1).witnesses
+    return [(2.5 + 0j, 5.25 + 0j), (2.2 + 0.3j, (2.2 + 0.3j) ** 2 - 1.0),
+            (1.0 + 0j, 1.0 + 0j), witnesses[0]] + list(witnesses)
+
+
+# The region certify_psi2 samples y0 from: two standard deviations around
+# the centre 2.2 of _curve_sample_points' draws.
+_sampled_y0 = st.builds(complex, st.floats(0.6, 3.8), st.floats(-1.6, 1.6))
+
+
+class TestClosedFormConstruction:
+    @pytest.mark.parametrize("k", range(10))
+    def test_matches_the_newton_representation(self, k):
+        y0, z0 = _construction_points()[k]
+        rho = cc.solve_on_curve(y0, z0)
+        # the seeds the Newton path used: i for the i-th acceptance point,
+        # i for the i-th witness
+        newton = _newton_on_curve(y0, z0, seed=k if k < 4 else k - 4)
+        assert abs(cc.leading_determinant_sample(rho)
+                   - cc.leading_determinant_sample(newton)) <= 1e-9
+        for word, _ in cc.TRACE_TABLE:
+            w = rho.presentation.word(word)
+            assert abs(complex(rho.trace(w))
+                       - complex(newton.trace(newton.presentation.word(word)))
+                       ) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sampled_y0, st.sampled_from([0, 1]))
+    def test_solves_on_both_curves(self, y0, which):
+        curve = cc.curve_components()[which]
+        for z0 in curve.z_values(y0):
+            rho = cc.solve_on_curve(y0, z0)
+            assert _equation_residual(rho, y0, z0) <= 1e-10
+            assert not rho.is_reducible()
+
+    @pytest.mark.parametrize("which, solving", [(0, 2), (1, 1)])
+    def test_roots_that_solve(self, which, solving):
+        # Both det-1 roots, the two values of tr(abc), are representations
+        # on C; on C' the relators pick one of them.
+        y0 = 1.3 + 0.4j
+        for z0 in cc.curve_components()[which].z_values(y0):
+            a = (y0 + cmath.sqrt(y0 * y0 - 4)) / 2
+            d = z0 - a * a - 1 / (a * a)
+            cands = _det_one_on_trace_rows(
+                [((1, 0), (0, 1)), ((a, 0), (d, 1 / a)), ((a, 1), (0, 1 / a))],
+                [y0, z0, z0], stable=True)
+            pres = cc.pretzel935_presentation()
+            eq = _Equations(pres, {pres.word(w): v for w, v
+                                   in cc.curve_constraints(y0, z0).items()})
+            worst = [np.max(np.abs(_residual(eq, np.array([a, 1, a, d, *c]))))
+                     for c in cands]
+            assert sum(w <= 1e-10 for w in worst) == solving
+
+    @pytest.mark.parametrize("y0, z0, reason", [
+        (2.5, 1.0, "no representation"),
+        (2.5, 2.5 ** 2 - 2.0, "do not cut"),
+        (2.0, 2.0, "do not cut"),
+        (1.3 + 0.4j, (1.3 + 0.4j) ** 2 - 2.0, "do not cut"),
+        (3 ** 0.5, 2.0, "only reducible")])
+    def test_off_curve_and_reducible_points_raise(self, y0, z0, reason):
+        # (2.5, 1) is on neither curve.  tr(ab) = y0^2 - 2 makes d = 0: B
+        # is diagonal and det C = 1 holds on the whole line of C.  C meets
+        # the reducible characters (tr[a, b] = 2) where z = 2.
+        with pytest.raises(SolveError, match=reason) as info:
+            cc.solve_on_curve(y0, z0)
+        assert info.value.restarts == 0
+
+    def test_non_finite_point_raises(self):
+        with pytest.raises(SolveError):
+            cc.solve_on_curve(float("nan"), 1.0)
+
+    def test_pipeline_runs_without_the_solver(self, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise AssertionError("solve_representation was called")
+
+        for name, mod in list(sys.modules.items()):
+            if name == "talex" or name.startswith("talex."):
+                if getattr(mod, "solve_representation", None) \
+                        is solve_representation:
+                    monkeypatch.setattr(mod, "solve_representation", boom)
+        assert main(["pretzel935", "--json"]) == 0
+        assert capsys.readouterr().err == ""

@@ -286,10 +286,16 @@ MALFORMED = [
      ["satellite", "--pattern", "p", "--companion", "fixtures/3_1.alex"]),
     ("satellite-nan-coefficient", {"p": '{"coeffs": {"0": NaN, "1": 1}}'},
      ["satellite", "--pattern", "p", "--companion", "fixtures/3_1.alex"]),
+    ("satellite-boolean-coefficient", {"p": '{"coeffs": {"0": true}}'},
+     ["satellite", "--pattern", "p", "--companion", "fixtures/3_1.alex"]),
     ("satellite-zero-denominator", {"p": '{"coeffs": {"0": "1/0"}}'},
      ["satellite", "--pattern", "fixtures/3_1.alex", "--companion", "p"]),
     ("twisted-nan-rep-entry",
      {"r": '{"generators": [[[NaN, 0], [0, 0], [0, 0], [0.5, 0]], '
+           '[[2, 0], [0, 0], [0, 0], [0.5, 0]]]}'},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--rep", "r"]),
+    ("twisted-boolean-rep-entry",
+     {"r": '{"generators": [[[true, 0], [0, 0], [0, 0], [1, 0]], '
            '[[2, 0], [0, 0], [0, 0], [0.5, 0]]]}'},
      ["twisted", "--pres", "fixtures/3_1.pres", "--rep", "r"]),
     ("twisted-short-rep-generator", {"r": '{"generators": [[[1, 0]]]}'},
