@@ -8,7 +8,9 @@ for B = [[b, 0], [d, 1/b]] and four free entries for each further
 generator.  _residual and _jacobian evaluate the solver's equations and
 their exact Jacobian at x.  They hold the letter images as flat 4-tuples
 (m00, m01, m10, m11) and multiply them entry by entry in local variables,
-which is the solver's inner loop.
+which is the solver's inner loop.  _det_one_on_trace_rows finds a further
+generator from trace rows linear in it and det = 1, for the solver's seeds
+and the 9_35 closed form.
 """
 
 from __future__ import annotations
@@ -141,6 +143,53 @@ def _letter_images(eq: _Equations, x: np.ndarray) -> list[tuple]:
     adjugates (inverses in SL2)."""
     gens = _gauge_images(x.tolist(), eq.n)
     return gens + [(m11, -m01, -m10, m00) for m00, m01, m10, m11 in gens]
+
+
+def _det_one_on_trace_rows(prods: list, traces: list,
+                           stable: bool = False) -> list[np.ndarray]:
+    """The 2x2 matrices C, flattened to (c00, c01, c10, c11), with
+    tr(P_k C) = traces[k] for each P_k in prods and det C = 1.
+
+    The trace rows are linear in C.  When they are consistent and leave a
+    one-dimensional null space, C = c0 + s nv (c0 their minimum-norm
+    solution, nv a null vector) and det C = 1 is a quadratic in s: the
+    result lists C at its two roots, the +sqrt root first, or at its one
+    root when the quadratic is linear.  Otherwise it is empty.  With
+    stable, the root of smaller magnitude is q0 / (q2 s) from the larger
+    one instead of the textbook formula, which cancels when the roots
+    differ greatly in size; solve_representation keeps the textbook
+    formula, which fixes its seeds and hence its trajectories.
+    """
+    mat = np.array([[p[0][0], p[1][0], p[0][1], p[1][1]] for p in prods],
+                   dtype=complex)
+    b = np.array(traces, dtype=complex)
+    c0, *_ = np.linalg.lstsq(mat, b, rcond=None)
+    if np.linalg.norm(mat @ c0 - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
+        return []
+    _, sv, vh = np.linalg.svd(mat)
+    null = vh[np.sum(sv > 1e-10 * sv[0]):].conj().T
+    if null.shape[1] != 1:
+        return []
+    nv = null[:, 0]
+
+    def det4(u):
+        return u[0] * u[3] - u[1] * u[2]
+
+    q2 = det4(nv)
+    q1 = c0[0] * nv[3] + nv[0] * c0[3] - c0[1] * nv[2] - nv[1] * c0[2]
+    q0 = det4(c0) - 1.0
+    if abs(q2) > 1e-12:
+        disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
+        roots = [(-q1 + disc) / (2 * q2), (-q1 - disc) / (2 * q2)]
+        if stable:
+            big = 0 if abs(roots[0]) >= abs(roots[1]) else 1
+            if roots[big] != 0:
+                roots[1 - big] = q0 / (q2 * roots[big])
+    elif abs(q1) > 1e-12:
+        roots = [-q0 / q1]
+    else:
+        return []
+    return [c0 + s * nv for s in roots]
 
 
 # _residual squares its bound and widens it by this relative margin, far

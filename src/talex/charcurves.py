@@ -40,13 +40,13 @@ polynomial is a single trace polynomial psi_2(x) = x^3 + 6x^2 + 6x + 5
 in x = y^2 - z, certified here by sampling representations on the curve
 and comparing against the determinant it abbreviates.  The samples are
 built in closed form, not solved for.  In solve_representation's gauge
-A = [[a, 1], [0, 1/a]] and B = [[a, 0], [d, 1/a]] with a + 1/a = y and
-d = z - a^2 - a^-2 carry the traces y, y and z; tr C = y, tr BC = z and
-tr CA = z are linear in C, and det C = 1 leaves two roots, the two values
-of tr(abc).  On C both roots are representations, on C' the relators
-keep one (solve_on_curve).  Monicness of the twisted polynomial at a
-character is then the root count census of psi_2(x) = c intersected with
-the curve, computed exactly.
+A = [[a, 1], [0, 1/a]] and B = [[a, 0], [d, 1/a]] with a + 1/a = y,
+|a| >= 1 and d = z - a^2 - a^-2 carry the traces y, y and z; tr C = y,
+tr BC = z and tr CA = z are linear in C, and det C = 1 leaves two roots,
+the two values of tr(abc).  On C both roots are representations, on C'
+the relators keep one (solve_on_curve).  Monicness of the twisted
+polynomial at a character is then the root count census of psi_2(x) = c
+intersected with the curve, computed exactly.
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ from .laurent import LaurentPoly
 from .matrix import det
 from .multipoly import MultiPoly, exact_divide, resultant
 from .presentations import Presentation, parse_presentation
-from .representations import Representation, _det_one_on_trace_rows
+from .representations import _SOLVE_TOL, Representation, _meridian_eigenvalue
 from .roots import complex_roots
-from ._sl2 import _COMPLEX_ID, _Equations, _residual, _unpack
+from ._sl2 import (_COMPLEX_ID, _Equations, _det_one_on_trace_rows,
+                   _residual, _unpack)
 from .twisted import fox_matrix_laurent, wada_invariant
 
 RV_VARS = ("y1", "y2", "v")
@@ -344,11 +345,6 @@ def _dedupe_pairs(pairs: list[tuple[complex, complex]], radius: float
 # Representation sampling on the curves and certification of psi_2.
 # ---------------------------------------------------------------------------
 
-# solve_representation's default residual tolerance, which solve_on_curve's
-# closed form must meet as well.
-_ON_CURVE_TOL = 1e-10
-
-
 def curve_constraints(y0: complex, z0: complex) -> dict[str, complex]:
     """Trace targets pinning a character with tr(a)=y0 and tr(ab)=z0."""
     y0, z0 = complex(y0), complex(z0)
@@ -360,7 +356,13 @@ def solve_on_curve(y0: complex, z0: complex) -> Representation:
     built in closed form in solve_representation's gauge.
 
     A = [[a, 1], [0, 1/a]] and B = [[a, 0], [d, 1/a]] with a + 1/a = y0 and
-    d = z0 - a^2 - a^-2 give tr(a) = tr(b) = y0 and tr(ab) = z0.  The rows
+    d = z0 - a^2 - a^-2 give tr(a) = tr(b) = y0 and tr(ab) = z0.  a is the
+    root with |a| >= 1, as in two_generator_representation: of 1,200 C'
+    points with y0 uniform in [-5, 5] x [-3, 3]i, the principal-root a
+    (|a| < 1 at most Re y0 < 0) misses 1e-10 at 187 and |a| >= 1 at 13, all
+    with |z0| > 20.  B keeps a on top: two_generator_representation's
+    [[1/a, 0], [s, a]] misses at 256 of those points, all near z0 = 2,
+    where s -> 0 makes the rows below nearly dependent.  The rows
     tr C = y0, tr BC = z0 and tr CA = z0 are linear in C, and det C = 1 on
     their solution line is a quadratic.  Three SL(2,C) matrices are fixed
     up to conjugacy by their one- and two-letter traces together with
@@ -379,7 +381,7 @@ def solve_on_curve(y0: complex, z0: complex) -> Representation:
     if not (cmath.isfinite(y0) and cmath.isfinite(z0)):
         raise SolveError("curve point (%r, %r) is not finite" % (y0, z0))
     pres = pretzel935_presentation()
-    a = (y0 + cmath.sqrt(y0 * y0 - 4.0)) / 2.0
+    a = _meridian_eigenvalue(y0)
     d = z0 - a * a - 1.0 / (a * a)
     gauge_ab = [a, 1.0 + 0j, a, d]
     mat_a, mat_b = _unpack(gauge_ab, 2)
@@ -395,7 +397,7 @@ def solve_on_curve(y0: complex, z0: complex) -> Representation:
         x = np.array(gauge_ab + list(c), dtype=complex)
         worst = float(np.max(np.abs(_residual(eq, x))))
         best = min(best, worst)
-        if worst <= _ON_CURVE_TOL:
+        if worst <= _SOLVE_TOL:
             rho = Representation(pres, _unpack(x, 3))
             rho.residual = rho.relator_residual()
             if not rho.is_reducible():
@@ -408,7 +410,7 @@ def solve_on_curve(y0: complex, z0: complex) -> Representation:
     raise SolveError("no representation at (%r, %r): best max|f| %.1e "
                      "exceeds %.0e, so the point is off the curves or the "
                      "construction is too ill-conditioned there"
-                     % (y0, z0, best, _ON_CURVE_TOL), best_residual=best)
+                     % (y0, z0, best, _SOLVE_TOL), best_residual=best)
 
 
 def leading_determinant_sample(rho: Representation) -> complex:

@@ -38,7 +38,7 @@ from .fixtures import fixture_path
 from .laurent import LaurentPoly
 from .presentations import parse_pd, parse_presentation, pd_to_wirtinger
 from .representations import (Representation, abelian_rep, parse_constraints,
-                              satellite_alexander, solve_representation)
+                              representation_from_traces, satellite_alexander)
 from .signature import (SeifertMatrix, averaged_signature,
                         is_identically_zero, lt_signature_detail,
                         signature_jumps)
@@ -139,7 +139,7 @@ def _load_representation(cfg: RunConfig, p) -> Representation:
         return Representation.from_json_dict(data, p)
     if cfg.constraints:
         cons = parse_constraints(_read_text(cfg.constraints), p)
-        return solve_representation(p, cons, seed=cfg.seed)
+        return representation_from_traces(p, cons, seed=cfg.seed)
     return abelian_rep(p, _parse_scalar(cfg.lam))
 
 
@@ -256,7 +256,7 @@ def _cmd_monic_scan(cfg: RunConfig) -> None:
         cons[word] = target
         entry = {"step": k, "target": [target.real, target.imag]}
         try:
-            rho = solve_representation(p, cons, seed=cfg.seed + k)
+            rho = representation_from_traces(p, cons, seed=cfg.seed + k)
         except SolveError as exc:
             entry.update({"solved": False, "reason": str(exc)})
             return entry

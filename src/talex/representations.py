@@ -25,6 +25,15 @@ the residual, so the restart stops instead of halving the step.  A restart
 whose norm has not fallen below 0.95 times its value 10 iterations earlier
 sits at a least-squares minimum that is no solution and is abandoned.  The
 usual residual test then accepts or rejects the restart's last point.
+
+On two generators no search is needed.  The character (tr a, tr b, tr ab)
+of an irreducible representation fixes it up to conjugacy (Riley), and
+two_generator_representation builds it in the same gauge with q = d:
+A = [[a, s], [0, 1/a]], B = [[1/b, 0], [s, b]], a + 1/a = tr a,
+b + 1/b = tr b, s^2 = tr ab - a/b - b/a.  The solver's equations at that
+one point decide: within tolerance it is the representation, otherwise no
+irreducible representation has those traces.  representation_from_traces
+is the one place that picks between the two constructions.
 """
 
 from __future__ import annotations
@@ -37,8 +46,9 @@ import numpy as np
 
 from .errors import AlgebraError, ParseError, SolveError
 from .laurent import LaurentPoly, LaurentRational
-from ._sl2 import (_COMPLEX_ID, _EXACT_ID, Matrix2, _Equations, _jacobian,
-                   _mat_adjugate, _mat_det, _mat_mul, _residual, _unpack)
+from ._sl2 import (_COMPLEX_ID, _EXACT_ID, Matrix2, _Equations,
+                   _det_one_on_trace_rows, _jacobian, _mat_adjugate, _mat_det,
+                   _mat_mul, _residual, _unpack)
 from .presentations import Presentation
 from .words import FreeWord
 
@@ -247,53 +257,6 @@ def parse_constraints(text: str, p: Presentation) -> dict[FreeWord, complex]:
     return out
 
 
-def _det_one_on_trace_rows(prods: list, traces: list,
-                           stable: bool = False) -> list[np.ndarray]:
-    """The 2x2 matrices C, flattened to (c00, c01, c10, c11), with
-    tr(P_k C) = traces[k] for each P_k in prods and det C = 1.
-
-    The trace rows are linear in C.  When they are consistent and leave a
-    one-dimensional null space, C = c0 + s nv (c0 their minimum-norm
-    solution, nv a null vector) and det C = 1 is a quadratic in s: the
-    result lists C at its two roots, the +sqrt root first, or at its one
-    root when the quadratic is linear.  Otherwise it is empty.  With
-    stable, the root of smaller magnitude is q0 / (q2 s) from the larger
-    one instead of the textbook formula, which cancels when the roots
-    differ greatly in size; solve_representation keeps the textbook
-    formula, which fixes its seeds and hence its trajectories.
-    """
-    mat = np.array([[p[0][0], p[1][0], p[0][1], p[1][1]] for p in prods],
-                   dtype=complex)
-    b = np.array(traces, dtype=complex)
-    c0, *_ = np.linalg.lstsq(mat, b, rcond=None)
-    if np.linalg.norm(mat @ c0 - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
-        return []
-    _, sv, vh = np.linalg.svd(mat)
-    null = vh[np.sum(sv > 1e-10 * sv[0]):].conj().T
-    if null.shape[1] != 1:
-        return []
-    nv = null[:, 0]
-
-    def det4(u):
-        return u[0] * u[3] - u[1] * u[2]
-
-    q2 = det4(nv)
-    q1 = c0[0] * nv[3] + nv[0] * c0[3] - c0[1] * nv[2] - nv[1] * c0[2]
-    q0 = det4(c0) - 1.0
-    if abs(q2) > 1e-12:
-        disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
-        roots = [(-q1 + disc) / (2 * q2), (-q1 - disc) / (2 * q2)]
-        if stable:
-            big = 0 if abs(roots[0]) >= abs(roots[1]) else 1
-            if roots[big] != 0:
-                roots[1 - big] = q0 / (q2 * roots[big])
-    elif abs(q1) > 1e-12:
-        roots = [-q0 / q1]
-    else:
-        return []
-    return [c0 + s * nv for s in roots]
-
-
 # The stopping rules of the module docstring.
 _ROUNDING_FLOOR = 1e-12
 _STAGNATION_WINDOW = 10
@@ -305,9 +268,22 @@ _STAGNATION_FACTOR = 0.95
 _RCOND = 1e-10
 
 
+# The residual bound max|f| <= _SOLVE_TOL that every constructed or
+# solved representation meets.
+_SOLVE_TOL = 1e-10
+_REDUCIBLE_ONLY = ("only reducible representations found (commutator traces "
+                   "all within 1e-6 of 2) where an irreducible one was "
+                   "requested")
+
+
+def _as_words(p: Presentation, constraints: dict) -> dict[FreeWord, complex]:
+    return {w if isinstance(w, FreeWord) else p.word(w): complex(v)
+            for w, v in constraints.items()}
+
+
 def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                          seed: int = 0, restarts: int = 50,
-                         tol: float = 1e-10, max_iter: int = 60,
+                         tol: float = _SOLVE_TOL, max_iter: int = 60,
                          require_irreducible: bool = True) -> Representation:
     """Find an SL(2,C) representation matching the trace constraints.
 
@@ -317,8 +293,7 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
     """
     p.require_deficiency_one()
     n = p.num_generators
-    constraints = {w if isinstance(w, FreeWord) else p.word(w): complex(v)
-                   for w, v in constraints.items()}
+    constraints = _as_words(p, constraints)
 
     gen_trace: dict[int, complex] = {}
     for w, v in constraints.items():
@@ -480,8 +455,67 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                 "rejected_at_floor": rejected["floor"],
                 "rejected_stagnant": rejected["stagnant"]}
     if best_reducible is not None:
-        raise SolveError("only reducible representations found (commutator "
-                         "traces all within 1e-6 of 2) where an irreducible "
-                         "one was requested", **counters)
+        raise SolveError(_REDUCIBLE_ONLY, **counters)
     raise SolveError("Newton iteration failed to reach residual %.1e within "
                      "%d restarts" % (tol, restarts), **counters)
+
+
+# The constrained words of two_generator_representation: a, b and ab.
+_PAIR_WORDS = (FreeWord([1]), FreeWord([2]), FreeWord([1, 2]))
+
+
+def _meridian_eigenvalue(y: complex) -> complex:
+    """The root a of a + 1/a = y with |a| >= 1: of (y +- sqrt(y^2 - 4)) / 2
+    the one whose sum does not cancel.  The other root is 1/a."""
+    r = cmath.sqrt(y * y - 4.0)
+    return (y + r) / 2.0 if abs(y + r) >= abs(y - r) else (y - r) / 2.0
+
+
+def two_generator_representation(p: Presentation,
+                                 constraints: dict) -> Representation:
+    """The representation of a two-generator, deficiency-one presentation
+    with the constrained tr a, tr b and tr ab, built in closed form.
+
+    An irreducible pair with these traces has distinct eigenvectors for
+    A's eigenvalue a and B's eigenvalue b; in that basis, balanced by a
+    diagonal conjugation, A = [[a, s], [0, 1/a]] and B = [[1/b, 0], [s, b]]
+    with s^2 = tr ab - a/b - b/a.  That is solve_representation's gauge at
+    x = [a, s, 1/b, s], and its equations (every relator, det and trace
+    row, extra constraints included) decide at that one point against the
+    solver's tolerance.  Within it and irreducible: the representation.
+    Within it but reducible, as at a Burde-de Rham point: SolveError.
+    Otherwise no irreducible representation has these traces, and the
+    SolveError carries max|f| as best_residual.  Nothing is seeded or
+    iterated.
+    """
+    p.require_deficiency_one()
+    cons = _as_words(p, constraints)
+    if p.num_generators != 2 or not all(w in cons for w in _PAIR_WORDS):
+        raise AlgebraError("the closed form needs two generators and trace "
+                           "constraints on a, b and ab")
+    ya, yb, z = (cons[w] for w in _PAIR_WORDS)
+    a, b = _meridian_eigenvalue(ya), _meridian_eigenvalue(yb)
+    s = cmath.sqrt(z - a / b - b / a)
+    x = np.array([a, s, 1.0 / b, s])
+    worst = float(np.max(np.abs(_residual(_Equations(p, cons), x))))
+    if not worst <= _SOLVE_TOL:
+        raise SolveError("no irreducible representation has these traces: "
+                         "the closed form misses them by max|f| %.1e > %.0e"
+                         % (worst, _SOLVE_TOL), best_residual=worst)
+    rho = Representation(p, _unpack(x, 2))
+    rho.residual = rho.relator_residual()
+    if rho.is_reducible():
+        raise SolveError(_REDUCIBLE_ONLY, best_residual=worst)
+    return rho
+
+
+def representation_from_traces(p: Presentation, constraints: dict,
+                               seed: int = 0) -> Representation:
+    """The irreducible representation with the given trace constraints:
+    two_generator_representation when the presentation has two generators
+    and tr a, tr b and tr ab are constrained (seed is then unused),
+    solve_representation otherwise."""
+    cons = _as_words(p, constraints)
+    if p.num_generators == 2 and all(w in cons for w in _PAIR_WORDS):
+        return two_generator_representation(p, cons)
+    return solve_representation(p, cons, seed=seed)

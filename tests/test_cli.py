@@ -1,6 +1,7 @@
 """The talex command line: text output, JSON output, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -170,6 +171,80 @@ class TestMonicScanCommand:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+BENCH_SWEEP = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench", "trefoil_sweep.txt")
+
+# twisted --constraints on 9_35 at (y, z) = (2.5, 5.25): a three-generator
+# constraint set, which the Newton solver at seed 0 handles.
+P935_CONSTRAINTS = "".join("trace %s = %s 0\n" % (w, v) for w, v in (
+    ("a", 2.5), ("b", 2.5), ("c", 2.5), ("ab", 5.25), ("bc", 5.25),
+    ("ca", 5.25)))
+P935_TWISTED = (
+    "(18+4.64158531209e-15j)*t^2 + (-45+1.70760132323e-13j)*t "
+    "+ (18+1.15084016798e-13j)\n"
+    "degree span 2, leading 18+4.64158531209e-15j, monic no\n")
+
+
+def _replace_solver(monkeypatch, fn):
+    """Bind fn wherever a talex module binds solve_representation."""
+    solve = talex.representations.solve_representation
+    for name, mod in list(sys.modules.items()):
+        if (name == "talex" or name.startswith("talex.")) and \
+                getattr(mod, "solve_representation", None) is solve:
+            monkeypatch.setattr(mod, "solve_representation", fn)
+    return solve
+
+
+class TestClosedFormRouting:
+    def test_monic_scan_runs_no_newton_solve(self, run, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("solve_representation was called")
+
+        _replace_solver(monkeypatch, boom)
+        code, out, err = run("monic-scan", "--pres", "fixtures/3_1.pres",
+                             "--constraints", BENCH_SWEEP, "--json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["monic_steps"] == [2]
+        for row in data["rows"]:
+            if row["solved"]:
+                assert row["residual"] <= 1e-13
+            else:
+                assert row["reason"].startswith(
+                    "no irreducible representation has these traces")
+                assert "max|f|" in row["reason"]
+
+    def test_other_constraint_sets_go_to_the_solver(self, run, tmp_path,
+                                                    monkeypatch):
+        calls = []
+
+        def spy(p, cons, seed=0):
+            calls.append(seed)
+            return solve(p, cons, seed=seed)
+
+        solve = _replace_solver(monkeypatch, spy)
+        path = tmp_path / "p935.cons"
+        path.write_text(P935_CONSTRAINTS)
+        code, out, _ = run("twisted", "--pres", "fixtures/9_35.pres",
+                           "--constraints", str(path))
+        assert (code, calls) == (0, [0])
+        assert out == P935_TWISTED
+
+    def test_burde_de_rham_point_exits_five(self, run, tmp_path):
+        # y = m + 1/m, tr ab = y^2 - 2 at m = e^{i pi/6}, where the trefoil's
+        # reducible characters meet its irreducible ones
+        y = 2 * math.cos(math.pi / 6)
+        path = tmp_path / "bdr.cons"
+        path.write_text("trace a = %r 0\ntrace b = %r 0\ntrace ab = %r 0\n"
+                        % (y, y, y * y - 2))
+        code, out, err = run("twisted", "--pres", "fixtures/3_1.pres",
+                             "--constraints", str(path))
+        assert (code, out) == (5, "")
+        payload = json.loads(err)
+        assert payload["error"] == "SolveError"
+        assert payload["reason"].startswith("only reducible representations")
 
 
 class TestGenusCommand:

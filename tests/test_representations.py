@@ -21,8 +21,11 @@ from talex import (
     parse_constraints,
     parse_presentation,
     reducible_formula,
+    representation_from_traces,
     satellite_alexander,
     solve_representation,
+    two_generator_representation,
+    wada_invariant,
 )
 from talex.errors import SolveError
 from talex._sl2 import (_COMPLEX_ID, _Equations, _jacobian, _mat_adjugate,
@@ -280,6 +283,120 @@ class TestSolveRepresentation:
         assert rho.relator_residual() <= 1e-10
         for w, t in curve_constraints(2.5, 5.25).items():
             assert abs(rho.trace(p935.word(w)) - t) < 1e-8
+
+
+def _trefoil_traces(y, z, **extra):
+    return {"a": y, "b": y, "ab": z, **extra}
+
+
+def _torus_pair(n):
+    """T(2, n) as <a, b | (ab)^k a (ab)^-k b^-1>, n = 2k + 1."""
+    k = (n - 1) // 2
+    return parse_presentation("gens: a b\nrel: %s\n"
+                              % ("ab" * k + "a" + "BA" * k + "B"))
+
+
+class TestTwoGeneratorClosedForm:
+    def test_on_curve_point_in_the_balanced_gauge(self, trefoil):
+        rho = two_generator_representation(trefoil, _trefoil_traces(2.1, 1.0))
+        assert rho.residual <= 1e-13
+        assert not rho.is_reducible()
+        (a, q), (_, a_inv) = rho.matrices[0]
+        (b_inv, _), (d, b) = rho.matrices[1]
+        # x = [a, s, 1/b, s]: equal couplings, B's inverse eigenvalue on top
+        assert q == d and a_inv == 1.0 / a and b_inv == 1.0 / b
+        assert abs(a) >= 1 and abs(b) >= 1
+        for w, v in _trefoil_traces(2.1, 1.0).items():
+            assert abs(rho.trace(trefoil.word(w)) - v) <= 1e-13
+
+    @pytest.mark.parametrize("z", [0.8, 0.9, 1.1, 1.2])
+    def test_off_curve_reason_carries_the_residual(self, trefoil, z):
+        with pytest.raises(SolveError, match="no irreducible representation"
+                           ) as info:
+            two_generator_representation(trefoil, _trefoil_traces(2.1, z))
+        exc = info.value
+        assert exc.best_residual > 0.1
+        assert "max|f| %.1e > 1e-10" % exc.best_residual in str(exc)
+        assert exc.restarts == 0
+
+    def test_burde_de_rham_point_is_only_reducible(self, trefoil):
+        # m^2 = e^{i pi/3} is a root of t^2 - t + 1: the reducible
+        # character tr ab = y^2 - 2 meets the irreducible line tr ab = 1
+        m = cmath.exp(1j * math.pi / 6)
+        cons = _trefoil_traces(m + 1 / m, (m + 1 / m) ** 2 - 2)
+        with pytest.raises(SolveError, match="only reducible") as info:
+            two_generator_representation(trefoil, cons)
+        # on the character variety: the closed form meets the tolerance
+        assert info.value.best_residual <= 1e-10
+
+    def test_extra_constraints_are_checked(self, trefoil):
+        # tr(aB) = tr a tr b - tr ab on every representation
+        good = _trefoil_traces(2.1, 1.0, aB=2.1 * 2.1 - 1.0)
+        assert two_generator_representation(trefoil, good).residual <= 1e-13
+        with pytest.raises(SolveError) as info:
+            two_generator_representation(trefoil, {**good, "aB": 3.0})
+        assert info.value.best_residual == pytest.approx(0.41, rel=1e-9)
+
+    def test_needs_two_generators_and_the_pair_traces(self, trefoil, p935):
+        with pytest.raises(AlgebraError):
+            two_generator_representation(trefoil, {"a": 2.1, "b": 2.1})
+        with pytest.raises(AlgebraError):
+            two_generator_representation(
+                p935, {"a": 2.5, "b": 2.5, "c": 2.5, "ab": 5.25})
+
+    def test_dispatch(self, trefoil, monkeypatch):
+        from talex import representations
+        calls = []
+
+        def spy(p, cons, seed=0):
+            calls.append(seed)
+            return solve_representation(p, cons, seed=seed)
+
+        monkeypatch.setattr(representations, "solve_representation", spy)
+        a = representation_from_traces(trefoil, _trefoil_traces(2.1, 1.0), 3)
+        b = two_generator_representation(trefoil, _trefoil_traces(2.1, 1.0))
+        assert a.matrices == b.matrices and calls == []
+        # without tr ab the traces leave a curve: the solver picks a point
+        representation_from_traces(trefoil, {"a": 2.1, "b": 2.1}, seed=5)
+        assert calls == [5]
+
+    def test_agrees_with_newton_far_out(self, trefoil):
+        # on-curve trefoil characters with |y| up to about 45
+        rng = np.random.default_rng(11)
+        words = [trefoil.word(w) for w in ("a", "b", "ab", "aB", "abAB", "aab")]
+        for k in range(12):
+            y = complex(45 * rng.uniform(-1, 1), 22 * rng.uniform(-1, 1))
+            cons = _trefoil_traces(y, 1.0)
+            try:
+                newton = solve_representation(trefoil, cons, seed=k)
+            except SolveError:
+                continue
+            rho = two_generator_representation(trefoil, cons)
+            for w in words:
+                want = complex(newton.trace(w))
+                assert abs(complex(rho.trace(w)) - want) <= 1e-9 * max(
+                    1.0, abs(want))
+
+
+class TestFiberedTorusKnots:
+    """T(2, n) is fibered of genus g = (n - 1)/2, so every twisted
+    polynomial of an irreducible representation is monic of degree
+    4g - 2 = 2n - 4 (Goda-Kitano-Morifuji)."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_odd_multiples_solve_monic_even_ones_do_not(self, n):
+        p = _torus_pair(n)
+        for j in range(1, n):
+            cons = _trefoil_traces(2.1, 2 * math.cos(j * math.pi / n))
+            if j % 2:
+                rho = representation_from_traces(p, cons)
+                assert rho.residual <= 1e-13
+                ta = wada_invariant(p, rho)
+                assert ta.monic and ta.degree == 2 * n - 4
+            else:
+                with pytest.raises(SolveError) as info:
+                    representation_from_traces(p, cons)
+                assert info.value.best_residual >= 0.9
 
 
 @lru_cache(maxsize=None)
