@@ -22,10 +22,9 @@ from .matrix import SquareMatrix, det
 from .roots import complex_roots, distinct_values, unit_circle_roots
 from .representations import (Representation, abelian_rep,
                               burde_derham_check, character_of,
-                              parse_constraints, reducible_formula,
-                              representation_from_traces,
-                              satellite_alexander, solve_representation,
-                              two_generator_representation)
+                              closed_form_representation, parse_constraints,
+                              reducible_formula, representation_from_traces,
+                              satellite_alexander, solve_representation)
 from .twisted import (TwistedAlex, alexander, coefficient_profile,
                       determines_genus, fox_matrix_laurent,
                       genus_lower_bound, make_twisted, normalized_close,

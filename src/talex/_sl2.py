@@ -10,7 +10,7 @@ their exact Jacobian at x.  They hold the letter images as flat 4-tuples
 (m00, m01, m10, m11) and multiply them entry by entry in local variables,
 which is the solver's inner loop.  _det_one_on_trace_rows finds a further
 generator from trace rows linear in it and det = 1, for the solver's seeds
-and the 9_35 closed form.
+and the closed form (its gauges: the representations module docstring).
 """
 
 from __future__ import annotations
@@ -145,8 +145,7 @@ def _letter_images(eq: _Equations, x: np.ndarray) -> list[tuple]:
     return gens + [(m11, -m01, -m10, m00) for m00, m01, m10, m11 in gens]
 
 
-def _det_one_on_trace_rows(prods: list, traces: list,
-                           stable: bool = False) -> list[np.ndarray]:
+def _det_one_on_trace_rows(prods: list, traces: list) -> list[np.ndarray]:
     """The 2x2 matrices C, flattened to (c00, c01, c10, c11), with
     tr(P_k C) = traces[k] for each P_k in prods and det C = 1.
 
@@ -154,11 +153,9 @@ def _det_one_on_trace_rows(prods: list, traces: list,
     one-dimensional null space, C = c0 + s nv (c0 their minimum-norm
     solution, nv a null vector) and det C = 1 is a quadratic in s: the
     result lists C at its two roots, the +sqrt root first, or at its one
-    root when the quadratic is linear.  Otherwise it is empty.  With
-    stable, the root of smaller magnitude is q0 / (q2 s) from the larger
-    one instead of the textbook formula, which cancels when the roots
-    differ greatly in size; solve_representation keeps the textbook
-    formula, which fixes its seeds and hence its trajectories.
+    root when the quadratic is linear.  Otherwise it is empty.  The root
+    of smaller magnitude is q0 / (q2 s) from the larger one, because the
+    textbook formula cancels when the roots differ greatly in size.
     """
     mat = np.array([[p[0][0], p[1][0], p[0][1], p[1][1]] for p in prods],
                    dtype=complex)
@@ -181,10 +178,9 @@ def _det_one_on_trace_rows(prods: list, traces: list,
     if abs(q2) > 1e-12:
         disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
         roots = [(-q1 + disc) / (2 * q2), (-q1 - disc) / (2 * q2)]
-        if stable:
-            big = 0 if abs(roots[0]) >= abs(roots[1]) else 1
-            if roots[big] != 0:
-                roots[1 - big] = q0 / (q2 * roots[big])
+        big = 0 if abs(roots[0]) >= abs(roots[1]) else 1
+        if roots[big] != 0:
+            roots[1 - big] = q0 / (q2 * roots[big])
     elif abs(q1) > 1e-12:
         roots = [-q0 / q1]
     else:

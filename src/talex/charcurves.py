@@ -39,19 +39,14 @@ On either curve the leading coefficient of the twisted Alexander
 polynomial is a single trace polynomial psi_2(x) = x^3 + 6x^2 + 6x + 5
 in x = y^2 - z, certified here by sampling representations on the curve
 and comparing against the determinant it abbreviates.  The samples are
-built in closed form, not solved for.  In solve_representation's gauge
-A = [[a, 1], [0, 1/a]] and B = [[a, 0], [d, 1/a]] with a + 1/a = y,
-|a| >= 1 and d = z - a^2 - a^-2 carry the traces y, y and z; tr C = y,
-tr BC = z and tr CA = z are linear in C, and det C = 1 leaves two roots,
-the two values of tr(abc).  On C both roots are representations, on C'
-the relators keep one (solve_on_curve).  Monicness of the twisted
-polynomial at a character is then the root count census of psi_2(x) = c
-intersected with the curve, computed exactly.
+built in closed form from curve_constraints by
+representations.representation_from_traces, not solved for.  Monicness
+of the twisted polynomial at a character is then the root count census
+of psi_2(x) = c intersected with the curve, computed exactly.
 """
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 from collections.abc import Iterator
 from fractions import Fraction
@@ -66,10 +61,8 @@ from .laurent import LaurentPoly
 from .matrix import det
 from .multipoly import MultiPoly, exact_divide, resultant
 from .presentations import Presentation, parse_presentation
-from .representations import _SOLVE_TOL, Representation, _meridian_eigenvalue
+from .representations import Representation, representation_from_traces
 from .roots import complex_roots
-from ._sl2 import (_COMPLEX_ID, _Equations, _det_one_on_trace_rows,
-                   _residual, _unpack)
 from .twisted import fox_matrix_laurent, wada_invariant
 
 RV_VARS = ("y1", "y2", "v")
@@ -353,64 +346,11 @@ def curve_constraints(y0: complex, z0: complex) -> dict[str, complex]:
 
 def solve_on_curve(y0: complex, z0: complex) -> Representation:
     """The irreducible representation with the curve character (y0, z0),
-    built in closed form in solve_representation's gauge.
-
-    A = [[a, 1], [0, 1/a]] and B = [[a, 0], [d, 1/a]] with a + 1/a = y0 and
-    d = z0 - a^2 - a^-2 give tr(a) = tr(b) = y0 and tr(ab) = z0.  a is the
-    root with |a| >= 1, as in two_generator_representation: of 1,200 C'
-    points with y0 uniform in [-5, 5] x [-3, 3]i, the principal-root a
-    (|a| < 1 at most Re y0 < 0) misses 1e-10 at 187 and |a| >= 1 at 13, all
-    with |z0| > 20.  B keeps a on top: two_generator_representation's
-    [[1/a, 0], [s, a]] misses at 256 of those points, all near z0 = 2,
-    where s -> 0 makes the rows below nearly dependent.  The rows
-    tr C = y0, tr BC = z0 and tr CA = z0 are linear in C, and det C = 1 on
-    their solution line is a quadratic.  Three SL(2,C) matrices are fixed
-    up to conjugacy by their one- and two-letter traces together with
-    tr(abc), a root of a quadratic in those six (Fricke), so the two roots
-    are the two values of tr(abc): tr(abc) and tr(acb) trade places between
-    them.  The relators choose the branch.  On C' one root is a
-    representation; on C, a double factor of the eliminant, both are, and
-    the first (the +sqrt root) is kept.  The smaller root comes from the
-    product of the two, because the textbook formula loses it to
-    cancellation at about 2% of the C' points certify_psi2 samples.  A root
-    is kept when it passes solve_representation's own test, max|f| <= 1e-10
-    over the relator, det and trace rows and irreducible; otherwise
-    SolveError says why.  Nothing iterates, so nothing polishes the point.
-    """
-    y0, z0 = complex(y0), complex(z0)
-    if not (cmath.isfinite(y0) and cmath.isfinite(z0)):
-        raise SolveError("curve point (%r, %r) is not finite" % (y0, z0))
-    pres = pretzel935_presentation()
-    a = _meridian_eigenvalue(y0)
-    d = z0 - a * a - 1.0 / (a * a)
-    gauge_ab = [a, 1.0 + 0j, a, d]
-    mat_a, mat_b = _unpack(gauge_ab, 2)
-    cands = _det_one_on_trace_rows([_COMPLEX_ID, mat_b, mat_a], [y0, z0, z0],
-                                   stable=True)
-    if not cands:
-        raise SolveError("the traces at (%r, %r) do not cut det C = 1 down "
-                         "to one or two matrices C" % (y0, z0))
-    eq = _Equations(pres, {pres.word(w): v for w, v
-                           in curve_constraints(y0, z0).items()})
-    best, reducible = np.inf, False
-    for c in cands:
-        x = np.array(gauge_ab + list(c), dtype=complex)
-        worst = float(np.max(np.abs(_residual(eq, x))))
-        best = min(best, worst)
-        if worst <= _SOLVE_TOL:
-            rho = Representation(pres, _unpack(x, 3))
-            rho.residual = rho.relator_residual()
-            if not rho.is_reducible():
-                return rho
-            reducible = True
-    if reducible:
-        raise SolveError("only reducible representations at (%r, %r) "
-                         "(commutator traces all within 1e-6 of 2)"
-                         % (y0, z0), best_residual=best)
-    raise SolveError("no representation at (%r, %r): best max|f| %.1e "
-                     "exceeds %.0e, so the point is off the curves or the "
-                     "construction is too ill-conditioned there"
-                     % (y0, z0, best, _SOLVE_TOL), best_residual=best)
+    built in closed form: on C' one root of det C = 1 is a representation,
+    on C (a double factor of the eliminant) both are and the first is
+    kept.  SolveError says why a point has none."""
+    return representation_from_traces(pretzel935_presentation(),
+                                      curve_constraints(y0, z0))
 
 
 def leading_determinant_sample(rho: Representation) -> complex:

@@ -281,16 +281,14 @@ def _cmd_monic_scan(cfg: RunConfig) -> None:
              % (word_text, steps, len(hits))]
     for r in rows:
         if not r["solved"]:
-            lines.append("step %2d  target %s  unsolved" %
-                         (r["step"], _fmt_complex(complex(*r["target"]))))
+            state = "unsolved"
         elif r.get("polynomial") is None:
-            lines.append("step %2d  target %s  non-polynomial" %
-                         (r["step"], _fmt_complex(complex(*r["target"]))))
+            state = "non-polynomial"
         else:
-            lines.append("step %2d  target %s  leading %s%s" %
-                         (r["step"], _fmt_complex(complex(*r["target"])),
-                          _fmt_complex(complex(*r["leading"])),
-                          "  MONIC" if r["monic"] else ""))
+            state = "leading %s%s" % (_fmt_complex(complex(*r["leading"])),
+                                      "  MONIC" if r["monic"] else "")
+        lines.append("step %2d  target %s  %s" % (
+            r["step"], _fmt_complex(complex(*r["target"])), state))
     _emit(cfg, payload, lines)
 
 
@@ -435,7 +433,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "pretzel character-curve pipeline.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, **flags) -> argparse.ArgumentParser:
+    # Each subcommand registers only the tolerances it reads, and --seed
+    # with them; RunConfig holds the defaults.
+    tol_help = {"clean": "relative cleanup epsilon (default 1e-10)",
+                "cluster": "root clustering radius (default 1e-8)",
+                "residual": "residual bound (default 1e-8)"}
+
+    def add(name: str, help_: str, tols: tuple = (),
+            **flags) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
         if flags.get("pres"):
             sp.add_argument("--pres", help="presentation file (gens:/rel: lines)")
@@ -455,14 +460,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if flags.get("omega"):
             sp.add_argument("--lambda", dest="lam",
                             help="unit-circle evaluation point omega")
-        sp.add_argument("--tol-clean", type=float, default=1e-10,
-                        help="relative cleanup epsilon (default 1e-10)")
-        sp.add_argument("--tol-cluster", type=float, default=1e-8,
-                        help="root clustering radius (default 1e-8)")
-        sp.add_argument("--tol-residual", type=float, default=1e-8,
-                        help="residual bound (default 1e-8)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for all sampling (default 0)")
+        for tol in tols:
+            sp.add_argument("--tol-" + tol, type=float, help=tol_help[tol])
+        if tols:
+            sp.add_argument("--seed", type=int,
+                            help="seed for all sampling (default 0)")
         sp.add_argument("--report", help="write the JSON report to this path")
         sp.add_argument("--json", dest="json_out", action="store_true",
                         help="print JSON instead of text")
@@ -470,15 +472,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("alexander", "classical Alexander polynomial", pres=True)
     add("twisted", "twisted Alexander value of one representation",
-        pres=True, rep=True)
+        ("clean",), pres=True, rep=True)
     add("monic-scan", "sweep characters and report monic hits",
-        pres=True, rep=True)
+        ("clean",), pres=True, rep=True)
     add("genus", "degree census against the 4g-2 bound",
-        pres=True, rep=True, seifert=True)
+        ("clean",), pres=True, rep=True, seifert=True)
     add("signature", "Levine-Tristram signature report", seifert=True,
         omega=True)
     add("satellite", "satellite Alexander polynomial", satellite=True)
-    add("pretzel935", "full character-curve pipeline with certifications")
+    add("pretzel935", "full character-curve pipeline with certifications",
+        ("cluster", "residual"))
     return ap
 
 

@@ -3,43 +3,53 @@
 A Representation stores one 2x2 matrix per generator, either with exact
 rational entries (diagonal abelian representations) or complex floating
 entries (solved irreducible representations).  Inverses use the adjugate,
-which is the true inverse precisely when det = 1; validity therefore means
-all generator determinants lie within tolerance of 1 and all relators map
-within tolerance of the identity.
+the true inverse when det = 1; a valid representation has every generator
+determinant within tolerance of 1 and every relator image within
+tolerance of the identity.
 
-solve_representation is a damped Gauss-Newton iteration in an explicit
-gauge: the first generator is upper-triangular, the second lower-
-triangular (both with determinant 1 built in), remaining generators carry
-four free entries plus a soft det-1 constraint.  Trace targets enter the
-residual with weight 1 alongside the relator entries.  Any irreducible
-pair of images can be conjugated into this gauge, so the gauge costs no
-generality for the representations of interest.
+solve_representation is a damped Gauss-Newton iteration in the gauge
+x = (a, q, b', d), A = [[a, q], [0, 1/a]], B = [[b', 0], [d, 1/b']], with
+four free entries and a soft det-1 row for each further generator and
+trace targets as rows of weight 1.  Any irreducible pair of images can be
+conjugated into it.  The Jacobian is exact: a word's derivative is the
+sum over its letters of prefix * (derivative of the letter) * suffix, the
+matrix form of the Fox prefix scan.  Two fixed rules end a restart early.
+At the rounding floor (residual norm <= 1e-12) a Newton step that does not
+halve the norm means rounding limits the residual, so the restart stops.
+A restart whose norm has not fallen below 0.95 times its value 10
+iterations earlier sits at a least-squares minimum that is no solution
+and is abandoned.  The residual test then judges the restart's last point.
 
-The Jacobian is exact: a word's derivative is the sum over its letters of
-prefix * (derivative of the letter) * suffix, the matrix form of the Fox
-prefix scan, and each gauge coordinate moves one entry of one generator
-(plus the 1/a and 1/b corners of the first two).  Two fixed rules end a
-restart early.  At the rounding floor (residual norm <= 1e-12) a Newton
-step that does not halve the norm means rounding, not the iterate, limits
-the residual, so the restart stops instead of halving the step.  A restart
-whose norm has not fallen below 0.95 times its value 10 iterations earlier
-sits at a least-squares minimum that is no solution and is abandoned.  The
-usual residual test then accepts or rejects the restart's last point.
+When the constrained words pin every generator no search is needed
+(closed_form_representation).  The one- and two-letter traces fix an
+irreducible pair up to conjugacy (Riley), and a triple up to the two
+values of tr(abc), the roots of a quadratic in them (Fricke).  A and B
+are built in the gauge from a + 1/a = tr a and b + 1/b = tr b with
+|a|, |b| >= 1 and qd = tr ab - ab' - 1/(ab'); a third image C solves the
+trace rows linear in it (_trace_rows) with det C = 1, a quadratic whose
+roots are the two values of tr(abc).  The solver's equations decide each
+candidate.  No one gauge serves both cases.  Misses of 1e-10 at 400
+on-curve trefoil points (|Re y| <= 40, |Im y| <= 20) and 1,200 points of
+9_35's curve C' (y in [-5, 5] x [-3, 3]i):
 
-On two generators no search is needed.  The character (tr a, tr b, tr ab)
-of an irreducible representation fixes it up to conjugacy (Riley), and
-two_generator_representation builds it in the same gauge with q = d:
-A = [[a, s], [0, 1/a]], B = [[1/b, 0], [s, b]], a + 1/a = tr a,
-b + 1/b = tr b, s^2 = tr ab - a/b - b/a.  The solver's equations at that
-one point decide: within tolerance it is the representation, otherwise no
-irreducible representation has those traces.  representation_from_traces
-is the one place that picks between the two constructions.
+    x                 trefoil   C'
+    (a, s, 1/b, s)       0      257    two generators
+    (a, 1, b, d)       302       13    three generators
+    (a, 1, 1/b, d)       0      310
+    (a, s, b, s)       158       37
+
+Equal couplings keep the relator products balanced at large |tr a|; a
+pair with 1/b on top makes the rows linear in C nearly dependent near
+tr ab = 2.  representation_from_traces is the one place that picks
+between the closed form and the solver.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
+from functools import reduce
 from numbers import Rational
 
 import numpy as np
@@ -83,26 +93,21 @@ class Representation:
         return m[0][0] + m[1][1]
 
     def relator_residual(self) -> float:
-        worst = 0.0
-        for r in self.presentation.relators:
-            m = self.image(r)
-            for i in (0, 1):
-                for j in (0, 1):
-                    target = 1.0 if i == j else 0.0
-                    worst = max(worst, abs(complex(m[i][j]) - target))
-        return worst
+        return max((abs(complex(m[i][j]) - (1.0 if i == j else 0.0))
+                    for m in map(self.image, self.presentation.relators)
+                    for i in (0, 1) for j in (0, 1)), default=0.0)
 
     def is_reducible(self, tol: float = 1e-6) -> bool:
-        """All pairwise commutator traces within tol of 2."""
-        n = self.presentation.num_generators
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = self.matrices[i], self.matrices[j]
-                comm = _mat_mul(_mat_mul(a, b),
-                                _mat_mul(_mat_adjugate(a), _mat_adjugate(b)))
-                if abs(complex(comm[0][0] + comm[1][1]) - 2.0) > tol:
-                    return False
-        return True
+        """Whether the images share an eigenvector: for two, tr[A, B] = 2
+        within tol.  Three or more can share one pairwise and none in all,
+        so they go to _share_an_eigenvector with the bound sqrt(tol), since
+        tr[A, B] - 2 is a product of two such sines."""
+        if len(self.matrices) != 2:
+            return _share_an_eigenvector(self.matrices, math.sqrt(tol))
+        a, b = self.matrices
+        comm = _mat_mul(_mat_mul(a, b),
+                        _mat_mul(_mat_adjugate(a), _mat_adjugate(b)))
+        return abs(complex(comm[0][0] + comm[1][1]) - 2.0) <= tol
 
     def conjugate(self, g: Matrix2) -> "Representation":
         ginv = _mat_adjugate(g)
@@ -114,14 +119,8 @@ class Representation:
         return Representation(self.presentation, mats, self.residual)
 
     def to_json_dict(self) -> dict:
-        gens = []
-        for m in self.matrices:
-            flat = []
-            for i in (0, 1):
-                for j in (0, 1):
-                    z = complex(m[i][j])
-                    flat.append([z.real, z.imag])
-            gens.append(flat)
+        gens = [[[complex(e).real, complex(e).imag] for row in m for e in row]
+                for m in self.matrices]
         return {"generators": gens, "residual": self.residual}
 
     @classmethod
@@ -144,10 +143,39 @@ class Representation:
         return cls(presentation, mats, residual)
 
 
+def _share_an_eigenvector(mats: list[Matrix2], bound: float) -> bool:
+    """Whether an eigenvector v of the matrix farthest from scalar (largest
+    |m01| + |m10| + |m00 - m11|) has |v x Mv| <= bound |v| |Mv|, the sine
+    of the angle from v to Mv, for every matrix M."""
+    flat = [[complex(e) for row in m for e in row] for m in mats]
+    spread = [abs(q) + abs(r) + abs(p - w) for p, q, r, w in flat]
+    if not any(spread):
+        return True     # scalars: every vector is an eigenvector
+    p, q, r, w = flat[spread.index(max(spread))]
+    disc = cmath.sqrt((p - w) ** 2 + 4 * q * r)
+    for lam in ((p + w + disc) / 2, (p + w - disc) / 2):
+        v0, v1 = max((q, lam - p), (lam - w, r),
+                     key=lambda u: abs(u[0]) + abs(u[1]))
+        scale = bound * math.hypot(abs(v0), abs(v1))
+        if all(abs(v0 * (c * v0 + d * v1) - v1 * (a * v0 + b * v1)) <= scale
+               * math.hypot(abs(a * v0 + b * v1), abs(c * v0 + d * v1))
+               for a, b, c, d in flat):
+            return True
+    return False
+
+
 def character_of(rho: Representation,
                  words: list[FreeWord]) -> dict[FreeWord, object]:
     """The trace function recorded on finitely many words."""
     return {w: rho.trace(w) for w in words}
+
+
+def _nonzero_scalar(lam):
+    """lam as a Fraction when rational, otherwise as a complex number."""
+    lam = Fraction(lam) if isinstance(lam, (int, Rational)) else complex(lam)
+    if lam == 0:
+        raise AlgebraError("lambda must be nonzero")
+    return lam
 
 
 def abelian_rep(p: Presentation, lam) -> Representation:
@@ -156,23 +184,13 @@ def abelian_rep(p: Presentation, lam) -> Representation:
     Only valid for Wirtinger-style presentations; the relators must have
     zero total exponent sum, which makes the relator residual exactly zero.
     """
-    if isinstance(lam, (int, Rational)):
-        lam = Fraction(lam)
-        if lam == 0:
-            raise AlgebraError("lambda must be nonzero")
-        inv = 1 / lam
-        zero = Fraction(0)
-    else:
-        lam = complex(lam)
-        if lam == 0:
-            raise AlgebraError("lambda must be nonzero")
-        inv = 1.0 / lam
-        zero = 0j
+    lam = _nonzero_scalar(lam)
+    zero = Fraction(0) if isinstance(lam, Fraction) else 0j
     bad = [r for r in p.relators if r.exponent_sum() != 0]
     if bad:
         raise AlgebraError("presentation is not Wirtinger-style: relator "
                            "with nonzero exponent sum")
-    m = ((lam, zero), (zero, inv))
+    m = ((lam, zero), (zero, 1 / lam))
     return Representation(p, [m] * p.num_generators, residual=0.0)
 
 
@@ -185,14 +203,8 @@ def reducible_formula(delta: LaurentPoly, lam) -> LaurentRational:
     exactly when lam^2 is a root of delta (and then, by the reciprocal
     symmetry of knot polynomials, lam^-2 is one too).
     """
-    if isinstance(lam, (int, Rational)):
-        lam = Fraction(lam)
-    else:
-        lam = complex(lam)
-    if lam == 0:
-        raise AlgebraError("lambda must be nonzero")
-    one = Fraction(1) if isinstance(lam, Fraction) else 1.0
-    inv = one / lam
+    lam = _nonzero_scalar(lam)
+    inv = 1 / lam
     num = delta.compose_scale(lam) * delta.compose_scale(inv)
     t = LaurentPoly.t()
     den = (t - LaurentPoly.constant(lam)) * (t - LaurentPoly.constant(inv))
@@ -331,42 +343,6 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
     # constraint slice exactly instead of hoping a restart wanders onto it.
     z_ab = constraints.get(FreeWord([1, 2]))
 
-    def seed_on_trace_slice(gi: int, seeded: list, rng) -> np.ndarray | None:
-        """Entries for generator index gi (1-based) solving every constraint
-        that is linear in it, det-corrected to 1.
-
-        A constraint tr(w) with gi occurring exactly once at exponent +1 and
-        only earlier generators elsewhere is linear in the new matrix C:
-        cyclic invariance gives tr(w) = tr(P C) with P a product of already
-        seeded images.  The minimum-norm solution of those rows plus a null
-        direction scaled to reach det = 1 starts Newton on the entire trace
-        slice, leaving only the relators to satisfy.
-        """
-        prods = [np.eye(2, dtype=complex)]
-        traces = [gen_trace.get(gi - 1, y0)]
-        for w, v in constraints.items():
-            letters = list(w)
-            if len(letters) < 2 or letters.count(gi) != 1:
-                continue
-            if any(abs(l) >= gi for l in letters if l != gi):
-                continue
-            k = letters.index(gi)
-            rest = letters[k + 1:] + letters[:k]
-            pm = np.eye(2, dtype=complex)
-            for l in rest:
-                m = np.array(seeded[l - 1] if l > 0 else
-                             _mat_adjugate(seeded[-l - 1]), dtype=complex)
-                pm = pm @ m
-            prods.append(pm)
-            traces.append(v)
-        if len(prods) < 3:
-            return None
-        cands = _det_one_on_trace_rows(prods, traces)
-        if not cands:
-            return None
-        c = cands[0] if len(cands) == 1 or rng.integers(2) else cands[1]
-        return c if np.all(np.isfinite(c)) else None
-
     rng = np.random.default_rng(seed)
     best_reducible = None
     iterations = halvings = 0
@@ -384,10 +360,16 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
             if z_ab is not None:
                 prod = x[0] * x[2]
                 x[3] = (z_ab - prod - 1.0 / prod) / x[1]
-        seeded = [((x[0], x[1]), (0j, 1.0 / x[0])),
-                  ((x[2], 0j), (x[3], 1.0 / x[2]))][:n]
         for i in range(nfree):
-            entries = seed_on_trace_slice(3 + i, seeded, rng)
+            # A det-1 point of the rows linear in the new generator starts
+            # Newton on the trace slice, leaving only the relators to solve.
+            prods, traces = _trace_rows(3 + i, gen_trace.get(2 + i, y0),
+                                        constraints, _unpack(x, 2 + i))
+            cands = _det_one_on_trace_rows(prods, traces) if len(prods) > 2 else []
+            entries = None
+            if cands:
+                c = cands[0] if len(cands) == 1 or rng.integers(2) else cands[1]
+                entries = c if np.all(np.isfinite(c)) else None
             if entries is None:
                 tr_i = gen_trace.get(2 + i, y0)
                 g = np.array([[1.0 + jit[4 + 4 * i], jit[5 + 4 * i]],
@@ -398,8 +380,6 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                         @ np.linalg.inv(g))
                 entries = base.reshape(-1)
             x[4 + 4 * i: 8 + 4 * i] = entries
-            e = x[4 + 4 * i: 8 + 4 * i]
-            seeded.append(((e[0], e[1]), (e[2], e[3])))
 
         f = _residual(eq, x)
         norm = np.linalg.norm(f)
@@ -460,62 +440,104 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                      "%d restarts" % (tol, restarts), **counters)
 
 
-# The constrained words of two_generator_representation: a, b and ab.
+def _linear_rows(gi: int, constraints: dict) -> list[tuple[tuple, complex]]:
+    """(rest, v) for each constraint tr(w) = v linear in generator gi
+    (1-based): gi occurs once in w, at exponent +1, and only earlier
+    generators elsewhere, so tr(w) = tr(P C) by cyclic invariance, with C
+    the image of gi and P that of rest, w's letters after gi then before."""
+    rows = []
+    for w, v in constraints.items():
+        t = w.tietze
+        if (len(t) > 1 and t.count(gi) == 1
+                and all(abs(l) < gi for l in t if l != gi)):
+            k = t.index(gi)
+            rows.append((t[k + 1:] + t[:k], v))
+    return rows
+
+
+def _trace_rows(gi: int, trace_gi: complex, constraints: dict,
+                images: list) -> tuple[list, list]:
+    """(prods, traces) for _det_one_on_trace_rows: tr C = trace_gi, then the
+    _linear_rows of C, the image of generator gi, given the images before."""
+    prods, traces = [np.eye(2, dtype=complex)], [trace_gi]
+    for rest, v in _linear_rows(gi, constraints):
+        prods.append(reduce(np.matmul, (np.array(
+            images[l - 1] if l > 0 else _mat_adjugate(images[-l - 1]),
+            dtype=complex) for l in rest), np.eye(2, dtype=complex)))
+        traces.append(v)
+    return prods, traces
+
+
+# The words whose constrained traces pin A and B: a, b and ab.
 _PAIR_WORDS = (FreeWord([1]), FreeWord([2]), FreeWord([1, 2]))
 
 
+def _pins_every_generator(n: int, constraints: dict) -> bool:
+    """Whether the constrained words (never their values) admit the closed
+    form: 2 or 3 generators, a, b, ab, and for 3 c and two words linear in c."""
+    return (n in (2, 3) and all(w in constraints for w in _PAIR_WORDS)
+            and (n == 2 or (FreeWord([3]) in constraints
+                            and len(_linear_rows(3, constraints)) >= 2)))
+
+
 def _meridian_eigenvalue(y: complex) -> complex:
-    """The root a of a + 1/a = y with |a| >= 1: of (y +- sqrt(y^2 - 4)) / 2
-    the one whose sum does not cancel.  The other root is 1/a."""
+    """The root a of a + 1/a = y with |a| >= 1, (y +- sqrt(y^2 - 4)) / 2 with
+    the sign whose sum does not cancel; the other root is 1/a."""
     r = cmath.sqrt(y * y - 4.0)
     return (y + r) / 2.0 if abs(y + r) >= abs(y - r) else (y - r) / 2.0
 
 
-def two_generator_representation(p: Presentation,
-                                 constraints: dict) -> Representation:
-    """The representation of a two-generator, deficiency-one presentation
-    with the constrained tr a, tr b and tr ab, built in closed form.
-
-    An irreducible pair with these traces has distinct eigenvectors for
-    A's eigenvalue a and B's eigenvalue b; in that basis, balanced by a
-    diagonal conjugation, A = [[a, s], [0, 1/a]] and B = [[1/b, 0], [s, b]]
-    with s^2 = tr ab - a/b - b/a.  That is solve_representation's gauge at
-    x = [a, s, 1/b, s], and its equations (every relator, det and trace
-    row, extra constraints included) decide at that one point against the
-    solver's tolerance.  Within it and irreducible: the representation.
-    Within it but reducible, as at a Burde-de Rham point: SolveError.
-    Otherwise no irreducible representation has these traces, and the
-    SolveError carries max|f| as best_residual.  Nothing is seeded or
-    iterated.
-    """
+def closed_form_representation(p: Presentation,
+                               constraints: dict) -> Representation:
+    """The irreducible representation with the given traces when the
+    constrained words pin every generator, built in closed form (module
+    docstring) and decided by the solver's equations: within _SOLVE_TOL and
+    irreducible it is returned, else SolveError says whether it was
+    reducible, as at a Burde-de Rham point, or missed by best_residual."""
     p.require_deficiency_one()
+    n = p.num_generators
     cons = _as_words(p, constraints)
-    if p.num_generators != 2 or not all(w in cons for w in _PAIR_WORDS):
-        raise AlgebraError("the closed form needs two generators and trace "
-                           "constraints on a, b and ab")
+    if not _pins_every_generator(n, cons):
+        raise AlgebraError("the closed form needs 2 or 3 generators, traces of "
+                           "a, b, ab and, for 3, of c and two words linear in c")
+    if not all(map(cmath.isfinite, cons.values())):
+        raise SolveError("trace constraints must be finite")
     ya, yb, z = (cons[w] for w in _PAIR_WORDS)
     a, b = _meridian_eigenvalue(ya), _meridian_eigenvalue(yb)
-    s = cmath.sqrt(z - a / b - b / a)
-    x = np.array([a, s, 1.0 / b, s])
-    worst = float(np.max(np.abs(_residual(_Equations(p, cons), x))))
-    if not worst <= _SOLVE_TOL:
-        raise SolveError("no irreducible representation has these traces: "
-                         "the closed form misses them by max|f| %.1e > %.0e"
-                         % (worst, _SOLVE_TOL), best_residual=worst)
-    rho = Representation(p, _unpack(x, 2))
-    rho.residual = rho.relator_residual()
-    if rho.is_reducible():
-        raise SolveError(_REDUCIBLE_ONLY, best_residual=worst)
-    return rho
+    if n == 2:
+        s = cmath.sqrt(z - a / b - b / a)
+        points = [[a, s, 1.0 / b, s]]
+    else:
+        pair = [a, 1.0 + 0j, b, z - a * b - 1.0 / (a * b)]
+        cands = _det_one_on_trace_rows(*_trace_rows(
+            3, cons[FreeWord([3])], cons, _unpack(pair, 2)))
+        if not cands:
+            raise SolveError("the traces do not cut det C = 1 down to one or "
+                             "two matrices C")
+        points = [pair + list(c) for c in cands]
+    eq = _Equations(p, cons)
+    best, reducible = np.inf, False
+    for x in map(np.array, points):
+        worst = float(np.max(np.abs(_residual(eq, x))))
+        best = min(best, worst)
+        if worst <= _SOLVE_TOL:
+            rho = Representation(p, _unpack(x, n))
+            rho.residual = rho.relator_residual()
+            if not rho.is_reducible():
+                return rho
+            reducible = True
+    if reducible:
+        raise SolveError(_REDUCIBLE_ONLY, best_residual=best)
+    raise SolveError("no irreducible representation has these traces: the "
+                     "closed form misses them by max|f| %.1e > %.0e"
+                     % (best, _SOLVE_TOL), best_residual=best)
 
 
 def representation_from_traces(p: Presentation, constraints: dict,
                                seed: int = 0) -> Representation:
-    """The irreducible representation with the given trace constraints:
-    two_generator_representation when the presentation has two generators
-    and tr a, tr b and tr ab are constrained (seed is then unused),
-    solve_representation otherwise."""
+    """The irreducible representation with these trace constraints: the
+    closed form if their words pin every generator, else the seeded solver."""
     cons = _as_words(p, constraints)
-    if p.num_generators == 2 and all(w in cons for w in _PAIR_WORDS):
-        return two_generator_representation(p, cons)
+    if _pins_every_generator(p.num_generators, cons):
+        return closed_form_representation(p, cons)
     return solve_representation(p, cons, seed=seed)

@@ -352,7 +352,7 @@ class TestClosedFormConstruction:
             d = z0 - a * a - 1 / (a * a)
             cands = _det_one_on_trace_rows(
                 [((1, 0), (0, 1)), ((a, 0), (d, 1 / a)), ((a, 1), (0, 1 / a))],
-                [y0, z0, z0], stable=True)
+                [y0, z0, z0])
             pres = cc.pretzel935_presentation()
             eq = _Equations(pres, {pres.word(w): v for w, v
                                    in cc.curve_constraints(y0, z0).items()})
@@ -361,18 +361,28 @@ class TestClosedFormConstruction:
             assert sum(w <= 1e-10 for w in worst) == solving
 
     @pytest.mark.parametrize("y0, z0, reason", [
-        (2.5, 1.0, "no representation"),
+        (2.5, 1.0, "no irreducible representation"),
         (2.5, 2.5 ** 2 - 2.0, "do not cut"),
         (2.0, 2.0, "do not cut"),
-        (1.3 + 0.4j, (1.3 + 0.4j) ** 2 - 2.0, "do not cut"),
-        (3 ** 0.5, 2.0, "only reducible")])
+        (1.3 + 0.4j, (1.3 + 0.4j) ** 2 - 2.0, "do not cut")])
     def test_off_curve_and_reducible_points_raise(self, y0, z0, reason):
         # (2.5, 1) is on neither curve.  tr(ab) = y0^2 - 2 makes d = 0: B
-        # is diagonal and det C = 1 holds on the whole line of C.  C meets
-        # the reducible characters (tr[a, b] = 2) where z = 2.
+        # is diagonal and det C = 1 holds on the whole line of C.
         with pytest.raises(SolveError, match=reason) as info:
             cc.solve_on_curve(y0, z0)
         assert info.value.restarts == 0
+
+    def test_pairwise_reducible_point_on_c_is_irreducible(self):
+        # C meets the pairwise reducible characters (tr[a, b] = 2) where
+        # z = 2, but there the three images share no eigenvector.
+        y0, z0 = 3 ** 0.5, 2.0
+        rho = cc.solve_on_curve(y0, z0)
+        assert _equation_residual(rho, y0, z0) <= 1e-10
+        assert not rho.is_reducible()
+        a, b, _ = rho.matrices
+        comm = np.array(a) @ np.array(b) @ np.linalg.inv(
+            np.array(b) @ np.array(a))
+        assert abs(np.trace(comm) - 2) <= 1e-12
 
     def test_non_finite_point_raises(self):
         with pytest.raises(SolveError):

@@ -75,12 +75,21 @@ class TestAlexanderCommand:
         assert code == 2
         assert json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("flag", ["--tol-clean=1e-9", "--tol-cluster=1e-9",
+                                      "--tol-residual=1e-9", "--seed=1"])
+    def test_reads_no_tolerance_or_seed(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["alexander", "--pres", "fixtures/3_1.pres", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("flag", ["clean", "cluster", "residual"])
     def test_negative_tolerance_rejected(self, run, flag, value):
-        # a nan or infinite bound makes every "val > bound" test false
-        code, out, err = run("alexander", "--pres", "fixtures/3_1.pres",
-                             "--tol-%s=%s" % (flag, value))
+        # a nan or infinite bound makes every "val > bound" test false;
+        # each flag is given to a subcommand that reads it
+        argv = (["twisted", "--pres", "fixtures/3_1.pres", "--lambda=2"]
+                if flag == "clean" else ["pretzel935"])
+        code, out, err = run(*argv, "--tol-%s=%s" % (flag, value))
         assert (code, out) == (2, "")
         assert json.loads(err) == {
             "error": "ParseError",
@@ -176,15 +185,18 @@ class TestMonicScanCommand:
 BENCH_SWEEP = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "trefoil_sweep.txt")
 
-# twisted --constraints on 9_35 at (y, z) = (2.5, 5.25): a three-generator
-# constraint set, which the Newton solver at seed 0 handles.
+# twisted --constraints on 9_35 at (y, z) = (2.5, 5.25): every generator
+# is pinned (c by its trace and the rows bc and ca, linear in c), so the
+# closed form builds the representation.  Without ca the set goes to the
+# Newton solver.
 P935_CONSTRAINTS = "".join("trace %s = %s 0\n" % (w, v) for w, v in (
     ("a", 2.5), ("b", 2.5), ("c", 2.5), ("ab", 5.25), ("bc", 5.25),
     ("ca", 5.25)))
 P935_TWISTED = (
-    "(18+4.64158531209e-15j)*t^2 + (-45+1.70760132323e-13j)*t "
-    "+ (18+1.15084016798e-13j)\n"
-    "degree span 2, leading 18+4.64158531209e-15j, monic no\n")
+    "(18-3.65697076048e-15j)*t^2 + (-45+6.43873370515e-14j)*t "
+    "+ (18+5.05180012243e-14j)\n"
+    "degree span 2, leading 18-3.65697076048e-15j, monic no\n")
+P935_WITHOUT_CA = P935_CONSTRAINTS.rsplit("trace ca", 1)[0]
 
 
 def _replace_solver(monkeypatch, fn):
@@ -197,12 +209,13 @@ def _replace_solver(monkeypatch, fn):
     return solve
 
 
+def _no_solver(*args, **kwargs):
+    raise AssertionError("solve_representation was called")
+
+
 class TestClosedFormRouting:
     def test_monic_scan_runs_no_newton_solve(self, run, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("solve_representation was called")
-
-        _replace_solver(monkeypatch, boom)
+        _replace_solver(monkeypatch, _no_solver)
         code, out, err = run("monic-scan", "--pres", "fixtures/3_1.pres",
                              "--constraints", BENCH_SWEEP, "--json")
         assert (code, err) == (0, "")
@@ -216,6 +229,15 @@ class TestClosedFormRouting:
                     "no irreducible representation has these traces")
                 assert "max|f|" in row["reason"]
 
+    def test_pinned_three_generator_set_runs_no_newton_solve(
+            self, run, tmp_path, monkeypatch):
+        _replace_solver(monkeypatch, _no_solver)
+        path = tmp_path / "p935.cons"
+        path.write_text(P935_CONSTRAINTS)
+        code, out, err = run("twisted", "--pres", "fixtures/9_35.pres",
+                             "--constraints", str(path))
+        assert (code, out, err) == (0, P935_TWISTED, "")
+
     def test_other_constraint_sets_go_to_the_solver(self, run, tmp_path,
                                                     monkeypatch):
         calls = []
@@ -226,11 +248,44 @@ class TestClosedFormRouting:
 
         solve = _replace_solver(monkeypatch, spy)
         path = tmp_path / "p935.cons"
-        path.write_text(P935_CONSTRAINTS)
+        path.write_text(P935_WITHOUT_CA)
         code, out, _ = run("twisted", "--pres", "fixtures/9_35.pres",
                            "--constraints", str(path))
         assert (code, calls) == (0, [0])
-        assert out == P935_TWISTED
+        assert "leading 18" in out
+
+    def test_diagram_presentations_go_to_the_solver(self, p820, monkeypatch):
+        calls = []
+
+        def spy(p, cons, seed=0):
+            calls.append((p.num_generators, seed))
+            raise talex.SolveError("spy")
+
+        _replace_solver(monkeypatch, spy)
+        cons = {w: 2.5 for w in ("a", "b", "c", "ab", "bc", "ca")}
+        with pytest.raises(talex.SolveError, match="spy"):
+            talex.representation_from_traces(p820, cons, seed=4)
+        assert calls == [(p820.num_generators, 4)]
+        with pytest.raises(talex.AlgebraError):
+            talex.closed_form_representation(p820, cons)
+
+    def test_closed_form_needs_rows_linear_in_c(self, p935):
+        pair = {"a": 2.5, "b": 2.5, "ab": 5.25}
+        for cons in ({**pair, "bc": 5.25, "ca": 5.25},
+                     {**pair, "c": 2.5, "bc": 5.25},
+                     {**pair, "c": 2.5, "bc": 5.25, "cc": 2.0}):
+            with pytest.raises(talex.AlgebraError):
+                talex.closed_form_representation(p935, cons)
+
+    def test_four_rows_linear_in_c(self, p935):
+        # tr(cA) = tr c tr a - tr(ca) = 1 adds a fourth row, dependent on
+        # the rows of tr c and tr(ca)
+        cons = {"a": 2.5, "b": 2.5, "c": 2.5, "ab": 5.25, "bc": 5.25,
+                "ca": 5.25, "cA": 1.0}
+        rho = talex.closed_form_representation(p935, cons)
+        assert rho.residual <= 1e-10
+        assert not rho.is_reducible()
+        assert abs(rho.trace(p935.word("cA")) - 1.0) <= 1e-12
 
     def test_burde_de_rham_point_exits_five(self, run, tmp_path):
         # y = m + 1/m, tr ab = y^2 - 2 at m = e^{i pi/6}, where the trefoil's

@@ -18,13 +18,13 @@ from talex import (
     abelian_rep,
     burde_derham_check,
     character_of,
+    closed_form_representation,
     parse_constraints,
     parse_presentation,
     reducible_formula,
     representation_from_traces,
     satellite_alexander,
     solve_representation,
-    two_generator_representation,
     wada_invariant,
 )
 from talex.errors import SolveError
@@ -64,6 +64,44 @@ class TestAbelianRep:
 
     def test_is_reducible(self, trefoil):
         assert abelian_rep(trefoil, Fraction(2)).is_reducible()
+
+
+class TestIsReducible:
+    @pytest.mark.parametrize("lam", [Fraction(2), Fraction(1), 1.5 - 0.5j])
+    def test_abelian_three_generator_representations(self, p935, lam):
+        assert abelian_rep(p935, lam).is_reducible()
+
+    def test_trefoil_burde_de_rham_point(self, trefoil):
+        # m^2 = e^{i pi/3} is a root of t^2 - t + 1, so the upper-triangular
+        # nonabelian pair with eigenvalue m satisfies the relator
+        m = cmath.exp(1j * math.pi / 6)
+        rho = Representation(trefoil, [((m, 1), (0, 1 / m)),
+                                       ((m, 0), (0, 1 / m))])
+        assert rho.relator_residual() <= 1e-15
+        assert rho.is_reducible()
+
+    def test_nine_35_burde_de_rham_point(self, p935):
+        # m^2 a root of 7t^2 - 13t + 7, all two-letter traces m^2 + m^-2
+        m = cmath.sqrt((13 + cmath.sqrt(-27)) / 14)
+        y = m + 1 / m
+        cons = {p935.word(w): v for w, v in (
+            ("a", y), ("b", y), ("c", y), ("ab", y * y - 2),
+            ("bc", y * y - 2), ("ca", y * y - 2))}
+        rho = solve_representation(p935, cons, seed=0,
+                                   require_irreducible=False)
+        assert rho.relator_residual() <= 1e-10
+        assert rho.is_reducible()
+
+    def test_pairwise_eigenvectors_are_not_enough(self, trefoil, p935):
+        # A, B share e1, B, C share e2, C, A share (1, 1): every commutator
+        # trace is 2, but no vector is an eigenvector of all three
+        a = ((3.0, 1 / 3 - 3.0), (0.0, 1 / 3))
+        b = ((2.0, 0.0), (0.0, 0.5))
+        c = ((1 / 3, 0.0), (1 / 3 - 3.0, 3.0))
+        for pair in ((a, b), (b, c), (c, a)):
+            assert Representation(trefoil, pair).is_reducible()
+        assert not Representation(p935, [a, b, c]).is_reducible()
+        assert Representation(p935, [a, b, b]).is_reducible()
 
 
 class TestRepresentation:
@@ -298,7 +336,7 @@ def _torus_pair(n):
 
 class TestTwoGeneratorClosedForm:
     def test_on_curve_point_in_the_balanced_gauge(self, trefoil):
-        rho = two_generator_representation(trefoil, _trefoil_traces(2.1, 1.0))
+        rho = closed_form_representation(trefoil, _trefoil_traces(2.1, 1.0))
         assert rho.residual <= 1e-13
         assert not rho.is_reducible()
         (a, q), (_, a_inv) = rho.matrices[0]
@@ -313,7 +351,7 @@ class TestTwoGeneratorClosedForm:
     def test_off_curve_reason_carries_the_residual(self, trefoil, z):
         with pytest.raises(SolveError, match="no irreducible representation"
                            ) as info:
-            two_generator_representation(trefoil, _trefoil_traces(2.1, z))
+            closed_form_representation(trefoil, _trefoil_traces(2.1, z))
         exc = info.value
         assert exc.best_residual > 0.1
         assert "max|f| %.1e > 1e-10" % exc.best_residual in str(exc)
@@ -325,23 +363,23 @@ class TestTwoGeneratorClosedForm:
         m = cmath.exp(1j * math.pi / 6)
         cons = _trefoil_traces(m + 1 / m, (m + 1 / m) ** 2 - 2)
         with pytest.raises(SolveError, match="only reducible") as info:
-            two_generator_representation(trefoil, cons)
+            closed_form_representation(trefoil, cons)
         # on the character variety: the closed form meets the tolerance
         assert info.value.best_residual <= 1e-10
 
     def test_extra_constraints_are_checked(self, trefoil):
         # tr(aB) = tr a tr b - tr ab on every representation
         good = _trefoil_traces(2.1, 1.0, aB=2.1 * 2.1 - 1.0)
-        assert two_generator_representation(trefoil, good).residual <= 1e-13
+        assert closed_form_representation(trefoil, good).residual <= 1e-13
         with pytest.raises(SolveError) as info:
-            two_generator_representation(trefoil, {**good, "aB": 3.0})
+            closed_form_representation(trefoil, {**good, "aB": 3.0})
         assert info.value.best_residual == pytest.approx(0.41, rel=1e-9)
 
     def test_needs_two_generators_and_the_pair_traces(self, trefoil, p935):
         with pytest.raises(AlgebraError):
-            two_generator_representation(trefoil, {"a": 2.1, "b": 2.1})
+            closed_form_representation(trefoil, {"a": 2.1, "b": 2.1})
         with pytest.raises(AlgebraError):
-            two_generator_representation(
+            closed_form_representation(
                 p935, {"a": 2.5, "b": 2.5, "c": 2.5, "ab": 5.25})
 
     def test_dispatch(self, trefoil, monkeypatch):
@@ -354,7 +392,7 @@ class TestTwoGeneratorClosedForm:
 
         monkeypatch.setattr(representations, "solve_representation", spy)
         a = representation_from_traces(trefoil, _trefoil_traces(2.1, 1.0), 3)
-        b = two_generator_representation(trefoil, _trefoil_traces(2.1, 1.0))
+        b = closed_form_representation(trefoil, _trefoil_traces(2.1, 1.0))
         assert a.matrices == b.matrices and calls == []
         # without tr ab the traces leave a curve: the solver picks a point
         representation_from_traces(trefoil, {"a": 2.1, "b": 2.1}, seed=5)
@@ -371,7 +409,7 @@ class TestTwoGeneratorClosedForm:
                 newton = solve_representation(trefoil, cons, seed=k)
             except SolveError:
                 continue
-            rho = two_generator_representation(trefoil, cons)
+            rho = closed_form_representation(trefoil, cons)
             for w in words:
                 want = complex(newton.trace(w))
                 assert abs(complex(rho.trace(w)) - want) <= 1e-9 * max(
