@@ -281,14 +281,16 @@ def _cmd_monic_scan(cfg: RunConfig) -> None:
              % (word_text, steps, len(hits))]
     for r in rows:
         if not r["solved"]:
-            state = "unsolved"
+            lines.append("step %2d  target %s  unsolved" %
+                         (r["step"], _fmt_complex(complex(*r["target"]))))
         elif r.get("polynomial") is None:
-            state = "non-polynomial"
+            lines.append("step %2d  target %s  non-polynomial" %
+                         (r["step"], _fmt_complex(complex(*r["target"]))))
         else:
-            state = "leading %s%s" % (_fmt_complex(complex(*r["leading"])),
-                                      "  MONIC" if r["monic"] else "")
-        lines.append("step %2d  target %s  %s" % (
-            r["step"], _fmt_complex(complex(*r["target"])), state))
+            lines.append("step %2d  target %s  leading %s%s" %
+                         (r["step"], _fmt_complex(complex(*r["target"])),
+                          _fmt_complex(complex(*r["leading"])),
+                          "  MONIC" if r["monic"] else ""))
     _emit(cfg, payload, lines)
 
 

@@ -93,9 +93,14 @@ class Representation:
         return m[0][0] + m[1][1]
 
     def relator_residual(self) -> float:
-        return max((abs(complex(m[i][j]) - (1.0 if i == j else 0.0))
-                    for m in map(self.image, self.presentation.relators)
-                    for i in (0, 1) for j in (0, 1)), default=0.0)
+        worst = 0.0
+        for r in self.presentation.relators:
+            m = self.image(r)
+            for i in (0, 1):
+                for j in (0, 1):
+                    target = 1.0 if i == j else 0.0
+                    worst = max(worst, abs(complex(m[i][j]) - target))
+        return worst
 
     def is_reducible(self, tol: float = 1e-6) -> bool:
         """Whether the images share an eigenvector: for two, tr[A, B] = 2
@@ -119,8 +124,14 @@ class Representation:
         return Representation(self.presentation, mats, self.residual)
 
     def to_json_dict(self) -> dict:
-        gens = [[[complex(e).real, complex(e).imag] for row in m for e in row]
-                for m in self.matrices]
+        gens = []
+        for m in self.matrices:
+            flat = []
+            for i in (0, 1):
+                for j in (0, 1):
+                    z = complex(m[i][j])
+                    flat.append([z.real, z.imag])
+            gens.append(flat)
         return {"generators": gens, "residual": self.residual}
 
     @classmethod
@@ -474,10 +485,19 @@ _PAIR_WORDS = (FreeWord([1]), FreeWord([2]), FreeWord([1, 2]))
 
 def _pins_every_generator(n: int, constraints: dict) -> bool:
     """Whether the constrained words (never their values) admit the closed
-    form: 2 or 3 generators, a, b, ab, and for 3 c and two words linear in c."""
-    return (n in (2, 3) and all(w in constraints for w in _PAIR_WORDS)
-            and (n == 2 or (FreeWord([3]) in constraints
-                            and len(_linear_rows(3, constraints)) >= 2)))
+    form: 2 or 3 generators, a, b, ab, and for 3 c and two words linear in c
+    whose products P do not commute in the free group on a and b.  The
+    rows I, P, P' then span three dimensions for generic A and B, since
+    commuting non-scalar matrices span two with I; rows such as ca and cA
+    never do, because A^-1 = (tr A) I - A."""
+    if n not in (2, 3) or not all(w in constraints for w in _PAIR_WORDS):
+        return False
+    if n == 2:
+        return True
+    rests = [FreeWord(rest) for rest, _ in _linear_rows(3, constraints)]
+    return FreeWord([3]) in constraints and any(
+        not (u * v * u.inverse() * v.inverse()).is_identity()
+        for i, u in enumerate(rests) for v in rests[:i])
 
 
 def _meridian_eigenvalue(y: complex) -> complex:
@@ -494,12 +514,19 @@ def closed_form_representation(p: Presentation,
     docstring) and decided by the solver's equations: within _SOLVE_TOL and
     irreducible it is returned, else SolveError says whether it was
     reducible, as at a Burde-de Rham point, or missed by best_residual."""
+    cons = _as_words(p, constraints)
+    if not _pins_every_generator(p.num_generators, cons):
+        raise AlgebraError("the closed form needs 2 or 3 generators, traces of "
+                           "a, b, ab and, for 3, of c and two words linear in "
+                           "c with products that do not commute")
+    return _closed_form(p, cons)
+
+
+def _closed_form(p: Presentation, cons: dict) -> Representation:
+    """closed_form_representation once the words are known to pin every
+    generator."""
     p.require_deficiency_one()
     n = p.num_generators
-    cons = _as_words(p, constraints)
-    if not _pins_every_generator(n, cons):
-        raise AlgebraError("the closed form needs 2 or 3 generators, traces of "
-                           "a, b, ab and, for 3, of c and two words linear in c")
     if not all(map(cmath.isfinite, cons.values())):
         raise SolveError("trace constraints must be finite")
     ya, yb, z = (cons[w] for w in _PAIR_WORDS)
@@ -539,5 +566,5 @@ def representation_from_traces(p: Presentation, constraints: dict,
     closed form if their words pin every generator, else the seeded solver."""
     cons = _as_words(p, constraints)
     if _pins_every_generator(p.num_generators, cons):
-        return closed_form_representation(p, cons)
+        return _closed_form(p, cons)
     return solve_representation(p, cons, seed=seed)

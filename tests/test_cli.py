@@ -197,6 +197,19 @@ P935_TWISTED = (
     "+ (18+5.05180012243e-14j)\n"
     "degree span 2, leading 18-3.65697076048e-15j, monic no\n")
 P935_WITHOUT_CA = P935_CONSTRAINTS.rsplit("trace ca", 1)[0]
+P935_WITHOUT_CA_TWISTED = (
+    "(18-2.6908865888e-14j)*t^2 + (-45-3.47811579112e-14j)*t "
+    "+ (18-6.24599214651e-14j)\n"
+    "degree span 2, leading 18-2.6908865888e-14j, monic no\n")
+# tr(cA) = tr c tr a - tr(ca): the rows of ca and cA are dependent with
+# that of c for every A, so this set goes to the solver too.
+P935_CA_AND_CA_INVERSE = "".join("trace %s = %s 0\n" % (w, v) for w, v in (
+    ("a", 2.5), ("b", 2.5), ("ab", 5.25), ("c", 2.5), ("ca", 5.25),
+    ("cA", 1.0)))
+P935_CA_AND_CA_INVERSE_TWISTED = (
+    "(18-4.08799761892e-14j)*t^2 + (-45-6.13763014649e-14j)*t "
+    "+ (18-1.26910033646e-13j)\n"
+    "degree span 2, leading 18-4.08799761892e-14j, monic no\n")
 
 
 def _replace_solver(monkeypatch, fn):
@@ -240,6 +253,17 @@ class TestClosedFormRouting:
 
     def test_other_constraint_sets_go_to_the_solver(self, run, tmp_path,
                                                     monkeypatch):
+        self._assert_solved_by_seed_0(run, tmp_path, monkeypatch,
+                                      P935_WITHOUT_CA, P935_WITHOUT_CA_TWISTED)
+
+    def test_dependent_rows_linear_in_c_go_to_the_solver(
+            self, run, tmp_path, monkeypatch):
+        self._assert_solved_by_seed_0(run, tmp_path, monkeypatch,
+                                      P935_CA_AND_CA_INVERSE,
+                                      P935_CA_AND_CA_INVERSE_TWISTED)
+
+    @staticmethod
+    def _assert_solved_by_seed_0(run, tmp_path, monkeypatch, text, expected):
         calls = []
 
         def spy(p, cons, seed=0):
@@ -248,11 +272,11 @@ class TestClosedFormRouting:
 
         solve = _replace_solver(monkeypatch, spy)
         path = tmp_path / "p935.cons"
-        path.write_text(P935_WITHOUT_CA)
-        code, out, _ = run("twisted", "--pres", "fixtures/9_35.pres",
-                           "--constraints", str(path))
+        path.write_text(text)
+        code, out, err = run("twisted", "--pres", "fixtures/9_35.pres",
+                             "--constraints", str(path))
         assert (code, calls) == (0, [0])
-        assert "leading 18" in out
+        assert (out, err) == (expected, "")
 
     def test_diagram_presentations_go_to_the_solver(self, p820, monkeypatch):
         calls = []
@@ -273,7 +297,8 @@ class TestClosedFormRouting:
         pair = {"a": 2.5, "b": 2.5, "ab": 5.25}
         for cons in ({**pair, "bc": 5.25, "ca": 5.25},
                      {**pair, "c": 2.5, "bc": 5.25},
-                     {**pair, "c": 2.5, "bc": 5.25, "cc": 2.0}):
+                     {**pair, "c": 2.5, "bc": 5.25, "cc": 2.0},
+                     {**pair, "c": 2.5, "ca": 5.25, "cA": 1.0}):
             with pytest.raises(talex.AlgebraError):
                 talex.closed_form_representation(p935, cons)
 
