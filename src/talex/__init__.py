@@ -14,7 +14,7 @@ from .errors import (AlgebraError, CertificationError, NonPolynomialError,
 from .words import (FreeWord, GroupRingElement, abelianization_exponent,
                     fox_derivative, fundamental_identity_holds)
 from .presentations import (Presentation, parse_pd, parse_presentation,
-                            pd_to_wirtinger, presentation_to_text)
+                            pd_to_wirtinger, presentation_to_text, simplify)
 from .laurent import (LaurentPoly, LaurentRational, has_simple_root,
                       poly_gcd, squarefree_decomposition)
 from .multipoly import MultiPoly, exact_divide, resultant, sylvester_matrix

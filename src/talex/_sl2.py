@@ -15,6 +15,7 @@ and the closed form (its gauges: the representations module docstring).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -71,13 +72,8 @@ class _Equations:
     Rows, in order: the four entries of image(r) - I for each relator r,
     det - 1 for each generator after the second, tr(image(w)) - v for each
     constraint.  Words are stored as letter codes, g for generator g and
-    n + g for its inverse.  The Jacobian's term table has one term for
-    each letter, each coordinate its generator depends on and each matrix
-    entry (i, j) of the letter that the coordinate moves, with a sign and
-    a factor kind (0: 1, 1: d(1/a)/da, 2: d(1/b)/db).  The table, kept as
-    terms = [(word, coordinate, slot, i, j, sign, kind), ...] with slot
-    the letter's position among all letters, is sorted by (word,
-    coordinate) so that np.add.reduceat sums each Jacobian entry's terms.
+    n + g for its inverse.  The Jacobian's term table is built on first
+    use, since _residual alone never reads it.
     """
 
     def __init__(self, p: Presentation, constraints: dict[FreeWord, complex]):
@@ -90,18 +86,39 @@ class _Equations:
         words = list(p.relators) + list(constraints)
         self.words = [[x - 1 if x > 0 else n - x - 1 for x in w]
                       for w in words]
+        self.nrows = 4 * self.nrel + self.nfree + len(self.targets)
+
+    @functools.cached_property
+    def table(self) -> "_TermTable":
+        return _TermTable(self)
+
+
+class _TermTable:
+    """The gathers, scatters and factors _jacobian reads for one _Equations.
+
+    The table has one term for each letter, each coordinate its generator
+    depends on and each matrix entry (i, j) of the letter that the
+    coordinate moves, with a sign and a factor kind (0: 1, 1: d(1/a)/da,
+    2: d(1/b)/db).  Kept as terms = [(word, coordinate, slot, i, j, sign,
+    kind), ...] with slot the letter's position among all letters, it is
+    sorted by (word, coordinate) so that np.add.reduceat sums each
+    Jacobian entry's terms.
+    """
+
+    def __init__(self, eq: _Equations):
+        n = eq.n
         # (coordinate, i, j, factor kind) for each generator
         moves = [[(0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 0)],
                  [(2, 0, 0, 0), (2, 1, 1, 2), (3, 1, 0, 0)]][:n]
-        for f in range(self.nfree):
+        for f in range(eq.nfree):
             moves.append([(4 + 4 * f + 2 * i + j, i, j, 0)
                           for i in (0, 1) for j in (0, 1)])
         terms = []
         slot = 0
-        for wi, w in enumerate(words):
-            for x in w:
-                for k, i, j, kind in moves[abs(x) - 1]:
-                    if x > 0:
+        for wi, w in enumerate(eq.words):
+            for c in w:
+                for k, i, j, kind in moves[c % n]:
+                    if c < n:
                         terms.append((wi, k, slot, i, j, 1.0, kind))
                     else:   # the adjugate moves entry (1-j, 1-i)
                         terms.append((wi, k, slot, 1 - j, 1 - i,
@@ -126,16 +143,15 @@ class _Equations:
         # of each relator group, the det rows, one trace entry per
         # constraint group.  Groups are sorted by word, relators first.
         gword, gvar = word[self.starts], var[self.starts]
-        self.nrel_groups = int(np.sum(gword < self.nrel))
+        self.nrel_groups = int(np.sum(gword < eq.nrel))
         rel_w, rel_v = gword[:self.nrel_groups], gvar[:self.nrel_groups]
-        self.rel_to = ((4 * rel_w[:, None] + np.arange(4)) * self.nvars
+        self.rel_to = ((4 * rel_w[:, None] + np.arange(4)) * eq.nvars
                        + rel_v[:, None]).ravel()
-        free = np.arange(self.nfree)[:, None]
-        self.det_to = ((4 * self.nrel + free) * self.nvars + 4 + 4 * free
+        free = np.arange(eq.nfree)[:, None]
+        self.det_to = ((4 * eq.nrel + free) * eq.nvars + 4 + 4 * free
                        + np.arange(4)).ravel()
-        tr_row = 4 * self.nrel + self.nfree + gword[self.nrel_groups:] - self.nrel
-        self.trace_to = tr_row * self.nvars + gvar[self.nrel_groups:]
-        self.nrows = 4 * self.nrel + self.nfree + len(self.targets)
+        tr_row = 4 * eq.nrel + eq.nfree + gword[self.nrel_groups:] - eq.nrel
+        self.trace_to = tr_row * eq.nvars + gvar[self.nrel_groups:]
 
 
 def _letter_images(eq: _Equations, x: np.ndarray) -> list[tuple]:
@@ -269,14 +285,15 @@ def _jacobian(eq: _Equations, x: np.ndarray) -> np.ndarray:
     pre, suf = np.array(pre, dtype=complex), np.array(suf, dtype=complex)
     factors = np.array([1.0, -1.0 / x[0] ** 2,
                         -1.0 / x[2] ** 2 if eq.n >= 2 else 0.0])
-    coef = eq.sign * factors[eq.kind]
-    terms = (coef[:, None, None] * pre[eq.pre_at][:, :, None]
-             * suf[eq.suf_at][:, None, :])
-    sums = np.add.reduceat(terms, eq.starts, axis=0)
+    tab = eq.table
+    coef = tab.sign * factors[tab.kind]
+    terms = (coef[:, None, None] * pre[tab.pre_at][:, :, None]
+             * suf[tab.suf_at][:, None, :])
+    sums = np.add.reduceat(terms, tab.starts, axis=0)
     jac = np.zeros(eq.nrows * eq.nvars, dtype=complex)
-    jac[eq.rel_to] = sums[:eq.nrel_groups].ravel()
-    jac[eq.det_to] = [e for m00, m01, m10, m11 in imgs[2:eq.n]
-                      for e in (m11, -m10, -m01, m00)]
-    jac[eq.trace_to] = (sums[eq.nrel_groups:, 0, 0]
-                        + sums[eq.nrel_groups:, 1, 1])
+    jac[tab.rel_to] = sums[:tab.nrel_groups].ravel()
+    jac[tab.det_to] = [e for m00, m01, m10, m11 in imgs[2:eq.n]
+                       for e in (m11, -m10, -m01, m00)]
+    jac[tab.trace_to] = (sums[tab.nrel_groups:, 0, 0]
+                         + sums[tab.nrel_groups:, 1, 1])
     return jac.reshape(eq.nrows, eq.nvars)

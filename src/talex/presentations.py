@@ -21,7 +21,7 @@ from __future__ import annotations
 import string
 
 from .errors import ParseError
-from .words import FreeWord
+from .words import FreeWord, _reduce
 
 _DEFAULT_NAMES = string.ascii_lowercase
 
@@ -222,3 +222,104 @@ def pd_to_wirtinger(pd: list[tuple[int, int, int, int]]) -> Presentation:
                          % (len(relators), n))
     names = None if n <= len(_DEFAULT_NAMES) else ["x%d" % i for i in range(n)]
     return Presentation(n, relators, names, wirtinger=True)
+
+
+def _exponent_sum(letters) -> int:
+    return sum(1 if x > 0 else -1 for x in letters)
+
+
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(letters))
+
+
+def _substitute(r: tuple[int, ...], g: int, w: tuple[int, ...],
+                w_inv: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Replace letter g of r by the word w, freely and cyclically reduce,
+    and return the result with the exponent sum of the conjugator removed."""
+    out = _reduce(y for x in r
+                  for y in (w if x == g else w_inv if x == -g else (x,)))
+    i = 0
+    while 2 * i + 1 < len(out) and out[i] == -out[-1 - i]:
+        i += 1
+    return out[i:len(out) - i], _exponent_sum(out[:i])
+
+
+def _elimination(rels: dict[int, tuple[int, ...]], i: int, g: int):
+    """Solve relator i for its one letter of generator g and substitute.
+
+    Returns (change in total relator length, exponent sum of the Fox
+    prefix, {j: (new relator j, conjugator exponent sum)}), or None when a
+    relator would reduce to the identity."""
+    r = rels[i]
+    pos = next(j for j, x in enumerate(r) if abs(x) == g)
+    w = r[pos + 1:] + r[:pos]
+    if r[pos] > 0:
+        w = _inverse(w)
+    w_inv = _inverse(w)
+    others = {j: _substitute(s, g, w, w_inv) for j, s in rels.items()
+              if j != i and (g in s or -g in s)}
+    if not all(s for s, _ in others.values()):
+        return None
+    growth = sum(len(s) - len(rels[j]) for j, (s, _) in others.items())
+    return (growth - len(r), _exponent_sum(r[:pos]) - (r[pos] < 0), others)
+
+
+def simplify(p: Presentation, keep: int
+             ) -> tuple[Presentation, list[int], int]:
+    """Tietze-reduce p by eliminating generators other than keep.
+
+    Each step takes a relator r = u g^e v, with exponent sum zero, in which
+    the generator g occurs once, solves it for g (g = (vu)^-e), substitutes
+    that word into the other relators and freely and cyclically reduces
+    them.  Of all such (r, g) pairs the step takes the one that leaves the
+    least total relator length, ties going to the first relator, then the
+    lowest generator.  A pair that would reduce a relator to the identity
+    is passed over; the steps stop when no pair is left.  Only the pairs
+    whose relators a step changed are evaluated again.
+
+    Returns (q, kept, E): q's generators are those of p at the indices in
+    kept, in order, and for every representation rho of p with det 1,
+    restricted to q, det Phi(M_keep) = t^E det Phi(M'_keep') for the Fox
+    matrices of p and q with their keep column removed (Wada 1994).  E sums
+    2 ab(prefix) over the eliminations, the prefix being the word whose
+    image is the Fox derivative dr/dg, and 2 ab(c) over the conjugators c
+    removed by cyclic reduction.
+    """
+    rels = dict(enumerate(r.tietze for r in p.relators))
+    steps: dict[tuple[int, int], tuple | None] = {}
+    gone: set[int] = set()
+    shift = 0
+    while True:
+        for i, r in rels.items():
+            if _exponent_sum(r) != 0:
+                continue
+            counts: dict[int, int] = {}
+            for x in r:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            for g, c in counts.items():
+                if c == 1 and g != keep + 1 and (i, g) not in steps:
+                    steps[(i, g)] = _elimination(rels, i, g)
+        options = [(s[0], i, g) for (i, g), s in steps.items() if s is not None]
+        if not options:
+            break
+        _, i, g = min(options)
+        _, prefix, others = steps[(i, g)]
+        changed = {abs(x) for j in (i, *others) for x in rels[j]}
+        shift += 2 * prefix
+        for j, (s, c) in others.items():
+            rels[j] = s
+            shift += 2 * c
+            changed.update(abs(x) for x in s)
+        del rels[i]
+        gone.add(g)
+        steps = {(j, h): s for (j, h), s in steps.items()
+                 if j != i and j not in others and h not in changed}
+    if not gone:
+        return p, list(range(p.num_generators)), 0
+    kept = [k for k in range(p.num_generators) if k + 1 not in gone]
+    index = {k + 1: i + 1 for i, k in enumerate(kept)}
+    relators = [FreeWord([index[x] if x > 0 else -index[-x] for x in r])
+                for r in rels.values()]
+    q = Presentation(len(kept), relators, [p.names[k] for k in kept],
+                     wirtinger=p.wirtinger)
+    return q, kept, shift

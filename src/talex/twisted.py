@@ -14,6 +14,14 @@ specialization (rho trivial, 1x1 blocks) recovers the classical Alexander
 polynomial, which deficiency-one meridional presentations yield directly
 as the removed-column determinant.
 
+Both determinants are taken on presentations.simplify(p, k): Tietze moves
+eliminate generators other than the removed one, so a Wirtinger
+presentation of T(2, n) on n generators becomes one on 2, and the Fox
+matrix shrinks from 2(n-1) to 2 rows.  For a representation of the group
+the two determinants differ by the unit t^E that simplify returns (Wada
+1994), and the numerator is shifted back by it, so exact values are those
+of the unreduced matrix.
+
 Degrees here are exponent spans (top minus bottom of the support), the
 right notion for quantities defined up to units: for an irreducible
 representation of a genus-g knot the span is at most 4g-2, with equality
@@ -28,7 +36,7 @@ from fractions import Fraction
 from .errors import AlgebraError, CertificationError
 from .laurent import DEFAULT_CLEAN_EPS, LaurentPoly, LaurentRational
 from .matrix import det
-from .presentations import Presentation
+from .presentations import Presentation, simplify
 from .representations import Representation
 from .words import FreeWord, abelianization_exponent, fox_derivative
 
@@ -72,6 +80,19 @@ def _fox_matrix(p: Presentation, removed: int, image,
                 out.extend(row)
         rows.extend(block_rows)
     return rows
+
+
+def _reduced(p: Presentation, removed: int | None
+             ) -> tuple[Presentation, int, list[int], int]:
+    """p Tietze-reduced around its removed column: the reduced presentation,
+    the column's new index, the kept generators and the shift E."""
+    p.require_deficiency_one()
+    n = p.num_generators
+    k = n - 1 if removed is None else removed
+    if not 0 <= k < n:
+        raise AlgebraError("removed column %d out of range" % k)
+    q, kept, shift = simplify(p, k)
+    return q, kept.index(k), kept, shift
 
 
 def phi_evaluate(elem, rho: Representation) -> list[list[LaurentPoly]]:
@@ -158,17 +179,19 @@ def wada_invariant(p: Presentation, rho: Representation,
                    monic_tol: float = DEFAULT_MONIC_TOL) -> TwistedAlex:
     """The twisted Alexander value det(Phi M_k) / det(Phi(gamma_k) - 1).
 
-    The removed column defaults to the last generator.  The denominator
+    The removed column defaults to the last generator.  The numerator is
+    computed on the Tietze-reduced presentation, with rho restricted to
+    its generators, and shifted by t^E back to the value on p; this holds
+    when rho satisfies the relators.  The denominator
     det(t*rho(gamma_k) - I) = t^2 - trace*t + det is nonzero for any
     2x2 rho, but a denominator that vanishes identically (malformed rho)
     is rejected rather than divided by.
     """
-    p.require_deficiency_one()
-    n = p.num_generators
-    k = n - 1 if removed is None else removed
-    num = det(fox_matrix_laurent(p, rho, k)).cleanup(clean_eps)
+    q, k, kept, shift = _reduced(p, removed)
+    rho_q = Representation(q, [rho.matrices[i] for i in kept], rho.residual)
+    num = det(fox_matrix_laurent(q, rho_q, k)).shift(shift).cleanup(clean_eps)
 
-    g = rho.image(FreeWord([k + 1]))
+    g = rho_q.image(FreeWord([k + 1]))
     tr, dt = g[0][0] + g[1][1], g[0][0] * g[1][1] - g[0][1] * g[1][0]
     den = LaurentPoly({2: dt, 1: -tr, 0: 1})
     if den.is_zero():
@@ -187,8 +210,8 @@ def alexander(p: Presentation, removed: int | None = None) -> LaurentPoly:
     delta(1) = +-1 is enforced as a cross-check that the input presents a
     knot group with meridional abelianization.
     """
-    k = p.num_generators - 1 if removed is None else removed
-    d = det(_fox_matrix(p, k, lambda w: _RANK_ONE, 1))
+    q, k, _, _ = _reduced(p, removed)
+    d = det(_fox_matrix(q, k, lambda w: _RANK_ONE, 1))
     if d.is_zero():
         raise AlgebraError("Fox determinant vanishes; input does not present "
                            "a knot group at deficiency one")

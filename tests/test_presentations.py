@@ -11,9 +11,10 @@ from talex import (
     parse_presentation,
     pd_to_wirtinger,
     presentation_to_text,
+    simplify,
 )
 
-from conftest import P, load_fixture_text, normalized
+from conftest import P, load_fixture_text, normalized, torus_pd
 
 TREFOIL_PD = "1,4,2,5\n3,6,4,1\n5,2,6,3\n"
 
@@ -147,6 +148,38 @@ class TestPdToWirtinger:
             a = alexander(parse_presentation(load_fixture_text(pres_name)))
             b = alexander(pd_to_wirtinger(parse_pd(load_fixture_text(pd_name))))
             assert a == b
+
+
+class TestSimplify:
+    @pytest.mark.parametrize("n", range(3, 32, 2))
+    def test_torus_knots_reach_two_generators(self, n):
+        p = pd_to_wirtinger(torus_pd(n))
+        q, kept, _ = simplify(p, n - 1)
+        assert q.num_generators == 2 and n - 1 in kept
+        assert [len(r) for r in q.relators] == [2 * n]
+        assert q.relators[0].exponent_sum() == 0
+
+    def test_fixture_diagram_counts(self):
+        for name, count in (("3_1.pd", 2), ("8_20.pd", 3), ("9_35.pd", 3)):
+            p = pd_to_wirtinger(parse_pd(load_fixture_text(name)))
+            last = p.num_generators - 1
+            assert simplify(p, last)[0].num_generators == count
+            for keep in range(p.num_generators):
+                q, kept, _ = simplify(p, keep)
+                assert keep in kept and q.deficiency_one and q.wirtinger
+                assert q.names == [p.names[k] for k in kept]
+
+    def test_presentation_fixtures_are_left_alone(self):
+        for name in ("3_1.pres", "9_35.pres"):
+            p = parse_presentation(load_fixture_text(name))
+            assert simplify(p, 0) == (p, list(range(p.num_generators)), 0)
+
+    def test_passes_over_relators_it_cannot_use(self):
+        # a nonzero exponent sum, and a substitution that would trivialize
+        # the other relator: the presentation stays as given
+        for text in ("gens: a b\nrel: abb\n", "gens: a b c\nrel: aB\nrel: aB\n"):
+            p = parse_presentation(text)
+            assert simplify(p, p.num_generators - 1)[0] is p
 
 
 def _parse_alex(text):

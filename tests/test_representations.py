@@ -514,7 +514,7 @@ def _reference_jacobian(eq, x):
         pre += heads
         suf += reversed(tails)
     pre, suf = np.array(pre, dtype=complex), np.array(suf, dtype=complex)
-    word, var, slot, i, j, sign, kind = map(np.array, zip(*eq.terms))
+    word, var, slot, i, j, sign, kind = map(np.array, zip(*eq.table.terms))
     factors = np.array([1.0, -1.0 / x[0] ** 2, -1.0 / x[2] ** 2])
     terms = ((sign * factors[kind])[:, None, None]
              * pre[slot, :, i][:, :, None] * suf[slot, j, :][:, None, :])

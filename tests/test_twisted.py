@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import talex
 from talex import (
     AlgebraError,
     CertificationError,
     GroupRingElement,
+    det,
     abelian_rep,
     alexander,
     coefficient_profile,
@@ -19,8 +22,10 @@ from talex import (
     make_twisted,
     normalized_close,
     parse_presentation,
+    parse_pd,
     phi_evaluate,
     reducible_formula,
+    solve_representation,
     wada_invariant,
 )
 from talex.laurent import LaurentPoly, LaurentRational
@@ -166,6 +171,73 @@ class TestWadaInvariant:
         explicit = wada_invariant(trefoil, rho,
                                   removed=trefoil.num_generators - 1)
         assert default.value == explicit.value
+
+
+FIXTURE_ALEXANDER = {"3_1.pd": P(1, -1, 1), "8_20.pd": P(1, -2, 3, -2, 1),
+                     "9_35.pd": P(7, -13, 7)}
+
+
+def _diagram(knot):
+    """The Wirtinger presentation of T(2, knot) for an odd int, else of the
+    named fixture PD code."""
+    if isinstance(knot, int):
+        return pd_to_wirtinger(torus_pd(knot))
+    return pd_to_wirtinger(parse_pd(load_fixture_text(knot)))
+
+
+def _unreduced_value(p, lam, k):
+    """The abelian twist at lam from the Fox matrix of p itself."""
+    num = det(fox_matrix_laurent(p, abelian_rep(p, lam), k))
+    den = LaurentPoly({2: lam * (1 / lam), 1: -(lam + 1 / lam), 0: Fraction(1)})
+    return LaurentRational(num, den)
+
+
+class TestTietzeReducedInvariants:
+    """wada_invariant and alexander run on the Tietze-reduced presentation;
+    their values must be those of the Fox matrix of the diagram itself."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(tuple(range(3, 32, 2)) + tuple(FIXTURE_ALEXANDER)),
+           st.fractions(-9, 9, max_denominator=9).filter(bool))
+    def test_exact_value_is_the_unreduced_quotient(self, knot, lam):
+        p = _diagram(knot)
+        got = wada_invariant(p, abelian_rep(p, lam)).value
+        want = _unreduced_value(p, lam, p.num_generators - 1)
+        assert (got.num, got.den) == (want.num, want.den)
+        closed = (LaurentPoly({j: Fraction((-1) ** j) for j in range(knot)})
+                  if isinstance(knot, int) else FIXTURE_ALEXANDER[knot])
+        assert alexander(p) == closed
+
+    @pytest.mark.parametrize("knot", ("8_20.pd", "9_35.pd"))
+    def test_every_removed_column(self, knot):
+        p = _diagram(knot)
+        lam = Fraction(-5, 7)
+        for k in range(p.num_generators):
+            got = wada_invariant(p, abelian_rep(p, lam), removed=k).value
+            want = _unreduced_value(p, lam, k)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert alexander(p, removed=k) == FIXTURE_ALEXANDER[knot]
+
+    def test_nonabelian_numerator_matches_unreduced(self):
+        p = _diagram("3_1.pd")
+        y = 1.3 + 0.2j
+        rho = solve_representation(p, {p.word("a"): y, p.word("b"): y},
+                                   seed=0)
+        assert rho.residual < 1e-15
+        reduced = wada_invariant(p, rho).value.num
+        full = det(fox_matrix_laurent(p, rho, p.num_generators - 1)).cleanup()
+        assert sorted(reduced.coeffs) == sorted(full.coeffs)
+        assert all(abs(complex(reduced[j]) - complex(full[j])) <= 1e-12
+                   for j in full.coeffs)
+
+    def test_removed_out_of_range(self, p820):
+        rho = abelian_rep(p820, Fraction(2))
+        for k in (-1, p820.num_generators):
+            message = "removed column %d out of range" % k
+            with pytest.raises(AlgebraError, match=message):
+                wada_invariant(p820, rho, removed=k)
+            with pytest.raises(AlgebraError, match=message):
+                alexander(p820, removed=k)
 
 
 @pytest.mark.parametrize("n", (23, 31))
