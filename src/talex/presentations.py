@@ -236,8 +236,15 @@ def _substitute(r: tuple[int, ...], g: int, w: tuple[int, ...],
                 w_inv: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Replace letter g of r by the word w, freely and cyclically reduce,
     and return the result with the exponent sum of the conjugator removed."""
-    out = _reduce(y for x in r
-                  for y in (w if x == g else w_inv if x == -g else (x,)))
+    letters: list[int] = []
+    for x in r:
+        if x == g:
+            letters += w
+        elif x == -g:
+            letters += w_inv
+        else:
+            letters.append(x)
+    out = _reduce(letters)
     i = 0
     while 2 * i + 1 < len(out) and out[i] == -out[-1 - i]:
         i += 1
@@ -285,19 +292,22 @@ def simplify(p: Presentation, keep: int
     image is the Fox derivative dr/dg, and 2 ab(c) over the conjugators c
     removed by cyclic reduction.
     """
+    def singles(r: tuple[int, ...]) -> list[int]:
+        counts: dict[int, int] = {}
+        for x in r:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+        return [g for g, c in counts.items() if c == 1 and g != keep + 1]
+
     rels = dict(enumerate(r.tietze for r in p.relators))
+    # Substitution keeps exponent sums, so the usable relators stay usable.
+    usable = {i: singles(r) for i, r in rels.items() if _exponent_sum(r) == 0}
     steps: dict[tuple[int, int], tuple | None] = {}
     gone: set[int] = set()
     shift = 0
     while True:
-        for i, r in rels.items():
-            if _exponent_sum(r) != 0:
-                continue
-            counts: dict[int, int] = {}
-            for x in r:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            for g, c in counts.items():
-                if c == 1 and g != keep + 1 and (i, g) not in steps:
+        for i, gens in usable.items():
+            for g in gens:
+                if (i, g) not in steps:
                     steps[(i, g)] = _elimination(rels, i, g)
         options = [(s[0], i, g) for (i, g), s in steps.items() if s is not None]
         if not options:
@@ -310,7 +320,9 @@ def simplify(p: Presentation, keep: int
             rels[j] = s
             shift += 2 * c
             changed.update(abs(x) for x in s)
-        del rels[i]
+            if j in usable:
+                usable[j] = singles(s)
+        del rels[i], usable[i]
         gone.add(g)
         steps = {(j, h): s for (j, h), s in steps.items()
                  if j != i and j not in others and h not in changed}
