@@ -11,8 +11,8 @@ complete exact model of the irreducible character curves of the
 
 from .errors import (AlgebraError, CertificationError, NonPolynomialError,
                      ParseError, RootFindingError, SolveError, TalexError)
-from .words import (FreeWord, GroupRingElement, abelianization_exponent,
-                    fox_derivative, fundamental_identity_holds)
+from .words import (FreeWord, GroupRingElement, fox_derivative,
+                    fundamental_identity_holds)
 from .presentations import (Presentation, parse_pd, parse_presentation,
                             pd_to_wirtinger, presentation_to_text, simplify)
 from .laurent import (LaurentPoly, LaurentRational, has_simple_root,
@@ -28,7 +28,7 @@ from .representations import (Representation, abelian_rep,
 from .twisted import (TwistedAlex, alexander, coefficient_profile,
                       determines_genus, fox_matrix_laurent,
                       genus_lower_bound, make_twisted, normalized_close,
-                      phi_evaluate, wada_invariant)
+                      wada_invariant)
 from .signature import (SeifertMatrix, averaged_signature,
                         is_identically_zero, lt_signature,
                         lt_signature_detail, signature_jumps)

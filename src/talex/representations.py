@@ -148,9 +148,14 @@ class Representation:
                     raise ParseError("bad representation JSON: a generator "
                                      "needs four finite entries")
                 mats.append(((e[0], e[1]), (e[2], e[3])))
-            residual = float(data.get("residual", 0.0))
+            residual = data.get("residual", 0.0)
+            if isinstance(residual, bool) or not math.isfinite(float(residual)):
+                raise ParseError("bad representation JSON: the residual "
+                                 "must be a finite number")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError("bad representation JSON: %s" % exc) from None
+        if len(mats) != presentation.num_generators:
+            raise ParseError("bad representation JSON: wrong generator count")
         return cls(presentation, mats, residual)
 
 

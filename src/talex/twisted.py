@@ -14,6 +14,12 @@ specialization (rho trivial, 1x1 blocks) recovers the classical Alexander
 polynomial, which deficiency-one meridional presentations yield directly
 as the removed-column determinant.
 
+Phi of the Fox matrix comes from one left-to-right scan per relator that
+carries the prefix u and its image t^ab(u) rho(u), one matrix product per
+letter: x_g adds +Phi(u) to column g, and x_g^-1 first extends u by itself,
+then adds -Phi(u).  These are the terms words.fox_derivative lists, in its
+order, so the sums equal those through the group ring to the last bit.
+
 Both determinants are taken on presentations.simplify(p, k): Tietze moves
 eliminate generators other than the removed one, so a Wirtinger
 presentation of T(2, n) on n generators becomes one on 2, and the Fox
@@ -38,47 +44,48 @@ from .laurent import DEFAULT_CLEAN_EPS, LaurentPoly, LaurentRational
 from .matrix import det
 from .presentations import Presentation, simplify
 from .representations import Representation
-from .words import FreeWord, abelianization_exponent, fox_derivative
+from ._sl2 import _COMPLEX_ID, _EXACT_ID, _mat_adjugate, _mat_mul
+from .words import FreeWord
 
 DEFAULT_POLY_TOL = 1e-8
 DEFAULT_MONIC_TOL = 1e-5
 
 
-_RANK_ONE = ((Fraction(1),),)
-
-
-def _phi(elem, image, size: int) -> list[list[LaurentPoly]]:
-    """Apply t^abelianization tensor image to a group ring element, where
-    image sends a word to a size x size matrix."""
-    entries: list[list[dict]] = [[{} for _ in range(size)] for _ in range(size)]
-    for w, c in elem.terms.items():
-        k = abelianization_exponent(w)
-        m = image(w)
-        for i in range(size):
-            for j in range(size):
-                d = entries[i][j]
-                d[k] = d.get(k, 0) + c * m[i][j]
-    return [[LaurentPoly(d) for d in row] for row in entries]
-
-
-def _fox_matrix(p: Presentation, removed: int, image,
-                size: int) -> list[list[LaurentPoly]]:
-    """The Fox matrix with one generator column removed, each entry
-    expanded into its size x size Phi-block."""
+def _fox_matrix(p: Presentation, removed: int,
+                rho: Representation | None) -> list[list[LaurentPoly]]:
+    """The Phi-image of the Fox matrix with one generator column removed,
+    by the prefix scan of the module docstring; each entry is a 2x2 block,
+    or a 1x1 block when rho is None (rank one)."""
     p.require_deficiency_one()
     n = p.num_generators
     if not 0 <= removed < n:
         raise AlgebraError("removed column %d out of range" % removed)
+    if rho is None:
+        start, step = ((Fraction(1),),), lambda u, x: u
+    else:
+        start = _EXACT_ID if rho.is_exact() else _COMPLEX_ID
+        letters = {}
+        for g, m in enumerate(rho.matrices):
+            letters[g + 1], letters[-g - 1] = m, _mat_adjugate(m)
+        step = lambda u, x: _mat_mul(u, letters[x])
+    size = len(start)
     rows: list[list[LaurentPoly]] = []
     for r in p.relators:
-        block_rows: list[list[LaurentPoly]] = [[] for _ in range(size)]
-        for j in range(n):
-            if j == removed:
-                continue
-            block = _phi(fox_derivative(r, j), image, size)
-            for out, row in zip(block_rows, block):
-                out.extend(row)
-        rows.extend(block_rows)
+        cols = [[[{} for _ in range(size)] for _ in range(size)]
+                for _ in range(n)]
+        u, e = start, 0
+        for x in r:
+            if x < 0:
+                u, e = step(u, x), e - 1
+            c = 1 if x > 0 else -1
+            for i, block_row in enumerate(cols[abs(x) - 1]):
+                for j, d in enumerate(block_row):
+                    d[e] = d.get(e, 0) + c * u[i][j]
+            if x > 0:
+                u, e = step(u, x), e + 1
+        for i in range(size):
+            rows.append([LaurentPoly(cols[g][i][j]) for g in range(n)
+                         if g != removed for j in range(size)])
     return rows
 
 
@@ -95,19 +102,11 @@ def _reduced(p: Presentation, removed: int | None
     return q, kept.index(k), kept, shift
 
 
-def phi_evaluate(elem, rho: Representation) -> list[list[LaurentPoly]]:
-    """Apply Phi = (t^abelianization tensor rho) to a group ring element.
-
-    Returns a 2x2 matrix of Laurent polynomials, exact when rho is exact.
-    """
-    return _phi(elem, rho.image, 2)
-
-
 def fox_matrix_laurent(p: Presentation, rho: Representation,
                        removed: int) -> list[list[LaurentPoly]]:
     """The Phi-image of the Fox matrix with one generator column removed,
     assembled as a 2(n-1) x 2(n-1) matrix of Laurent polynomial entries."""
-    return _fox_matrix(p, removed, rho.image, 2)
+    return _fox_matrix(p, removed, rho)
 
 
 @dataclass
@@ -211,7 +210,7 @@ def alexander(p: Presentation, removed: int | None = None) -> LaurentPoly:
     knot group with meridional abelianization.
     """
     q, k, _, _ = _reduced(p, removed)
-    d = det(_fox_matrix(q, k, lambda w: _RANK_ONE, 1))
+    d = det(_fox_matrix(q, k, None))
     if d.is_zero():
         raise AlgebraError("Fox determinant vanishes; input does not present "
                            "a knot group at deficiency one")

@@ -210,15 +210,6 @@ def fox_derivative(word: FreeWord, g: int) -> GroupRingElement:
     return GroupRingElement(terms)
 
 
-def abelianization_exponent(w: FreeWord) -> int:
-    """Image of a word under the abelianization sending every generator to 1.
-
-    For meridional (Wirtinger-style) knot group presentations this is the
-    exponent of t the word maps to.
-    """
-    return w.exponent_sum()
-
-
 def fundamental_identity_holds(word: FreeWord, num_generators: int) -> bool:
     """Check sum_g d(w)/dg * (g - 1) == w - 1 in the group ring."""
     total = GroupRingElement.zero()

@@ -416,6 +416,9 @@ class TestPretzelCommand:
 _SLICE_WITH = "trace a = %s 0\ntrace b = 2.1 0\ntrace ab = 1 0\n"
 _SWEEP = "trace a = 2.1 0\ntrace b = 2.1 0\nsweep ab = 0.8 0 .. 1.2 0 steps 3\n"
 
+_REP_WITH_RESIDUAL = ('{"generators": [[[2, 0], [0, 0], [0, 0], [0.5, 0]], '
+                      '[[2, 0], [0, 0], [0, 0], [0.5, 0]]], "residual": %s}')
+
 # (case id, {file name: contents}, argv); every case must exit 2.
 MALFORMED = [
     ("twisted-inf-trace", {"c": _SLICE_WITH % "inf"},
@@ -454,6 +457,15 @@ MALFORMED = [
            '[[2, 0], [0, 0], [0, 0], [0.5, 0]]]}'},
      ["twisted", "--pres", "fixtures/3_1.pres", "--rep", "r"]),
     ("twisted-short-rep-generator", {"r": '{"generators": [[[1, 0]]]}'},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--rep", "r"]),
+    ("twisted-rep-generator-count",
+     {"r": '{"generators": [[[2, 0], [0, 0], [0, 0], [0.5, 0]]]}'},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--rep", "r"]),
+    ("twisted-inf-rep-residual", {"r": _REP_WITH_RESIDUAL % "1e999"},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--rep", "r"]),
+    ("twisted-nan-rep-residual", {"r": _REP_WITH_RESIDUAL % "NaN"},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--rep", "r"]),
+    ("twisted-boolean-rep-residual", {"r": _REP_WITH_RESIDUAL % "true"},
      ["twisted", "--pres", "fixtures/3_1.pres", "--rep", "r"]),
     ("monic-scan-rep", {"c": _SWEEP, "r": "{}"},
      ["monic-scan", "--pres", "fixtures/3_1.pres", "--constraints", "c",

@@ -5,7 +5,6 @@ import pytest
 from talex import (
     ParseError,
     Presentation,
-    abelianization_exponent,
     alexander,
     parse_pd,
     parse_presentation,
@@ -121,7 +120,7 @@ class TestPdToWirtinger:
             # conjugation shape x z X Y (possibly with x inverted)
             assert len(t) == 4
             assert t[0] == -t[2]
-            assert abelianization_exponent(r) == 0
+            assert r.exponent_sum() == 0
 
     def test_trefoil_alexander(self):
         p = pd_to_wirtinger(parse_pd(TREFOIL_PD))

@@ -8,22 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import talex
+import talex.twisted
 from talex import (
     AlgebraError,
     CertificationError,
-    GroupRingElement,
+    FreeWord,
+    Presentation,
+    Representation,
     det,
     abelian_rep,
     alexander,
     coefficient_profile,
     determines_genus,
+    fox_derivative,
     fox_matrix_laurent,
     genus_lower_bound,
     make_twisted,
     normalized_close,
     parse_presentation,
     parse_pd,
-    phi_evaluate,
     reducible_formula,
     solve_representation,
     wada_invariant,
@@ -40,33 +43,90 @@ from conftest import (
 )
 
 
-class TestPhiEvaluate:
-    def test_identity_element(self, trefoil):
-        rho = abelian_rep(trefoil, Fraction(2))
-        block = phi_evaluate(GroupRingElement.one(), rho)
-        assert block[0][0] == P(1) and block[1][1] == P(1)
-        assert block[0][1].is_zero() and block[1][0].is_zero()
+def _reference_fox_matrix(p, removed, rho):
+    """The Phi-image of the Fox matrix term by term: every word of
+    fox_derivative imaged from scratch by rho.image (rank one for rho None)
+    and summed in the order fox_derivative lists it."""
+    size = 1 if rho is None else 2
+    image = (lambda w: ((Fraction(1),),)) if rho is None else rho.image
+    rows = []
+    for r in p.relators:
+        block_rows = [[] for _ in range(size)]
+        for g in range(p.num_generators):
+            if g == removed:
+                continue
+            entries = [[{} for _ in range(size)] for _ in range(size)]
+            for w, c in fox_derivative(r, g).terms.items():
+                k, m = w.exponent_sum(), image(w)
+                for i in range(size):
+                    for j in range(size):
+                        d = entries[i][j]
+                        d[k] = d.get(k, 0) + c * m[i][j]
+            for out, row in zip(block_rows, entries):
+                out.extend(LaurentPoly(d) for d in row)
+        rows.extend(block_rows)
+    return rows
 
-    def test_meridian_minus_one(self, trefoil):
-        lam = Fraction(3, 2)
-        rho = abelian_rep(trefoil, lam)
-        a = trefoil.word("a")
-        e = GroupRingElement.from_word(a) - GroupRingElement.one()
-        block = phi_evaluate(e, rho)
-        assert block[0][0] == LaurentPoly({1: lam}) - 1
-        assert block[1][1] == LaurentPoly({1: 1 / lam}) - 1
-        assert block[0][1].is_zero() and block[1][0].is_zero()
 
-    def test_negative_inverse(self, trefoil):
-        lam = Fraction(2)
-        rho = abelian_rep(trefoil, lam)
-        e = GroupRingElement.from_word(trefoil.word("A"), -1)
-        block = phi_evaluate(e, rho)
-        assert block[0][0] == LaurentPoly({-1: -Fraction(1, 2)})
-        assert block[1][1] == LaurentPoly({-1: -Fraction(2)})
+def _bits(matrix):
+    """Exponent keys and repr of every coefficient, entry by entry."""
+    return [[sorted((k, repr(c)) for k, c in entry.coeffs.items())
+             for entry in row] for row in matrix]
+
+
+_FRACTIONS = st.fractions(-4, 4, max_denominator=5)
+_COMPLEX = st.complex_numbers(max_magnitude=3, allow_nan=False,
+                              allow_infinity=False)
+
+
+@st.composite
+def _presentations_with_rho(draw):
+    """A deficiency-one presentation on 2-4 generators with reduced random
+    relators, and an SL(2) rho on it: exact Fraction, complex, or None."""
+    n = draw(st.integers(2, 4))
+    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    relator = st.lists(letter, min_size=1, max_size=14).map(FreeWord).filter(
+        lambda w: not w.is_identity())
+    p = Presentation(n, draw(st.lists(relator, min_size=n - 1,
+                                      max_size=n - 1)))
+    kind = draw(st.sampled_from(("exact", "complex", "rank one")))
+    if kind == "rank one":
+        return p, None
+    entries = _FRACTIONS if kind == "exact" else _COMPLEX
+    mats = []
+    for _ in range(n):
+        a = draw(entries.filter(lambda z: abs(z) > 0.1))
+        b, c = draw(entries), draw(entries)
+        mats.append(((a, b), (c, (1 + b * c) / a)))
+    return p, Representation(p, mats)
 
 
 class TestFoxMatrix:
+    @settings(max_examples=120, deadline=None)
+    @given(_presentations_with_rho())
+    def test_scan_matches_the_fox_derivative_terms_bit_for_bit(self, case):
+        p, rho = case
+        for k in range(p.num_generators):
+            got = talex.twisted._fox_matrix(p, k, rho)
+            assert _bits(got) == _bits(_reference_fox_matrix(p, k, rho))
+            if rho is not None:
+                assert _bits(fox_matrix_laurent(p, rho, k)) == _bits(got)
+
+    def test_wada_invariant_calls_the_module_attribute(self, monkeypatch,
+                                                       trefoil):
+        """The benchmark tracer times Fox assembly by rebinding
+        twisted.fox_matrix_laurent, so wada_invariant must look it up there."""
+        calls = []
+        real = talex.twisted.fox_matrix_laurent
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(talex.twisted, "fox_matrix_laurent", counted)
+        wada_invariant(trefoil, abelian_rep(trefoil, Fraction(2)))
+        assert len(calls) == 1
+
     def test_block_dimensions(self, trefoil, p935):
         rho2 = abelian_rep(trefoil, Fraction(2))
         m2 = fox_matrix_laurent(trefoil, rho2, removed=1)
