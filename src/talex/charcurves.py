@@ -406,6 +406,12 @@ class Psi2Certificate:
         }
 
 
+# certify_psi2 compares psi_2 and the trace table at this many samples,
+# to this absolute tolerance.
+_PSI2_SAMPLES = 20
+_PSI2_TOL = 1e-6
+
+
 def _curve_sample_points(curve: PlaneCurve, rng: np.random.Generator,
                          budget: int) -> Iterator[tuple[complex, complex]]:
     """Points (y0, z0) on the curve, slicing it at y0 only on demand.
@@ -424,19 +430,20 @@ def _curve_sample_points(curve: PlaneCurve, rng: np.random.Generator,
             yield y0, z0
 
 
-def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve], n_samples: int = 12,
-                 seed: int = 0, tol: float = 1e-6) -> Psi2Certificate:
-    """Sample characters on both curves (C, C') and compare psi_2 to det(A).
+def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve],
+                 seed: int = 0) -> Psi2Certificate:
+    """Sample _PSI2_SAMPLES characters, half on each curve (C, C'), and
+    compare psi_2 to det(A).
 
-    Raises CertificationError if either comparison exceeds tol at any
-    sample, or if too few representations can be solved.
+    Raises CertificationError if either comparison exceeds _PSI2_TOL at
+    any sample, or if no representation on a curve can be solved.
     """
     rng = np.random.default_rng(seed)
     psi = psi2_polynomial()
     collected = 0
     max_det = 0.0
     max_tr = 0.0
-    per_curve = max(1, n_samples // 2)
+    per_curve = _PSI2_SAMPLES // 2
     for curve in curves:
         got = 0
         for y0, z0 in _curve_sample_points(curve, rng, budget=8 * per_curve):
@@ -457,11 +464,11 @@ def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve], n_samples: int = 12,
             raise CertificationError(
                 "could not solve any representation on curve %s" % curve.name)
     cert = Psi2Certificate(samples=collected, max_det_error=max_det,
-                           max_trace_error=max_tr, tol=tol)
+                           max_trace_error=max_tr, tol=_PSI2_TOL)
     if not cert.ok:
         raise CertificationError(
             "sampled certification failed: det error %.3g, trace error %.3g "
-            "exceed tol %.3g" % (max_det, max_tr, tol))
+            "exceed tol %.3g" % (max_det, max_tr, _PSI2_TOL))
     return cert
 
 

@@ -74,6 +74,8 @@ class RunConfig:
                 raise ParseError("%s must be %s" % (
                     name.replace("_", "-"),
                     "positive" if value <= 0 else "finite"))
+        if self.seed < 0:
+            raise ParseError("seed must be nonnegative, got %d" % self.seed)
 
 
 def _read_text(path: str) -> str:
@@ -164,8 +166,12 @@ def _fmt_complex(z) -> str:
 def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
     blob = json.dumps(payload, sort_keys=True, indent=2)
     if cfg.report:
-        with open(cfg.report, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
+        try:
+            with open(cfg.report, "w", encoding="utf-8") as fh:
+                fh.write(blob + "\n")
+        except OSError as exc:
+            raise ParseError("cannot write %s: %s"
+                             % (cfg.report, exc)) from None
     if cfg.json_out:
         print(blob)
     else:
@@ -302,7 +308,7 @@ def _cmd_genus(cfg: RunConfig) -> None:
         raise NonPolynomialError(
             "twisted value is not a polynomial; no degree census")
     payload = {"degree": ta.degree,
-               "genus_lower_bound": genus_lower_bound(ta, nontrivial=True)}
+               "genus_lower_bound": genus_lower_bound(ta)}
     lines = ["degree span %d" % ta.degree,
              "genus lower bound %d" % payload["genus_lower_bound"]]
     if cfg.seifert:
@@ -371,7 +377,7 @@ def _cmd_pretzel935(cfg: RunConfig) -> None:
     curves = charcurves.curve_components()
     c_curve, cp_curve = curves
     psi = charcurves.psi2_polynomial()
-    cert = charcurves.certify_psi2(curves, n_samples=20, seed=cfg.seed)
+    cert = charcurves.certify_psi2(curves, seed=cfg.seed)
     c18 = charcurves.census(c_curve, 18, cluster_radius=cfg.tol_cluster,
                             residual_tol=cfg.tol_residual)
     monic = charcurves.census(cp_curve, 1, cluster_radius=cfg.tol_cluster,

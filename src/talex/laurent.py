@@ -310,7 +310,7 @@ class LaurentPoly:
             raise AlgebraError("bad Laurent JSON: non-finite coefficient")
         return cls(coeffs)
 
-    def to_text(self, var: str = "t") -> str:
+    def to_text(self) -> str:
         """Conventional descending rendering, e.g. '7*t^2 - 13*t + 7'."""
         if self.is_zero():
             return "0"
@@ -323,7 +323,7 @@ class LaurentPoly:
             if k == 0:
                 body = mag
             else:
-                tpart = var if k == 1 else "%s^%d" % (var, k)
+                tpart = "t" if k == 1 else "t^%d" % k
                 body = tpart if mag == "1" else "%s*%s" % (mag, tpart)
             if not bits:
                 bits.append("-" + body if neg else body)
@@ -459,10 +459,10 @@ class LaurentRational:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, reduce: bool = True):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
         if den.is_zero():
             raise AlgebraError("zero denominator")
-        if reduce and num.is_exact() and den.is_exact() and not num.is_zero():
+        if num.is_exact() and den.is_exact() and not num.is_zero():
             g = poly_gcd(num, den)
             if g.degree() > 0:
                 num = num / g

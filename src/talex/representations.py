@@ -62,6 +62,12 @@ from ._sl2 import (_COMPLEX_ID, _EXACT_ID, Matrix2, _Equations,
 from .presentations import Presentation
 from .words import FreeWord
 
+# Images whose commutator trace is within _REDUCIBLE_TOL of 2 share an
+# eigenvector (Representation.is_reducible).
+_REDUCIBLE_TOL = 1e-6
+# The relative bound on |delta(lam^2)| of burde_derham_check.
+_BURDE_DE_RHAM_TOL = 1e-8
+
 
 class Representation:
     """Images of the generators of a presentation in SL(2,C)."""
@@ -102,17 +108,19 @@ class Representation:
                     worst = max(worst, abs(complex(m[i][j]) - target))
         return worst
 
-    def is_reducible(self, tol: float = 1e-6) -> bool:
+    def is_reducible(self) -> bool:
         """Whether the images share an eigenvector: for two, tr[A, B] = 2
-        within tol.  Three or more can share one pairwise and none in all,
-        so they go to _share_an_eigenvector with the bound sqrt(tol), since
-        tr[A, B] - 2 is a product of two such sines."""
+        within _REDUCIBLE_TOL.  Three or more can share one pairwise and
+        none in all, so they go to _share_an_eigenvector with the bound
+        sqrt(_REDUCIBLE_TOL), since tr[A, B] - 2 is a product of two such
+        sines."""
         if len(self.matrices) != 2:
-            return _share_an_eigenvector(self.matrices, math.sqrt(tol))
+            return _share_an_eigenvector(self.matrices,
+                                         math.sqrt(_REDUCIBLE_TOL))
         a, b = self.matrices
         comm = _mat_mul(_mat_mul(a, b),
                         _mat_mul(_mat_adjugate(a), _mat_adjugate(b)))
-        return abs(complex(comm[0][0] + comm[1][1]) - 2.0) <= tol
+        return abs(complex(comm[0][0] + comm[1][1]) - 2.0) <= _REDUCIBLE_TOL
 
     def conjugate(self, g: Matrix2) -> "Representation":
         ginv = _mat_adjugate(g)
@@ -227,12 +235,13 @@ def reducible_formula(delta: LaurentPoly, lam) -> LaurentRational:
     return LaurentRational(num, den)
 
 
-def burde_derham_check(delta: LaurentPoly, lam, tol: float = 1e-8) -> bool:
+def burde_derham_check(delta: LaurentPoly, lam) -> bool:
     """Whether lam^2 is a root of delta, i.e. whether a reducible nonabelian
     representation with diagonal eigenvalue lam exists.
 
     Exact inputs are decided exactly; otherwise |delta(lam^2)| is compared
-    against tol times the coefficient l1-norm scaled by max(1,|lam^2|)^deg.
+    against _BURDE_DE_RHAM_TOL times the coefficient l1-norm scaled by
+    max(1,|lam^2|)^deg.
     """
     if delta.is_zero():
         raise AlgebraError("zero polynomial")
@@ -240,7 +249,7 @@ def burde_derham_check(delta: LaurentPoly, lam, tol: float = 1e-8) -> bool:
         return delta.evaluate(Fraction(lam) ** 2) == 0
     z = complex(lam) ** 2
     norm = sum(abs(complex(c)) for c in delta.coeffs.values())
-    bound = tol * norm * max(1.0, abs(z)) ** delta.degree()
+    bound = _BURDE_DE_RHAM_TOL * norm * max(1.0, abs(z)) ** delta.degree()
     return abs(complex(delta.evaluate(z))) <= bound
 
 
@@ -285,10 +294,12 @@ def parse_constraints(text: str, p: Presentation) -> dict[FreeWord, complex]:
     return out
 
 
-# The stopping rules of the module docstring.
+# The stopping rules of the module docstring, and the iteration cap of
+# a restart.
 _ROUNDING_FLOOR = 1e-12
 _STAGNATION_WINDOW = 10
 _STAGNATION_FACTOR = 0.95
+_MAX_ITER = 60
 # Relative singular-value cutoff of the Newton least-squares step.  The
 # gauge leaves one conjugation (by diagonal matrices) unfixed, which the
 # exact Jacobian resolves as a singular value of the order of the residual;
@@ -311,13 +322,12 @@ def _as_words(p: Presentation, constraints: dict) -> dict[FreeWord, complex]:
 
 def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                          seed: int = 0, restarts: int = 50,
-                         tol: float = _SOLVE_TOL, max_iter: int = 60,
                          require_irreducible: bool = True) -> Representation:
     """Find an SL(2,C) representation matching the trace constraints.
 
     Deterministic for a fixed (presentation, constraints, seed): restarts
     draw their starting points from one seeded generator and the first
-    success (residual <= tol, irreducible if required) is returned.
+    success (residual <= _SOLVE_TOL, irreducible if required) is returned.
     """
     p.require_deficiency_one()
     n = p.num_generators
@@ -401,7 +411,7 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
         norm = np.linalg.norm(f)
         history = [norm]
         stop = None
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             if norm < 1e-14:
                 break
             iterations += 1
@@ -436,7 +446,7 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
 
         worst = float(np.max(np.abs(f)))
         best = min(best, worst)
-        if worst <= tol:
+        if worst <= _SOLVE_TOL:
             rho = Representation(p, _unpack(x, n))
             rho.residual = rho.relator_residual()
             if require_irreducible and rho.is_reducible():
@@ -453,7 +463,7 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
     if best_reducible is not None:
         raise SolveError(_REDUCIBLE_ONLY, **counters)
     raise SolveError("Newton iteration failed to reach residual %.1e within "
-                     "%d restarts" % (tol, restarts), **counters)
+                     "%d restarts" % (_SOLVE_TOL, restarts), **counters)
 
 
 def _linear_rows(gi: int, constraints: dict) -> list[tuple[tuple, complex]]:

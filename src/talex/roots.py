@@ -24,6 +24,10 @@ from .laurent import LaurentPoly, squarefree_decomposition
 
 DEFAULT_CLUSTER_RADIUS = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-8
+# Newton steps that polish a companion-matrix root, at most.
+_POLISH_STEPS = 20
+# A root within this distance of |r| = 1 lies on the unit circle.
+_UNIT_CIRCLE_TOL = 1e-9
 
 
 def _as_poly(p) -> LaurentPoly:
@@ -44,10 +48,10 @@ def _dense_desc(p: LaurentPoly) -> np.ndarray:
     return out
 
 
-def _newton_polish(p: LaurentPoly, r: complex, steps: int = 20) -> complex:
+def _newton_polish(p: LaurentPoly, r: complex) -> complex:
     dp = p.derivative()
     best, best_val = r, abs(complex(p.evaluate(r)))
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         d = complex(dp.evaluate(r))
         if d == 0:
             break
@@ -116,17 +120,18 @@ def complex_roots(p, cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
     return sorted(found, key=lambda rm: (rm[0].real, rm[0].imag))
 
 
-def unit_circle_roots(p, angle_tol: float = 1e-9, **kw) -> list[tuple[float, int]]:
+def unit_circle_roots(p) -> list[tuple[float, int]]:
     """Roots on the unit circle as (angle in [0, 2pi), multiplicity)."""
     out = []
-    for r, m in complex_roots(p, **kw):
-        if abs(abs(r) - 1.0) <= angle_tol:
+    for r, m in complex_roots(p):
+        if abs(abs(r) - 1.0) <= _UNIT_CIRCLE_TOL:
             theta = float(np.angle(r)) % (2.0 * np.pi)
             out.append((theta, m))
     return sorted(out)
 
 
-def distinct_values(values: list[complex],
-                    radius: float = DEFAULT_CLUSTER_RADIUS) -> list[complex]:
-    """Representatives of the values after merging points within the radius."""
-    return [c for c, _ in _cluster([complex(v) for v in values], radius)]
+def distinct_values(values: list[complex]) -> list[complex]:
+    """Representatives of the values after merging points within
+    DEFAULT_CLUSTER_RADIUS."""
+    return [c for c, _ in _cluster([complex(v) for v in values],
+                                   DEFAULT_CLUSTER_RADIUS)]

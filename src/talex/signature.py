@@ -10,9 +10,9 @@ number at the roots themselves.  sigma(1) = 0 always (H(1) = 0).
 
 Loading computes delta(t) once and validates its value at t = 1,
 det(V - V^T) = +-1, the fairness check that V actually is a Seifert
-matrix of a knot; everything downstream is cross-checked against
-delta(t), which any Seifert surface of the same knot reproduces up to
-units.
+matrix of a knot.  The signature jumps are sought only at the
+unit-circle roots of delta(t), found once per matrix.  Eigenvalues within
+_ZERO_TOL of 0 count as zeros of the form, not toward its signature.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .laurent import LaurentPoly
 from .matrix import det
 from .roots import unit_circle_roots
 
-DEFAULT_ZERO_TOL = 1e-9
+_ZERO_TOL = 1e-9
+# Uniform probes of is_identically_zero, besides one per constancy arc.
+_SWEEP_SAMPLES = 16
 
 
 class SeifertMatrix:
@@ -51,7 +53,7 @@ class SeifertMatrix:
             raise ParseError("det(V - V^T) = %s; a knot Seifert matrix needs "
                              "+-1" % pairing)
         self._unit_roots = None
-        self._jumps: dict[float, list[tuple[float, int]]] = {}
+        self._jumps: list[tuple[float, int]] | None = None
 
     @classmethod
     def from_text(cls, text: str) -> "SeifertMatrix":
@@ -90,8 +92,7 @@ def _hermitian_form(v: SeifertMatrix, omega: complex) -> np.ndarray:
     return (1 - omega) * V + (1 - np.conj(omega)) * V.T
 
 
-def lt_signature_detail(v: SeifertMatrix, omega: complex,
-                        zero_tol: float = DEFAULT_ZERO_TOL) -> tuple[int, int]:
+def lt_signature_detail(v: SeifertMatrix, omega: complex) -> tuple[int, int]:
     """(signature, number of excluded near-zero eigenvalues) at omega."""
     omega = complex(omega)
     if not abs(abs(omega) - 1.0) <= 1e-12:    # also refuses nan
@@ -100,30 +101,14 @@ def lt_signature_detail(v: SeifertMatrix, omega: complex,
     if v.n == 0:
         return 0, 0
     eig = np.linalg.eigvalsh(_hermitian_form(v, omega))
-    zeros = int(np.sum(np.abs(eig) <= zero_tol))
-    sig = int(np.sum(eig > zero_tol)) - int(np.sum(eig < -zero_tol))
+    zeros = int(np.sum(np.abs(eig) <= _ZERO_TOL))
+    sig = int(np.sum(eig > _ZERO_TOL)) - int(np.sum(eig < -_ZERO_TOL))
     return sig, zeros
 
 
-def lt_signature(v: SeifertMatrix, omega: complex,
-                 zero_tol: float = DEFAULT_ZERO_TOL) -> int:
+def lt_signature(v: SeifertMatrix, omega: complex) -> int:
     """Signature of (1-omega)V + (1-conj omega)V^T, zeros excluded."""
-    return lt_signature_detail(v, omega, zero_tol)[0]
-
-
-def _unit_root_angles(v: SeifertMatrix, delta: LaurentPoly | None = None
-                      ) -> list[tuple[float, int]]:
-    """The unit-circle roots of det(V - tV^T), after cross-checking a
-    supplied delta against it up to units."""
-    if delta is not None:
-        if not delta.is_exact():
-            raise AlgebraError("cross-check polynomial must be exact")
-        own = v.alexander()
-        if own.unit_normal() != delta.unit_normal():
-            raise CertificationError(
-                "det(V - tV^T) = %s does not match the supplied polynomial "
-                "%s up to units" % (own.to_text(), delta.to_text()))
-    return v.unit_roots()
+    return lt_signature_detail(v, omega)[0]
 
 
 def _min_angular_gap(angles: list[float]) -> float:
@@ -151,55 +136,44 @@ def _safe_radius(angles: list[float], theta: float) -> float:
     return d
 
 
-def averaged_signature(v: SeifertMatrix, omega: complex,
-                       eps: float | None = None,
-                       zero_tol: float = DEFAULT_ZERO_TOL) -> Fraction:
+def averaged_signature(v: SeifertMatrix, omega: complex) -> Fraction:
     """Mean of the two one-sided signatures at omega.
 
-    eps defaults to half the angular distance from omega to the nearest
+    The offsets are half the angular distance from omega to the nearest
     unit-circle root of delta other than omega itself, so both offset
-    points stay inside the constancy arcs adjacent to omega; a supplied
-    eps must stay strictly below that verified radius.  Away from the
-    roots this reduces to lt_signature (both offsets share omega's arc);
-    at omega = 1 it gives 0, since delta(1) = +-1 keeps roots away.
+    points stay inside the constancy arcs adjacent to omega.  Away from
+    the roots this reduces to lt_signature (both offsets share omega's
+    arc); at omega = 1 it gives 0, since delta(1) = +-1 keeps roots away.
     """
     omega = complex(omega)
     if not abs(abs(omega) - 1.0) <= 1e-12:    # also refuses nan
         raise AlgebraError("omega must lie on the unit circle")
     angles = [a for a, _ in v.unit_roots()]
     theta = float(np.angle(omega))
-    radius = _safe_radius(angles, theta)
-    if eps is None:
-        eps = radius / 2.0
-    elif not 0 < eps < radius:
-        raise AlgebraError("eps = %g is not strictly below the certified "
-                           "root-free radius %g" % (eps, radius))
-    plus = lt_signature(v, np.exp(1j * (theta + eps)), zero_tol)
-    minus = lt_signature(v, np.exp(1j * (theta - eps)), zero_tol)
+    eps = _safe_radius(angles, theta) / 2.0
+    plus = lt_signature(v, np.exp(1j * (theta + eps)))
+    minus = lt_signature(v, np.exp(1j * (theta - eps)))
     return Fraction(plus + minus, 2)
 
 
-def signature_jumps(v: SeifertMatrix, delta: LaurentPoly | None = None,
-                    zero_tol: float = DEFAULT_ZERO_TOL
-                    ) -> list[tuple[float, int]]:
+def signature_jumps(v: SeifertMatrix) -> list[tuple[float, int]]:
     """(angle, jump) at every unit-circle root of delta where sigma moves.
 
-    delta, when supplied, is only a cross-check: it must agree with
-    det(V - tV^T) up to units.  Roots of even multiplicity may leave the
-    signature unchanged; those contribute no entry, so a knot whose
-    signature function is identically zero reports an empty list.  The
-    jumps are found once per matrix and zero_tol, and kept.
+    Roots of even multiplicity may leave the signature unchanged; those
+    contribute no entry, so a knot whose signature function is
+    identically zero reports an empty list.  The jumps are found once per
+    matrix, and kept.
     """
-    roots = _unit_root_angles(v, delta)
-    if zero_tol in v._jumps:
-        return v._jumps[zero_tol]
+    if v._jumps is not None:
+        return v._jumps
+    roots = v.unit_roots()
     angles = [a for a, _ in roots]
     gap = _min_angular_gap(angles)
     eps = gap / 2.0
     out = []
     for theta, mult in roots:
-        plus = lt_signature(v, np.exp(1j * (theta + eps)), zero_tol)
-        minus = lt_signature(v, np.exp(1j * (theta - eps)), zero_tol)
+        plus = lt_signature(v, np.exp(1j * (theta + eps)))
+        minus = lt_signature(v, np.exp(1j * (theta - eps)))
         jump = plus - minus
         if mult % 2 == 1 and jump == 0:
             # An odd-multiplicity circle root must move the signature.
@@ -208,29 +182,26 @@ def signature_jumps(v: SeifertMatrix, delta: LaurentPoly | None = None,
                 % (theta, mult))
         if jump != 0:
             out.append((theta, jump))
-    v._jumps[zero_tol] = out
+    v._jumps = out
     return out
 
 
-def is_identically_zero(v: SeifertMatrix, delta: LaurentPoly | None = None,
-                        zero_tol: float = DEFAULT_ZERO_TOL,
-                        samples: int = 16) -> bool:
+def is_identically_zero(v: SeifertMatrix) -> bool:
     """Whether the signature function vanishes on the whole unit circle.
 
     True iff every jump is zero and the signature is zero on a sample of
     each constancy interval (plus a uniform sweep for robustness).
-    delta, when supplied, is cross-checked against det(V - tV^T).
     """
-    roots = _unit_root_angles(v, delta)
-    if signature_jumps(v, delta, zero_tol):
+    if signature_jumps(v):
         return False
-    angles = sorted(a for a, _ in roots)
+    angles = sorted(a for a, _ in v.unit_roots())
     probes = []
     if angles:
         ext = angles + [angles[0] + 2.0 * np.pi]
         probes.extend((a + b) / 2.0 for a, b in zip(ext, ext[1:]))
-    probes.extend(2.0 * np.pi * (k + 0.5) / samples for k in range(samples))
+    probes.extend(2.0 * np.pi * (k + 0.5) / _SWEEP_SAMPLES
+                  for k in range(_SWEEP_SAMPLES))
     for theta in probes:
-        if lt_signature(v, np.exp(1j * theta), zero_tol) != 0:
+        if lt_signature(v, np.exp(1j * theta)) != 0:
             return False
     return True

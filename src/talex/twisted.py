@@ -47,15 +47,21 @@ from .representations import Representation
 from ._sl2 import _COMPLEX_ID, _EXACT_ID, _mat_adjugate, _mat_mul
 from .words import FreeWord
 
-DEFAULT_POLY_TOL = 1e-8
-DEFAULT_MONIC_TOL = 1e-5
+# A floating quotient is a polynomial when the division remainder is
+# within _POLY_TOL of the numerator's scale; it is monic when its leading
+# coefficient is within _MONIC_TOL of 1; its coefficients are symmetric
+# when psi_k and psi_(4g-2-k) agree to _SYM_TOL relative.
+_POLY_TOL = 1e-8
+_MONIC_TOL = 1e-5
+_SYM_TOL = 1e-6
 
 
-def _fox_matrix(p: Presentation, removed: int,
-                rho: Representation | None) -> list[list[LaurentPoly]]:
+def fox_matrix_laurent(p: Presentation, rho: Representation | None,
+                       removed: int) -> list[list[LaurentPoly]]:
     """The Phi-image of the Fox matrix with one generator column removed,
-    by the prefix scan of the module docstring; each entry is a 2x2 block,
-    or a 1x1 block when rho is None (rank one)."""
+    by the prefix scan of the module docstring: 2x2 blocks, a
+    2(n-1) x 2(n-1) matrix of Laurent polynomials, or 1x1 blocks when rho
+    is None (rank one)."""
     p.require_deficiency_one()
     n = p.num_generators
     if not 0 <= removed < n:
@@ -102,13 +108,6 @@ def _reduced(p: Presentation, removed: int | None
     return q, kept.index(k), kept, shift
 
 
-def fox_matrix_laurent(p: Presentation, rho: Representation,
-                       removed: int) -> list[list[LaurentPoly]]:
-    """The Phi-image of the Fox matrix with one generator column removed,
-    assembled as a 2(n-1) x 2(n-1) matrix of Laurent polynomial entries."""
-    return _fox_matrix(p, removed, rho)
-
-
 @dataclass
 class TwistedAlex:
     """A computed twisted Alexander value.
@@ -117,8 +116,8 @@ class TwistedAlex:
     quotient is (numerically) an exact division, polynomial holds the
     quotient normalized to lowest exponent 0, degree its exponent span,
     leading its top coefficient (invariant under the residual t^(2i)
-    ambiguity), and monic whether the leading coefficient is 1 to the
-    stated tolerance.  Nonpolynomial values leave those fields as None.
+    ambiguity), and monic whether the leading coefficient is 1, exactly
+    or to _MONIC_TOL.  Nonpolynomial values leave those fields as None.
     """
 
     value: LaurentRational
@@ -126,18 +125,16 @@ class TwistedAlex:
     degree: int | None
     leading: object | None
     monic: bool | None
-    monic_tol: float = DEFAULT_MONIC_TOL
 
     def is_polynomial(self) -> bool:
         return self.polynomial is not None
 
-    def is_monic(self, tol: float | None = None) -> bool:
+    def is_monic(self) -> bool:
         if self.leading is None:
             raise AlgebraError("nonpolynomial value has no leading coefficient")
         if isinstance(self.leading, Fraction):
             return self.leading == 1
-        tol = self.monic_tol if tol is None else tol
-        return abs(complex(self.leading) - 1.0) <= tol
+        return abs(complex(self.leading) - 1.0) <= _MONIC_TOL
 
     def to_json_dict(self) -> dict:
         out: dict = {}
@@ -147,35 +144,32 @@ class TwistedAlex:
             out["degree"] = self.degree
             out["leading"] = [lead.real, lead.imag]
             out["monic"] = bool(self.monic)
-            out["genus_lower_bound"] = genus_lower_bound(self, nontrivial=True)
+            out["genus_lower_bound"] = genus_lower_bound(self)
         else:
             out["polynomial"] = None
             out["value"] = self.value.to_json_dict()
         return out
 
 
-def make_twisted(value: LaurentRational, clean_eps: float = DEFAULT_CLEAN_EPS,
-                 poly_tol: float = DEFAULT_POLY_TOL,
-                 monic_tol: float = DEFAULT_MONIC_TOL) -> TwistedAlex:
+def make_twisted(value: LaurentRational,
+                 clean_eps: float = DEFAULT_CLEAN_EPS) -> TwistedAlex:
     """Classify a quotient and normalize its polynomial representative."""
-    poly = value.attempt_polynomial(poly_tol)
+    poly = value.attempt_polynomial(_POLY_TOL)
     if poly is None:
-        return TwistedAlex(value, None, None, None, None, monic_tol)
+        return TwistedAlex(value, None, None, None, None)
     poly = poly.cleanup(clean_eps)
     if poly.is_zero():
-        return TwistedAlex(value, poly, 0, poly[0], False, monic_tol)
+        return TwistedAlex(value, poly, 0, poly[0], False)
     poly = poly.shift(-poly.min_exp())
     lead = poly.leading()
-    ta = TwistedAlex(value, poly, poly.degree(), lead, None, monic_tol)
+    ta = TwistedAlex(value, poly, poly.degree(), lead, None)
     ta.monic = ta.is_monic()
     return ta
 
 
 def wada_invariant(p: Presentation, rho: Representation,
                    removed: int | None = None,
-                   clean_eps: float = DEFAULT_CLEAN_EPS,
-                   poly_tol: float = DEFAULT_POLY_TOL,
-                   monic_tol: float = DEFAULT_MONIC_TOL) -> TwistedAlex:
+                   clean_eps: float = DEFAULT_CLEAN_EPS) -> TwistedAlex:
     """The twisted Alexander value det(Phi M_k) / det(Phi(gamma_k) - 1).
 
     The removed column defaults to the last generator.  The numerator is
@@ -198,7 +192,7 @@ def wada_invariant(p: Presentation, rho: Representation,
     if num.is_zero():
         raise AlgebraError("numerator determinant vanishes; representation "
                            "does not define a twisted polynomial")
-    return make_twisted(LaurentRational(num, den), clean_eps, poly_tol, monic_tol)
+    return make_twisted(LaurentRational(num, den), clean_eps)
 
 
 def alexander(p: Presentation, removed: int | None = None) -> LaurentPoly:
@@ -210,7 +204,7 @@ def alexander(p: Presentation, removed: int | None = None) -> LaurentPoly:
     knot group with meridional abelianization.
     """
     q, k, _, _ = _reduced(p, removed)
-    d = det(_fox_matrix(q, k, None))
+    d = det(fox_matrix_laurent(q, None, k))
     if d.is_zero():
         raise AlgebraError("Fox determinant vanishes; input does not present "
                            "a knot group at deficiency one")
@@ -222,14 +216,11 @@ def alexander(p: Presentation, removed: int | None = None) -> LaurentPoly:
     return d
 
 
-def genus_lower_bound(ta: TwistedAlex, nontrivial: bool = False) -> int:
-    """Least g with 4g - 2 >= degree span; 0 for span 0 unless the caller
-    asserts the knot is nontrivial."""
+def genus_lower_bound(ta: TwistedAlex) -> int:
+    """Least g with 4g - 2 >= degree span, so 1 for span 0."""
     if ta.polynomial is None:
         raise AlgebraError("genus bound needs a polynomial value")
     d = ta.degree
-    if d == 0:
-        return 1 if nontrivial else 0
     if d % 2 == 1:
         raise CertificationError("odd exponent span %d contradicts the "
                                  "duality of special linear twists" % d)
@@ -245,13 +236,12 @@ def determines_genus(ta: TwistedAlex, g: int) -> bool:
     return ta.degree == 4 * g - 2
 
 
-def coefficient_profile(ta: TwistedAlex, g: int,
-                        sym_tol: float = 1e-6) -> list:
+def coefficient_profile(ta: TwistedAlex, g: int) -> list:
     """Coefficients psi_0..psi_(4g-2) of the representative centered in the
     window [0, 4g-2], zero-padded symmetrically.
 
     The palindromic symmetry psi_k = psi_(4g-2-k) is verified (exactly in
-    the exact domain, to sym_tol relative otherwise); violation means the
+    the exact domain, to _SYM_TOL relative otherwise); violation means the
     input is not the twist of a genus-g knot representation and is an error.
     """
     if ta.polynomial is None:
@@ -278,7 +268,7 @@ def coefficient_profile(ta: TwistedAlex, g: int,
         if exact:
             ok = a == b
         else:
-            ok = abs(complex(a) - complex(b)) <= sym_tol * scale
+            ok = abs(complex(a) - complex(b)) <= _SYM_TOL * scale
         if not ok:
             raise CertificationError(
                 "coefficient symmetry psi_%d = psi_%d fails: %r vs %r"

@@ -124,7 +124,7 @@ def criterion_04():
     """psi_2 certified on >= 20 solved representations; det A within 1e-6
     of x^3+6x^2+6x+5, and of 18 on the parabola component, < 30 s."""
     def check():
-        cert = cc.certify_psi2(cc.curve_components(), n_samples=20, seed=0)
+        cert = cc.certify_psi2(cc.curve_components(), seed=0)
         assert cert.samples >= 20
         assert cert.ok
         assert cert.max_det_error <= 1e-6
@@ -254,7 +254,7 @@ def criterion_11():
         ta = talex.wada_invariant(p, rho)
         assert ta.polynomial is not None
         assert ta.degree <= 2  # 4g - 2 with g = 1
-        psi = talex.coefficient_profile(ta, 1, sym_tol=1e-6)
+        psi = talex.coefficient_profile(ta, 1)
         assert abs(complex(psi[0]) - complex(psi[2])) <= 1e-6
 
 

@@ -177,14 +177,14 @@ class TestPsi2:
         assert p.evaluate({"x": Fraction(1)}) == 18
 
     def test_certification_on_sampled_representations(self):
-        cert = cc.certify_psi2(cc.curve_components(), n_samples=6, seed=0)
+        cert = cc.certify_psi2(cc.curve_components(), seed=0)
         assert cert.ok
         assert cert.samples >= 6
         assert cert.max_det_error <= 1e-6
         assert cert.max_trace_error <= 1e-6
 
     def test_certificate_json_shape(self):
-        cert = cc.certify_psi2(cc.curve_components(), n_samples=2, seed=1)
+        cert = cc.certify_psi2(cc.curve_components(), seed=1)
         d = cert.to_json_dict()
         assert set(d) == {"samples", "max_det_error", "max_trace_error",
                           "tol", "ok"}

@@ -473,6 +473,18 @@ MALFORMED = [
     ("monic-scan-lambda", {"c": _SWEEP},
      ["monic-scan", "--pres", "fixtures/3_1.pres", "--constraints", "c",
       "--lambda=1"]),
+    ("report-in-missing-directory", {},
+     ["alexander", "--pres", "fixtures/3_1.pres", "--report",
+      "/nonexistent/dir/x.json"]),
+    ("report-to-a-directory", {},
+     ["alexander", "--pres", "fixtures/3_1.pres", "--report", "."]),
+    ("pretzel935-negative-seed", {}, ["pretzel935", "--seed", "-1"]),
+    ("twisted-negative-seed", {"c": "trace a = 2.1 0\ntrace b = 2.1 0\n"},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--constraints", "c",
+      "--seed", "-3"]),
+    ("monic-scan-negative-seed", {"c": _SWEEP},
+     ["monic-scan", "--pres", "fixtures/3_1.pres", "--constraints", "c",
+      "--seed=-5"]),
 ]
 
 

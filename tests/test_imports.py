@@ -1,9 +1,11 @@
-"""Every name a talex module imports is read somewhere in that module, and
-every module-level private name is read somewhere in the package.
+"""Every name a talex module imports is read somewhere in that module,
+every module-level private name is read somewhere in the package, and
+every defaulted parameter of a public function is set by some caller.
 
 No linter ships with the test dependencies, so this is the guard against
-dead imports and dead helpers.  The package's own __init__.py is skipped
-by the import check: its imports are the public re-exports.
+dead imports, dead helpers and knobs that no caller turns.  The package's
+own __init__.py is skipped by the import check: its imports are the
+public re-exports.
 """
 
 import ast
@@ -14,6 +16,7 @@ import pytest
 import talex
 
 PACKAGE = Path(talex.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 MODULES = [p for p in SOURCES if p != PACKAGE / "__init__.py"]
 
@@ -107,3 +110,118 @@ def test_detects_dead_helper():
     b = "from .a import _B\n_attr: int = _B\n"
     assert dead_helpers({"a.py": a, "b.py": b}) == [
         "a.py:_Box (line 7)", "a.py:_LIMIT (line 1)", "a.py:_helper (line 3)"]
+
+
+def defaulted_parameters(source: str) -> dict[str, tuple[str, str, list]]:
+    """Map "function(param)" or "Class.method(param)" to (the name a call
+    uses, param, the parameters that positional arguments fill) for each
+    parameter with a default of a public module-level function, or of a
+    public or __init__ method of a public class.  A call names __init__ by
+    its class.  Dataclass fields are not covered."""
+    out = {}
+
+    def visit(fn, owner):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        named = [x.arg for x in pos[len(pos) - len(a.defaults):]]
+        named += [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                  if d is not None]
+        if owner and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list):
+            pos = pos[1:]           # self or cls
+        qual = owner + "." + fn.name if owner else fn.name
+        callee = owner if fn.name == "__init__" else fn.name
+        for name in named:
+            out["%s(%s)" % (qual, name)] = (callee, name,
+                                            [x.arg for x in pos])
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            visit(node, None)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        item.name == "__init__" or not item.name.startswith("_")):
+                    visit(item, node.name)
+    return out
+
+
+def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """The defaulted parameters that no call in callers supplies, by
+    keyword or by position.  Calls are matched by the called name alone,
+    and a call that splats *args or **kwargs supplies everything."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def supplies(call, param, positional):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        if any(isinstance(x, ast.Starred) for x in call.args):
+            return True
+        return param in positional and positional.index(param) < len(call.args)
+
+    return ["%s:%s" % (module, knob)
+            for module, source in sorted(sources.items())
+            for knob, (callee, param, positional)
+            in sorted(defaulted_parameters(source).items())
+            if not any(supplies(c, param, positional)
+                       for c in calls.get(callee, []))]
+
+
+# Defaulted parameters that no caller in the package or the benchmark sets,
+# each with the reason it stays a parameter.
+ALLOWED = {
+    "cli.py:main(argv)":
+        "None reads sys.argv, as the console entry point needs; tests pass "
+        "argv",
+    "laurent.py:LaurentPoly.t(k)": "data: the exponent of t^k",
+    "laurent.py:LaurentPoly.from_coefficients(min_exp)":
+        "data: the exponent of the first coefficient",
+    "words.py:GroupRingElement.from_word(coeff)":
+        "data: the coefficient of the word",
+    "laurent.py:has_simple_root(cluster_radius)":
+        "a floating input's multiplicity is only as good as the radius; "
+        "tests resolve near-double roots at 1e-6",
+    "laurent.py:LaurentRational.is_polynomial(eps)":
+        "two values are in use: make_twisted divides at 1e-8, the default "
+        "is 1e-10",
+    "representations.py:solve_representation(restarts)":
+        "tests pin solver trajectories with small restart budgets",
+    "representations.py:solve_representation(require_irreducible)":
+        "tests reach reducible representations, as at Burde-de Rham points",
+    "twisted.py:alexander(removed)":
+        "the column-independence criterion removes each column in turn",
+    "twisted.py:wada_invariant(removed)":
+        "the column-independence criterion removes each column in turn",
+}
+
+
+def test_every_default_is_set_by_a_caller():
+    sources = {str(p.relative_to(PACKAGE)): p.read_text(encoding="utf-8")
+               for p in SOURCES}
+    callers = list(sources.values()) + [
+        p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
+    unset = unset_defaults(sources, callers)
+    assert [k for k in unset if k not in ALLOWED] == []
+    assert [k for k in ALLOWED if k not in unset] == []    # no stale entry
+    assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_detects_unset_default():
+    a = ("def f(x, tol=1e-6, *, steps=3):\n    return x\n"
+         "def g(p, q=0):\n    return p\n"
+         "def _private(r=1):\n    return r\n"
+         "class Box:\n"
+         "    def __init__(self, v, w=2):\n        self.v = v\n"
+         "    def scaled(self, k=1, m=0):\n        return self.v * k\n"
+         "    @staticmethod\n    def make(u, n=5):\n        return u\n"
+         "class _Hidden:\n    def go(self, z=0):\n        return z\n")
+    b = ("from a import Box, f, g\n"
+         "f(1, steps=4)\ng(1, *[2])\nBox(1, 2).scaled(3)\nBox.make(1)\n")
+    assert unset_defaults({"a.py": a}, [a, b]) == [
+        "a.py:Box.make(n)", "a.py:Box.scaled(m)", "a.py:f(tol)"]

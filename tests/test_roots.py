@@ -126,7 +126,7 @@ class TestUnitCircleRoots:
 class TestDistinctValues:
     def test_merging(self):
         vals = [1.0, 1.0 + 1e-12, 2.0, 2.0 + 5e-9, 3.0]
-        out = distinct_values(vals, radius=1e-8)
+        out = distinct_values(vals)
         assert len(out) == 3
 
     def test_empty(self):

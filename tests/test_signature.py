@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import talex.signature as signature
-from talex.errors import AlgebraError, CertificationError, ParseError
+from talex.errors import AlgebraError, ParseError
 from talex.laurent import LaurentPoly
 from talex.presentations import pd_to_wirtinger
 from talex.signature import (
@@ -118,9 +118,9 @@ class TestSeifertMatrix:
         calls = []
         real_detail = signature.lt_signature_detail
 
-        def counting_detail(v, omega, zero_tol=signature.DEFAULT_ZERO_TOL):
+        def counting_detail(v, omega):
             calls.append(omega)
-            return real_detail(v, omega, zero_tol)
+            return real_detail(v, omega)
 
         monkeypatch.setattr(signature, "lt_signature_detail", counting_detail)
         v = v820()
@@ -130,18 +130,6 @@ class TestSeifertMatrix:
         assert len(calls) == 4 + 2 + 16  # only the probes are new
         assert signature_jumps(v) is jumps
         assert len(calls) == 22
-
-    def test_identically_zero_keeps_its_tolerance(self, monkeypatch):
-        tols = []
-        real_sig = signature.lt_signature
-
-        def recording_sig(v, omega, zero_tol=signature.DEFAULT_ZERO_TOL):
-            tols.append(zero_tol)
-            return real_sig(v, omega, zero_tol)
-
-        monkeypatch.setattr(signature, "lt_signature", recording_sig)
-        assert not is_identically_zero(trefoil_v(), zero_tol=0.25)
-        assert tols and set(tols) == {0.25}
 
 
 class TestLtSignature:
@@ -213,14 +201,6 @@ class TestAveragedSignature:
             w = np.exp(1j * theta)
             assert averaged_signature(v, w) == lt_signature(v, w)
 
-    def test_explicit_radius_validation(self):
-        v = trefoil_v()
-        with pytest.raises(AlgebraError):
-            averaged_signature(v, np.exp(1j * W6), eps=2.2)
-        with pytest.raises(AlgebraError):
-            averaged_signature(v, np.exp(1j * W6), eps=0.0)
-        assert averaged_signature(v, np.exp(1j * W6), eps=0.05) == Fraction(-1)
-
     def test_off_circle_rejected(self):
         with pytest.raises(AlgebraError):
             averaged_signature(trefoil_v(), 2.0)
@@ -258,14 +238,6 @@ class TestSignatureJumps:
         v = SeifertMatrix([[0, 1], [0, 0]])
         assert v.alexander().degree() == 0
         assert signature_jumps(v) == []
-
-    def test_supplied_delta_checked_against_matrix(self):
-        with pytest.raises(CertificationError):
-            signature_jumps(trefoil_v(), delta=P(1, -3, 1))
-
-    def test_supplied_delta_up_to_units_accepted(self):
-        jumps = signature_jumps(trefoil_v(), delta=P(1, -1, 1).shift(-1).scale(-1))
-        assert len(jumps) == 2
 
 
 class TestIsIdenticallyZero:
