@@ -477,8 +477,8 @@ class LaurentRational:
     def is_exact(self) -> bool:
         return self.num.is_exact() and self.den.is_exact()
 
-    def is_polynomial(self, eps: float = DEFAULT_CLEAN_EPS) -> bool:
-        return self.attempt_polynomial(eps) is not None
+    def is_polynomial(self) -> bool:
+        return self.attempt_polynomial() is not None
 
     def attempt_polynomial(self, eps: float = DEFAULT_CLEAN_EPS) -> LaurentPoly | None:
         """The quotient as a Laurent polynomial, or None if division fails."""

@@ -187,9 +187,6 @@ ALLOWED = {
     "laurent.py:has_simple_root(cluster_radius)":
         "a floating input's multiplicity is only as good as the radius; "
         "tests resolve near-double roots at 1e-6",
-    "laurent.py:LaurentRational.is_polynomial(eps)":
-        "two values are in use: make_twisted divides at 1e-8, the default "
-        "is 1e-10",
     "representations.py:solve_representation(restarts)":
         "tests pin solver trajectories with small restart budgets",
     "representations.py:solve_representation(require_irreducible)":

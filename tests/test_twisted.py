@@ -339,6 +339,9 @@ class TestMakeTwisted:
         ta = make_twisted(LaurentRational(
             LaurentPoly({0: 1.0 + 0j, 2: 1.0 + 5e-6j}), LaurentPoly({0: 1.0 + 0j})))
         assert ta.monic  # within the 1e-5 tolerance
+        ta = make_twisted(LaurentRational(
+            LaurentPoly({0: 1.0 + 0j, 2: 1.0 + 5e-5j}), LaurentPoly({0: 1.0 + 0j})))
+        assert not ta.monic  # outside it
 
     def test_nonpolynomial_case(self):
         ta = make_twisted(LaurentRational(P(1, 1), P(1, 0, 1)))
