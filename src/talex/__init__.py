@@ -19,7 +19,7 @@ from .laurent import (LaurentPoly, LaurentRational, has_simple_root,
                       poly_gcd, squarefree_decomposition)
 from .multipoly import MultiPoly, exact_divide, resultant, sylvester_matrix
 from .matrix import SquareMatrix, det
-from .roots import complex_roots, distinct_values, unit_circle_roots
+from .roots import complex_roots, unit_circle_roots
 from .representations import (Representation, abelian_rep,
                               burde_derham_check, character_of,
                               closed_form_representation, parse_constraints,

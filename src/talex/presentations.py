@@ -33,6 +33,10 @@ class Presentation:
     conjugate to every other (true for presentations built from diagrams).
     Parsed presentations infer it from relator exponent sums vanishing,
     which is the homological shadow of the property, not a proof of it.
+
+    A presentation is not mutated after it is built, so simplify keeps
+    each reduction it computes on the presentation, keyed by the kept
+    column, and returns it again on later calls.
     """
 
     def __init__(self, num_generators: int, relators: list[FreeWord],
@@ -56,6 +60,7 @@ class Presentation:
         self.relators = list(relators)
         self.names = list(names)
         self.wirtinger = wirtinger
+        self._reductions: dict[int, tuple[Presentation, list[int], int]] = {}
 
     @property
     def deficiency_one(self) -> bool:
@@ -291,7 +296,18 @@ def simplify(p: Presentation, keep: int
     2 ab(prefix) over the eliminations, the prefix being the word whose
     image is the Fox derivative dr/dg, and 2 ab(c) over the conjugators c
     removed by cyclic reduction.
+
+    The reduction is computed once per presentation and keep column, and
+    kept on p (see Presentation).
     """
+    if keep not in p._reductions:
+        p._reductions[keep] = _tietze(p, keep)
+    return p._reductions[keep]
+
+
+def _tietze(p: Presentation, keep: int
+            ) -> tuple[Presentation, list[int], int]:
+    """The reduction of simplify, computed afresh."""
     def singles(r: tuple[int, ...]) -> list[int]:
         counts: dict[int, int] = {}
         for x in r:

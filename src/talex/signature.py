@@ -10,9 +10,17 @@ number at the roots themselves.  sigma(1) = 0 always (H(1) = 0).
 
 Loading computes delta(t) once and validates its value at t = 1,
 det(V - V^T) = +-1, the fairness check that V actually is a Seifert
-matrix of a knot.  The signature jumps are sought only at the
-unit-circle roots of delta(t), found once per matrix.  Eigenvalues within
-_ZERO_TOL of 0 count as zeros of the form, not toward its signature.
+matrix of a knot.  delta is then exact and palindromic, and
+delta(-1) = det(V + V^T) is the knot determinant, which is odd, so
+delta meets the contract of roots.unit_circle_roots: its unit-circle
+roots are found exactly, as real roots of q(t + 1/t) in (-2, 2) counted
+by a Sturm sequence and isolated in brackets certified by sign changes,
+once per matrix.  They cut the circle into constancy arcs; sigma is read
+once per arc, at its midpoint, and the jump at a root is the difference
+of the arcs on either side.  The arc through omega = 1 is read at
+omega = 1 up to rounding, where H vanishes and sigma is 0, its value on
+the whole arc.  Eigenvalues within _ZERO_TOL of 0 count as zeros of the
+form, not toward its signature.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ class SeifertMatrix:
             raise ParseError("det(V - V^T) = %s; a knot Seifert matrix needs "
                              "+-1" % pairing)
         self._unit_roots = None
+        self._arc_sigs: list[int] | None = None
         self._jumps: list[tuple[float, int]] | None = None
 
     @classmethod
@@ -111,16 +120,6 @@ def lt_signature(v: SeifertMatrix, omega: complex) -> int:
     return lt_signature_detail(v, omega)[0]
 
 
-def _min_angular_gap(angles: list[float]) -> float:
-    """Minimal gap between distinct angles (2*pi with fewer than two)."""
-    if len(angles) < 2:
-        return 2.0 * np.pi
-    s = sorted(angles)
-    gaps = [b - a for a, b in zip(s, s[1:])]
-    gaps.append(2.0 * np.pi - (s[-1] - s[0]))
-    return min(gaps)
-
-
 def _safe_radius(angles: list[float], theta: float) -> float:
     """Largest radius around theta certified free of OTHER circle roots.
 
@@ -156,25 +155,35 @@ def averaged_signature(v: SeifertMatrix, omega: complex) -> Fraction:
     return Fraction(plus + minus, 2)
 
 
+def _arc_signatures(v: SeifertMatrix) -> list[int]:
+    """sigma on each constancy arc, read once at the arc's midpoint and kept.
+
+    Arc i runs from the i-th unit-circle root of delta to the next, the
+    last one around through omega = 1 back to the first.
+    """
+    if v._arc_sigs is None:
+        angles = [a for a, _ in v.unit_roots()]
+        ends = angles[1:] + [a + 2.0 * np.pi for a in angles[:1]]
+        v._arc_sigs = [lt_signature(v, np.exp(0.5j * (a + b)))
+                       for a, b in zip(angles, ends)]
+    return v._arc_sigs
+
+
 def signature_jumps(v: SeifertMatrix) -> list[tuple[float, int]]:
     """(angle, jump) at every unit-circle root of delta where sigma moves.
 
-    Roots of even multiplicity may leave the signature unchanged; those
-    contribute no entry, so a knot whose signature function is
-    identically zero reports an empty list.  The jumps are found once per
-    matrix, and kept.
+    The jump at a root is sigma on the arc after it minus sigma on the arc
+    before it, one signature per arc.  Roots of even multiplicity may leave
+    the signature unchanged; those contribute no entry, so a knot whose
+    signature function is identically zero reports an empty list.  The
+    jumps are found once per matrix, and kept.
     """
     if v._jumps is not None:
         return v._jumps
-    roots = v.unit_roots()
-    angles = [a for a, _ in roots]
-    gap = _min_angular_gap(angles)
-    eps = gap / 2.0
+    arcs = _arc_signatures(v)
     out = []
-    for theta, mult in roots:
-        plus = lt_signature(v, np.exp(1j * (theta + eps)))
-        minus = lt_signature(v, np.exp(1j * (theta - eps)))
-        jump = plus - minus
+    for i, (theta, mult) in enumerate(v.unit_roots()):
+        jump = arcs[i] - arcs[i - 1]
         if mult % 2 == 1 and jump == 0:
             # An odd-multiplicity circle root must move the signature.
             raise CertificationError(
@@ -189,19 +198,14 @@ def signature_jumps(v: SeifertMatrix) -> list[tuple[float, int]]:
 def is_identically_zero(v: SeifertMatrix) -> bool:
     """Whether the signature function vanishes on the whole unit circle.
 
-    True iff every jump is zero and the signature is zero on a sample of
-    each constancy interval (plus a uniform sweep for robustness).
+    True iff every jump is zero and the signature is zero on each constancy
+    arc (the values signature_jumps read) and on a uniform sweep of
+    _SWEEP_SAMPLES further points, for robustness.
     """
-    if signature_jumps(v):
+    if signature_jumps(v) or any(_arc_signatures(v)):
         return False
-    angles = sorted(a for a, _ in v.unit_roots())
-    probes = []
-    if angles:
-        ext = angles + [angles[0] + 2.0 * np.pi]
-        probes.extend((a + b) / 2.0 for a, b in zip(ext, ext[1:]))
-    probes.extend(2.0 * np.pi * (k + 0.5) / _SWEEP_SAMPLES
-                  for k in range(_SWEEP_SAMPLES))
-    for theta in probes:
+    for k in range(_SWEEP_SAMPLES):
+        theta = 2.0 * np.pi * (k + 0.5) / _SWEEP_SAMPLES
         if lt_signature(v, np.exp(1j * theta)) != 0:
             return False
     return True

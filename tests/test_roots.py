@@ -1,11 +1,16 @@
 """Certified numerical root finding."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talex.errors import AlgebraError, RootFindingError
 from talex.laurent import LaurentPoly
-from talex.roots import complex_roots, distinct_values, unit_circle_roots
+from talex.roots import complex_roots, unit_circle_roots
 
 from conftest import CP, P
 
@@ -123,11 +128,73 @@ class TestUnitCircleRoots:
         assert [m for _, m in roots] == [2, 2]
 
 
-class TestDistinctValues:
-    def test_merging(self):
-        vals = [1.0, 1.0 + 1e-12, 2.0, 2.0 + 5e-9, 3.0]
-        out = distinct_values(vals)
-        assert len(out) == 3
+class TestUnitCircleRootsExact:
+    @pytest.mark.parametrize("n", range(3, 32, 2))
+    def test_torus_knot_roots(self, n):
+        # T(2, n): delta = (t^n + 1)/(t + 1), roots e^(i(2k+1)pi/n) but -1
+        roots = unit_circle_roots(P(*[(-1) ** k for k in range(n)]))
+        want = [(2 * k + 1) * math.pi / n for k in range(n) if 2 * k + 1 != n]
+        assert [m for _, m in roots] == [1] * (n - 1)
+        assert max(abs(a - w) for (a, _), w in zip(roots, want)) < 1e-12
 
-    def test_empty(self):
-        assert distinct_values([]) == []
+    def test_closed_form_angles(self):
+        for delta, theta in ((P(1, -1, 1), math.pi / 3),
+                             (P(7, -13, 7), math.acos(13 / 14))):
+            (a1, m1), (a2, m2) = unit_circle_roots(delta)
+            assert m1 == m2 == 1
+            assert abs(a1 - theta) < 1e-14
+            assert abs(a2 - (2 * math.pi - theta)) < 1e-14
+
+    def test_double_roots_of_eight_twenty(self):
+        roots = unit_circle_roots(P(1, -2, 3, -2, 1))   # (t^2 - t + 1)^2
+        assert [m for _, m in roots] == [2, 2]
+        assert abs(roots[0][0] - math.pi / 3) < 1e-14
+
+    @pytest.mark.parametrize("k", [6, 12, 18])
+    def test_real_pair_next_to_one_stays_off(self, k):
+        eps = Fraction(1, 10 ** k)
+        assert unit_circle_roots(P(1, -(2 + eps), 1)) == []
+        assert unit_circle_roots(P(1, 2 + eps, 1)) == []
+
+    @pytest.mark.parametrize("k", [6, 12, 18])
+    def test_circle_pair_next_to_plus_minus_one(self, k):
+        eps = Fraction(1, 10 ** k)
+        # 2 - 2 cos(theta) = eps, so theta = 2 asin(sqrt(eps) / 2)
+        theta = 2 * math.asin(math.sqrt(eps) / 2)
+        for delta, want in ((P(1, -(2 - eps), 1), theta),
+                            (P(1, 2 - eps, 1), math.pi - theta)):
+            (a1, m1), (a2, m2) = unit_circle_roots(delta)
+            assert m1 == m2 == 1
+            assert 0 < a1 < a2 < 2 * math.pi
+            assert abs(a1 + a2 - 2 * math.pi) < 1e-15
+            assert abs(a1 - want) <= 1e-12 * want
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.integers(-6, 6).filter(lambda a: abs(a) != 2),
+                    min_size=1, max_size=6))
+    def test_products_of_trace_factors(self, traces):
+        # t^2 - a t + 1 has its roots on the circle exactly when |a| < 2,
+        # at e^(+-i arccos(a/2)); every other a gives two real roots.
+        delta = P(1)
+        for a in traces:
+            delta = delta * P(1, -a, 1)
+        roots = unit_circle_roots(delta)
+        inside = sorted({a for a in traces if abs(a) < 2}, reverse=True)
+        assert sum(m for _, m in roots) == 2 * sum(abs(a) < 2 for a in traces)
+        want = sorted([(math.acos(a / 2), traces.count(a)) for a in inside]
+                      + [(2 * math.pi - math.acos(a / 2), traces.count(a))
+                         for a in inside])
+        assert [m for _, m in roots] == [m for _, m in want]
+        assert all(abs(a - w) < 1e-12 for (a, _), (w, _) in zip(roots, want))
+
+    @pytest.mark.parametrize("delta", [
+        P(1, -1, 2),            # not palindromic
+        P(1, -2, 1),            # vanishes at 1
+        P(1, 2, 1),             # vanishes at -1
+        P(1, 1),                # odd degree: vanishes at -1
+        CP(1, -1, 1),           # not exact
+        P(0),                   # zero
+    ])
+    def test_contract_refused(self, delta):
+        with pytest.raises(AlgebraError):
+            unit_circle_roots(delta)

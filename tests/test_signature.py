@@ -125,11 +125,11 @@ class TestSeifertMatrix:
         monkeypatch.setattr(signature, "lt_signature_detail", counting_detail)
         v = v820()
         jumps = signature_jumps(v)
-        assert len(calls) == 4          # both sides of its two circle roots
+        assert len(calls) == 2          # one per arc between its two roots
         assert is_identically_zero(v)
-        assert len(calls) == 4 + 2 + 16  # only the probes are new
+        assert len(calls) == 2 + 16     # only the sweep is new
         assert signature_jumps(v) is jumps
-        assert len(calls) == 22
+        assert len(calls) == 18
 
 
 class TestLtSignature:
@@ -232,6 +232,22 @@ class TestSignatureJumps:
         assert jumps[0][1] + jumps[1][1] == 0
 
     def test_no_jumps_for_eight_crossing_fixture(self):
+        assert signature_jumps(v820()) == []
+
+    def test_eight_twenty_double_roots_make_no_jumps(self):
+        v = v820()
+        assert [m for _, m in v.unit_roots()] == [2, 2]
+        assert signature_jumps(v) == []
+
+    def test_jumps_need_no_complex_roots(self, monkeypatch):
+        import talex.roots as roots
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("complex_roots called")
+
+        monkeypatch.setattr(roots, "complex_roots", refuse)
+        assert [j for _, j in signature_jumps(trefoil_v())] == [-2, 2]
+        assert [j for _, j in signature_jumps(v935())] == [-2, 2]
         assert signature_jumps(v820()) == []
 
     def test_no_circle_roots_means_no_jumps(self):

@@ -295,6 +295,23 @@ class TestTietzeReducedInvariants:
         assert all(abs(complex(reduced[j]) - complex(full[j])) <= 1e-12
                    for j in full.coeffs)
 
+    def test_one_reduction_per_presentation(self, monkeypatch):
+        import talex.presentations as presentations
+        calls = []
+        real_tietze = presentations._tietze
+
+        def counting_tietze(p, keep):
+            calls.append(keep)
+            return real_tietze(p, keep)
+
+        monkeypatch.setattr(presentations, "_tietze", counting_tietze)
+        p = _diagram(9)
+        assert alexander(p) == LaurentPoly({j: Fraction((-1) ** j)
+                                            for j in range(9)})
+        wada_invariant(p, abelian_rep(p, Fraction(3, 2)))
+        wada_invariant(p, abelian_rep(p, 1.1 + 0.4j))
+        assert calls == [p.num_generators - 1]
+
     def test_removed_out_of_range(self, p820):
         rho = abelian_rep(p820, Fraction(2))
         for k in (-1, p820.num_generators):
