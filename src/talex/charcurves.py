@@ -83,9 +83,12 @@ TRACE_TABLE = (
 )
 
 
+@lru_cache(maxsize=None)
 def pretzel935_presentation() -> Presentation:
     """The standard two-relator, three-meridian presentation (the packaged
-    fixture 9_35.pres)."""
+    fixture 9_35.pres), parsed once.  Every call returns the same
+    Presentation, which is never mutated, so the representations built on
+    it share one Tietze reduction (Presentation._reductions)."""
     with open(fixture_path("9_35.pres"), encoding="utf-8") as fh:
         return parse_presentation(fh.read())
 

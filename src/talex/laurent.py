@@ -4,9 +4,12 @@ Coefficients live in one of two domains: exact rationals
 (fractions.Fraction, into which ints are coerced) or complex floats.
 A polynomial is "exact" when every coefficient is a Fraction; mixing an
 exact polynomial with a complex one silently promotes to the complex
-domain.  Exact zeros are dropped on construction; floating coefficients
-are only pruned by an explicit cleanup(eps), which drops entries whose
-magnitude is at most eps times the largest magnitude present.
+domain.  The domain is decided once, when the polynomial is constructed,
+and kept with it: polynomials are not mutated after construction, so
+is_exact() costs no scan of the coefficients.  Exact zeros are dropped on
+construction; floating coefficients are only pruned by an explicit
+cleanup(eps), which drops entries whose magnitude is at most eps times the
+largest magnitude present.
 
 The zero polynomial has empty support.  degree() is the span from lowest
 to highest exponent, the natural degree notion for quantities defined up
@@ -29,28 +32,37 @@ def _is_exact(c) -> bool:
 
 
 def _coerce(c):
+    if type(c) is Fraction or type(c) is complex:
+        return c
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, Rational) or isinstance(c, int):
-        return Fraction(c)
+    # numpy complex scalars come here; the Rational ABC check is slow, and
+    # no type is both a float or complex and a Rational
     if isinstance(c, (float, complex)):
         return complex(c)
+    if isinstance(c, Rational) or isinstance(c, int):
+        return Fraction(c)
     raise TypeError("unsupported coefficient type %r" % type(c))
 
 
 class LaurentPoly:
     """A Laurent polynomial sum c_k t^k, stored as {exponent: coefficient}."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_exact")
 
     def __init__(self, coeffs: dict[int, object] | None = None):
         clean: dict[int, object] = {}
+        exact = True
         if coeffs:
             for k, c in coeffs.items():
                 c = _coerce(c)
                 if c != 0:
                     clean[int(k)] = c
+                    # _coerce returns a Fraction or a plain complex
+                    if type(c) is complex:
+                        exact = False
         self.coeffs = clean
+        self._exact = exact
 
     # -- constructors ------------------------------------------------------
 
@@ -81,7 +93,7 @@ class LaurentPoly:
         return not self.coeffs
 
     def is_exact(self) -> bool:
-        return all(_is_exact(c) for c in self.coeffs.values())
+        return self._exact
 
     def min_exp(self) -> int:
         if not self.coeffs:
@@ -210,7 +222,7 @@ class LaurentPoly:
 
     def evaluate(self, x):
         """Value at x; exact when both the polynomial and x are exact."""
-        total = Fraction(0) if (self.is_exact() and _is_exact(_coerce(x))) else 0j
+        total = Fraction(0) if (self._exact and _is_exact(_coerce(x))) else 0j
         for k, c in self.coeffs.items():
             total = total + c * _pow_any(x, k)
         return total

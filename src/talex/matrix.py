@@ -11,10 +11,12 @@ det() has two elimination kernels, chosen by the entry domain:
     raises NonPolynomialError.  MultiPoly entries are first packed into
     one variable by a Kronecker substitution, and the result is unpacked.
   * Laurent entries with complex coefficients: evaluation of the nonzero
-    entries at scaled roots of unity, one numpy LU determinant per sample
-    point, followed by an inverse DFT.  The exponent window of the determinant is bounded by
-    row-wise exponent sums, so the interpolation is exact in exact
-    arithmetic and stable in floating arithmetic.
+    entries at the roots of unity, with one power table per sample point,
+    then one stacked numpy LU determinant over all sample points, followed
+    by an inverse DFT.  The exponent window of the determinant is bounded
+    by row-wise exponent sums, so the interpolation is exact in exact
+    arithmetic and stable in floating arithmetic.  Each sampled value is
+    bit-identical to a per-point evaluation (see _interpolated_det).
 
 Scalar entries are lifted to constant Laurent polynomials, so the
 determinant of a scalar matrix is a constant LaurentPoly, and that of the
@@ -269,7 +271,23 @@ def _zt_exact_div(num: list[int], den: list[int]) -> list[int]:
 
 
 def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Evaluation/interpolation determinant for complex Laurent entries."""
+    """Evaluation/interpolation determinant for complex Laurent entries.
+
+    The determinant's exponents lie in [lo, hi], lo and hi the sums of the
+    rows' lowest and highest exponents, so its values at the npts =
+    hi - lo + 1 roots of unity t_j determine it through an inverse DFT.
+    At each t_j one power table over the exponents the entries use is
+    built, every nonzero entry is summed from it (zeros stay 0), and the
+    npts matrices are stacked and factored by one np.linalg.det call.
+
+    Powers, products and sums are numpy scalar operations in the order of
+    LaurentPoly.evaluate: t**k, 1.0/t**-k for k < 0, and total + c * t**k
+    from 0j in the entry's coefficient order, so each value is that of
+    entry.evaluate(t_j) bit for bit.  Array ufuncs (t_j ** k over all j, c
+    times an array of powers) are not used: their SIMD kernels can round
+    the last bit differently, and the output would no longer be
+    reproducible from the per-point definition.
+    """
     n = len(rows)
     lo = hi = 0
     for row in rows:
@@ -279,17 +297,26 @@ def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         lo += min(a for a, _ in exts)
         hi += max(b for _, b in exts)
     npts = hi - lo + 1
-    # only the nonzero entries are evaluated; the rest stay 0 at every point
     where = [(i, k) for i, row in enumerate(rows)
              for k, e in enumerate(row) if not e.is_zero()]
-    entries = [rows[i][k] for i, k in where]
-    at = tuple(np.array(ix, dtype=int) for ix in zip(*where))
-    values = np.empty(npts, dtype=complex)
+    terms = [list(rows[i][k].coeffs.items()) for i, k in where]
+    exps = {k for entry in terms for k, _ in entry}
+    sampled = []
     for j in range(npts):
         t = np.exp(2j * np.pi * j / npts)
-        mat = np.zeros((n, n), dtype=complex)
-        mat[at] = [complex(e.evaluate(t)) for e in entries]
-        values[j] = np.linalg.det(mat) * np.exp(-2j * np.pi * j * lo / npts)
+        pw = {k: t ** k if k >= 0 else 1.0 / t ** -k for k in exps}
+        for entry in terms:
+            total = 0j
+            for k, c in entry:
+                total = total + c * pw[k]
+            sampled.append(complex(total))
+    mats = np.zeros((npts, n, n), dtype=complex)
+    mats[(slice(None),) + tuple(zip(*where))] = \
+        np.array(sampled).reshape(npts, len(where))
+    dets = np.linalg.det(mats)
+    values = np.empty(npts, dtype=complex)
+    for j in range(npts):
+        values[j] = dets[j] * np.exp(-2j * np.pi * j * lo / npts)
     coeffs = np.fft.fft(values) / npts
     scale = np.max(np.abs(coeffs)) or 1.0
     out = {lo + m: complex(c) for m, c in enumerate(coeffs)

@@ -117,10 +117,7 @@ class Representation:
         if len(self.matrices) != 2:
             return _share_an_eigenvector(self.matrices,
                                          math.sqrt(_REDUCIBLE_TOL))
-        a, b = self.matrices
-        comm = _mat_mul(_mat_mul(a, b),
-                        _mat_mul(_mat_adjugate(a), _mat_adjugate(b)))
-        return abs(complex(comm[0][0] + comm[1][1]) - 2.0) <= _REDUCIBLE_TOL
+        return _pair_is_reducible(*self.matrices)
 
     def conjugate(self, g: Matrix2) -> "Representation":
         ginv = _mat_adjugate(g)
@@ -165,6 +162,13 @@ class Representation:
         if len(mats) != presentation.num_generators:
             raise ParseError("bad representation JSON: wrong generator count")
         return cls(presentation, mats, residual)
+
+
+def _pair_is_reducible(a: Matrix2, b: Matrix2) -> bool:
+    """Whether tr[A, B] is within _REDUCIBLE_TOL of 2 for A, B in SL(2, C)."""
+    comm = _mat_mul(_mat_mul(a, b),
+                    _mat_mul(_mat_adjugate(a), _mat_adjugate(b)))
+    return abs(complex(comm[0][0] + comm[1][1]) - 2.0) <= _REDUCIBLE_TOL
 
 
 def _share_an_eigenvector(mats: list[Matrix2], bound: float) -> bool:
@@ -551,11 +555,18 @@ def _closed_form(p: Presentation, cons: dict) -> Representation:
         points = [[a, s, 1.0 / b, s]]
     else:
         pair = [a, 1.0 + 0j, b, z - a * b - 1.0 / (a * b)]
+        ab = _unpack(pair, 2)
         cands = _det_one_on_trace_rows(*_trace_rows(
-            3, cons[FreeWord([3])], cons, _unpack(pair, 2)))
+            3, cons[FreeWord([3])], cons, ab))
         if not cands:
-            raise SolveError("the traces do not cut det C = 1 down to one or "
-                             "two matrices C")
+            # At a reducible pair a, b, as at a Burde-de Rham character, the
+            # rows linear in C drop rank, so no finite set of C solves them.
+            reason = ("the traces do not cut det C = 1 down to one or two "
+                      "matrices C")
+            if _pair_is_reducible(*ab):
+                reason = ("the pair a, b is reducible (tr[a, b] within %.0e "
+                          "of 2), so %s" % (_REDUCIBLE_TOL, reason))
+            raise SolveError(reason)
         points = [pair + list(c) for c in cands]
     eq = _Equations(p, cons)
     best, reducible = np.inf, False

@@ -279,6 +279,25 @@ class TestSolveOnCurve:
             assert abs(lead - 1) <= 1e-5
             assert row["monic"]
 
+    def test_presentation_is_parsed_once(self):
+        assert cc.pretzel935_presentation() is cc.pretzel935_presentation()
+
+    def test_witnesses_share_one_tietze_reduction(self, monkeypatch):
+        import talex.presentations as presentations
+        calls = []
+        real_tietze = presentations._tietze
+
+        def counting_tietze(p, keep):
+            calls.append(keep)
+            return real_tietze(p, keep)
+
+        monkeypatch.setattr(presentations, "_tietze", counting_tietze)
+        cc.pretzel935_presentation.cache_clear()
+        _, Cp = cc.curve_components()
+        rows = cc.monic_witness_report(cc.census(Cp, 1))
+        assert len(rows) == 6
+        assert calls == [2]
+
     def test_monic_witness_loop_reports_the_given_census(self):
         _, Cp = cc.curve_components()
         monic = cc.census(Cp, 1, cluster_radius=1e-6)
@@ -371,6 +390,21 @@ class TestClosedFormConstruction:
         # (2.5, 1) is on neither curve.  tr(ab) = y0^2 - 2 makes d = 0: B
         # is diagonal and det C = 1 holds on the whole line of C.
         with pytest.raises(SolveError, match=reason) as info:
+            cc.solve_on_curve(y0, z0)
+        assert info.value.restarts == 0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_burde_de_rham_points_are_reported_reducible(self, sign):
+        # m^2 a root of Delta = 7t^2 - 13t + 7, y = m + 1/m = +-sqrt(27/7)
+        # and z = y^2 - 2: C' meets the reducible characters there (C' at
+        # x = 2 is 7y^2 - 27), and d = 0 makes a, b reducible.
+        m = sign * cmath.sqrt((13 + 1j * 27 ** 0.5) / 14)
+        y0 = m + 1 / m
+        z0 = y0 * y0 - 2
+        _, Cp = cc.curve_components()
+        assert abs(Cp.evaluate(y0, z0)) <= 1e-12
+        with pytest.raises(SolveError,
+                           match="the pair a, b is reducible") as info:
             cc.solve_on_curve(y0, z0)
         assert info.value.restarts == 0
 

@@ -145,6 +145,37 @@ class TestRingAxiomProperties:
         assert (p + (-p)).is_zero()
 
 
+_mixed_coefficients = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    st.floats(min_value=0.1, max_value=6),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=6))
+mixed_laurent = st.dictionaries(st.integers(-4, 4), _mixed_coefficients,
+                                max_size=4).map(LaurentPoly)
+
+
+class TestDomainFlag:
+    """is_exact() is decided at construction; it must still say whether
+    every stored coefficient is a Fraction."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_laurent, mixed_laurent, st.integers(0, 3),
+           st.integers(-5, 5), _mixed_coefficients)
+    def test_flag_matches_the_coefficients(self, p, q, n, k, c):
+        results = [p, q, p + q, p - q, p * q, p + c, c - p, -p, p ** n,
+                   p.shift(k), p.scale(c), p.cleanup(), p.derivative(),
+                   LaurentPoly.from_json_dict(p.to_json_dict())]
+        if not q.is_zero():
+            results.extend(p.divmod_poly(q))
+        for r in results:
+            assert r.is_exact() == all(isinstance(x, Fraction)
+                                       for x in r.coeffs.values())
+
+    def test_cancelled_complex_terms_leave_an_exact_polynomial(self):
+        p = LaurentPoly({0: Fraction(1), 1: 2j}) + LaurentPoly({1: -2j})
+        assert p.coeffs == {0: Fraction(1)} and p.is_exact()
+
+
 class TestDivision:
     def test_exact_quotient(self):
         t = LaurentPoly.t()

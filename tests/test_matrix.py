@@ -11,8 +11,11 @@ from talex.errors import AlgebraError, NonPolynomialError
 from talex.laurent import LaurentPoly
 from talex.matrix import SquareMatrix, _zt_exact_div, det
 from talex.multipoly import MultiPoly, resultant
+from talex.presentations import pd_to_wirtinger, simplify
+from talex.representations import Representation, abelian_rep
+from talex.twisted import fox_matrix_laurent
 
-from conftest import CP, P
+from conftest import CP, P, torus_pd
 
 
 def _cofactor_det(rows, one):
@@ -142,32 +145,71 @@ def _dense_interpolated_det(rows):
                         if abs(c) > 1e-13 * scale})
 
 
-_complex_entries = st.one_of(
+_exponents = st.integers(-25, 25)
+_complex_coefficients = st.complex_numbers(min_magnitude=0.1, max_magnitude=9)
+_exact_coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+_mixed_entries = st.one_of(
     st.just(LaurentPoly.zero()), st.just(LaurentPoly.zero()),
-    st.dictionaries(st.integers(-3, 3),
-                    st.complex_numbers(min_magnitude=0.1, max_magnitude=9),
+    st.dictionaries(_exponents, _complex_coefficients,
+                    min_size=1, max_size=3).map(LaurentPoly),
+    st.dictionaries(_exponents, _exact_coefficients,
+                    min_size=1, max_size=3).map(LaurentPoly),
+    st.dictionaries(_exponents, _complex_coefficients | _exact_coefficients,
                     min_size=1, max_size=3).map(LaurentPoly))
 
 
 @st.composite
 def _sparse_complex_matrices(draw):
-    n = draw(st.integers(1, 5))
-    rows = [draw(st.lists(_complex_entries, min_size=n, max_size=n))
+    """Matrices of up to 6 x 6 exact, complex and mixed entries with at least
+    one complex coefficient, so that det() interpolates."""
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(_mixed_entries, min_size=n, max_size=n))
             for _ in range(n)]
     for i, row in enumerate(rows):     # no zero rows: both paths return 0
         if all(e.is_zero() for e in row):
             row[i] = LaurentPoly({0: 1 + 0j})
+    if all(e.is_exact() for row in rows for e in row):
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][k] = LaurentPoly({draw(_exponents):
+                                  draw(_complex_coefficients)})
     return rows
+
+
+def _bits(poly):
+    return {k: (c.real.hex(), c.imag.hex()) for k, c in poly.coeffs.items()}
 
 
 class TestInterpolatedDet:
     @settings(max_examples=60, deadline=None)
     @given(_sparse_complex_matrices())
     def test_sparse_evaluation_is_bit_identical(self, rows):
-        def bits(poly):
-            return {k: (c.real.hex(), c.imag.hex())
-                    for k, c in poly.coeffs.items()}
-        assert bits(det(rows)) == bits(_dense_interpolated_det(rows))
+        assert _bits(det(rows)) == _bits(_dense_interpolated_det(rows))
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_torus_fox_matrix_is_bit_identical(self, reduced):
+        p = pd_to_wirtinger(torus_pd(21))
+        rho = abelian_rep(p, 0.9 + 0.45j)
+        keep = p.num_generators - 1
+        if reduced:
+            p, kept, _ = simplify(p, keep)
+            rho = Representation(p, [rho.matrices[g] for g in kept])
+            keep = kept.index(keep)
+        rows = fox_matrix_laurent(p, rho, keep)
+        assert _bits(det(rows)) == _bits(_dense_interpolated_det(rows))
+
+    def test_one_stacked_lu_per_determinant(self, monkeypatch):
+        calls = []
+        real = np.linalg.det
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        rows = [[CP(1, 2), LaurentPoly({-1: Fraction(1, 3)})],
+                [CP(0, 0, 1j), CP(5)]]
+        det(rows)
+        assert calls == [(5, 2, 2)]     # exponents -1 .. 3
 
 
 _fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
