@@ -14,16 +14,16 @@ from .errors import (AlgebraError, CertificationError, NonPolynomialError,
 from .words import (FreeWord, GroupRingElement, fox_derivative,
                     fundamental_identity_holds)
 from .presentations import (Presentation, parse_pd, parse_presentation,
-                            pd_to_wirtinger, presentation_to_text, simplify)
+                            pd_to_wirtinger, simplify)
 from .laurent import (LaurentPoly, LaurentRational, has_simple_root,
                       poly_gcd, squarefree_decomposition)
 from .multipoly import MultiPoly, exact_divide, resultant, sylvester_matrix
 from .matrix import SquareMatrix, det
 from .roots import complex_roots, unit_circle_roots
 from .representations import (Representation, abelian_rep,
-                              burde_derham_check, character_of,
-                              closed_form_representation, parse_constraints,
-                              reducible_formula, representation_from_traces,
+                              burde_derham_check, closed_form_representation,
+                              parse_constraints, reducible_formula,
+                              representation_from_traces,
                               satellite_alexander, solve_representation)
 from .twisted import (TwistedAlex, alexander, coefficient_profile,
                       determines_genus, fox_matrix_laurent,

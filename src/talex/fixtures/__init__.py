@@ -35,10 +35,3 @@ def fixture_path(name: str) -> str:
     if not os.path.isfile(full):
         raise ParseError("no packaged fixture named %r" % name)
     return full
-
-
-def fixture_names() -> list[str]:
-    """Sorted names of every file in the packaged corpus."""
-    return sorted(f for f in os.listdir(_DIR)
-                  if not f.startswith("_") and not f.endswith(".py")
-                  and not f.endswith(".pyc") and f != "__pycache__")

@@ -113,9 +113,6 @@ class LaurentPoly:
         """Coefficient of the highest exponent."""
         return self.coeffs[self.max_exp()]
 
-    def trailing(self):
-        return self.coeffs[self.min_exp()]
-
     def __getitem__(self, k: int):
         c = self.coeffs.get(k, 0)
         return c if c else (Fraction(0) if self.is_exact() else 0j)
@@ -444,20 +441,13 @@ def squarefree_decomposition(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
     return out
 
 
-def has_simple_root(p: LaurentPoly, cluster_radius: float = 1e-8) -> bool:
-    """Whether p has at least one root of multiplicity exactly one.
-
-    Exact inputs are decided exactly through the square-free decomposition
-    (the answer is whether the multiplicity-one factor is nonconstant).
-    Floating inputs fall back on clustered numerical roots, reliable only
-    down to the clustering radius.
-    """
+def has_simple_root(p: LaurentPoly) -> bool:
+    """Whether the exact p has at least one root of multiplicity exactly
+    one, decided through the square-free decomposition (whether its
+    multiplicity-one factor is nonconstant); AlgebraError otherwise."""
     if p.is_zero():
         raise AlgebraError("the zero polynomial has no well-defined roots")
-    if p.is_exact():
-        return any(m == 1 for _, m in squarefree_decomposition(p))
-    from .roots import complex_roots
-    return any(m == 1 for _, m in complex_roots(p, cluster_radius=cluster_radius))
+    return any(m == 1 for _, m in squarefree_decomposition(p))
 
 
 class LaurentRational:
@@ -488,9 +478,6 @@ class LaurentRational:
 
     def is_exact(self) -> bool:
         return self.num.is_exact() and self.den.is_exact()
-
-    def is_polynomial(self) -> bool:
-        return self.attempt_polynomial() is not None
 
     def attempt_polynomial(self, eps: float = DEFAULT_CLEAN_EPS) -> LaurentPoly | None:
         """The quotient as a Laurent polynomial, or None if division fails."""

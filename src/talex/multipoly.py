@@ -93,9 +93,6 @@ class MultiPoly:
         i = self.vars.index(name)
         return min((ex[i] for ex in self.terms), default=0)
 
-    def total_degree(self) -> int:
-        return max((sum(ex) for ex in self.terms), default=-1)
-
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other: "MultiPoly"):
@@ -224,20 +221,6 @@ class MultiPoly:
                 c = c * _power(images[self.vars[i]], e)
             total = total + c
         return total
-
-    def substitute(self, name: str, value) -> "MultiPoly":
-        """Replace a variable by an exact rational constant or a MultiPoly
-        over the same variable tuple.  Requires nonnegative exponents in the
-        substituted variable unless the value is a nonzero constant."""
-        if isinstance(value, MultiPoly):
-            self._check(value)
-            if self.min_exponent_in(name) < 0:
-                raise AlgebraError("polynomial substitution into negative powers")
-        else:
-            value = Fraction(value)
-        images = {v: MultiPoly.var(self.vars, v) for v in self.vars}
-        images[name] = value
-        return self.compose(images, MultiPoly.zero(self.vars))
 
     def evaluate(self, assignment: dict[str, object]):
         """Numeric value at a full assignment (complex or Fraction entries)."""

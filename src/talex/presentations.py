@@ -122,12 +122,6 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(len(names), relators, names, wirtinger=wirtinger)
 
 
-def presentation_to_text(p: Presentation) -> str:
-    lines = ["gens: " + " ".join(p.names)]
-    lines += ["rel: " + r.to_string(p.names) for r in p.relators]
-    return "\n".join(lines) + "\n"
-
-
 def parse_pd(text: str) -> list[tuple[int, int, int, int]]:
     """Parse a PD file: one crossing per line, four comma-separated integers."""
     crossings = []

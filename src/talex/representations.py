@@ -192,12 +192,6 @@ def _share_an_eigenvector(mats: list[Matrix2], bound: float) -> bool:
     return False
 
 
-def character_of(rho: Representation,
-                 words: list[FreeWord]) -> dict[FreeWord, object]:
-    """The trace function recorded on finitely many words."""
-    return {w: rho.trace(w) for w in words}
-
-
 def _nonzero_scalar(lam):
     """lam as a Fraction when rational, otherwise as a complex number."""
     lam = Fraction(lam) if isinstance(lam, (int, Rational)) else complex(lam)

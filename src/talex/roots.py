@@ -33,21 +33,18 @@ gcd(q, q'); only when that is not constant is q split by
 squarefree_decomposition, and each factor is then counted and isolated
 on its own, with its multiplicity.
 
-The roots are isolated from float seeds: the np.roots eigenvalues of q
-nearest the real axis, polished by Newton's method in floats.  Each seed
-is certified by an exact sign change of q, by integer Horner, at two
-dyadic rationals around it: half-width 2^-40 at first, doubled until the
-sign changes, never beyond the midpoints to the neighbouring seeds or
-+-2, so the brackets are disjoint.  Every root that the Sturm count asks
-for must get such a bracket; otherwise RootFindingError is raised, and
-there is no other path.  A bracket wider than 2^-30 of its distance from
-+-2 is halved by exact bisection until it is not, so that 2 - x and
-2 + x keep that relative precision even for roots next to t = +-1.  The
-root's representative is the polished seed while it lies inside its
-bracket, else the bracket's midpoint, moved by one exact Newton step
-when that stays inside.  Its angle is
-theta = arccos(x/2) = 2 atan2(sqrt(2 - x), sqrt(2 + x)), the second form
-computed with 2 -+ x taken exactly, and the pair is (theta, 2pi - theta).
+The roots are isolated and refined exactly, at dyadic points a/2^k where
+2^(k deg f) f(a/2^k) is an integer Horner sum.  Sturm counts on half-open
+intervals (lo, hi] bisect (-2, 2] until each interval holds one root.
+Bisection by the sign of q narrows it to 2^-10 of its distance from +-2,
+so that 2 -+ x keep their relative precision next to t = +-1.  Integer
+Newton steps from its midpoint on the grid 2^-(k+70) give the root's
+representative x if q changes sign between the two grid neighbours inside
+the interval; otherwise bisection goes on to 2^-60 of that distance and
+x is the midpoint.  Nearly coincident roots cost only more bisection, and
+no step can fail.  The angle is theta = arccos(x/2) =
+2 atan2(sqrt(2 - x), sqrt(2 + x)), with 2 -+ x rounded once from the
+exact x, and the pair is (theta, 2pi - theta).
 """
 
 from __future__ import annotations
@@ -64,11 +61,11 @@ DEFAULT_CLUSTER_RADIUS = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-8
 # Newton steps that polish a root, at most.
 _POLISH_STEPS = 20
-# A unit-circle seed's first certifying bracket has half-width 2^-this.
-_BRACKET_BITS = 40
-# Brackets are bisected until no wider than 2^-this of their distance
-# from +-2.
-_REFINE_BITS = 30
+# Unit-circle refinement in bits, and Newton steps at most; see above.
+_REFINE_BITS = 10
+_NEWTON_BITS = 70
+_NEWTON_STEPS = 8
+_FALLBACK_BITS = 60
 
 
 def _as_poly(p) -> LaurentPoly:
@@ -199,27 +196,18 @@ def _trace_polynomial(p: LaurentPoly) -> list[int]:
     return q
 
 
-def _scaled_value(f: list[int], x: Fraction) -> int:
-    """b^deg f(a/b) for x = a/b, by integer Horner."""
-    a, b = x.numerator, x.denominator
-    acc, scale = f[-1], b
-    for c in reversed(f[:-1]):
-        acc = acc * a + c * scale
-        scale *= b
+def _value(f: list[int], a: int, k: int) -> int:
+    """2^(k deg f) f(a / 2^k), by integer Horner."""
+    acc = f[-1]
+    for j, c in enumerate(reversed(f[:-1]), 1):
+        acc = acc * a + (c << k * j)
     return acc
 
 
-def _sign_at(f: list[int], x: Fraction) -> int:
-    v = _scaled_value(f, x)
+def _sign_at(f: list[int], a: int, k: int) -> int:
+    """Sign of f(a / 2^k)."""
+    v = _value(f, a, k)
     return (v > 0) - (v < 0)
-
-
-def _exact_newton(f: list[int], x: Fraction) -> Fraction:
-    """x - f(x)/f'(x) in exact arithmetic (x itself where f' vanishes)."""
-    slope = _scaled_value([i * c for i, c in enumerate(f)][1:], x)
-    if slope == 0:
-        return x
-    return x - Fraction(_scaled_value(f, x), x.denominator * slope)
 
 
 def _neg_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -251,86 +239,85 @@ def _sturm_chain(f: list[int]) -> list[list[int]]:
     return chain
 
 
-def _count_inside(chain: list[list[int]]) -> int:
-    """Distinct real roots of chain[0] in (-2, 2), by Sturm's theorem."""
-    def changes(x):
-        signs = [s for s in (_sign_at(f, x) for f in chain) if s]
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-    return changes(Fraction(-2)) - changes(Fraction(2))
+def _changes(chain: list[list[int]], a: int, k: int) -> int:
+    """Sign changes of the chain at a / 2^k, zeros skipped."""
+    signs = [s for s in (_sign_at(f, a, k) for f in chain) if s]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _horner(f: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _polish(f: list[int], x: float) -> float:
-    """Newton's method on f in floats, kept inside [-2, 2]."""
-    fl = [float(c) for c in f]
-    df = [i * c for i, c in enumerate(fl)][1:]
-    best, best_val = x, math.inf
-    for _ in range(_POLISH_STEPS):
-        val = _horner(fl, x)
-        if abs(val) >= best_val:
-            break
-        best, best_val = x, abs(val)
-        slope = _horner(df, x)
-        if val == 0 or slope == 0:
-            break
-        x = min(2.0, max(-2.0, x - val / slope))
-    return best
-
-
-def _certify(f: list[int], seeds: list[float]) -> list[Fraction]:
-    """One exact root representative in (-2, 2) per sorted seed, each in
-    its own bracket across which f changes sign."""
+def _isolate(chain: list[list[int]]) -> list[tuple[int, int, int]]:
+    """Intervals (a/2^k, b/2^k], left to right, each holding exactly one
+    root of the square-free chain[0] in (-2, 2)."""
     out = []
-    mids = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(seeds, seeds[1:])]
-    bounds = [Fraction(-2)] + mids + [Fraction(2)]
-    for s, left, right in zip(seeds, bounds, bounds[1:]):
-        x = Fraction(s)
-        r = Fraction(1, 1 << _BRACKET_BITS)
-        while True:
-            lo, hi = max(x - r, left), min(x + r, right)
-            s_lo, s_hi = _sign_at(f, lo), _sign_at(f, hi)
-            if s_lo * s_hi < 0:
-                break
-            if lo == left and hi == right:
-                raise RootFindingError(
-                    "no sign change certifies the root near x = %r" % s)
-            r *= 2
-        while hi - lo > min(lo + 2, 2 - hi) / (1 << _REFINE_BITS):
-            mid = (lo + hi) / 2
-            s_mid = _sign_at(f, mid)
-            if s_mid == 0:
-                lo = hi = mid
-            elif s_mid == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        x = x if lo < x < hi else (lo + hi) / 2
-        y = _exact_newton(f, x)
-        out.append(y if lo < y < hi else x)
+    todo = [(-2, 2, 0, _changes(chain, -2, 0), _changes(chain, 2, 0))]
+    while todo:
+        a, b, k, va, vb = todo.pop()
+        if va - vb == 1:
+            out.append((a, b, k))
+        elif va > vb:
+            vm = _changes(chain, a + b, k + 1)
+            todo += [(a + b, 2 * b, k + 1, vm, vb),
+                     (2 * a, a + b, k + 1, va, vm)]
     return out
 
 
-def _real_roots_inside(f: list[int], count: int) -> list[Fraction]:
-    """Certified representatives of the count real roots of the
-    square-free f in (-2, 2)."""
-    if count == 0:
-        return []
-    # Nearest the real axis first, then farthest from +-2: a real root just
-    # outside (-2, 2) can round onto an end.
-    seeds = [(abs(r.imag), -(2 - abs(r.real)), float(r.real))
-             for r in np.roots([float(c) for c in reversed(f)])
-             if abs(r.real) <= 2]
-    if len(seeds) < count:
-        raise RootFindingError("%d real roots in (-2, 2) expected, %d seeds "
-                               "found" % (count, len(seeds)))
-    polished = sorted(_polish(f, x) for _, _, x in sorted(seeds)[:count])
-    return _certify(f, polished)
+def _bisect(f: list[int], s_hi: int, a: int, b: int, k: int,
+            bits: int) -> tuple[int, int, int]:
+    """Halve (a/2^k, b/2^k], where the square-free f has one root and sign
+    s_hi at b/2^k, by the sign of f at the midpoint, until the interval is
+    no wider than 2^-bits of its distance from +-2.  Returns the last
+    (a, b, k), with a == b when a midpoint is the root."""
+    while (b - a) << bits > min(a + (2 << k), (2 << k) - b):
+        mid = a + b
+        a, b, k = 2 * a, 2 * b, k + 1
+        s = _sign_at(f, mid, k)
+        if s == 0:
+            return mid, mid, k
+        if s == s_hi:
+            b = mid
+        else:
+            a = mid
+    return a, b, k
+
+
+def _newton(f: list[int], df: list[int], a: int, b: int,
+            k: int) -> int | None:
+    """Integer Newton steps on f, with derivative df, from the midpoint of
+    (a/2^k, b/2^k] on the grid 2^-(k + _NEWTON_BITS).  The last point m,
+    if f changes sign between its grid neighbours inside the interval,
+    else None."""
+    big = k + _NEWTON_BITS
+    m = (a + b) << (_NEWTON_BITS - 1)
+    for _ in range(_NEWTON_STEPS):
+        slope = _value(df, m, big)
+        if slope == 0:
+            break
+        # f / f' at m / 2^big is _value(f) / (slope 2^big).
+        step = _value(f, m, big) // slope
+        if step == 0:
+            break
+        m -= step
+    if (a << _NEWTON_BITS <= m - 1 and m + 1 <= b << _NEWTON_BITS
+            and _sign_at(f, m - 1, big) * _sign_at(f, m + 1, big) < 0):
+        return m
+    return None
+
+
+def _refine(chain: list[list[int]], a: int, b: int,
+            k: int) -> tuple[int, int]:
+    """(m, K) with m / 2^K the representative of the one root of the
+    square-free f = chain[0] in (a/2^k, b/2^k]; see the module docstring."""
+    f = chain[0]
+    s_hi = _sign_at(f, b, k)
+    if s_hi == 0:
+        return b, k
+    a, b, k = _bisect(f, s_hi, a, b, k, _REFINE_BITS)
+    if a < b:
+        m = _newton(f, chain[1], a, b, k)
+        if m is not None:
+            return m, k + _NEWTON_BITS
+        a, b, k = _bisect(f, s_hi, a, b, k, _FALLBACK_BITS)
+    return a + b, k + 1
 
 
 def unit_circle_roots(p) -> list[tuple[float, int]]:
@@ -356,7 +343,11 @@ def unit_circle_roots(p) -> list[tuple[float, int]]:
             parts.append((_sturm_chain(f), mult))
     out = []
     for ch, mult in parts:
-        for x in _real_roots_inside(ch[0], _count_inside(ch)):
-            theta = 2.0 * math.atan2(math.sqrt(2 - x), math.sqrt(2 + x))
+        for a, b, k in _isolate(ch):
+            m, k = _refine(ch, a, b, k)
+            # 2 -+ x for x = m / 2^k, each rounded once.
+            two = 2 << k
+            theta = 2.0 * math.atan2(math.sqrt((two - m) / (1 << k)),
+                                     math.sqrt((two + m) / (1 << k)))
             out += [(theta, mult), (2.0 * math.pi - theta, mult)]
     return sorted(out)

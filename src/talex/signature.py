@@ -13,9 +13,9 @@ det(V - V^T) = +-1, the fairness check that V actually is a Seifert
 matrix of a knot.  delta is then exact and palindromic, and
 delta(-1) = det(V + V^T) is the knot determinant, which is odd, so
 delta meets the contract of roots.unit_circle_roots: its unit-circle
-roots are found exactly, as real roots of q(t + 1/t) in (-2, 2) counted
-by a Sturm sequence and isolated in brackets certified by sign changes,
-once per matrix.  They cut the circle into constancy arcs; sigma is read
+roots are found exactly, once per matrix, as real roots of q(t + 1/t) in
+(-2, 2) isolated by Sturm counts and refined by exact bisection at dyadic
+points.  They cut the circle into constancy arcs; sigma is read
 once per arc, at its midpoint, and the jump at a root is the difference
 of the arcs on either side.  The arc through omega = 1 is read at
 omega = 1 up to rounding, where H vanishes and sigma is 0, its value on

@@ -126,9 +126,6 @@ class TwistedAlex:
     leading: object | None
     monic: bool | None
 
-    def is_polynomial(self) -> bool:
-        return self.polynomial is not None
-
     def is_monic(self) -> bool:
         if self.leading is None:
             raise AlgebraError("nonpolynomial value has no leading coefficient")

@@ -93,10 +93,6 @@ class FreeWord:
         """Total exponent sum over all generators (weight-one abelianization)."""
         return sum(1 if x > 0 else -1 for x in self.tietze)
 
-    def generator_exponent(self, g: int) -> int:
-        """Exponent sum of generator g alone."""
-        return sum((1 if x > 0 else -1) for x in self.tietze if abs(x) - 1 == g)
-
     def max_generator(self) -> int:
         """Largest generator index occurring, or -1 for the empty word."""
         return max((abs(x) - 1 for x in self.tietze), default=-1)

@@ -1,11 +1,12 @@
 """Every name a talex module imports is read somewhere in that module,
-every module-level private name is read somewhere in the package, and
-every defaulted parameter of a public function is set by some caller.
+every module-level private name is read somewhere in the package, every
+defaulted parameter of a public function is set by some caller, and every
+public function or method is referred to by some caller.
 
 No linter ships with the test dependencies, so this is the guard against
-dead imports, dead helpers and knobs that no caller turns.  The package's
-own __init__.py is skipped by the import check: its imports are the
-public re-exports.
+dead imports, dead helpers, knobs that no caller turns and public code
+that nothing calls.  The package's own __init__.py is skipped by the
+import check and as a caller: its imports are the public re-exports.
 """
 
 import ast
@@ -184,9 +185,6 @@ ALLOWED = {
         "data: the exponent of the first coefficient",
     "words.py:GroupRingElement.from_word(coeff)":
         "data: the coefficient of the word",
-    "laurent.py:has_simple_root(cluster_radius)":
-        "a floating input's multiplicity is only as good as the radius; "
-        "tests resolve near-double roots at 1e-6",
     "representations.py:solve_representation(restarts)":
         "tests pin solver trajectories with small restart budgets",
     "representations.py:solve_representation(require_irreducible)":
@@ -222,3 +220,104 @@ def test_detects_unset_default():
          "f(1, steps=4)\ng(1, *[2])\nBox(1, 2).scaled(3)\nBox.make(1)\n")
     assert unset_defaults({"a.py": a}, [a, b]) == [
         "a.py:Box.make(n)", "a.py:Box.scaled(m)", "a.py:f(tol)"]
+
+
+def public_functions(source: str) -> dict[str, ast.FunctionDef]:
+    """Map "function" or "Class.method" to its def, for the public
+    module-level functions and the public methods of public classes."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    out[node.name + "." + item.name] = item
+    return out
+
+
+def references(source: str, strings: bool) -> list[tuple[str, int]]:
+    """(name, line) of every loaded name and attribute, and with strings
+    of every part of a dotted string constant, as the tracer names what it
+    wraps."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out += [(part, node.lineno) for part in node.value.split(".")]
+    return out
+
+
+def uncalled(sources: dict[str, str], others: list[str]) -> list[str]:
+    """The public functions and methods of sources that no code refers to
+    by name outside their own def, in sources or in others (where dotted
+    strings count too).  Names are matched alone, as unset_defaults does."""
+    refs = {module: references(source, False)
+            for module, source in sources.items()}
+    outside = {name for source in others
+               for name, _ in references(source, True)}
+    return ["%s:%s" % (module, qual)
+            for module, source in sorted(sources.items())
+            for qual, fn in sorted(public_functions(source).items())
+            if fn.name not in outside
+            and not any(name == fn.name and not (
+                where == module and fn.lineno <= line <= fn.end_lineno)
+                for where, found in refs.items() for name, line in found)]
+
+
+# Public functions and methods that nothing in the package or the benchmark
+# calls, each with the reason it stays.
+UNCALLED_ALLOWED = {
+    "words.py:fundamental_identity_holds":
+        "independent check of the Fox calculus, run by the acceptance and "
+        "prefix-scan property tests",
+    "charcurves.py:r6_factors":
+        "the two factors of r_6, an independent check of the HLM "
+        "resultant curve in the acceptance tests",
+    "multipoly.py:MultiPoly.constant_value":
+        "reads the value of a constant polynomial, which the exact "
+        "resultant and elimination tests compare",
+    "representations.py:Representation.conjugate":
+        "a character is conjugation-invariant; tests move representations "
+        "by random conjugations",
+    "representations.py:closed_form_representation":
+        "the closed form alone, without the solver fallback of "
+        "representation_from_traces, for tests that pin a gauge",
+    "laurent.py:has_simple_root":
+        "the Burde-de Rham curve check needs m^2 to be a simple root of "
+        "delta, and is its caller-to-be",
+    "representations.py:burde_derham_check":
+        "the Burde-de Rham curve check needs delta(m^2) = 0, and is its "
+        "caller-to-be",
+}
+
+
+def test_every_public_function_has_a_caller():
+    sources = {str(p.relative_to(PACKAGE)): p.read_text(encoding="utf-8")
+               for p in MODULES}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
+    found = uncalled(sources, bench)
+    assert [k for k in found if k not in UNCALLED_ALLOWED] == []
+    assert [k for k in UNCALLED_ALLOWED if k not in found] == []   # no stale
+    assert all(reason.strip() for reason in UNCALLED_ALLOWED.values())
+
+
+def test_detects_uncalled_function():
+    a = ("def f(n):\n    return f(n - 1) if n else g()\n"
+         "def g():\n    return Box().used()\n"
+         "def traced():\n    return 0\n"
+         "def _private():\n    return 0\n"
+         "class Box:\n"
+         "    def used(self):\n        return self.idle\n"
+         "    def idle(self):\n        return 0\n"
+         "    def lonely(self):\n        return self.lonely()\n"
+         "class _Hidden:\n    def go(self):\n        return 0\n")
+    b = "import a\na.f(3)\nSPANS = ('a.traced', 'g')\n"
+    assert uncalled({"a.py": a}, [b]) == ["a.py:Box.lonely"]
+    assert uncalled({"a.py": a}, []) == [
+        "a.py:Box.lonely", "a.py:f", "a.py:traced"]

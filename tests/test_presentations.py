@@ -9,7 +9,6 @@ from talex import (
     parse_pd,
     parse_presentation,
     pd_to_wirtinger,
-    presentation_to_text,
     simplify,
 )
 
@@ -64,7 +63,9 @@ class TestParsePresentation:
     def test_round_trip(self):
         text = "gens: a b c\nrel: aBabAbCbCBcB\nrel: cAbBc\n"
         p = parse_presentation(text)
-        again = parse_presentation(presentation_to_text(p))
+        again = parse_presentation(
+            "gens: %s\n" % " ".join(p.names)
+            + "".join("rel: %s\n" % r.to_string(p.names) for r in p.relators))
         assert again.names == p.names
         assert again.relators == p.relators
 

@@ -1,5 +1,6 @@
 """Certified numerical root finding."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,11 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talex import roots as roots_module
 from talex.errors import AlgebraError, RootFindingError
 from talex.laurent import LaurentPoly
 from talex.roots import complex_roots, unit_circle_roots
 
-from conftest import CP, P
+from conftest import CP, P, load_fixture_text
+
+
+def _angle(x):
+    """arccos(x / 2) for a rational x in (-2, 2), with 2 -+ x exact."""
+    return 2 * math.atan2(math.sqrt(2 - x), math.sqrt(2 + x))
 
 
 class TestComplexRoots:
@@ -170,22 +177,51 @@ class TestUnitCircleRootsExact:
             assert abs(a1 - want) <= 1e-12 * want
 
     @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.integers(-6, 6).filter(lambda a: abs(a) != 2),
-                    min_size=1, max_size=6))
+    @given(st.lists(st.tuples(st.fractions(-6, 6, max_denominator=4),
+                              st.none() | st.integers(1, 20)),
+                    min_size=1, max_size=4)
+           .map(lambda pairs: [b for a, k in pairs for b in
+                               ([a] if k is None
+                                else [a, a + Fraction(1, 10 ** k)])])
+           .filter(lambda traces: all(abs(a) != 2 for a in traces)))
     def test_products_of_trace_factors(self, traces):
         # t^2 - a t + 1 has its roots on the circle exactly when |a| < 2,
-        # at e^(+-i arccos(a/2)); every other a gives two real roots.
+        # at e^(+-i arccos(a/2)); every other a gives two real roots.  A
+        # trace a + 10^-k next to a gives two nearly coincident roots.
         delta = P(1)
         for a in traces:
             delta = delta * P(1, -a, 1)
         roots = unit_circle_roots(delta)
         inside = sorted({a for a in traces if abs(a) < 2}, reverse=True)
         assert sum(m for _, m in roots) == 2 * sum(abs(a) < 2 for a in traces)
-        want = sorted([(math.acos(a / 2), traces.count(a)) for a in inside]
-                      + [(2 * math.pi - math.acos(a / 2), traces.count(a))
+        want = sorted([(_angle(a), traces.count(a)) for a in inside]
+                      + [(2 * math.pi - _angle(a), traces.count(a))
                          for a in inside])
         assert [m for _, m in roots] == [m for _, m in want]
         assert all(abs(a - w) < 1e-12 for (a, _), (w, _) in zip(roots, want))
+
+    @pytest.mark.parametrize("k", [10, 14, 20])
+    def test_nearly_coincident_roots(self, k):
+        # Two simple roots of q at x = 1 and x = 1 + 10^-k.
+        x = 1 + Fraction(1, 10 ** k)
+        roots = unit_circle_roots(P(1, -1, 1) * P(1, -x, 1))
+        assert [m for _, m in roots] == [1] * 4
+        want = sorted([_angle(1), _angle(x),
+                       2 * math.pi - _angle(1), 2 * math.pi - _angle(x)])
+        assert all(abs(a - w) < 1e-15 for (a, _), w in zip(roots, want))
+
+    def test_no_float_seeds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.roots called")
+        monkeypatch.setattr(roots_module.np, "roots", refuse)
+        for name, mults in (("3_1", [1, 1]), ("8_20", [2, 2]),
+                            ("9_35", [1, 1])):
+            delta = LaurentPoly.from_json_dict(
+                json.loads(load_fixture_text(name + ".alex")))
+            assert [m for _, m in unit_circle_roots(delta)] == mults
+        for n in range(3, 32, 2):
+            roots = unit_circle_roots(P(*[(-1) ** k for k in range(n)]))
+            assert [m for _, m in roots] == [1] * (n - 1)
 
     @pytest.mark.parametrize("delta", [
         P(1, -1, 2),            # not palindromic

@@ -64,9 +64,6 @@ class TestFreeWord:
     def test_exponent_sums(self):
         w = W("aaBc")
         assert w.exponent_sum() == 2
-        assert w.generator_exponent(0) == 2
-        assert w.generator_exponent(1) == -1
-        assert w.generator_exponent(3) == 0
         assert w.max_generator() == 2
         assert FreeWord().max_generator() == -1
 
