@@ -1,0 +1,140 @@
+"""Exact univariate arithmetic in Z[t], the integer kernel of the exact
+paths.
+
+A polynomial is a dense list of Python ints, constant term first, with no
+zero at the top; the zero polynomial is [].  An exact Laurent polynomial
+sum c_k t^k over Q enters through split, as t^low f(t) / den with f in
+Z[t], f(0) != 0 and den the lcm of the coefficient denominators, and
+leaves through coefficients, one Fraction per nonzero coefficient.
+
+Division and gcd run on integers only.  By Gauss's lemma a primitive d
+divides f in Q[t] exactly when it divides f in Z[t], so quotient decides
+exact division over Q by trial division with integer remainders.  gcd is
+the primitive pseudo-remainder sequence: each pseudo-remainder, a positive
+multiple of the remainder over Q, is replaced by its primitive part, so
+the coefficients stay as small as the gcd's own.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .errors import NonPolynomialError
+
+
+def split(coeffs: dict[int, Fraction]) -> tuple[list[int], int, int]:
+    """(f, low, den) with sum c_k t^k = t^low f(t) / den, f(0) != 0 and den
+    the lcm of the denominators; ([], 0, 1) for the zero polynomial."""
+    if not coeffs:
+        return [], 0, 1
+    low = min(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return cleared(coeffs, low, den), low, den
+
+
+def cleared(coeffs: dict[int, Fraction], low: int, den: int) -> list[int]:
+    """den * t^-low * sum c_k t^k, for den a multiple of every denominator
+    and low at most every exponent."""
+    if not coeffs:
+        return []
+    out = [0] * (max(coeffs) - low + 1)
+    for k, c in coeffs.items():
+        out[k - low] = c.numerator * (den // c.denominator)
+    return out
+
+
+def coefficients(f: list[int], low: int, scale: Fraction
+                 ) -> dict[int, Fraction]:
+    """The coefficients of scale * t^low * f, zeros left out."""
+    num, den = scale.numerator, scale.denominator
+    return {low + k: Fraction(c * num, den) for k, c in enumerate(f) if c}
+
+
+def primitive(f: list[int]) -> tuple[int, list[int]]:
+    """(content, primitive part), the content positive; (1, []) for 0."""
+    g = math.gcd(*f) if f else 1
+    return g, (f if g == 1 else [c // g for c in f])
+
+
+def mul(p: list[int], q: list[int]) -> list[int]:
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return out
+
+
+def sub(p: list[int], q: list[int]) -> list[int]:
+    if len(p) < len(q):
+        p = p + [0] * (len(q) - len(p))
+    out = [a - b for a, b in zip(p, q)] + p[len(q):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def quotient(num: list[int], den: list[int]) -> list[int] | None:
+    """num / den when den divides num in Z[t], else None; den != []."""
+    if den == [1] or not num:
+        return num
+    deg = len(den) - 1
+    lead = den[-1]
+    rem = list(num)
+    quot = [0] * max(len(num) - deg, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + deg], lead)
+        if r:
+            return None
+        if c:
+            quot[i] = c
+            for j in range(deg):
+                rem[i + j] -= c * den[j]
+    return None if any(rem[:deg]) else quot
+
+
+def exact_div(num: list[int], den: list[int]) -> list[int]:
+    """num / den in Z[t]; NonPolynomialError unless the quotient is exact."""
+    quot = quotient(num, den)
+    if quot is None:
+        raise NonPolynomialError("inexact division in Z[t] (degree %d by %d)"
+                                 % (len(num) - 1, len(den) - 1))
+    return quot
+
+
+def pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with |lead b|^k a = q b + r and deg r < deg b, where k =
+    max(deg a - deg b + 1, 0) is the length of q; b != [].  r is a
+    positive multiple of the remainder of a by b over Q."""
+    r = list(a)
+    lead = b[-1]
+    mult = abs(lead)
+    n = len(b) - 1
+    tops = []
+    for i in range(len(a) - len(b), -1, -1):
+        top = r[n + i] if lead > 0 else -r[n + i]
+        tops.append(top)
+        if mult != 1:
+            r = [mult * x for x in r]
+        for j, y in enumerate(b):
+            r[i + j] -= top * y
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    # The coefficient of t^i is scaled by |lead| in each of the i later
+    # steps.
+    return [top * mult ** i for i, top in enumerate(reversed(tops))], r
+
+
+def gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of a and b in Z[t], by the primitive pseudo-remainder
+    sequence; [] when both are 0."""
+    a, b = primitive(a)[1], primitive(b)[1]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, primitive(pseudo_divmod(a, b)[1])[1]
+    return a

@@ -14,6 +14,13 @@ largest magnitude present.
 The zero polynomial has empty support.  degree() is the span from lowest
 to highest exponent, the natural degree notion for quantities defined up
 to units t^k.
+
+Exact division, divmod_poly, poly_gcd and the reduction of LaurentRational
+clear denominators and content and run in Z[t] (the _zt kernel): trial
+division with integer remainders and a primitive pseudo-remainder gcd.
+Their results are the same reduced rationals as Euclid over Q, without a
+Fraction per step.  Division with complex coefficients is synthetic
+long division in floats.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import cmath
 from fractions import Fraction
 from numbers import Number, Rational
 
+from . import _zt
 from .errors import AlgebraError, NonPolynomialError
 
 DEFAULT_CLEAN_EPS = 1e-10
@@ -63,6 +71,16 @@ class LaurentPoly:
                         exact = False
         self.coeffs = clean
         self._exact = exact
+
+    @classmethod
+    def _clean(cls, coeffs: dict[int, object], exact: bool) -> "LaurentPoly":
+        """A polynomial on coeffs as they stand: int exponents, no zero
+        coefficient, and every coefficient a Fraction when exact, else a
+        complex.  Nothing is coerced or checked."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        p._exact = exact
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -148,7 +166,8 @@ class LaurentPoly:
         return self + other
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self.coeffs.items()})
+        return LaurentPoly._clean({k: -c for k, c in self.coeffs.items()},
+                                  self._exact)
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._as_poly(other))
@@ -184,7 +203,8 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly._clean({e + k: c for e, c in self.coeffs.items()},
+                                  self._exact)
 
     def unit_normal(self) -> "LaurentPoly":
         """The representative up to units +-t^k: lowest exponent 0 and a
@@ -246,13 +266,23 @@ class LaurentPoly:
 
         Both operands are shifted to ordinary polynomials first; the result
         is shifted back, so this is division in the Laurent ring (remainders
-        carry the dividend's unit).  Exactness follows the coefficients.
+        carry the dividend's unit).  Exactness follows the coefficients:
+        exact operands are divided in Z[t] by pseudo-division, the others
+        synthetically.
         """
         if other.is_zero():
             raise AlgebraError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(), LaurentPoly.zero()
         sh_n, sh_d = self.min_exp(), other.min_exp()
+        if self._exact and other._exact:
+            num, _, num_den = _zt.split(self.coeffs)
+            den, _, den_den = _zt.split(other.coeffs)
+            q, r = _zt.pseudo_divmod(num, den)
+            # |lead den|^len(q) num = q den + r
+            scale = num_den * abs(den[-1]) ** len(q)
+            return (_from_zt(q, sh_n - sh_d, Fraction(den_den, scale)),
+                    _from_zt(r, sh_n, Fraction(1, scale)))
         num = _dense(self.shift(-sh_n))
         den = _dense(other.shift(-sh_d))
         q, r = _dense_divmod(num, den)
@@ -263,16 +293,21 @@ class LaurentPoly:
     def __truediv__(self, other) -> "LaurentPoly":
         """Exact division; raises if the division leaves a nonzero remainder.
 
-        Floating operands are divided synthetically and the remainder is
-        required to vanish to relative tolerance DEFAULT_CLEAN_EPS.
+        Exact operands are divided in Z[t].  Floating operands are divided
+        synthetically and the remainder is required to vanish to relative
+        tolerance DEFAULT_CLEAN_EPS.
         """
         other = self._as_poly(other)
-        q, r = self.divmod_poly(other)
-        if r.is_zero():
+        if self._exact and other._exact:
+            q = _exact_quotient(self, other)
+            if q is None:
+                raise NonPolynomialError("inexact Laurent division of %s by %s"
+                                         % (self.to_text(), other.to_text()))
             return q
-        if not (self.is_exact() and other.is_exact()):
-            if r.max_abs() <= DEFAULT_CLEAN_EPS * max(self.max_abs(), 1.0):
-                return q
+        q, r = self.divmod_poly(other)
+        if r.is_zero() or \
+                r.max_abs() <= DEFAULT_CLEAN_EPS * max(self.max_abs(), 1.0):
+            return q
         raise NonPolynomialError("inexact Laurent division (remainder %r)" % r)
 
     # -- presentation ------------------------------------------------------
@@ -387,28 +422,42 @@ def _dense_divmod(num: list, den: list) -> tuple[list, list]:
     return quot, rem[:len(den) - 1]
 
 
-# -- exact univariate gcd and square-free structure --------------------------
+# -- exact division, gcd and square-free structure, through Z[t] -------------
+
+
+def _from_zt(f: list[int], low: int, scale: Fraction) -> LaurentPoly:
+    """scale * t^low * f for f in Z[t]."""
+    return LaurentPoly._clean(_zt.coefficients(f, low, scale), True)
+
+
+def _exact_quotient(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
+    """p / q for exact p and q, or None when q does not divide p.
+
+    With p = t^a f / m and q = t^b c g / n, f and g in Z[t] and g primitive
+    of content c, the quotient is t^(a-b) (f / g) n / (m c), and f / g is
+    decided by trial division in Z[t] (Gauss's lemma).
+    """
+    if q.is_zero():
+        raise AlgebraError("division by the zero polynomial")
+    f, a, m = _zt.split(p.coeffs)
+    g, b, n = _zt.split(q.coeffs)
+    c, g = _zt.primitive(g)
+    h = _zt.quotient(f, g)
+    if h is None:
+        return None
+    return _from_zt(h, a - b, Fraction(n, m * c))
 
 
 def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Monic gcd over Q of the ordinary-polynomial parts (units discarded).
 
     Both inputs must be exact.  gcd(p, 0) is p made monic at exponent 0.
+    The gcd is taken in Z[t] (_zt.gcd) and made monic.
     """
     if not (p.is_exact() and q.is_exact()):
         raise AlgebraError("gcd requires exact coefficients")
-
-    def normal(x: LaurentPoly) -> LaurentPoly:
-        if x.is_zero():
-            return x
-        x = x.shift(-x.min_exp())
-        return x.scale(Fraction(1) / Fraction(x.leading()))
-
-    a, b = normal(p), normal(q)
-    while not b.is_zero():
-        _, r = a.divmod_poly(b)
-        a, b = b, normal(r)
-    return a
+    g = _zt.gcd(_zt.split(p.coeffs)[0], _zt.split(q.coeffs)[0])
+    return _from_zt(g, 0, Fraction(1, g[-1])) if g else LaurentPoly.zero()
 
 
 def squarefree_decomposition(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
@@ -454,9 +503,12 @@ class LaurentRational:
     """A ratio of Laurent polynomials.
 
     Exact instances are reduced on construction: gcd(num, den) is a unit
-    and the denominator is monic with exponent range starting at 0.
-    Floating instances are stored as given; attempt_polynomial tries the
-    division at a stated tolerance.
+    and the denominator is monic with exponent range starting at 0.  The
+    reduction runs in Z[t]: with num = t^a f / m and den = t^b g / n, f and
+    g in Z[t], and G their gcd, the reduced pair is
+    t^(a-b) (f/G) n / (m l) over (g/G) / l, l the leading coefficient of
+    g/G.  Floating instances are stored as given; attempt_polynomial tries
+    the division at a stated tolerance.
     """
 
     __slots__ = ("num", "den")
@@ -465,14 +517,14 @@ class LaurentRational:
         if den.is_zero():
             raise AlgebraError("zero denominator")
         if num.is_exact() and den.is_exact() and not num.is_zero():
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num / g
-                den = den / g
-            sh = den.min_exp()
-            lc = Fraction(den.leading())
-            den = den.shift(-sh).scale(1 / lc)
-            num = num.shift(-sh).scale(1 / lc)
+            f, a, m = _zt.split(num.coeffs)
+            g, b, n = _zt.split(den.coeffs)
+            common = _zt.gcd(f, g)
+            if len(common) > 1:
+                f, g = _zt.exact_div(f, common), _zt.exact_div(g, common)
+            lead = g[-1]
+            num = _from_zt(f, a - b, Fraction(n, m * lead))
+            den = _from_zt(g, 0, Fraction(1, lead))
         self.num = num
         self.den = den
 
@@ -483,10 +535,10 @@ class LaurentRational:
         """The quotient as a Laurent polynomial, or None if division fails."""
         if self.num.is_zero():
             return LaurentPoly.zero()
+        if self.is_exact():
+            return _exact_quotient(self.num, self.den)
         q, r = self.num.divmod_poly(self.den)
-        if r.is_zero():
-            return q
-        if not self.is_exact() and r.max_abs() <= eps * max(self.num.max_abs(), 1.0):
+        if r.is_zero() or r.max_abs() <= eps * max(self.num.max_abs(), 1.0):
             return q
         return None
 

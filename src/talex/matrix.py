@@ -5,11 +5,12 @@ det() has two elimination kernels, chosen by the entry domain:
   * exact entries: each row is cleared into Z[t], multiplied by the lcm
     of its coefficient denominators and shifted by its lowest exponent,
     and fraction-free Bareiss elimination (Bareiss 1968) with row
-    pivoting runs on dense lists of Python ints, skipping the rows that
-    have a zero in the pivot column.  The scale and the shift are undone
-    at the end.  Every division is exact in Z[t]; an inexact quotient
-    raises NonPolynomialError.  MultiPoly entries are first packed into
-    one variable by a Kronecker substitution, and the result is unpacked.
+    pivoting runs on the dense int lists of the package's Z[t] kernel
+    (_zt), skipping the rows that have a zero in the pivot column.  The
+    scale and the shift are undone at the end.  Every division is exact
+    in Z[t]; an inexact quotient raises NonPolynomialError.  MultiPoly
+    entries are first packed into one variable by a Kronecker
+    substitution, and the result is unpacked.
   * Laurent entries with complex coefficients: evaluation of the nonzero
     entries at the roots of unity, with one power table per sample point,
     then one stacked numpy LU determinant over all sample points, followed
@@ -32,7 +33,8 @@ from operator import mul
 
 import numpy as np
 
-from .errors import AlgebraError, NonPolynomialError
+from . import _zt
+from .errors import AlgebraError
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly
 
@@ -129,7 +131,7 @@ def _integer_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         den = lcm(*(c.denominator for e in nonzero for c in e.coeffs.values()))
         shift += low
         scale *= den
-        m.append([_cleared(e, low, den) for e in row])
+        m.append([_zt.cleared(e.coeffs, low, den) for e in row])
     # Bareiss step k turns a row with a zero in column k into itself times
     # pivot_k / pivot_(k-1).  Those factors telescope, so such a row is left
     # alone: its next update divides by base[i], the pivot it last saw, and
@@ -147,7 +149,8 @@ def _integer_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             sign = -sign
         top = m[k]
         if base[k] is not prev:
-            top[k:] = [_zt_exact_div(_zt_mul(x, prev), base[k]) for x in top[k:]]
+            top[k:] = [_zt.exact_div(_zt.mul(x, prev), base[k])
+                       for x in top[k:]]
         piv = top[k]
         for i in range(k + 1, n):
             row = m[i]
@@ -157,18 +160,18 @@ def _integer_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             for j in range(k + 1, n):
                 x, b = row[j], top[j]
                 if b:
-                    num = _zt_sub(_zt_mul(x, piv), _zt_mul(a, b))
+                    num = _zt.sub(_zt.mul(x, piv), _zt.mul(a, b))
                 elif x:
-                    num = _zt_mul(x, piv)
+                    num = _zt.mul(x, piv)
                 else:
                     continue
-                row[j] = _zt_exact_div(num, base[i])
+                row[j] = _zt.exact_div(num, base[i])
             row[k] = []
             base[i] = piv
         prev = piv
     # The last pivot is the determinant of the cleared matrix.
-    return LaurentPoly({shift + e: Fraction(sign * c, scale)
-                        for e, c in enumerate(prev) if c})
+    return LaurentPoly._clean(
+        _zt.coefficients(prev, shift, Fraction(sign, scale)), True)
 
 
 def _packed_det(rows: list[list[MultiPoly]]) -> MultiPoly:
@@ -212,62 +215,6 @@ def _packed_det(rows: list[list[MultiPoly]]) -> MultiPoly:
             ex.append(low + r)
         terms[tuple(ex)] = c
     return MultiPoly(vars_, terms)
-
-
-def _cleared(e: LaurentPoly, low: int, den: int) -> list[int]:
-    """den * t^-low * e as a dense int list, constant term first."""
-    if e.is_zero():
-        return []
-    out = [0] * (e.max_exp() - low + 1)
-    for k, c in e.coeffs.items():
-        out[k - low] = c.numerator * (den // c.denominator)
-    return out
-
-
-# Z[t] arithmetic on dense int lists, constant term first, with no zero
-# at the top; the zero polynomial is [].
-
-def _zt_mul(p: list[int], q: list[int]) -> list[int]:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q, i):
-                out[j] += a * b
-    return out
-
-
-def _zt_sub(p: list[int], q: list[int]) -> list[int]:
-    if len(p) < len(q):
-        p = p + [0] * (len(q) - len(p))
-    out = [a - b for a, b in zip(p, q)] + p[len(q):]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zt_exact_div(num: list[int], den: list[int]) -> list[int]:
-    """num / den in Z[t]; NonPolynomialError unless the quotient is exact."""
-    if den == [1] or not num:
-        return num
-    deg = len(den) - 1
-    lead = den[-1]
-    rem = list(num)
-    quot = [0] * max(len(num) - deg, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c, r = divmod(rem[i + deg], lead)
-        if r:
-            break
-        if c:
-            quot[i] = c
-            for j in range(deg):
-                rem[i + j] -= c * den[j]
-    else:
-        if not any(rem[:deg]):
-            return quot
-    raise NonPolynomialError("inexact division in Z[t] (degree %d by %d)"
-                             % (len(num) - 1, deg))
 
 
 def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:

@@ -27,7 +27,8 @@ circle are the pairs e^(+-i theta) over the real roots x = 2 cos theta of
 q in (-2, 2), with the same multiplicities.
 
 The number of those real roots comes from an exact Sturm sequence of q in
-integers (a primitive pseudo-remainder sequence), read at x = -2 and 2,
+integers (a primitive pseudo-remainder sequence, on the pseudo-division
+and content of the package's Z[t] kernel _zt), read at x = -2 and 2,
 where q(2) = p(1) and q(-2) = (-1)^d p(-1) are not 0.  The chain ends in
 gcd(q, q'); only when that is not constant is q split by
 squarefree_decomposition, and each factor is then counted and isolated
@@ -50,10 +51,10 @@ exact x, and the pair is (theta, 2pi - theta).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
+from . import _zt
 from .errors import AlgebraError, RootFindingError
 from .laurent import LaurentPoly, squarefree_decomposition
 
@@ -163,19 +164,13 @@ def complex_roots(p, cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
 # trailing zero.
 
 
-def _integral(coeffs: list[Fraction]) -> list[int]:
-    """The coefficients times their common denominator."""
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    return [int(c * scale) for c in coeffs]
-
-
 def _trace_polynomial(p: LaurentPoly) -> list[int]:
     """Integer q with p(t) = t^d q(t + 1/t) up to a positive rational
     factor, for an exact palindromic p with p(+-1) != 0."""
     if not p.is_exact():
         raise AlgebraError("unit-circle roots need exact coefficients")
     p = p.shift(-p.min_exp())
-    c = _integral([p[k] for k in range(p.max_exp() + 1)])
+    c = _zt.split(p.coeffs)[0]
     if c != c[::-1]:
         raise AlgebraError("unit-circle roots need a palindromic polynomial, "
                            "got %s" % p.to_text())
@@ -210,32 +205,15 @@ def _sign_at(f: list[int], a: int, k: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _neg_remainder(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of -(|lead b|^k a mod b), a positive multiple of
-    -rem(a, b), as the next Sturm polynomial."""
-    r = list(a)
-    lead = b[-1]
-    n = len(b) - 1
-    for i in range(len(a) - len(b), -1, -1):
-        top = r[n + i] * (1 if lead > 0 else -1)
-        r = [abs(lead) * x for x in r]
-        for j, y in enumerate(b):
-            r[i + j] -= top * y
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    g = math.gcd(*r) if r else 1
-    return [-x // g for x in r]
-
-
 def _sturm_chain(f: list[int]) -> list[list[int]]:
     """f, f' and the negated remainders, ending in gcd(f, f')."""
     chain = [f, [i * c for i, c in enumerate(f)][1:]]
     while len(chain[-1]) > 1:
-        r = _neg_remainder(chain[-2], chain[-1])
+        # The primitive part of a positive multiple of -rem(f_(i-1), f_i).
+        r = _zt.primitive(_zt.pseudo_divmod(chain[-2], chain[-1])[1])[1]
         if not r:
             break
-        chain.append(r)
+        chain.append([-c for c in r])
     return chain
 
 
@@ -339,8 +317,7 @@ def unit_circle_roots(p) -> list[tuple[float, int]]:
         parts = [(_sturm_chain([0, 1]), zeros)] if zeros else []
         for factor, mult in squarefree_decomposition(
                 LaurentPoly.from_coefficients(q)):
-            f = _integral([factor[k] for k in range(factor.max_exp() + 1)])
-            parts.append((_sturm_chain(f), mult))
+            parts.append((_sturm_chain(_zt.split(factor.coeffs)[0]), mult))
     out = []
     for ch, mult in parts:
         for a, b, k in _isolate(ch):

@@ -53,9 +53,11 @@ class SeifertMatrix:
         if self.n % 2 != 0:
             raise ParseError("Seifert matrix of a knot has even size, got %d"
                              % self.n)
-        self._delta = det([[LaurentPoly({0: Fraction(self.rows[i][j]),
-                                         1: -Fraction(self.rows[j][i])})
-                             for j in range(self.n)] for i in range(self.n)])
+        # V - tV^T; the entries where V and V^T both vanish share one zero.
+        zero = LaurentPoly.zero()
+        self._delta = det([[LaurentPoly({0: a, 1: -b}) if a or b else zero
+                            for a, b in zip(row, col)]
+                           for row, col in zip(self.rows, zip(*self.rows))])
         pairing = self._delta.evaluate(Fraction(1))   # det(V - V^T)
         if pairing not in (1, -1):
             raise ParseError("det(V - V^T) = %s; a knot Seifert matrix needs "

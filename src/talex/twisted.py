@@ -18,7 +18,12 @@ Phi of the Fox matrix comes from one left-to-right scan per relator that
 carries the prefix u and its image t^ab(u) rho(u), one matrix product per
 letter: x_g adds +Phi(u) to column g, and x_g^-1 first extends u by itself,
 then adds -Phi(u).  These are the terms words.fox_derivative lists, in its
-order, so the sums equal those through the group ring to the last bit.
+order, so the sums equal those through the group ring to the last bit.  An
+exact rho is scanned in ints.  With D the lcm of the denominators of its
+generator matrices, a relator of length m carries D^m rho(u) in place of
+rho(u): an integer matrix for every prefix u, updated by the integer
+matrix D rho(x) and one exact division by D per letter.  Each entry is
+summed over D^m and made a Fraction once.
 
 Both determinants are taken on presentations.simplify(p, k): Tietze moves
 eliminate generators other than the removed one, so a Wirtinger
@@ -38,13 +43,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import AlgebraError, CertificationError
 from .laurent import DEFAULT_CLEAN_EPS, LaurentPoly, LaurentRational
 from .matrix import det
 from .presentations import Presentation, simplify
 from .representations import Representation
-from ._sl2 import _COMPLEX_ID, _EXACT_ID, _mat_adjugate, _mat_mul
+from ._sl2 import _COMPLEX_ID, _mat_adjugate, _mat_mul
 from .words import FreeWord
 
 # A floating quotient is a polynomial when the division remainder is
@@ -66,20 +72,30 @@ def fox_matrix_laurent(p: Presentation, rho: Representation | None,
     n = p.num_generators
     if not 0 <= removed < n:
         raise AlgebraError("removed column %d out of range" % removed)
+    exact, den = rho is None or rho.is_exact(), 1
     if rho is None:
-        start, step = ((Fraction(1),),), lambda u, x: u
+        start, step = ((1,),), lambda u, x: u
     else:
-        start = _EXACT_ID if rho.is_exact() else _COMPLEX_ID
+        start, mats = _COMPLEX_ID, rho.matrices
+        if exact:
+            den = lcm(*(Fraction(e).denominator
+                        for m in mats for row in m for e in row))
+            start = ((1, 0), (0, 1))
+            mats = [tuple(tuple(int(e * den) for e in row) for row in m)
+                    for m in mats]
         letters = {}
-        for g, m in enumerate(rho.matrices):
+        for g, m in enumerate(mats):
             letters[g + 1], letters[-g - 1] = m, _mat_adjugate(m)
         step = lambda u, x: _mat_mul(u, letters[x])
+        if den != 1:
+            step = lambda u, x: _mat_exact_div(_mat_mul(u, letters[x]), den)
     size = len(start)
     rows: list[list[LaurentPoly]] = []
     for r in p.relators:
+        top = den ** len(r)
         cols = [[[{} for _ in range(size)] for _ in range(size)]
                 for _ in range(n)]
-        u, e = start, 0
+        u, e = start if top == 1 else ((top, 0), (0, top)), 0
         for x in r:
             if x < 0:
                 u, e = step(u, x), e - 1
@@ -90,9 +106,23 @@ def fox_matrix_laurent(p: Presentation, rho: Representation | None,
             if x > 0:
                 u, e = step(u, x), e + 1
         for i in range(size):
-            rows.append([LaurentPoly(cols[g][i][j]) for g in range(n)
-                         if g != removed for j in range(size)])
+            rows.append([_entry(cols[g][i][j], exact, top)
+                         for g in range(n) if g != removed
+                         for j in range(size)])
     return rows
+
+
+def _mat_exact_div(a, d: int):
+    """An integer 2x2 matrix divided by d, which divides every entry."""
+    return ((a[0][0] // d, a[0][1] // d), (a[1][0] // d, a[1][1] // d))
+
+
+def _entry(d: dict, exact: bool, den: int) -> LaurentPoly:
+    """The Laurent entry of scan sums d: integers over den when exact."""
+    if exact:
+        return LaurentPoly._clean({e: Fraction(s, den)
+                                   for e, s in d.items() if s}, True)
+    return LaurentPoly(d)
 
 
 def _reduced(p: Presentation, removed: int | None

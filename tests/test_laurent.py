@@ -341,3 +341,127 @@ def _random_exact(rng):
         p = LaurentPoly(coeffs)
         if not p.is_zero():
             return p
+
+
+# -- the Z[t] kernel against the Fraction long division it replaced ----------
+# The oracle is the Fraction-coefficient Euclid the library ran before exact
+# division and gcd moved to Z[t]: dense long division over Q and a monic
+# remainder sequence.
+
+
+def _oracle_dense_divmod(num: list, den: list) -> tuple[list, list]:
+    while den and den[-1] == 0:
+        den = den[:-1]
+    lead = den[-1]
+    rem = list(num)
+    qlen = max(len(num) - len(den) + 1, 0)
+    quot = [0] * qlen
+    for i in range(qlen - 1, -1, -1):
+        c = rem[i + len(den) - 1] / lead
+        quot[i] = c
+        if c != 0:
+            for j, d in enumerate(den):
+                rem[i + j] = rem[i + j] - c * d
+    return quot, rem[:len(den) - 1]
+
+
+def _oracle_divmod(p: LaurentPoly, q: LaurentPoly):
+    if p.is_zero():
+        return LaurentPoly.zero(), LaurentPoly.zero()
+    sh_n, sh_d = p.min_exp(), q.min_exp()
+
+    def dense(x, sh):
+        out = [Fraction(0)] * (x.max_exp() - sh + 1)
+        for k, c in x.coeffs.items():
+            out[k - sh] = c
+        return out
+
+    quot, rem = _oracle_dense_divmod(dense(p, sh_n), dense(q, sh_d))
+    return (LaurentPoly.from_coefficients(quot, sh_n - sh_d),
+            LaurentPoly.from_coefficients(rem, sh_n))
+
+
+def _oracle_normal(x: LaurentPoly) -> LaurentPoly:
+    if x.is_zero():
+        return x
+    x = x.shift(-x.min_exp())
+    return x.scale(Fraction(1) / x.leading())
+
+
+def _oracle_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    a, b = _oracle_normal(p), _oracle_normal(q)
+    while not b.is_zero():
+        a, b = b, _oracle_normal(_oracle_divmod(a, b)[1])
+    return a
+
+
+def _oracle_quotient(p: LaurentPoly, q: LaurentPoly):
+    quot, rem = _oracle_divmod(p, q)
+    return quot if rem.is_zero() else None
+
+
+def _oracle_reduced(num: LaurentPoly, den: LaurentPoly):
+    g = _oracle_gcd(num, den)
+    if g.degree() > 0:
+        num, den = _oracle_quotient(num, g), _oracle_quotient(den, g)
+    sh, lc = den.min_exp(), den.leading()
+    return (num.shift(-sh).scale(1 / lc), den.shift(-sh).scale(1 / lc))
+
+
+# Factors with non-unit content, negative leading coefficients, negative
+# exponents and, through a positive lowest exponent, a zero constant term.
+_factor = st.tuples(
+    st.integers(-3, 2),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+    st.integers(1, 6), st.sampled_from((1, -1))).map(
+        lambda a: LaurentPoly({a[0] + k: Fraction(a[3] * c, a[2])
+                               for k, c in enumerate(a[1])})).filter(
+        lambda p: not p.is_zero())
+
+
+def _same(a: LaurentPoly, b: LaurentPoly) -> bool:
+    """Equal exponents and equal Fraction coefficients, and both exact."""
+    return a.coeffs == b.coeffs and a.is_exact() and b.is_exact() and \
+        all(type(c) is Fraction for c in a.coeffs.values())
+
+
+class TestIntegerKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_factor, _factor, _factor)
+    def test_matches_the_fraction_oracle(self, f, g, h):
+        p, q = f * g * h, g * h.shift(1)
+        assert _same(poly_gcd(p, q), _oracle_gcd(p, q))
+        assert _same(poly_gcd(f, g), _oracle_gcd(f, g))
+        assert _same(p / g, _oracle_quotient(p, g))
+        assert _same(p / (g * h), f)
+        for a, b in ((p, q), (f, g), (q, p)):
+            want = _oracle_divmod(a, b)
+            got = a.divmod_poly(b)
+            assert _same(got[0], want[0]) and _same(got[1], want[1])
+            quot = _oracle_quotient(a, b)
+            if quot is None:
+                with pytest.raises(NonPolynomialError):
+                    a / b
+            else:
+                assert _same(a / b, quot)
+            r = LaurentRational(a, b)
+            num, den = _oracle_reduced(a, b)
+            assert _same(r.num, num) and _same(r.den, den)
+            poly = r.attempt_polynomial()
+            want = _oracle_quotient(r.num, r.den)
+            assert (poly is None) if want is None else _same(poly, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_factor)
+    def test_gcd_with_zero_is_monic_at_exponent_zero(self, p):
+        g = poly_gcd(p, LaurentPoly.zero())
+        assert _same(g, _oracle_normal(p))
+        assert g.min_exp() == 0 and g.leading() == 1
+        assert _same(poly_gcd(LaurentPoly.zero(), p), g)
+        assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()).is_zero()
+
+    def test_complex_input_raises(self):
+        with pytest.raises(AlgebraError):
+            poly_gcd(P(1, 1), CP(1, 1))
+        with pytest.raises(AlgebraError):
+            poly_gcd(CP(2, 1), LaurentPoly.zero())

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talex import _zt
 from talex.errors import AlgebraError, NonPolynomialError
 from talex.laurent import LaurentPoly
-from talex.matrix import SquareMatrix, _zt_exact_div, det
+from talex.matrix import SquareMatrix, det
 from talex.multipoly import MultiPoly, resultant
 from talex.presentations import pd_to_wirtinger, simplify
 from talex.representations import Representation, abelian_rep
@@ -253,16 +254,16 @@ class TestIntegerBareiss:
         assert diff.max_abs() <= 1e-9 * max(1.0, exact.max_abs())
 
     def test_inexact_quotient_raises(self):
-        assert _zt_exact_div([2, 4, 6], [2]) == [1, 2, 3]
-        assert _zt_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
+        assert _zt.exact_div([2, 4, 6], [2]) == [1, 2, 3]
+        assert _zt.exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
         with pytest.raises(NonPolynomialError):
-            _zt_exact_div([1, 3], [2])          # 3/2 is not an integer
+            _zt.exact_div([1, 3], [2])          # 3/2 is not an integer
         with pytest.raises(NonPolynomialError):
-            _zt_exact_div([1, 0, 1], [1, 1])    # remainder 2
+            _zt.exact_div([1, 0, 1], [1, 1])    # remainder 2
         with pytest.raises(NonPolynomialError):
-            _zt_exact_div([1, 0, 1], [1, 2])    # leading 1 over 2
+            _zt.exact_div([1, 0, 1], [1, 2])    # leading 1 over 2
         with pytest.raises(NonPolynomialError):
-            _zt_exact_div([1], [0, 1])          # degree too low
+            _zt.exact_div([1], [0, 1])          # degree too low
 
     def test_zero_row(self):
         t = LaurentPoly.t()

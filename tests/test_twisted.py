@@ -197,6 +197,24 @@ class TestWadaInvariant:
                 ta = wada_invariant(p, abelian_rep(p, lam))
                 assert ta.value == reducible_formula(delta, lam)
 
+    def test_exact_path_runs_no_fraction_long_division(self, monkeypatch):
+        """An exact twist divides and reduces in Z[t]: the Fraction
+        division behind LaurentPoly.divmod_poly is not reached."""
+        p = pd_to_wirtinger(torus_pd(21))
+        lam = Fraction(3, 2)
+        calls = []
+        real = LaurentPoly.divmod_poly
+
+        def counted(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "divmod_poly", counted)
+        ta = wada_invariant(p, abelian_rep(p, lam))
+        assert calls == []
+        closed = LaurentPoly({k: Fraction((-1) ** k) for k in range(21)})
+        assert equal_up_to_even_shift(ta.value, reducible_formula(closed, lam))
+
     def test_abelian_matches_up_to_even_shift_on_eight_crossing(self, p820):
         delta = alexander(p820)
         lam = Fraction(3, 2)
