@@ -38,8 +38,11 @@ module exposes.
 On either curve the leading coefficient of the twisted Alexander
 polynomial is a single trace polynomial psi_2(x) = x^3 + 6x^2 + 6x + 5
 in x = y^2 - z, certified here by sampling representations on the curve
-and comparing against the determinant it abbreviates.  The samples are
-built in closed form from curve_constraints by
+and comparing against the determinant it abbreviates: det(A), with A
+the t^1 sums of the Fox scan.  Every Fox entry of this presentation is
+linear in t, so det(A) is the t^4 coefficient of the twisted numerator,
+read without forming the determinant over Laurent polynomials.  The
+samples are built in closed form from curve_constraints by
 representations.representation_from_traces, not solved for.  Monicness
 of the twisted polynomial at a character is then the root count census
 of psi_2(x) = c intersected with the curve, computed exactly.
@@ -58,12 +61,11 @@ from .errors import (AlgebraError, CertificationError, RootFindingError,
                      SolveError)
 from .fixtures import fixture_path
 from .laurent import LaurentPoly
-from .matrix import det
 from .multipoly import MultiPoly, exact_divide, resultant
 from .presentations import Presentation, parse_presentation
 from .representations import Representation, representation_from_traces
 from .roots import complex_roots
-from .twisted import fox_matrix_laurent, wada_invariant
+from .twisted import _fox_scan, wada_invariant
 
 RV_VARS = ("y1", "y2", "v")
 YZ_VARS = ("y", "z")
@@ -362,26 +364,33 @@ def leading_determinant_sample(rho: Representation) -> complex:
     For the three-meridian presentation every Fox-matrix entry is linear
     in t, so the numerator determinant of the 4x4 block matrix has the
     form det(A t + B); its t^4 coefficient is det(A), the quantity the
-    closed form psi_2 abbreviates.
+    closed form psi_2 abbreviates.  A is read from the t^1 sums of the
+    Fox scan (twisted._fox_scan), and det(A) is one LU factorization; an
+    entry with a nonzero sum at any other exponent than 0 or 1 is an
+    AlgebraError.
     """
     pres = rho.presentation
-    mat = fox_matrix_laurent(pres, rho, removed=pres.num_generators - 1)
-    for row in mat:
-        for entry in row:
-            if not entry.is_zero() and not (0 <= entry.min_exp()
-                                            and entry.max_exp() <= 1):
+    a = []
+    for row, top in _fox_scan(pres, rho, pres.num_generators - 1):
+        for d in row:
+            if any(s != 0 and e not in (0, 1) for e, s in d.items()):
                 raise AlgebraError("Fox matrix entry is not linear in t")
-    return complex(det(mat)[4])
+        a.append([d.get(1, 0) / top for d in row])
+    return complex(np.linalg.det(np.array(a, dtype=complex)))
+
+
+# The trace table as polynomials in x, built once.
+_TRACE_POLYS = tuple((w, LaurentPoly.from_coefficients(coeffs))
+                     for w, coeffs in TRACE_TABLE)
 
 
 def trace_table_residual(rho: Representation, x_value: complex) -> float:
     """Largest deviation of the sampled traces from the table in x."""
     worst = 0.0
-    for word_text, coeffs in TRACE_TABLE:
+    x_value = complex(x_value)
+    for word_text, poly in _TRACE_POLYS:
         w = rho.presentation.word(word_text)
-        predicted = LaurentPoly.from_coefficients(coeffs).evaluate(
-            complex(x_value))
-        worst = max(worst, abs(complex(rho.trace(w)) - predicted))
+        worst = max(worst, abs(complex(rho.trace(w)) - poly.evaluate(x_value)))
     return worst
 
 

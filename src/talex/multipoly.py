@@ -205,20 +205,28 @@ class MultiPoly:
         numeric images are evaluated first, term by term in stored variable
         order, into one coefficient per exponent vector of the others; each
         such coefficient then multiplies the matching product of powers.
-        A negative power needs a nonzero number or a monomial image.
+        Each power images[v]**e is computed once per call.  A negative
+        power needs a nonzero number or a monomial image.
         """
         num = [i for i, v in enumerate(self.vars) if isinstance(images[v], Number)]
         rest = [i for i in range(len(self.vars)) if i not in num]
+        powers: dict[tuple[int, int], object] = {}
+
+        def power(i: int, e: int):
+            if (i, e) not in powers:
+                powers[i, e] = _power(images[self.vars[i]], e)
+            return powers[i, e]
+
         grouped: dict[tuple, object] = {}
         for ex, c in self.terms.items():
             for i in num:
-                c = c * _power(images[self.vars[i]], ex[i])
+                c = c * power(i, ex[i])
             key = tuple(ex[i] for i in rest)
             grouped[key] = grouped.get(key, 0) + c
         total = zero
         for key, c in grouped.items():
             for i, e in zip(rest, key):
-                c = c * _power(images[self.vars[i]], e)
+                c = c * power(i, e)
             total = total + c
         return total
 

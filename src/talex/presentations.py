@@ -36,7 +36,8 @@ class Presentation:
 
     A presentation is not mutated after it is built, so simplify keeps
     each reduction it computes on the presentation, keyed by the kept
-    column, and returns it again on later calls.
+    column, and returns it again on later calls; word keeps each word it
+    parses the same way, keyed by its text.
     """
 
     def __init__(self, num_generators: int, relators: list[FreeWord],
@@ -61,6 +62,7 @@ class Presentation:
         self.names = list(names)
         self.wirtinger = wirtinger
         self._reductions: dict[int, tuple[Presentation, list[int], int]] = {}
+        self._words: dict[str, FreeWord] = {}
 
     @property
     def deficiency_one(self) -> bool:
@@ -73,8 +75,13 @@ class Presentation:
                 "deficiency one required" % (self.num_generators, len(self.relators)))
 
     def word(self, text: str) -> FreeWord:
-        """Parse a word over this presentation's generator names."""
-        return FreeWord.from_string(text, self.names)
+        """Parse a word over this presentation's generator names.  Parsed
+        words are kept by text (a FreeWord is immutable); a text that fails
+        to parse is not kept."""
+        w = self._words.get(text)
+        if w is None:
+            w = self._words[text] = FreeWord.from_string(text, self.names)
+        return w
 
     def __repr__(self) -> str:
         rels = ", ".join(r.to_string(self.names) for r in self.relators)

@@ -23,7 +23,10 @@ exact rho is scanned in ints.  With D the lcm of the denominators of its
 generator matrices, a relator of length m carries D^m rho(u) in place of
 rho(u): an integer matrix for every prefix u, updated by the integer
 matrix D rho(x) and one exact division by D per letter.  Each entry is
-summed over D^m and made a Fraction once.
+summed over D^m and made a Fraction once.  The scan (_fox_scan) returns
+those raw sums, and two readers share it: fox_matrix_laurent turns them
+into Laurent entries, and charcurves.leading_determinant_sample reads
+the t^1 sums alone.
 
 Both determinants are taken on presentations.simplify(p, k): Tietze moves
 eliminate generators other than the removed one, so a Wirtinger
@@ -68,16 +71,26 @@ def fox_matrix_laurent(p: Presentation, rho: Representation | None,
     by the prefix scan of the module docstring: 2x2 blocks, a
     2(n-1) x 2(n-1) matrix of Laurent polynomials, or 1x1 blocks when rho
     is None (rank one)."""
+    exact = rho is None or rho.is_exact()
+    return [[_entry(d, exact, top) for d in row]
+            for row, top in _fox_scan(p, rho, removed)]
+
+
+def _fox_scan(p: Presentation, rho: Representation | None, removed: int
+              ) -> list[tuple[list[dict], int]]:
+    """The prefix scan of the module docstring: for each row of the Fox
+    matrix, its entries as {exponent: sum} dicts and the scale top by
+    which the sums exceed the entries (D^m for an exact rho, else 1)."""
     p.require_deficiency_one()
     n = p.num_generators
     if not 0 <= removed < n:
         raise AlgebraError("removed column %d out of range" % removed)
-    exact, den = rho is None or rho.is_exact(), 1
+    den = 1
     if rho is None:
         start, step = ((1,),), lambda u, x: u
     else:
         start, mats = _COMPLEX_ID, rho.matrices
-        if exact:
+        if rho.is_exact():
             den = lcm(*(Fraction(e).denominator
                         for m in mats for row in m for e in row))
             start = ((1, 0), (0, 1))
@@ -90,7 +103,7 @@ def fox_matrix_laurent(p: Presentation, rho: Representation | None,
         if den != 1:
             step = lambda u, x: _mat_exact_div(_mat_mul(u, letters[x]), den)
     size = len(start)
-    rows: list[list[LaurentPoly]] = []
+    rows: list[tuple[list[dict], int]] = []
     for r in p.relators:
         top = den ** len(r)
         cols = [[[{} for _ in range(size)] for _ in range(size)]
@@ -106,9 +119,8 @@ def fox_matrix_laurent(p: Presentation, rho: Representation | None,
             if x > 0:
                 u, e = step(u, x), e + 1
         for i in range(size):
-            rows.append([_entry(cols[g][i][j], exact, top)
-                         for g in range(n) if g != removed
-                         for j in range(size)])
+            rows.append(([cols[g][i][j] for g in range(n) if g != removed
+                          for j in range(size)], top))
     return rows
 
 

@@ -13,9 +13,11 @@ from talex import charcurves as cc
 from talex._sl2 import _Equations, _residual
 from talex.cli import main
 from talex.errors import AlgebraError, SolveError
+from talex.matrix import det
 from talex.multipoly import MultiPoly, exact_divide
-from talex.representations import _det_one_on_trace_rows, solve_representation
-from talex.twisted import wada_invariant
+from talex.representations import (Representation, _det_one_on_trace_rows,
+                                   abelian_rep, solve_representation)
+from talex.twisted import fox_matrix_laurent, wada_invariant
 
 YZ = ("y", "z")
 YZW = ("y", "z", "w")
@@ -166,6 +168,25 @@ class TestPlaneCurves:
         assert sliced == ys
 
 
+def _sl2(a, b, c):
+    return [[a, b], [c, (1 + b * c) / a]]
+
+
+_small_complex = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+_sl2_matrix = st.builds(_sl2, _small_complex.filter(lambda a: abs(a) >= 0.1),
+                        _small_complex, _small_complex)
+
+
+def _check_leading_against_determinant(rho):
+    """leading_determinant_sample against the t^4 coefficient of det of the
+    Laurent Fox matrix, to 1e-9 of the Hadamard bound of A."""
+    mat = fox_matrix_laurent(rho.presentation, rho, 2)
+    a = np.array([[complex(e[1]) for e in row] for row in mat])
+    scale = max(1.0, float(np.prod(np.linalg.norm(a, axis=1))))
+    ref = complex(det(mat)[4])
+    assert abs(cc.leading_determinant_sample(rho) - ref) <= 1e-9 * scale
+
+
 class TestPsi2:
     def test_closed_form(self):
         x = MultiPoly.var(("x",), "x")
@@ -200,6 +221,26 @@ class TestPsi2:
         rho = cc.solve_on_curve(1.0, 1.0)
         lead = cc.leading_determinant_sample(rho)
         assert abs(lead - 5) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_sl2_matrix, min_size=3, max_size=3))
+    def test_detA_is_the_t4_coefficient_of_the_twisted_determinant(
+            self, mats):
+        # any SL(2,C) triple, not only representations: every Fox entry of
+        # the presentation is linear in t whatever rho is
+        rho = Representation(cc.pretzel935_presentation(), mats, 1.0)
+        _check_leading_against_determinant(rho)
+
+    def test_detA_of_an_exact_representation(self):
+        rho = abelian_rep(cc.pretzel935_presentation(), Fraction(3, 2))
+        _check_leading_against_determinant(rho)
+
+    @pytest.mark.parametrize("lam", [Fraction(2), 0.9 + 0.45j])
+    def test_entry_beyond_t1_raises(self, trefoil, lam):
+        # abaBAB: the Fox derivative in a holds the prefix ab, so t^2 occurs
+        rho = abelian_rep(trefoil, lam)
+        with pytest.raises(AlgebraError, match="not linear in t"):
+            cc.leading_determinant_sample(rho)
 
 
 class TestCensus:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -411,6 +412,16 @@ class TestPretzelCommand:
         a = run("pretzel935", "--json")
         b = run("pretzel935", "--json")
         assert a == b
+
+    def test_stdout_matches_the_readme(self, run):
+        # the README's "The full pretzel pipeline" block, after its command
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("### The full pretzel pipeline", 1)[1]
+        block = block.split("$ talex pretzel935\n", 1)[1].split("```", 1)[0]
+        code, out, _ = run("pretzel935")
+        assert code == 0
+        assert out == block
 
 
 _SLICE_WITH = "trace a = %s 0\ntrace b = 2.1 0\ntrace ab = 1 0\n"

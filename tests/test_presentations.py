@@ -73,6 +73,25 @@ class TestParsePresentation:
         p = parse_presentation("gens: a b\nrel: abAB\n")
         assert p.word("aB").tietze == (1, -2)
 
+    def test_word_repeated_parse_is_equal(self):
+        p = parse_presentation("gens: a b\nrel: abAB\n")
+        first = p.word("aB")
+        assert p.word("aB") == first
+
+    def test_word_unknown_letter_fails_on_every_call(self):
+        p = parse_presentation("gens: a b\nrel: abAB\n")
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                p.word("ac")
+        assert p.word("ab").tietze == (1, 2)
+
+    def test_word_depends_on_the_names(self):
+        ab = Presentation(2, [], names=["a", "b"])
+        ba = Presentation(2, [], names=["b", "a"])
+        assert ab.word("aB").tietze == (1, -2)
+        assert ba.word("aB").tietze == (2, -1)
+        assert ab.word("aB").tietze == (1, -2)
+
     def test_deficiency_one_enforcement(self):
         p = Presentation(2, [])
         assert not p.deficiency_one
