@@ -16,7 +16,7 @@ from .words import (FreeWord, GroupRingElement, fox_derivative,
 from .presentations import (Presentation, parse_pd, parse_presentation,
                             pd_to_wirtinger, simplify)
 from .laurent import (LaurentPoly, LaurentRational, has_simple_root,
-                      poly_gcd, squarefree_decomposition)
+                      squarefree_decomposition)
 from .multipoly import MultiPoly, exact_divide, resultant, sylvester_matrix
 from .matrix import SquareMatrix, det
 from .roots import complex_roots, unit_circle_roots

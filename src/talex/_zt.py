@@ -7,12 +7,15 @@ sum c_k t^k over Q enters through split, as t^low f(t) / den with f in
 Z[t], f(0) != 0 and den the lcm of the coefficient denominators, and
 leaves through coefficients, one Fraction per nonzero coefficient.
 
-Division and gcd run on integers only.  By Gauss's lemma a primitive d
-divides f in Q[t] exactly when it divides f in Z[t], so quotient decides
-exact division over Q by trial division with integer remainders.  gcd is
-the primitive pseudo-remainder sequence: each pseudo-remainder, a positive
-multiple of the remainder over Q, is replaced by its primitive part, so
-the coefficients stay as small as the gcd's own.
+Division, gcd and the square-free decomposition run on integers only.
+By Gauss's lemma a primitive d divides f in Q[t] exactly when it divides
+f in Z[t], so quotient decides exact division over Q by trial division
+with integer remainders.  gcd is the primitive pseudo-remainder sequence:
+each pseudo-remainder, a positive multiple of the remainder over Q, is
+replaced by its primitive part, so the coefficients stay as small as the
+gcd's own.  squarefree is Yun's algorithm, the package's one square-free
+decomposition; every divisor in it is a primitive gcd, so each of its
+divisions is exact.
 """
 
 from __future__ import annotations
@@ -66,6 +69,10 @@ def mul(p: list[int], q: list[int]) -> list[int]:
             for j, b in enumerate(q, i):
                 out[j] += a * b
     return out
+
+
+def derivative(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
 
 
 def sub(p: list[int], q: list[int]) -> list[int]:
@@ -138,3 +145,24 @@ def gcd(a: list[int], b: list[int]) -> list[int]:
     while b:
         a, b = b, primitive(pseudo_divmod(a, b)[1])[1]
     return a
+
+
+def squarefree(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's decomposition f = c prod g^m of a nonzero f in Z[t], c a
+    constant: the nonconstant g, square-free and pairwise coprime, each
+    primitive with a positive leading coefficient, by ascending m."""
+    df = derivative(f)
+    a = gcd(f, df)
+    # With f = prod g_m^m, w = prod g_m and y - w' = sum (m - 1) g_m' w / g_m,
+    # so gcd(w, y - w') = g_1; dividing w and y - w' by it lowers every m.
+    w, y = exact_div(f, a), exact_div(df, a)
+    out = []
+    m = 1
+    while len(w) > 1:
+        z = sub(y, derivative(w))
+        g = gcd(w, z)
+        if len(g) > 1:
+            out.append((g if g[-1] > 0 else [-c for c in g], m))
+        w, y = exact_div(w, g), exact_div(z, g)
+        m += 1
+    return out

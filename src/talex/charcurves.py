@@ -222,8 +222,10 @@ def resultant_curve() -> MultiPoly:
     return eliminate_w(slice_b_minus_one(), second_equation())
 
 
+@lru_cache(maxsize=None)
 def curve_components() -> tuple[PlaneCurve, PlaneCurve]:
-    """The two irreducible-character curves (C, C').
+    """The two irreducible-character curves (C, C'), computed once; the
+    curves are frozen and never mutated, so every call shares them.
 
     The eliminated polynomial factors exactly as (y^2 - z - 1)^2 times a
     primitive quartic-cubic; failure of that exact division certifies a

@@ -15,12 +15,13 @@ The zero polynomial has empty support.  degree() is the span from lowest
 to highest exponent, the natural degree notion for quantities defined up
 to units t^k.
 
-Exact division, divmod_poly, poly_gcd and the reduction of LaurentRational
-clear denominators and content and run in Z[t] (the _zt kernel): trial
-division with integer remainders and a primitive pseudo-remainder gcd.
-Their results are the same reduced rationals as Euclid over Q, without a
-Fraction per step.  Division with complex coefficients is synthetic
-long division in floats.
+Exact division, divmod_poly, the reduction of LaurentRational and the
+square-free decomposition clear denominators and content and run in Z[t]
+(the _zt kernel): trial division with integer remainders, a primitive
+pseudo-remainder gcd and Yun's algorithm (_zt.squarefree), with the same
+results as over Q and no Fraction per step.  An exact LaurentRational is
+a polynomial exactly when its reduced denominator is 1.  Division with
+complex coefficients is synthetic long division in floats.
 """
 
 from __future__ import annotations
@@ -293,22 +294,27 @@ class LaurentPoly:
     def __truediv__(self, other) -> "LaurentPoly":
         """Exact division; raises if the division leaves a nonzero remainder.
 
-        Exact operands are divided in Z[t].  Floating operands are divided
-        synthetically and the remainder is required to vanish to relative
-        tolerance DEFAULT_CLEAN_EPS.
+        Exact operands are divided in Z[t]: with self = t^a f / m and
+        other = t^b c g / n, f and g in Z[t] and g primitive of content c,
+        the quotient is t^(a-b) (f / g) n / (m c), and f / g is decided by
+        trial division in Z[t] (Gauss's lemma).  Floating operands go
+        through LaurentRational.attempt_polynomial at DEFAULT_CLEAN_EPS.
         """
         other = self._as_poly(other)
-        if self._exact and other._exact:
-            q = _exact_quotient(self, other)
-            if q is None:
-                raise NonPolynomialError("inexact Laurent division of %s by %s"
-                                         % (self.to_text(), other.to_text()))
-            return q
-        q, r = self.divmod_poly(other)
-        if r.is_zero() or \
-                r.max_abs() <= DEFAULT_CLEAN_EPS * max(self.max_abs(), 1.0):
-            return q
-        raise NonPolynomialError("inexact Laurent division (remainder %r)" % r)
+        if not (self._exact and other._exact):
+            q = LaurentRational(self, other).attempt_polynomial()
+        elif other.is_zero():
+            raise AlgebraError("division by the zero polynomial")
+        else:
+            f, a, m = _zt.split(self.coeffs)
+            g, b, n = _zt.split(other.coeffs)
+            c, g = _zt.primitive(g)
+            h = _zt.quotient(f, g)
+            q = None if h is None else _from_zt(h, a - b, Fraction(n, m * c))
+        if q is None:
+            raise NonPolynomialError("inexact Laurent division of %s by %s"
+                                     % (self.to_text(), other.to_text()))
+        return q
 
     # -- presentation ------------------------------------------------------
 
@@ -380,9 +386,13 @@ class LaurentPoly:
 
 
 def _pow_any(x, k: int):
-    if k >= 0:
+    """x**k for a number or a polynomial; a negative power of a number is
+    exact for rationals and refused for 0."""
+    if k >= 0 or not isinstance(x, Number):
         return x ** k
-    return (Fraction(1) if _is_exact(_coerce(x)) else 1.0) / (x ** (-k))
+    if x == 0:
+        raise AlgebraError("substituting 0 into a negative power")
+    return (Fraction(x) if isinstance(x, Rational) else x) ** k
 
 
 def _coeff_text(c) -> str:
@@ -397,8 +407,7 @@ def _coeff_text(c) -> str:
 def _dense(p: LaurentPoly) -> list:
     n = p.max_exp()
     assert p.min_exp() >= 0
-    exact = p.is_exact()
-    zero = Fraction(0) if exact else 0j
+    zero = Fraction(0) if p.is_exact() else 0j
     out = [zero] * (n + 1)
     for k, c in p.coeffs.items():
         out[k] = c
@@ -406,9 +415,7 @@ def _dense(p: LaurentPoly) -> list:
 
 
 def _dense_divmod(num: list, den: list) -> tuple[list, list]:
-    while den and den[-1] == 0:
-        den = den[:-1]
-    assert den, "zero divisor"
+    """Long division by den, whose top coefficient is not 0."""
     lead = den[-1]
     rem = list(num)
     qlen = max(len(num) - len(den) + 1, 0)
@@ -430,64 +437,19 @@ def _from_zt(f: list[int], low: int, scale: Fraction) -> LaurentPoly:
     return LaurentPoly._clean(_zt.coefficients(f, low, scale), True)
 
 
-def _exact_quotient(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
-    """p / q for exact p and q, or None when q does not divide p.
-
-    With p = t^a f / m and q = t^b c g / n, f and g in Z[t] and g primitive
-    of content c, the quotient is t^(a-b) (f / g) n / (m c), and f / g is
-    decided by trial division in Z[t] (Gauss's lemma).
-    """
-    if q.is_zero():
-        raise AlgebraError("division by the zero polynomial")
-    f, a, m = _zt.split(p.coeffs)
-    g, b, n = _zt.split(q.coeffs)
-    c, g = _zt.primitive(g)
-    h = _zt.quotient(f, g)
-    if h is None:
-        return None
-    return _from_zt(h, a - b, Fraction(n, m * c))
-
-
-def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Monic gcd over Q of the ordinary-polynomial parts (units discarded).
-
-    Both inputs must be exact.  gcd(p, 0) is p made monic at exponent 0.
-    The gcd is taken in Z[t] (_zt.gcd) and made monic.
-    """
-    if not (p.is_exact() and q.is_exact()):
-        raise AlgebraError("gcd requires exact coefficients")
-    g = _zt.gcd(_zt.split(p.coeffs)[0], _zt.split(q.coeffs)[0])
-    return _from_zt(g, 0, Fraction(1, g[-1])) if g else LaurentPoly.zero()
-
-
 def squarefree_decomposition(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
     """Yun decomposition p = unit * prod f_i^i with f_i square-free, coprime.
 
     Input must be exact and nonzero; the unit t^min_exp and the leading
-    rational scale are discarded.  Only nonconstant factors are returned.
+    rational scale are discarded.  Only nonconstant factors are returned,
+    monic at exponent 0, by ascending multiplicity (_zt.squarefree).
     """
     if p.is_zero():
         raise AlgebraError("square-free decomposition of zero")
     if not p.is_exact():
         raise AlgebraError("square-free decomposition requires exact input")
-    p = p.shift(-p.min_exp()).scale(Fraction(1) / Fraction(p.leading()))
-    if p.degree() == 0:
-        return []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    w = p / g
-    y = dp / g
-    out = []
-    i = 1
-    while w.degree() > 0:
-        z = y - w.derivative()
-        f = poly_gcd(w, z)
-        if f.degree() > 0:
-            out.append((f, i))
-        w = w / f
-        y = z / f
-        i += 1
-    return out
+    return [(_from_zt(g, 0, Fraction(1, g[-1])), m)
+            for g, m in _zt.squarefree(_zt.split(p.coeffs)[0])]
 
 
 def has_simple_root(p: LaurentPoly) -> bool:
@@ -536,7 +498,8 @@ class LaurentRational:
         if self.num.is_zero():
             return LaurentPoly.zero()
         if self.is_exact():
-            return _exact_quotient(self.num, self.den)
+            # reduced on construction: den is 1 exactly when it divides num
+            return self.num if self.den.degree() == 0 else None
         q, r = self.num.divmod_poly(self.den)
         if r.is_zero() or r.max_abs() <= eps * max(self.num.max_abs(), 1.0):
             return q

@@ -21,6 +21,7 @@ from fractions import Fraction
 from numbers import Number, Rational
 
 from .errors import AlgebraError
+from .laurent import _pow_any
 
 
 class MultiPoly:
@@ -214,7 +215,7 @@ class MultiPoly:
 
         def power(i: int, e: int):
             if (i, e) not in powers:
-                powers[i, e] = _power(images[self.vars[i]], e)
+                powers[i, e] = _pow_any(images[self.vars[i]], e)
             return powers[i, e]
 
         grouped: dict[tuple, object] = {}
@@ -261,25 +262,7 @@ class MultiPoly:
             c = -c
         return self.scale(Fraction(1) / c)
 
-    # -- serialization ---------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        terms = []
-        for ex in sorted(self.terms, reverse=True):
-            c = self.terms[ex]
-            terms.append([list(ex), "%d/%d" % (c.numerator, c.denominator)
-                          if c.denominator != 1 else str(c.numerator)])
-        return {"vars": list(self.vars), "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MultiPoly":
-        try:
-            vars = tuple(data["vars"])
-            terms = {tuple(int(e) for e in ex): Fraction(c)
-                     for ex, c in data["terms"]}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise AlgebraError("bad MultiPoly JSON: %s" % exc) from None
-        return cls(vars, terms)
+    # -- presentation ----------------------------------------------------------------
 
     def to_text(self) -> str:
         if self.is_zero():
@@ -303,16 +286,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return "MultiPoly(%s)" % self.to_text()
-
-
-def _power(x, e: int):
-    """x**e for a number or a polynomial; a negative power of a number is
-    exact for rationals and refused for zero."""
-    if e >= 0 or not isinstance(x, Number):
-        return x ** e
-    if x == 0:
-        raise AlgebraError("substituting 0 into a negative power")
-    return (Fraction(x) if isinstance(x, Rational) else x) ** e
 
 
 def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:

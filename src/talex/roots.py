@@ -30,9 +30,9 @@ The number of those real roots comes from an exact Sturm sequence of q in
 integers (a primitive pseudo-remainder sequence, on the pseudo-division
 and content of the package's Z[t] kernel _zt), read at x = -2 and 2,
 where q(2) = p(1) and q(-2) = (-1)^d p(-1) are not 0.  The chain ends in
-gcd(q, q'); only when that is not constant is q split by
-squarefree_decomposition, and each factor is then counted and isolated
-on its own, with its multiplicity.
+gcd(q, q'); only when that is not constant is q split by the kernel's
+square-free decomposition _zt.squarefree, and each factor is then
+counted and isolated on its own, with its multiplicity.
 
 The roots are isolated and refined exactly, at dyadic points a/2^k where
 2^(k deg f) f(a/2^k) is an integer Horner sum.  Sturm counts on half-open
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import _zt
 from .errors import AlgebraError, RootFindingError
-from .laurent import LaurentPoly, squarefree_decomposition
+from .laurent import LaurentPoly, _dense, squarefree_decomposition
 
 DEFAULT_CLUSTER_RADIUS = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -79,12 +79,7 @@ def _as_poly(p) -> LaurentPoly:
 
 def _dense_desc(p: LaurentPoly) -> np.ndarray:
     """Descending coefficient array of the ordinary-polynomial part."""
-    p = p.shift(-p.min_exp())
-    n = p.max_exp()
-    out = np.zeros(n + 1, dtype=complex)
-    for k, c in p.coeffs.items():
-        out[n - k] = complex(c)
-    return out
+    return np.array(_dense(p.shift(-p.min_exp()))[::-1], dtype=complex)
 
 
 def _newton_polish(p: LaurentPoly, r: complex) -> complex:
@@ -207,7 +202,7 @@ def _sign_at(f: list[int], a: int, k: int) -> int:
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
     """f, f' and the negated remainders, ending in gcd(f, f')."""
-    chain = [f, [i * c for i, c in enumerate(f)][1:]]
+    chain = [f, _zt.derivative(f)]
     while len(chain[-1]) > 1:
         # The primitive part of a positive multiple of -rem(f_(i-1), f_i).
         r = _zt.primitive(_zt.pseudo_divmod(chain[-2], chain[-1])[1])[1]
@@ -312,12 +307,10 @@ def unit_circle_roots(p) -> list[tuple[float, int]]:
     if len(chain[-1]) == 1:
         parts = [(chain, 1)]
     else:
-        # The decomposition strips the power of x, which is a root here.
+        # The power of x, if any, gets a chain of its own.
         zeros = next(i for i, c in enumerate(q) if c)
         parts = [(_sturm_chain([0, 1]), zeros)] if zeros else []
-        for factor, mult in squarefree_decomposition(
-                LaurentPoly.from_coefficients(q)):
-            parts.append((_sturm_chain(_zt.split(factor.coeffs)[0]), mult))
+        parts += [(_sturm_chain(g), m) for g, m in _zt.squarefree(q[zeros:])]
     out = []
     for ch, mult in parts:
         for a, b, k in _isolate(ch):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talex import _zt
 from talex.errors import AlgebraError, NonPolynomialError
 from talex.laurent import (
     LaurentPoly,
     LaurentRational,
     has_simple_root,
-    poly_gcd,
     squarefree_decomposition,
 )
 
@@ -106,6 +106,13 @@ class TestArithmetic:
         q = LaurentPoly({-1: Fraction(1)})
         assert q.evaluate(Fraction(2)) == Fraction(1, 2)
 
+    def test_negative_power_at_zero_is_an_algebra_error(self):
+        p = LaurentPoly({-1: Fraction(1), 0: Fraction(2)})
+        for zero in (Fraction(0), 0, 0j):
+            with pytest.raises(AlgebraError, match="negative power"):
+                p.evaluate(zero)
+        assert P(2, 3).evaluate(0) == Fraction(2)
+
     def test_derivative(self):
         p = LaurentPoly({2: Fraction(3), -1: Fraction(1)})
         assert p.derivative() == LaurentPoly({1: Fraction(6), -2: Fraction(-1)})
@@ -188,6 +195,14 @@ class TestDivision:
         with pytest.raises(NonPolynomialError):
             (t * t + 1) / (t - 1)
 
+    def test_inexact_complex_quotient_raises(self):
+        with pytest.raises(NonPolynomialError):
+            CP(1, 0, 1) / CP(-1, 1)
+        with pytest.raises(NonPolynomialError):
+            P(1, 0, 1) / CP(-1, 1)
+        q = CP(-1, 0, 1) / CP(-1, 1)
+        assert abs(q[0] - 1) < 1e-12 and abs(q[1] - 1) < 1e-12
+
     def test_division_by_zero_raises(self):
         with pytest.raises((AlgebraError, ZeroDivisionError)):
             P(1) / LaurentPoly.zero()
@@ -256,16 +271,12 @@ class TestSerialization:
 
 class TestGcdAndSquarefree:
     def test_gcd_of_shared_factor(self):
-        f = P(1, -1, 1)
-        g = poly_gcd(f * f * P(-1, 2), f * P(3, 1))
-        assert g == f  # monic normalization
+        f = [1, -1, 1]
+        g = _zt.gcd(_zt.mul(_zt.mul(f, f), [-1, 2]), _zt.mul(f, [3, 1]))
+        assert g in (f, [-c for c in f])    # primitive, up to sign
 
     def test_gcd_of_coprime_is_one(self):
-        assert poly_gcd(P(1, 1), P(1, 0, 1)) == P(1)
-
-    def test_gcd_requires_exact_input(self):
-        with pytest.raises(AlgebraError):
-            poly_gcd(CP(1, 1), P(1, 1))
+        assert _zt.gcd([1, 1], [1, 0, 1]) in ([1], [-1])
 
     def test_squarefree_decomposition(self):
         f = P(1, -1, 1)
@@ -400,6 +411,28 @@ def _oracle_quotient(p: LaurentPoly, q: LaurentPoly):
     return quot if rem.is_zero() else None
 
 
+def _oracle_squarefree(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
+    """Yun's algorithm over Q, as the library ran it before it moved to Z[t]."""
+    p = p.shift(-p.min_exp()).scale(Fraction(1) / Fraction(p.leading()))
+    if p.degree() == 0:
+        return []
+    dp = p.derivative()
+    g = _oracle_gcd(p, dp)
+    w = _oracle_quotient(p, g)
+    y = _oracle_quotient(dp, g)
+    out = []
+    i = 1
+    while w.degree() > 0:
+        z = y - w.derivative()
+        f = _oracle_gcd(w, z)
+        if f.degree() > 0:
+            out.append((f, i))
+        w = _oracle_quotient(w, f)
+        y = _oracle_quotient(z, f)
+        i += 1
+    return out
+
+
 def _oracle_reduced(num: LaurentPoly, den: LaurentPoly):
     g = _oracle_gcd(num, den)
     if g.degree() > 0:
@@ -425,13 +458,42 @@ def _same(a: LaurentPoly, b: LaurentPoly) -> bool:
         all(type(c) is Fraction for c in a.coeffs.values())
 
 
+def _monic(g: list[int]) -> LaurentPoly:
+    """The kernel polynomial g made monic, at exponent 0; 0 for []."""
+    return LaurentPoly.from_coefficients(g).scale(Fraction(1, g[-1])) \
+        if g else LaurentPoly.zero()
+
+
+def _kernel_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """The monic gcd over Q of the ordinary-polynomial parts, by _zt.gcd."""
+    return _monic(_zt.gcd(_zt.split(p.coeffs)[0], _zt.split(q.coeffs)[0]))
+
+
+# Products of powers of small integer factors, times a content and a sign:
+# the factors may repeat, share roots or be divisible by t.
+_powers = st.tuples(
+    st.lists(st.tuples(
+        st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(
+            lambda c: c[-1] != 0),
+        st.integers(1, 3)), min_size=1, max_size=3),
+    st.integers(-6, 6).filter(bool))
+
+
+def _product(factors, content: int) -> list[int]:
+    f = [content]
+    for g, m in factors:
+        for _ in range(m):
+            f = _zt.mul(f, g)
+    return f
+
+
 class TestIntegerKernel:
     @settings(max_examples=300, deadline=None)
     @given(_factor, _factor, _factor)
     def test_matches_the_fraction_oracle(self, f, g, h):
         p, q = f * g * h, g * h.shift(1)
-        assert _same(poly_gcd(p, q), _oracle_gcd(p, q))
-        assert _same(poly_gcd(f, g), _oracle_gcd(f, g))
+        assert _same(_kernel_gcd(p, q), _oracle_gcd(p, q))
+        assert _same(_kernel_gcd(f, g), _oracle_gcd(f, g))
         assert _same(p / g, _oracle_quotient(p, g))
         assert _same(p / (g * h), f)
         for a, b in ((p, q), (f, g), (q, p)):
@@ -454,14 +516,29 @@ class TestIntegerKernel:
     @settings(max_examples=100, deadline=None)
     @given(_factor)
     def test_gcd_with_zero_is_monic_at_exponent_zero(self, p):
-        g = poly_gcd(p, LaurentPoly.zero())
-        assert _same(g, _oracle_normal(p))
-        assert g.min_exp() == 0 and g.leading() == 1
-        assert _same(poly_gcd(LaurentPoly.zero(), p), g)
-        assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()).is_zero()
+        f = _zt.split(p.coeffs)[0]
+        g = _zt.gcd(f, [])
+        prim = _zt.primitive(f)[1]
+        assert g in (prim, [-c for c in prim])
+        assert _same(_monic(g), _oracle_normal(p))
+        assert _zt.gcd([], f) == g
+        assert _zt.gcd([], []) == []
 
-    def test_complex_input_raises(self):
-        with pytest.raises(AlgebraError):
-            poly_gcd(P(1, 1), CP(1, 1))
-        with pytest.raises(AlgebraError):
-            poly_gcd(CP(2, 1), LaurentPoly.zero())
+    @settings(max_examples=200, deadline=None)
+    @given(_powers)
+    def test_squarefree_matches_the_fraction_yun(self, powers):
+        f = _product(*powers)
+        parts = _zt.squarefree(f)
+        # prod g^m is f up to content and sign
+        prim = _zt.primitive(f)[1]
+        assert _product(parts, 1) in (prim, [-c for c in prim])
+        assert [m for _, m in parts] == sorted({m for _, m in parts})
+        for i, (g, _) in enumerate(parts):
+            assert len(g) > 1 and g[-1] > 0 and _zt.primitive(g)[0] == 1
+            assert len(_zt.gcd(g, _zt.derivative(g))) == 1
+            assert all(len(_zt.gcd(g, h)) == 1 for h, _ in parts[i + 1:])
+        p = LaurentPoly.from_coefficients(f)
+        want = _oracle_squarefree(p)
+        got = squarefree_decomposition(p)
+        assert [m for _, m in got] == [m for _, m in want]
+        assert all(_same(a, b) for (a, _), (b, _) in zip(got, want))
