@@ -1,16 +1,17 @@
 """2x2 matrices over SL(2,C), and the equations that
 representations.solve_representation solves in its gauge.
 
-Representation keeps its matrices as nested tuples ((m00, m01), (m10, m11));
-the adjugate is the inverse exactly when the determinant is 1.  The gauge
-coordinates x of n generators are (a, q) for A = [[a, q], [0, 1/a]], (b, d)
-for B = [[b, 0], [d, 1/b]] and four free entries for each further
-generator.  _residual and _jacobian evaluate the solver's equations and
-their exact Jacobian at x.  They hold the letter images as flat 4-tuples
-(m00, m01, m10, m11) and multiply them entry by entry in local variables,
-which is the solver's inner loop.  _det_one_on_trace_rows finds a further
-generator from trace rows linear in it and det = 1, for the solver's seeds
-and the closed form (its gauges: the representations module docstring).
+A 2x2 matrix is the flat 4-tuple (m00, m01, m10, m11), row by row, over
+any ring: Fractions, ints, complex floats.  This module owns the format;
+_mat_mul, _mat_det and _mat_adjugate are the package's one 2x2 product,
+determinant and adjugate, and the adjugate is the inverse exactly when
+the determinant is 1.  The gauge coordinates x of n generators are (a, q)
+for A = [[a, q], [0, 1/a]], (b, d) for B = [[b, 0], [d, 1/b]] and four
+free entries for each further generator.  _residual and _jacobian
+evaluate the solver's equations and their exact Jacobian at x.
+_det_one_on_trace_rows finds a further generator from trace rows linear
+in it and det = 1, for the solver's seeds and the closed form (its
+gauges: the representations module docstring).
 """
 
 from __future__ import annotations
@@ -23,30 +24,29 @@ import numpy as np
 from .presentations import Presentation
 from .words import FreeWord
 
-Matrix2 = tuple[tuple[object, object], tuple[object, object]]
+Matrix2 = tuple[object, object, object, object]
 
-_EXACT_ID: Matrix2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-_COMPLEX_ID: Matrix2 = ((1 + 0j, 0j), (0j, 1 + 0j))
-_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)   # flat, as the solver's kernel uses it
+_EXACT_ID: Matrix2 = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+_COMPLEX_ID: Matrix2 = (1 + 0j, 0j, 0j, 1 + 0j)
 
 
 def _mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
 def _mat_det(a: Matrix2):
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return a[0] * a[3] - a[1] * a[2]
 
 
 def _mat_adjugate(a: Matrix2) -> Matrix2:
-    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
+    return (a[3], -a[1], -a[2], a[0])
 
 
-def _gauge_images(x, n: int) -> list[tuple]:
-    """Flat generator images (m00, m01, m10, m11) in the gauge:
+def _gauge_images(x, n: int) -> list[Matrix2]:
+    """The generator images in the gauge:
     A = [[a, q], [0, 1/a]] from (a, q), B = [[b, 0], [d, 1/b]] from (b, d),
     four free entries for the rest."""
     mats = []
@@ -59,11 +59,6 @@ def _gauge_images(x, n: int) -> list[tuple]:
     for i in range(4, 4 * n - 4, 4):
         mats.append(tuple(x[i:i + 4]))
     return mats
-
-
-def _unpack(x, n: int) -> list[Matrix2]:
-    """The generator images in the gauge as nested tuples."""
-    return [((m00, m01), (m10, m11)) for m00, m01, m10, m11 in _gauge_images(x, n)]
 
 
 class _Equations:
@@ -154,28 +149,31 @@ class _TermTable:
         self.trace_to = tr_row * eq.nvars + gvar[self.nrel_groups:]
 
 
-def _letter_images(eq: _Equations, x: np.ndarray) -> list[tuple]:
-    """Flat images of the letter codes at x: generators, then their
-    adjugates (inverses in SL2)."""
+def _letter_images(eq: _Equations, x: np.ndarray) -> list[Matrix2]:
+    """Images of the letter codes at x: generators, then their adjugates
+    (inverses in SL2)."""
     gens = _gauge_images(x.tolist(), eq.n)
-    return gens + [(m11, -m01, -m10, m00) for m00, m01, m10, m11 in gens]
+    return gens + [_mat_adjugate(m) for m in gens]
 
 
 def _det_one_on_trace_rows(prods: list, traces: list) -> list[np.ndarray]:
-    """The 2x2 matrices C, flattened to (c00, c01, c10, c11), with
-    tr(P_k C) = traces[k] for each P_k in prods and det C = 1.
+    """The matrices C, as flat arrays (c00, c01, c10, c11), with
+    tr(P_k C) = traces[k] for each matrix P_k in prods and det C = 1.
 
-    The trace rows are linear in C.  When they are consistent and leave a
-    one-dimensional null space, C = c0 + s nv (c0 their minimum-norm
-    solution, nv a null vector) and det C = 1 is a quadratic in s: the
-    result lists C at its two roots, the +sqrt root first, or at its one
-    root when the quadratic is linear.  Otherwise it is empty.  The root
-    of smaller magnitude is q0 / (q2 s) from the larger one, because the
-    textbook formula cancels when the roots differ greatly in size.
+    The trace rows are linear in C.  When they are finite, consistent and
+    leave a one-dimensional null space, C = c0 + s nv (c0 their
+    minimum-norm solution, nv a null vector) and det C = 1 is a quadratic
+    in s: the result lists C at its two roots, the +sqrt root first, or at
+    its one root when the quadratic is linear.  Otherwise it is empty.
+    The root of smaller magnitude is q0 / (q2 s) from the larger one,
+    because the textbook formula cancels when the roots differ greatly in
+    size.
     """
-    mat = np.array([[p[0][0], p[1][0], p[0][1], p[1][1]] for p in prods],
-                   dtype=complex)
+    # tr(P C) = p00 c00 + p10 c01 + p01 c10 + p11 c11
+    mat = np.array(prods, dtype=complex)[:, [0, 2, 1, 3]]
     b = np.array(traces, dtype=complex)
+    if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(b))):
+        return []
     c0, *_ = np.linalg.lstsq(mat, b, rcond=None)
     if np.linalg.norm(mat @ c0 - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
         return []
@@ -184,13 +182,9 @@ def _det_one_on_trace_rows(prods: list, traces: list) -> list[np.ndarray]:
     if null.shape[1] != 1:
         return []
     nv = null[:, 0]
-
-    def det4(u):
-        return u[0] * u[3] - u[1] * u[2]
-
-    q2 = det4(nv)
+    q2 = _mat_det(nv)
     q1 = c0[0] * nv[3] + nv[0] * c0[3] - c0[1] * nv[2] - nv[1] * c0[2]
-    q0 = det4(c0) - 1.0
+    q0 = _mat_det(c0) - 1.0
     if abs(q2) > 1e-12:
         disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
         roots = [(-q1 + disc) / (2 * q2), (-q1 - disc) / (2 * q2)]
@@ -218,19 +212,12 @@ def _residual(eq: _Equations, x: np.ndarray, bound: float = np.inf):
     rel, traces = [], []
     total = 0.0
     for k, w in enumerate(eq.words):
-        if w:
-            m00, m01, m10, m11 = imgs[w[0]]
-            for c in w[1:]:
-                b00, b01, b10, b11 = imgs[c]
-                m00, m01, m10, m11 = (m00 * b00 + m01 * b10,
-                                      m00 * b01 + m01 * b11,
-                                      m10 * b00 + m11 * b10,
-                                      m10 * b01 + m11 * b11)
-        else:
-            m00, m01, m10, m11 = _IDENTITY
+        m = (functools.reduce(_mat_mul, [imgs[c] for c in w]) if w
+             else _COMPLEX_ID)
         if k >= eq.nrel:
-            traces.append(m00 + m11)
+            traces.append(m[0] + m[3])
             continue
+        m00, m01, m10, m11 = m
         m00 -= 1.0
         m11 -= 1.0
         rel += (m00, m01, m10, m11)
@@ -240,7 +227,7 @@ def _residual(eq: _Equations, x: np.ndarray, bound: float = np.inf):
                   + m11.real * m11.real + m11.imag * m11.imag)
         if total > limit:
             return None
-    dets = [m00 * m11 - m01 * m10 - 1.0 for m00, m01, m10, m11 in imgs[2:eq.n]]
+    dets = [_mat_det(m) - 1.0 for m in imgs[2:eq.n]]
     f = np.array(rel + dets + traces, dtype=complex)
     f[len(f) - len(eq.targets):] -= eq.targets
     return f
@@ -258,29 +245,21 @@ def _jacobian(eq: _Equations, x: np.ndarray) -> np.ndarray:
     imgs = _letter_images(eq, x)
     pre, suf = [], []
     for w in filter(None, eq.words):
-        pre += _IDENTITY
+        pre += _COMPLEX_ID
         # suffixes from the right, each stored backwards: reversing the
         # word's list puts them in letter order with entries in order
-        tails = list(_IDENTITY)
+        tails = list(_COMPLEX_ID)
         if len(w) > 1:
-            m00, m01, m10, m11 = imgs[w[0]]
-            pre += (m00, m01, m10, m11)
+            m = imgs[w[0]]
+            pre += m
             for c in w[1:-1]:
-                b00, b01, b10, b11 = imgs[c]
-                m00, m01, m10, m11 = (m00 * b00 + m01 * b10,
-                                      m00 * b01 + m01 * b11,
-                                      m10 * b00 + m11 * b10,
-                                      m10 * b01 + m11 * b11)
-                pre += (m00, m01, m10, m11)
-            b00, b01, b10, b11 = imgs[w[-1]]
-            tails += (b11, b10, b01, b00)
+                m = _mat_mul(m, imgs[c])
+                pre += m
+            m = imgs[w[-1]]
+            tails += m[::-1]
             for c in w[-2:0:-1]:
-                a00, a01, a10, a11 = imgs[c]
-                b00, b01, b10, b11 = (a00 * b00 + a01 * b10,
-                                      a00 * b01 + a01 * b11,
-                                      a10 * b00 + a11 * b10,
-                                      a10 * b01 + a11 * b11)
-                tails += (b11, b10, b01, b00)
+                m = _mat_mul(imgs[c], m)
+                tails += m[::-1]
         suf += reversed(tails)
     pre, suf = np.array(pre, dtype=complex), np.array(suf, dtype=complex)
     factors = np.array([1.0, -1.0 / x[0] ** 2,

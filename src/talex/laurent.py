@@ -15,13 +15,13 @@ The zero polynomial has empty support.  degree() is the span from lowest
 to highest exponent, the natural degree notion for quantities defined up
 to units t^k.
 
-Exact division, divmod_poly, the reduction of LaurentRational and the
-square-free decomposition clear denominators and content and run in Z[t]
-(the _zt kernel): trial division with integer remainders, a primitive
-pseudo-remainder gcd and Yun's algorithm (_zt.squarefree), with the same
-results as over Q and no Fraction per step.  An exact LaurentRational is
-a polynomial exactly when its reduced denominator is 1.  Division with
-complex coefficients is synthetic long division in floats.
+The reduction of LaurentRational and the square-free decomposition clear
+denominators and content and run in Z[t] (the _zt kernel): a primitive
+pseudo-remainder gcd, exact trial division and Yun's algorithm
+(_zt.squarefree), with the same results as over Q and no Fraction per
+step.  Exact division (/) reads that reduction: an exact LaurentRational
+is a polynomial exactly when its reduced denominator is 1.  divmod_poly,
+and division with complex coefficients, are long division.
 """
 
 from __future__ import annotations
@@ -267,23 +267,14 @@ class LaurentPoly:
 
         Both operands are shifted to ordinary polynomials first; the result
         is shifted back, so this is division in the Laurent ring (remainders
-        carry the dividend's unit).  Exactness follows the coefficients:
-        exact operands are divided in Z[t] by pseudo-division, the others
-        synthetically.
+        carry the dividend's unit).  Long division, over Fractions when
+        both operands are exact.
         """
         if other.is_zero():
             raise AlgebraError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(), LaurentPoly.zero()
         sh_n, sh_d = self.min_exp(), other.min_exp()
-        if self._exact and other._exact:
-            num, _, num_den = _zt.split(self.coeffs)
-            den, _, den_den = _zt.split(other.coeffs)
-            q, r = _zt.pseudo_divmod(num, den)
-            # |lead den|^len(q) num = q den + r
-            scale = num_den * abs(den[-1]) ** len(q)
-            return (_from_zt(q, sh_n - sh_d, Fraction(den_den, scale)),
-                    _from_zt(r, sh_n, Fraction(1, scale)))
         num = _dense(self.shift(-sh_n))
         den = _dense(other.shift(-sh_d))
         q, r = _dense_divmod(num, den)
@@ -294,23 +285,14 @@ class LaurentPoly:
     def __truediv__(self, other) -> "LaurentPoly":
         """Exact division; raises if the division leaves a nonzero remainder.
 
-        Exact operands are divided in Z[t]: with self = t^a f / m and
-        other = t^b c g / n, f and g in Z[t] and g primitive of content c,
-        the quotient is t^(a-b) (f / g) n / (m c), and f / g is decided by
-        trial division in Z[t] (Gauss's lemma).  Floating operands go
-        through LaurentRational.attempt_polynomial at DEFAULT_CLEAN_EPS.
+        The quotient is LaurentRational(self, other).attempt_polynomial()
+        at DEFAULT_CLEAN_EPS: exact operands are decided by the reduction
+        in Z[t], floating ones by long division.
         """
         other = self._as_poly(other)
-        if not (self._exact and other._exact):
-            q = LaurentRational(self, other).attempt_polynomial()
-        elif other.is_zero():
+        if other.is_zero():
             raise AlgebraError("division by the zero polynomial")
-        else:
-            f, a, m = _zt.split(self.coeffs)
-            g, b, n = _zt.split(other.coeffs)
-            c, g = _zt.primitive(g)
-            h = _zt.quotient(f, g)
-            q = None if h is None else _from_zt(h, a - b, Fraction(n, m * c))
+        q = LaurentRational(self, other).attempt_polynomial()
         if q is None:
             raise NonPolynomialError("inexact Laurent division of %s by %s"
                                      % (self.to_text(), other.to_text()))

@@ -1,11 +1,12 @@
 """SL(2,C) representations of knot group presentations.
 
-A Representation stores one 2x2 matrix per generator, either with exact
-rational entries (diagonal abelian representations) or complex floating
-entries (solved irreducible representations).  Inverses use the adjugate,
-the true inverse when det = 1; a valid representation has every generator
-determinant within tolerance of 1 and every relator image within
-tolerance of the identity.
+A Representation stores one 2x2 matrix per generator as the flat 4-tuple
+(m00, m01, m10, m11), row by row (the _sl2 format, also that of the
+representation JSON), either with exact rational entries (diagonal
+abelian representations) or complex floating entries (solved irreducible
+representations).  Inverses use the adjugate, the true inverse when
+det = 1; a valid representation has every generator determinant within
+tolerance of 1 and every relator image within tolerance of the identity.
 
 solve_representation is a damped Gauss-Newton iteration in the gauge
 x = (a, q, b', d), A = [[a, q], [0, 1/a]], B = [[b', 0], [d, 1/b']], with
@@ -18,7 +19,8 @@ At the rounding floor (residual norm <= 1e-12) a Newton step that does not
 halve the norm means rounding limits the residual, so the restart stops.
 A restart whose norm has not fallen below 0.95 times its value 10
 iterations earlier sits at a least-squares minimum that is no solution
-and is abandoned.  The residual test then judges the restart's last point.
+and is abandoned, and so is one whose residual or Jacobian is not
+finite.  The residual test then judges the restart's last point.
 
 When the constrained words pin every generator no search is needed
 (closed_form_representation).  The one- and two-letter traces fix an
@@ -50,15 +52,15 @@ import cmath
 import math
 from fractions import Fraction
 from functools import reduce
-from numbers import Rational
+from numbers import Number, Rational
 
 import numpy as np
 
 from .errors import AlgebraError, ParseError, SolveError
 from .laurent import LaurentPoly, LaurentRational
 from ._sl2 import (_COMPLEX_ID, _EXACT_ID, Matrix2, _Equations,
-                   _det_one_on_trace_rows, _jacobian, _mat_adjugate, _mat_det,
-                   _mat_mul, _residual, _unpack)
+                   _det_one_on_trace_rows, _gauge_images, _jacobian,
+                   _mat_adjugate, _mat_det, _mat_mul, _residual)
 from .presentations import Presentation
 from .words import FreeWord
 
@@ -70,17 +72,22 @@ _BURDE_DE_RHAM_TOL = 1e-8
 
 
 class Representation:
-    """Images of the generators of a presentation in SL(2,C)."""
+    """Images of the generators of a presentation in SL(2,C), each the
+    flat 4-tuple (m00, m01, m10, m11).  The constructor takes any
+    4-sequences of numbers and refuses other shapes."""
 
     def __init__(self, presentation: Presentation, matrices, residual: float = 0.0):
         if len(matrices) != presentation.num_generators:
             raise AlgebraError("need one matrix per generator")
+        mats = [tuple(m) if np.iterable(m) else () for m in matrices]
+        if not all(len(m) == 4 and all(isinstance(e, Number) for e in m)
+                   for m in mats):
+            raise AlgebraError("a generator image must be four numbers "
+                               "(m00, m01, m10, m11)")
         self.presentation = presentation
-        self.matrices: list[Matrix2] = [
-            ((m[0][0], m[0][1]), (m[1][0], m[1][1])) for m in matrices]
+        self.matrices: list[Matrix2] = mats
         self.residual = float(residual)
-        self._exact = all(isinstance(e, Rational)
-                          for m in self.matrices for row in m for e in row)
+        self._exact = all(isinstance(e, Rational) for m in mats for e in m)
 
     def is_exact(self) -> bool:
         return self._exact
@@ -96,16 +103,13 @@ class Representation:
 
     def trace(self, w: FreeWord):
         m = self.image(w)
-        return m[0][0] + m[1][1]
+        return m[0] + m[3]
 
     def relator_residual(self) -> float:
         worst = 0.0
         for r in self.presentation.relators:
-            m = self.image(r)
-            for i in (0, 1):
-                for j in (0, 1):
-                    target = 1.0 if i == j else 0.0
-                    worst = max(worst, abs(complex(m[i][j]) - target))
+            for e, target in zip(self.image(r), _COMPLEX_ID):
+                worst = max(worst, abs(complex(e) - target))
         return worst
 
     def is_reducible(self) -> bool:
@@ -122,21 +126,13 @@ class Representation:
     def conjugate(self, g: Matrix2) -> "Representation":
         ginv = _mat_adjugate(g)
         dg = _mat_det(g)
-        mats = []
-        for m in self.matrices:
-            c = _mat_mul(_mat_mul(g, m), ginv)
-            mats.append(((c[0][0] / dg, c[0][1] / dg), (c[1][0] / dg, c[1][1] / dg)))
+        mats = [[e / dg for e in _mat_mul(_mat_mul(g, m), ginv)]
+                for m in self.matrices]
         return Representation(self.presentation, mats, self.residual)
 
     def to_json_dict(self) -> dict:
-        gens = []
-        for m in self.matrices:
-            flat = []
-            for i in (0, 1):
-                for j in (0, 1):
-                    z = complex(m[i][j])
-                    flat.append([z.real, z.imag])
-            gens.append(flat)
+        gens = [[[z.real, z.imag] for z in map(complex, m)]
+                for m in self.matrices]
         return {"generators": gens, "residual": self.residual}
 
     @classmethod
@@ -152,7 +148,7 @@ class Representation:
                 if len(e) != 4 or not all(map(cmath.isfinite, e)):
                     raise ParseError("bad representation JSON: a generator "
                                      "needs four finite entries")
-                mats.append(((e[0], e[1]), (e[2], e[3])))
+                mats.append(e)
             residual = data.get("residual", 0.0)
             if isinstance(residual, bool) or not math.isfinite(float(residual)):
                 raise ParseError("bad representation JSON: the residual "
@@ -168,14 +164,14 @@ def _pair_is_reducible(a: Matrix2, b: Matrix2) -> bool:
     """Whether tr[A, B] is within _REDUCIBLE_TOL of 2 for A, B in SL(2, C)."""
     comm = _mat_mul(_mat_mul(a, b),
                     _mat_mul(_mat_adjugate(a), _mat_adjugate(b)))
-    return abs(complex(comm[0][0] + comm[1][1]) - 2.0) <= _REDUCIBLE_TOL
+    return abs(complex(comm[0] + comm[3]) - 2.0) <= _REDUCIBLE_TOL
 
 
 def _share_an_eigenvector(mats: list[Matrix2], bound: float) -> bool:
     """Whether an eigenvector v of the matrix farthest from scalar (largest
     |m01| + |m10| + |m00 - m11|) has |v x Mv| <= bound |v| |Mv|, the sine
     of the angle from v to Mv, for every matrix M."""
-    flat = [[complex(e) for row in m for e in row] for m in mats]
+    flat = [list(map(complex, m)) for m in mats]
     spread = [abs(q) + abs(r) + abs(p - w) for p, q, r, w in flat]
     if not any(spread):
         return True     # scalars: every vector is an eigenvector
@@ -212,7 +208,7 @@ def abelian_rep(p: Presentation, lam) -> Representation:
     if bad:
         raise AlgebraError("presentation is not Wirtinger-style: relator "
                            "with nonzero exponent sum")
-    m = ((lam, zero), (zero, 1 / lam))
+    m = (lam, zero, zero, 1 / lam)
     return Representation(p, [m] * p.num_generators, residual=0.0)
 
 
@@ -388,7 +384,7 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
             # A det-1 point of the rows linear in the new generator starts
             # Newton on the trace slice, leaving only the relators to solve.
             prods, traces = _trace_rows(3 + i, gen_trace.get(2 + i, y0),
-                                        constraints, _unpack(x, 2 + i))
+                                        constraints, _gauge_images(x, 2 + i))
             cands = _det_one_on_trace_rows(prods, traces) if len(prods) > 2 else []
             entries = None
             if cands:
@@ -412,8 +408,11 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
         for _ in range(_MAX_ITER):
             if norm < 1e-14:
                 break
+            jac = _jacobian(eq, x)
+            if not (np.all(np.isfinite(f)) and np.all(np.isfinite(jac))):
+                break           # overflow: no least-squares step exists
             iterations += 1
-            step, *_ = np.linalg.lstsq(_jacobian(eq, x), -f, rcond=_RCOND)
+            step, *_ = np.linalg.lstsq(jac, -f, rcond=_RCOND)
             at_floor = norm <= _ROUNDING_FLOOR
             lam, nn = 1.0, np.inf
             for _ in range(25):
@@ -445,7 +444,7 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
         worst = float(np.max(np.abs(f)))
         best = min(best, worst)
         if worst <= _SOLVE_TOL:
-            rho = Representation(p, _unpack(x, n))
+            rho = Representation(p, _gauge_images(x, n))
             rho.residual = rho.relator_residual()
             if require_irreducible and rho.is_reducible():
                 best_reducible = rho
@@ -482,12 +481,16 @@ def _linear_rows(gi: int, constraints: dict) -> list[tuple[tuple, complex]]:
 def _trace_rows(gi: int, trace_gi: complex, constraints: dict,
                 images: list) -> tuple[list, list]:
     """(prods, traces) for _det_one_on_trace_rows: tr C = trace_gi, then the
-    _linear_rows of C, the image of generator gi, given the images before."""
-    prods, traces = [np.eye(2, dtype=complex)], [trace_gi]
+    _linear_rows of C, the image of generator gi, given the images before.
+    The products P are taken by np.matmul, whose rounding the closed
+    form's digits carry."""
+    prods, traces = [_COMPLEX_ID], [trace_gi]
     for rest, v in _linear_rows(gi, constraints):
-        prods.append(reduce(np.matmul, (np.array(
-            images[l - 1] if l > 0 else _mat_adjugate(images[-l - 1]),
-            dtype=complex) for l in rest), np.eye(2, dtype=complex)))
+        mats = [images[l - 1] if l > 0 else _mat_adjugate(images[-l - 1])
+                for l in rest]
+        prods.append(reduce(np.matmul,
+                            np.array(mats, dtype=complex).reshape(-1, 2, 2),
+                            np.eye(2, dtype=complex)).ravel())
         traces.append(v)
     return prods, traces
 
@@ -549,7 +552,7 @@ def _closed_form(p: Presentation, cons: dict) -> Representation:
         points = [[a, s, 1.0 / b, s]]
     else:
         pair = [a, 1.0 + 0j, b, z - a * b - 1.0 / (a * b)]
-        ab = _unpack(pair, 2)
+        ab = _gauge_images(pair, 2)
         cands = _det_one_on_trace_rows(*_trace_rows(
             3, cons[FreeWord([3])], cons, ab))
         if not cands:
@@ -568,7 +571,7 @@ def _closed_form(p: Presentation, cons: dict) -> Representation:
         worst = float(np.max(np.abs(_residual(eq, x))))
         best = min(best, worst)
         if worst <= _SOLVE_TOL:
-            rho = Representation(p, _unpack(x, n))
+            rho = Representation(p, _gauge_images(x, n))
             rho.residual = rho.relator_residual()
             if not rho.is_reducible():
                 return rho
@@ -583,8 +586,11 @@ def _closed_form(p: Presentation, cons: dict) -> Representation:
 def representation_from_traces(p: Presentation, constraints: dict,
                                seed: int = 0) -> Representation:
     """The irreducible representation with these trace constraints: the
-    closed form if their words pin every generator, else the seeded solver."""
+    closed form if their words pin every generator, else the seeded solver.
+    Both test their floats for overflow and raise SolveError, so numpy's
+    floating-point warnings are silenced here."""
     cons = _as_words(p, constraints)
-    if _pins_every_generator(p.num_generators, cons):
-        return _closed_form(p, cons)
-    return solve_representation(p, cons, seed=seed)
+    with np.errstate(all="ignore"):
+        if _pins_every_generator(p.num_generators, cons):
+            return _closed_form(p, cons)
+        return solve_representation(p, cons, seed=seed)

@@ -53,7 +53,7 @@ from .laurent import DEFAULT_CLEAN_EPS, LaurentPoly, LaurentRational
 from .matrix import det
 from .presentations import Presentation, simplify
 from .representations import Representation
-from ._sl2 import _COMPLEX_ID, _mat_adjugate, _mat_mul
+from ._sl2 import _COMPLEX_ID, _mat_adjugate, _mat_det, _mat_mul
 from .words import FreeWord
 
 # A floating quotient is a polynomial when the division remainder is
@@ -87,46 +87,37 @@ def _fox_scan(p: Presentation, rho: Representation | None, removed: int
         raise AlgebraError("removed column %d out of range" % removed)
     den = 1
     if rho is None:
-        start, step = ((1,),), lambda u, x: u
+        size, start, step = 1, (1,), lambda u, x: u
     else:
-        start, mats = _COMPLEX_ID, rho.matrices
+        size, start, mats = 2, _COMPLEX_ID, rho.matrices
         if rho.is_exact():
-            den = lcm(*(Fraction(e).denominator
-                        for m in mats for row in m for e in row))
-            start = ((1, 0), (0, 1))
-            mats = [tuple(tuple(int(e * den) for e in row) for row in m)
-                    for m in mats]
-        letters = {}
-        for g, m in enumerate(mats):
-            letters[g + 1], letters[-g - 1] = m, _mat_adjugate(m)
+            den = lcm(*(Fraction(e).denominator for m in mats for e in m))
+            start = (1, 0, 0, 1)
+            mats = [tuple(int(e * den) for e in m) for m in mats]
+        letters = {g + 1: m for g, m in enumerate(mats)}
+        letters.update({-g: _mat_adjugate(m) for g, m in letters.items()})
         step = lambda u, x: _mat_mul(u, letters[x])
         if den != 1:
-            step = lambda u, x: _mat_exact_div(_mat_mul(u, letters[x]), den)
-    size = len(start)
+            step = lambda u, x: tuple(e // den
+                                      for e in _mat_mul(u, letters[x]))
     rows: list[tuple[list[dict], int]] = []
     for r in p.relators:
         top = den ** len(r)
-        cols = [[[{} for _ in range(size)] for _ in range(size)]
-                for _ in range(n)]
-        u, e = start if top == 1 else ((top, 0), (0, top)), 0
+        # each column g holds the size x size block of dicts, row by row
+        cols = [[{} for _ in start] for _ in range(n)]
+        u, e = start if top == 1 else (top, 0, 0, top), 0
         for x in r:
             if x < 0:
                 u, e = step(u, x), e - 1
             c = 1 if x > 0 else -1
-            for i, block_row in enumerate(cols[abs(x) - 1]):
-                for j, d in enumerate(block_row):
-                    d[e] = d.get(e, 0) + c * u[i][j]
+            for d, s in zip(cols[abs(x) - 1], u):
+                d[e] = d.get(e, 0) + c * s
             if x > 0:
                 u, e = step(u, x), e + 1
         for i in range(size):
-            rows.append(([cols[g][i][j] for g in range(n) if g != removed
-                          for j in range(size)], top))
+            rows.append(([cols[g][size * i + j] for g in range(n)
+                          if g != removed for j in range(size)], top))
     return rows
-
-
-def _mat_exact_div(a, d: int):
-    """An integer 2x2 matrix divided by d, which divides every entry."""
-    return ((a[0][0] // d, a[0][1] // d), (a[1][0] // d, a[1][1] // d))
 
 
 def _entry(d: dict, exact: bool, den: int) -> LaurentPoly:
@@ -224,8 +215,7 @@ def wada_invariant(p: Presentation, rho: Representation,
     num = det(fox_matrix_laurent(q, rho_q, k)).shift(shift).cleanup(clean_eps)
 
     g = rho_q.image(FreeWord([k + 1]))
-    tr, dt = g[0][0] + g[1][1], g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    den = LaurentPoly({2: dt, 1: -tr, 0: 1})
+    den = LaurentPoly({2: _mat_det(g), 1: -(g[0] + g[3]), 0: 1})
     if den.is_zero():
         raise AlgebraError("denominator det(Phi(gamma_k) - 1) vanishes")
     if num.is_zero():

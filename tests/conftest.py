@@ -52,12 +52,13 @@ def equal_up_to_even_shift(a: LaurentRational, b: LaurentRational) -> bool:
 
 
 def random_det1_matrix(rng):
-    """A random complex 2x2 matrix normalized to determinant one."""
+    """A random complex 2x2 matrix normalized to determinant one, as the
+    flat list (m00, m01, m10, m11)."""
     while True:
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if abs(d) > 1e-3:
-            return [[complex(e) for e in row] for row in m / np.sqrt(d)]
+            return [complex(e) for e in (m / np.sqrt(d)).ravel()]
 
 
 def random_word(rng, num_gens, max_len):

@@ -169,7 +169,7 @@ class TestPlaneCurves:
 
 
 def _sl2(a, b, c):
-    return [[a, b], [c, (1 + b * c) / a]]
+    return [a, b, c, (1 + b * c) / a]
 
 
 _small_complex = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
@@ -359,9 +359,9 @@ def _equation_residual(rho, y0, z0):
     pres = rho.presentation
     eq = _Equations(pres, {pres.word(w): v for w, v
                            in cc.curve_constraints(y0, z0).items()})
-    (a, q), (_, _) = rho.matrices[0]
-    (b, _), (d, _) = rho.matrices[1]
-    c = [e for row in rho.matrices[2] for e in row]
+    a, q, _, _ = rho.matrices[0]
+    b, _, d, _ = rho.matrices[1]
+    c = rho.matrices[2]
     return float(np.max(np.abs(_residual(eq, np.array([a, q, b, d, *c])))))
 
 
@@ -413,7 +413,7 @@ class TestClosedFormConstruction:
             a = (y0 + cmath.sqrt(y0 * y0 - 4)) / 2
             d = z0 - a * a - 1 / (a * a)
             cands = _det_one_on_trace_rows(
-                [((1, 0), (0, 1)), ((a, 0), (d, 1 / a)), ((a, 1), (0, 1 / a))],
+                [(1, 0, 0, 1), (a, 0, d, 1 / a), (a, 1, 0, 1 / a)],
                 [y0, z0, z0])
             pres = cc.pretzel935_presentation()
             eq = _Equations(pres, {pres.word(w): v for w, v
@@ -456,9 +456,8 @@ class TestClosedFormConstruction:
         rho = cc.solve_on_curve(y0, z0)
         assert _equation_residual(rho, y0, z0) <= 1e-10
         assert not rho.is_reducible()
-        a, b, _ = rho.matrices
-        comm = np.array(a) @ np.array(b) @ np.linalg.inv(
-            np.array(b) @ np.array(a))
+        a, b, _ = (np.array(m).reshape(2, 2) for m in rho.matrices)
+        comm = a @ b @ np.linalg.inv(b @ a)
         assert abs(np.trace(comm) - 2) <= 1e-12
 
     def test_non_finite_point_raises(self):

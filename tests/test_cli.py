@@ -498,6 +498,24 @@ MALFORMED = [
       "--seed=-5"]),
 ]
 
+_HUGE = "trace a = 1e150 0\ntrace b = 1e150 0\n"
+
+# (case id, {file name: contents}, argv); finite traces so large that the
+# solver's or the closed form's floats overflow.  Every case must exit 5.
+OVERFLOWING = [
+    ("twisted-trefoil-solver", {"c": _HUGE},
+     ["twisted", "--pres", "fixtures/3_1.pres", "--constraints", "c"]),
+    ("twisted-8_20-solver", {"c": _HUGE},
+     ["twisted", "--pd", "fixtures/8_20.pd", "--constraints", "c"]),
+    ("genus-one-trace", {"c": "trace a = 1e200 0\n"},
+     ["genus", "--pres", "fixtures/3_1.pres", "--constraints", "c"]),
+    ("twisted-9_35-closed-form",
+     {"c": "".join("trace %s = %s 0\n" % wv for wv in (
+         ("a", "1e200"), ("b", "1e200"), ("c", "1e200"),
+         ("ab", 1), ("bc", 1), ("ca", 1)))},
+     ["twisted", "--pres", "fixtures/9_35.pres", "--constraints", "c"]),
+]
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("files, argv", [case[1:] for case in MALFORMED],
@@ -513,6 +531,25 @@ class TestMalformedInputs:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ParseError"
+
+
+class TestOverflowingTraces:
+    @pytest.mark.parametrize("files, argv", [case[1:] for case in OVERFLOWING],
+                             ids=[case[0] for case in OVERFLOWING])
+    def test_exit_five_with_one_json_reason(self, tmp_path, files, argv):
+        # in a subprocess, so that numpy's warnings and LAPACK's own
+        # messages would reach the stderr checked here
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        src = os.path.dirname(os.path.dirname(talex.__file__))
+        proc = subprocess.run([sys.executable, "-m", "talex", *argv],
+                              cwd=tmp_path, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              check=False)
+        assert (proc.returncode, proc.stdout) == (5, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "SolveError"
 
 
 class TestDispatch:

@@ -27,8 +27,8 @@ from talex import (
     wada_invariant,
 )
 from talex.errors import SolveError
-from talex._sl2 import (_COMPLEX_ID, _Equations, _jacobian, _mat_adjugate,
-                        _mat_mul, _residual, _unpack)
+from talex._sl2 import (_COMPLEX_ID, _Equations, _gauge_images, _jacobian,
+                        _mat_adjugate, _mat_det, _mat_mul, _residual)
 
 from conftest import P, load_fixture_text, random_det1_matrix
 
@@ -74,8 +74,7 @@ class TestIsReducible:
         # m^2 = e^{i pi/3} is a root of t^2 - t + 1, so the upper-triangular
         # nonabelian pair with eigenvalue m satisfies the relator
         m = cmath.exp(1j * math.pi / 6)
-        rho = Representation(trefoil, [((m, 1), (0, 1 / m)),
-                                       ((m, 0), (0, 1 / m))])
+        rho = Representation(trefoil, [(m, 1, 0, 1 / m), (m, 0, 0, 1 / m)])
         assert rho.relator_residual() <= 1e-15
         assert rho.is_reducible()
 
@@ -94,9 +93,9 @@ class TestIsReducible:
     def test_pairwise_eigenvectors_are_not_enough(self, trefoil, p935):
         # A, B share e1, B, C share e2, C, A share (1, 1): every commutator
         # trace is 2, but no vector is an eigenvector of all three
-        a = ((3.0, 1 / 3 - 3.0), (0.0, 1 / 3))
-        b = ((2.0, 0.0), (0.0, 0.5))
-        c = ((1 / 3, 0.0), (1 / 3 - 3.0, 3.0))
+        a = (3.0, 1 / 3 - 3.0, 0.0, 1 / 3)
+        b = (2.0, 0.0, 0.0, 0.5)
+        c = (1 / 3, 0.0, 1 / 3 - 3.0, 3.0)
         for pair in ((a, b), (b, c), (c, a)):
             assert Representation(trefoil, pair).is_reducible()
         assert not Representation(p935, [a, b, c]).is_reducible()
@@ -107,25 +106,60 @@ class TestRepresentation:
     def test_image_of_inverse(self, trefoil):
         rho = abelian_rep(trefoil, Fraction(3))
         m = rho.image(trefoil.word("A"))
-        assert m[0][0] == Fraction(1, 3) and m[1][1] == Fraction(3)
+        assert m[0] == Fraction(1, 3) and m[3] == Fraction(3)
 
     def test_identity_image(self, trefoil):
         rho = abelian_rep(trefoil, Fraction(3))
         m = rho.image(trefoil.word(""))
-        assert m[0][0] == 1 and m[0][1] == 0 and m[1][0] == 0 and m[1][1] == 1
+        assert m == (1, 0, 0, 1)
 
     def test_json_round_trip(self, trefoil_irr):
         data = trefoil_irr.to_json_dict()
         back = Representation.from_json_dict(data, trefoil_irr.presentation)
-        for a, b in zip(trefoil_irr.matrices, back.matrices):
-            for i in range(2):
-                for j in range(2):
-                    assert abs(complex(a[i][j]) - complex(b[i][j])) < 1e-14
+        # bytes, not values: the signs of zero entries must agree too
+        assert (np.array(back.matrices, dtype=complex).tobytes()
+                == np.array(trefoil_irr.matrices, dtype=complex).tobytes())
 
     def test_conjugate_preserves_residual_scale(self, trefoil_irr):
         g = random_det1_matrix(np.random.default_rng(0))
         conj = trefoil_irr.conjugate(g)
         assert conj.relator_residual() < 1e-8
+
+
+def _nested_mul(a, b):
+    """The 2x2 product of flat a and b through nested lists."""
+    x, y = [a[0:2], a[2:4]], [b[0:2], b[2:4]]
+    return [sum(x[i][k] * y[k][j] for k in range(2))
+            for i in range(2) for j in range(2)]
+
+
+_FLAT_FRACTIONS = st.tuples(*[st.fractions(-9, 9, max_denominator=7)] * 4)
+
+
+class TestMatrixFormat:
+    @pytest.mark.parametrize("mats", [
+        [((1, 0), (0, 1)), ((2, 0), (0, 0.5))],
+        [(1, 0, 0), (2, 0, 0, 0.5)],
+        [(1, 0, 0, 1, 0), (2, 0, 0, 0.5)],
+        [np.eye(2), (2, 0, 0, 0.5)],
+        [1, (2, 0, 0, 0.5)],
+    ], ids=["nested", "three-entries", "five-entries", "2x2-array",
+            "scalar"])
+    def test_refuses_other_shapes(self, trefoil, mats):
+        with pytest.raises(AlgebraError, match="four numbers"):
+            Representation(trefoil, mats)
+
+    def test_accepts_flat_sequences(self, trefoil):
+        rho = Representation(trefoil, [[1, 0, 0, 1], np.array([2, 0, 0, 0.5])])
+        assert all(type(m) is tuple and len(m) == 4 for m in rho.matrices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_FLAT_FRACTIONS, _FLAT_FRACTIONS, _FLAT_FRACTIONS)
+    def test_mat_mul_matches_nested_lists_and_associates(self, a, b, c):
+        assert list(_mat_mul(a, b)) == _nested_mul(a, b)
+        assert _mat_mul(_mat_mul(a, b), c) == _mat_mul(a, _mat_mul(b, c))
+        d = _mat_det(a)
+        assert _mat_mul(a, _mat_adjugate(a)) == (d, 0, 0, d)
 
 
 class TestCharacters:
@@ -261,7 +295,7 @@ class TestSolveRepresentation:
                 trefoil.word("ab"): 1.0 + 0j}
         rho = solve_representation(trefoil, cons, seed=0)
         assert rho.relator_residual() <= 1e-10
-        for (a, q), (d, b) in rho.matrices:
+        for a, q, d, b in rho.matrices:
             assert abs(a * b - q * d - 1.0) <= 1e-12
         assert abs(rho.trace(trefoil.word("a")) - tau) < 1e-9
         assert not rho.is_reducible()
@@ -323,8 +357,8 @@ class TestTwoGeneratorClosedForm:
         rho = closed_form_representation(trefoil, _trefoil_traces(2.1, 1.0))
         assert rho.residual <= 1e-13
         assert not rho.is_reducible()
-        (a, q), (_, a_inv) = rho.matrices[0]
-        (b_inv, _), (d, b) = rho.matrices[1]
+        a, q, _, a_inv = rho.matrices[0]
+        b_inv, _, d, b = rho.matrices[1]
         # x = [a, s, 1/b, s]: equal couplings, B's inverse eigenvalue on top
         assert q == d and a_inv == 1.0 / a and b_inv == 1.0 / b
         assert abs(a) >= 1 and abs(b) >= 1
@@ -449,12 +483,12 @@ def _random_point(eq, seed):
     return x
 
 
-def _nested_images(eq, x):
-    gens = _unpack(x.tolist(), eq.n)
+def _letter_images(eq, x):
+    gens = _gauge_images(x.tolist(), eq.n)
     return gens + [_mat_adjugate(m) for m in gens]
 
 
-def _nested_product(imgs, w):
+def _product(imgs, w):
     if not w:
         return _COMPLEX_ID
     m = imgs[w[0]]
@@ -464,27 +498,27 @@ def _nested_product(imgs, w):
 
 
 def _reference_residual(eq, x):
-    """_residual by one nested-tuple product per letter."""
-    imgs = _nested_images(eq, x)
+    """_residual by one product per letter, row by row."""
+    imgs = _letter_images(eq, x)
     rows = []
     for w in eq.words[:eq.nrel]:
-        m = _nested_product(imgs, w)
-        rows += (m[0][0] - 1.0, m[0][1], m[1][0], m[1][1] - 1.0)
-    rows += [m[0][0] * m[1][1] - m[0][1] * m[1][0] - 1.0
-             for m in imgs[2:eq.n]]
+        m00, m01, m10, m11 = _product(imgs, w)
+        rows += (m00 - 1.0, m01, m10, m11 - 1.0)
+    rows += [m00 * m11 - m01 * m10 - 1.0
+             for m00, m01, m10, m11 in imgs[2:eq.n]]
     for w in eq.words[eq.nrel:]:
-        m = _nested_product(imgs, w)
-        rows.append(m[0][0] + m[1][1])
+        m00, _, _, m11 = _product(imgs, w)
+        rows.append(m00 + m11)
     f = np.array(rows, dtype=complex)
     f[len(f) - len(eq.targets):] -= eq.targets
     return f
 
 
 def _reference_jacobian(eq, x):
-    """_jacobian by nested-tuple prefix and suffix scans, eq's term table
+    """_jacobian by prefix and suffix lists of products, eq's term table
     summed per (word, coordinate) into a dense (word, coordinate, 2, 2)
     buffer, and its rows cut out of that buffer."""
-    imgs = _nested_images(eq, x)
+    imgs = _letter_images(eq, x)
     pre, suf = [], []
     for w in filter(None, eq.words):
         heads = [_COMPLEX_ID]
@@ -497,7 +531,8 @@ def _reference_jacobian(eq, x):
                          else _mat_mul(imgs[c], tails[-1]))
         pre += heads
         suf += reversed(tails)
-    pre, suf = np.array(pre, dtype=complex), np.array(suf, dtype=complex)
+    pre = np.array(pre, dtype=complex).reshape(-1, 2, 2)
+    suf = np.array(suf, dtype=complex).reshape(-1, 2, 2)
     word, var, slot, i, j, sign, kind = map(np.array, zip(*eq.table.terms))
     factors = np.array([1.0, -1.0 / x[0] ** 2, -1.0 / x[2] ** 2])
     terms = ((sign * factors[kind])[:, None, None]
@@ -507,8 +542,8 @@ def _reference_jacobian(eq, x):
     dw = np.zeros((len(eq.words), eq.nvars, 2, 2), dtype=complex)
     dw[word[starts], var[starts]] = np.add.reduceat(terms, starts, axis=0)
     ddet = np.zeros((eq.nfree, eq.nvars), dtype=complex)
-    for f, m in enumerate(imgs[2:eq.n]):
-        ddet[f, 4 + 4 * f: 8 + 4 * f] = (m[1][1], -m[1][0], -m[0][1], m[0][0])
+    for f, (m00, m01, m10, m11) in enumerate(imgs[2:eq.n]):
+        ddet[f, 4 + 4 * f: 8 + 4 * f] = (m11, -m10, -m01, m00)
     return np.concatenate((
         dw[:eq.nrel].transpose(0, 2, 3, 1).reshape(-1, eq.nvars),
         ddet,
@@ -534,9 +569,10 @@ class TestExactJacobian:
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(["3_1", "9_35", "8_20"]), st.integers(0, 2 ** 32 - 1))
-    def test_bitwise_equal_to_nested_tuple_scans(self, knot, seed):
-        # the flat kernel does the same floating-point operations in the
-        # same order, so solver trajectories do not move by a bit
+    def test_bitwise_equal_to_reference_scans(self, knot, seed):
+        # the kernel's scans and term table do the same floating-point
+        # operations in the same order as one product per letter, so
+        # solver trajectories do not move by a bit
         eq = _jacobian_case(knot)
         x = _random_point(eq, seed)
         # bytes, not values: the signs of zero entries must agree too
@@ -547,10 +583,10 @@ class TestExactJacobian:
         cons = {trefoil.word("a"): 2.1 + 0j, trefoil.word("ab"): 1.0 + 0j}
         eq = _Equations(trefoil, cons)
         x = np.array([2.0, 0.5, 1.25, -1.0], dtype=complex)
-        rho = Representation(trefoil, [((2.0, 0.5), (0.0, 0.5)),
-                                       ((1.25, 0.0), (-1.0, 0.8))])
-        m = rho.image(trefoil.relators[0])
-        want = [m[0][0] - 1, m[0][1], m[1][0], m[1][1] - 1,
+        rho = Representation(trefoil, [(2.0, 0.5, 0.0, 0.5),
+                                       (1.25, 0.0, -1.0, 0.8)])
+        m00, m01, m10, m11 = rho.image(trefoil.relators[0])
+        want = [m00 - 1, m01, m10, m11 - 1,
                 rho.trace(trefoil.word("a")) - 2.1,
                 rho.trace(trefoil.word("ab")) - 1.0]
         assert np.allclose(_residual(eq, x), want, rtol=0, atol=1e-14)

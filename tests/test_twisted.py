@@ -48,7 +48,7 @@ def _reference_fox_matrix(p, removed, rho):
     fox_derivative imaged from scratch by rho.image (rank one for rho None)
     and summed in the order fox_derivative lists it."""
     size = 1 if rho is None else 2
-    image = (lambda w: ((Fraction(1),),)) if rho is None else rho.image
+    image = (lambda w: (Fraction(1),)) if rho is None else rho.image
     rows = []
     for r in p.relators:
         block_rows = [[] for _ in range(size)]
@@ -61,7 +61,7 @@ def _reference_fox_matrix(p, removed, rho):
                 for i in range(size):
                     for j in range(size):
                         d = entries[i][j]
-                        d[k] = d.get(k, 0) + c * m[i][j]
+                        d[k] = d.get(k, 0) + c * m[size * i + j]
             for out, row in zip(block_rows, entries):
                 out.extend(LaurentPoly(d) for d in row)
         rows.extend(block_rows)
@@ -97,7 +97,7 @@ def _presentations_with_rho(draw):
     for _ in range(n):
         a = draw(entries.filter(lambda z: abs(z) > 0.1))
         b, c = draw(entries), draw(entries)
-        mats.append(((a, b), (c, (1 + b * c) / a)))
+        mats.append((a, b, c, (1 + b * c) / a))
     return p, Representation(p, mats)
 
 
