@@ -60,10 +60,11 @@ import numpy as np
 from .errors import (AlgebraError, CertificationError, RootFindingError,
                      SolveError)
 from .fixtures import fixture_path
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _pow_any
 from .multipoly import MultiPoly, exact_divide, resultant
 from .presentations import Presentation, parse_presentation
-from .representations import Representation, representation_from_traces
+from .representations import (Representation, _worse,
+                              representation_from_traces)
 from .roots import complex_roots
 from .twisted import _fox_scan, wada_invariant
 
@@ -204,9 +205,21 @@ class PlaneCurve:
         return self.poly.evaluate({"y": y, "z": z})
 
     def z_values(self, y0: complex) -> list[complex]:
-        """The roots z of the univariate polynomial z -> curve(y0, z)."""
-        slice_ = self.poly.compose({"y": complex(y0), "z": LaurentPoly.t()},
-                                   LaurentPoly.zero()).cleanup()
+        """The roots z of the univariate polynomial z -> curve(y0, z).
+
+        The slice sums complex(c) * y0^i over the terms c y^i z^j of each
+        z^j, in term order from 0, which is what
+        poly.compose({"y": y0, "z": t}, LaurentPoly.zero()) computes, bit
+        for bit (a test holds the two together).
+        """
+        y0 = complex(y0)
+        powers: dict[int, complex] = {}
+        grouped: dict[int, complex] = {}
+        for (i, j), c in self.poly.terms.items():
+            if i not in powers:
+                powers[i] = _pow_any(y0, i)
+            grouped[j] = grouped.get(j, 0) + complex(c) * powers[i]
+        slice_ = LaurentPoly(grouped).cleanup()
         if slice_.is_zero():
             raise AlgebraError("curve is identically zero along y = %r" % y0)
         if slice_.degree() == 0:
@@ -243,11 +256,21 @@ def curve_components() -> tuple[PlaneCurve, PlaneCurve]:
             PlaneCurve(rest, name="Cprime"))
 
 
+@lru_cache(maxsize=None)
 def psi2_polynomial() -> MultiPoly:
-    """Leading-coefficient trace polynomial psi_2(x) = x^3 + 6x^2 + 6x + 5."""
+    """Leading-coefficient trace polynomial psi_2(x) = x^3 + 6x^2 + 6x + 5,
+    built once; like the curves it is never mutated, so calls share it."""
     x = MultiPoly.var(("x",), "x")
     one = MultiPoly.constant(("x",), 1)
     return x ** 3 + x * x * 6 + x * 6 + one * 5
+
+
+@lru_cache(maxsize=None)
+def _psi2_of_trace() -> MultiPoly:
+    """psi_2(y^2 - z) over (y, z), built once, for census's exact test."""
+    y = MultiPoly.var(YZ_VARS, "y")
+    z = MultiPoly.var(YZ_VARS, "z")
+    return psi2_polynomial().compose({"x": y * y - z}, MultiPoly.zero(YZ_VARS))
 
 
 @dataclasses.dataclass
@@ -301,10 +324,7 @@ def census(curve: PlaneCurve, c, cluster_radius: float = 1e-8,
     t = LaurentPoly.t()
     if isinstance(c, (int, Fraction)):
         c_val = Fraction(c)
-        y = MultiPoly.var(YZ_VARS, "y")
-        z = MultiPoly.var(YZ_VARS, "z")
-        on_curve = psi.compose({"x": y * y - z}, MultiPoly.zero(YZ_VARS)) - c_val
-        if exact_divide(on_curve, curve.poly) is not None:
+        if exact_divide(_psi2_of_trace() - c_val, curve.poly) is not None:
             return CensusResult(curve.name, c_val, None, [], [])
     else:
         c_val = complex(c)
@@ -387,12 +407,14 @@ _TRACE_POLYS = tuple((w, LaurentPoly.from_coefficients(coeffs))
 
 
 def trace_table_residual(rho: Representation, x_value: complex) -> float:
-    """Largest deviation of the sampled traces from the table in x."""
+    """Largest deviation of the sampled traces from the table in x (inf if
+    one is NaN)."""
     worst = 0.0
     x_value = complex(x_value)
     for word_text, poly in _TRACE_POLYS:
         w = rho.presentation.word(word_text)
-        worst = max(worst, abs(complex(rho.trace(w)) - poly.evaluate(x_value)))
+        worst = _worse(worst, abs(complex(rho.trace(w))
+                                  - poly.evaluate(x_value)))
     return worst
 
 
@@ -470,8 +492,8 @@ def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve],
             x_val = complex(y0) ** 2 - complex(z0)
             predicted = complex(psi.evaluate({"x": x_val}))
             sampled = leading_determinant_sample(rho)
-            max_det = max(max_det, abs(sampled - predicted))
-            max_tr = max(max_tr, trace_table_residual(rho, x_val))
+            max_det = _worse(max_det, abs(sampled - predicted))
+            max_tr = _worse(max_tr, trace_table_residual(rho, x_val))
             got += 1
             collected += 1
         if got == 0:

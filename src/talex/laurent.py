@@ -1,15 +1,27 @@
 """Sparse univariate Laurent polynomials over Q or C.
 
 Coefficients live in one of two domains: exact rationals
-(fractions.Fraction, into which ints are coerced) or complex floats.
+(fractions.Fraction, into which ints are coerced) or complex floats
+(plain Python complex, into which floats and numpy scalars are coerced).
 A polynomial is "exact" when every coefficient is a Fraction; mixing an
 exact polynomial with a complex one silently promotes to the complex
 domain.  The domain is decided once, when the polynomial is constructed,
 and kept with it: polynomials are not mutated after construction, so
-is_exact() costs no scan of the coefficients.  Exact zeros are dropped on
-construction; floating coefficients are only pruned by an explicit
-cleanup(eps), which drops entries whose magnitude is at most eps times the
-largest magnitude present.
+is_exact() costs no scan of the coefficients.  Zeros, exact or complex,
+are dropped on construction; other floating coefficients are only pruned
+by an explicit cleanup(eps), which drops entries whose magnitude is at
+most eps times the largest magnitude present.
+
+The mixed-domain rule: where a Fraction meets a complex, the result is
+that of complex(Fraction) meeting it, the conversion Fraction's own
+operators make.  So when one operand of * is exact and the other
+all-complex, the exact coefficients are converted once and the product
+runs on complex numbers alone, and evaluate at a complex point converts
+each coefficient once; the bits are those of the pairwise Fraction
+fallback.  A polynomial that holds both Fractions and complex numbers
+(such as t^2 - x0 for a complex x0) keeps the pairwise loop, as does +,
+whose coefficients found in one operand only keep their type.  Results
+are built on already-clean dicts (_clean), never re-coerced.
 
 The zero polynomial has empty support.  degree() is the span from lowest
 to highest exponent, the natural degree notion for quantities defined up
@@ -147,8 +159,8 @@ class LaurentPoly:
         if self.is_exact() or not self.coeffs:
             return self
         cut = eps * self.max_abs()
-        return LaurentPoly({k: c for k, c in self.coeffs.items()
-                            if abs(complex(c)) > cut})
+        return _built({k: c for k, c in self.coeffs.items()
+                       if abs(complex(c)) > cut})
 
     # -- ring operations ---------------------------------------------------
 
@@ -156,12 +168,8 @@ class LaurentPoly:
         other = self._as_poly(other)
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = coeffs.get(k, 0) + c
-            if s == 0 and _is_exact(s):
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = s
-        return LaurentPoly(coeffs)
+            coeffs[k] = coeffs.get(k, 0) + c
+        return _built(coeffs)
 
     def __radd__(self, other) -> "LaurentPoly":
         return self + other
@@ -178,12 +186,15 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._as_poly(other)
+        a, b = self.coeffs, other.coeffs
+        if self._exact != other._exact:
+            a, b = _complex_pair(self, other)
         coeffs: dict[int, object] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = k1 + k2
                 coeffs[k] = coeffs.get(k, 0) + c1 * c2
-        return LaurentPoly(coeffs)
+        return _built(coeffs)
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self * other
@@ -240,13 +251,20 @@ class LaurentPoly:
 
     def evaluate(self, x):
         """Value at x; exact when both the polynomial and x are exact."""
+        if isinstance(x, complex):
+            total = 0j
+            for k, c in self.coeffs.items():
+                if type(c) is not complex:
+                    c = complex(c)
+                total = total + c * _pow_any(x, k)
+            return total
         total = Fraction(0) if (self._exact and _is_exact(_coerce(x))) else 0j
         for k, c in self.coeffs.items():
             total = total + c * _pow_any(x, k)
         return total
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({k - 1: k * c for k, c in self.coeffs.items() if k != 0})
+        return _built({k - 1: k * c for k, c in self.coeffs.items() if k != 0})
 
     def substitute_power(self, n: int) -> "LaurentPoly":
         """t -> t^n for n != 0 (exponent dilation)."""
@@ -365,6 +383,27 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return "LaurentPoly(%s)" % self.to_text()
+
+
+def _built(coeffs: dict[int, object]) -> LaurentPoly:
+    """The polynomial on arithmetic results: int exponents, each coefficient
+    a Fraction or a complex, zeros (exact or complex) dropped."""
+    out = {k: c for k, c in coeffs.items() if c}
+    return LaurentPoly._clean(out, all(type(c) is not complex
+                                       for c in out.values()))
+
+
+def _complex_pair(p: LaurentPoly, q: LaurentPoly) -> tuple[dict, dict]:
+    """The coefficients of p and q, one exact and the other not, for a
+    pairwise product: the exact ones converted by complex(Fraction) when
+    the other polynomial is all-complex, both as they stand when it mixes
+    the domains."""
+    exact, other = (p, q) if p._exact else (q, p)
+    for c in other.coeffs.values():
+        if type(c) is not complex:
+            return p.coeffs, q.coeffs
+    floated = {k: complex(c) for k, c in exact.coeffs.items()}
+    return (floated, q.coeffs) if p._exact else (p.coeffs, floated)
 
 
 def _pow_any(x, k: int):

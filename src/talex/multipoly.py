@@ -10,6 +10,10 @@ exponents first; resultant needs them only in the eliminated variable.
 Evaluation and substitution are one operation, compose(images, zero):
 the ring map sending each variable to a number, a LaurentPoly or a
 MultiPoly.  A negative power needs a nonzero number or a monomial image.
+It follows the mixed-domain rule of the laurent module: a Fraction
+coefficient that meets a complex power is converted once by
+complex(Fraction), the value Fraction's own operators use, and the term
+goes on in complex numbers alone.
 
 The monomial order used throughout is lex in the stored variable order;
 Python's tuple comparison on exponent vectors implements it directly.
@@ -221,7 +225,10 @@ class MultiPoly:
         grouped: dict[tuple, object] = {}
         for ex, c in self.terms.items():
             for i in num:
-                c = c * power(i, ex[i])
+                x = power(i, ex[i])
+                if type(c) is Fraction and isinstance(x, complex):
+                    c = complex(c)
+                c = c * x
             key = tuple(ex[i] for i in rest)
             grouped[key] = grouped.get(key, 0) + c
         total = zero

@@ -51,7 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from numbers import Number, Rational
 
 import numpy as np
@@ -106,10 +106,12 @@ class Representation:
         return m[0] + m[3]
 
     def relator_residual(self) -> float:
+        """Largest entry of image(r) - I over the relators r (inf if one is
+        NaN)."""
         worst = 0.0
         for r in self.presentation.relators:
             for e, target in zip(self.image(r), _COMPLEX_ID):
-                worst = max(worst, abs(complex(e) - target))
+                worst = _worse(worst, abs(complex(e) - target))
         return worst
 
     def is_reducible(self) -> bool:
@@ -158,6 +160,12 @@ class Representation:
         if len(mats) != presentation.num_generators:
             raise ParseError("bad representation JSON: wrong generator count")
         return cls(presentation, mats, residual)
+
+
+def _worse(worst: float, err: float) -> float:
+    """max(worst, err), with a NaN err, which max() would drop, as inf: an
+    error above every tolerance."""
+    return max(worst, err) if err == err else math.inf
 
 
 def _pair_is_reducible(a: Matrix2, b: Matrix2) -> bool:
@@ -444,8 +452,7 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
         worst = float(np.max(np.abs(f)))
         best = min(best, worst)
         if worst <= _SOLVE_TOL:
-            rho = Representation(p, _gauge_images(x, n))
-            rho.residual = rho.relator_residual()
+            rho = _at_gauge_point(p, x)
             if require_irreducible and rho.is_reducible():
                 best_reducible = rho
                 continue
@@ -463,18 +470,30 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                      "%d restarts" % (_SOLVE_TOL, restarts), **counters)
 
 
-def _linear_rows(gi: int, constraints: dict) -> list[tuple[tuple, complex]]:
-    """(rest, v) for each constraint tr(w) = v linear in generator gi
-    (1-based): gi occurs once in w, at exponent +1, and only earlier
-    generators elsewhere, so tr(w) = tr(P C) by cyclic invariance, with C
-    the image of gi and P that of rest, w's letters after gi then before."""
+def _at_gauge_point(p: Presentation, x: np.ndarray) -> Representation:
+    """The representation at gauge coordinates x, with its relator residual.
+    Its entries are complex() of the images numpy computes from x: Python
+    arithmetic on them is faster than numpy's scalar arithmetic and rounds
+    +, - and * alike, but Python's 1.0/a can differ from numpy's in the
+    last bit, so the images are not recomputed."""
+    rho = Representation(p, [tuple(map(complex, m))
+                             for m in _gauge_images(x, p.num_generators)])
+    rho.residual = rho.relator_residual()
+    return rho
+
+
+def _linear_rows(gi: int, words) -> list[tuple[tuple, FreeWord]]:
+    """(rest, w) for each word w linear in generator gi (1-based): gi
+    occurs once in w, at exponent +1, and only earlier generators
+    elsewhere, so tr(w) = tr(P C) by cyclic invariance, with C the image of
+    gi and P that of rest, w's letters after gi then before."""
     rows = []
-    for w, v in constraints.items():
+    for w in words:
         t = w.tietze
         if (len(t) > 1 and t.count(gi) == 1
                 and all(abs(l) < gi for l in t if l != gi)):
             k = t.index(gi)
-            rows.append((t[k + 1:] + t[:k], v))
+            rows.append((t[k + 1:] + t[:k], w))
     return rows
 
 
@@ -485,13 +504,13 @@ def _trace_rows(gi: int, trace_gi: complex, constraints: dict,
     The products P are taken by np.matmul, whose rounding the closed
     form's digits carry."""
     prods, traces = [_COMPLEX_ID], [trace_gi]
-    for rest, v in _linear_rows(gi, constraints):
+    for rest, w in _linear_rows(gi, constraints):
         mats = [images[l - 1] if l > 0 else _mat_adjugate(images[-l - 1])
                 for l in rest]
         prods.append(reduce(np.matmul,
                             np.array(mats, dtype=complex).reshape(-1, 2, 2),
                             np.eye(2, dtype=complex)).ravel())
-        traces.append(v)
+        traces.append(constraints[w])
     return prods, traces
 
 
@@ -499,19 +518,21 @@ def _trace_rows(gi: int, trace_gi: complex, constraints: dict,
 _PAIR_WORDS = (FreeWord([1]), FreeWord([2]), FreeWord([1, 2]))
 
 
-def _pins_every_generator(n: int, constraints: dict) -> bool:
+@lru_cache(maxsize=64)
+def _pins_every_generator(n: int, words: tuple[FreeWord, ...]) -> bool:
     """Whether the constrained words (never their values) admit the closed
     form: 2 or 3 generators, a, b, ab, and for 3 c and two words linear in c
     whose products P do not commute in the free group on a and b.  The
     rows I, P, P' then span three dimensions for generic A and B, since
     commuting non-scalar matrices span two with I; rows such as ca and cA
-    never do, because A^-1 = (tr A) I - A."""
-    if n not in (2, 3) or not all(w in constraints for w in _PAIR_WORDS):
+    never do, because A^-1 = (tr A) I - A.  It reads the words alone, so
+    each word tuple is decided once."""
+    if n not in (2, 3) or not all(w in words for w in _PAIR_WORDS):
         return False
     if n == 2:
         return True
-    rests = [FreeWord(rest) for rest, _ in _linear_rows(3, constraints)]
-    return FreeWord([3]) in constraints and any(
+    rests = [FreeWord(rest) for rest, _ in _linear_rows(3, words)]
+    return FreeWord([3]) in words and any(
         not (u * v * u.inverse() * v.inverse()).is_identity()
         for i, u in enumerate(rests) for v in rests[:i])
 
@@ -531,7 +552,7 @@ def closed_form_representation(p: Presentation,
     irreducible it is returned, else SolveError says whether it was
     reducible, as at a Burde-de Rham point, or missed by best_residual."""
     cons = _as_words(p, constraints)
-    if not _pins_every_generator(p.num_generators, cons):
+    if not _pins_every_generator(p.num_generators, tuple(cons)):
         raise AlgebraError("the closed form needs 2 or 3 generators, traces of "
                            "a, b, ab and, for 3, of c and two words linear in "
                            "c with products that do not commute")
@@ -571,8 +592,7 @@ def _closed_form(p: Presentation, cons: dict) -> Representation:
         worst = float(np.max(np.abs(_residual(eq, x))))
         best = min(best, worst)
         if worst <= _SOLVE_TOL:
-            rho = Representation(p, _gauge_images(x, n))
-            rho.residual = rho.relator_residual()
+            rho = _at_gauge_point(p, x)
             if not rho.is_reducible():
                 return rho
             reducible = True
@@ -591,6 +611,6 @@ def representation_from_traces(p: Presentation, constraints: dict,
     floating-point warnings are silenced here."""
     cons = _as_words(p, constraints)
     with np.errstate(all="ignore"):
-        if _pins_every_generator(p.num_generators, cons):
+        if _pins_every_generator(p.num_generators, tuple(cons)):
             return _closed_form(p, cons)
         return solve_representation(p, cons, seed=seed)

@@ -82,8 +82,8 @@ def _dense_desc(p: LaurentPoly) -> np.ndarray:
     return np.array(_dense(p.shift(-p.min_exp()))[::-1], dtype=complex)
 
 
-def _newton_polish(p: LaurentPoly, r: complex) -> complex:
-    dp = p.derivative()
+def _newton_polish(p: LaurentPoly, dp: LaurentPoly, r: complex) -> complex:
+    """Newton steps on p, with derivative dp, from r while |p| falls."""
     best, best_val = r, abs(complex(p.evaluate(r)))
     for _ in range(_POLISH_STEPS):
         d = complex(dp.evaluate(r))
@@ -129,13 +129,16 @@ def complex_roots(p, cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
     if p.is_exact():
         for factor, mult in squarefree_decomposition(p):
             raw = np.roots(_dense_desc(factor))
+            dfactor = factor.derivative()
             for r in raw:
-                found.append((_newton_polish(factor, complex(r)), mult))
+                found.append((_newton_polish(factor, dfactor, complex(r)),
+                              mult))
     else:
         raw = [complex(r) for r in np.roots(_dense_desc(p))]
+        dp = p.derivative()
         for centroid, mult in _cluster(raw, cluster_radius):
             if mult == 1:
-                centroid = _newton_polish(p, centroid)
+                centroid = _newton_polish(p, dp, centroid)
             found.append((centroid, mult))
 
     norm = float(sum(abs(complex(c)) for c in p.coeffs.values()))

@@ -1,6 +1,8 @@
 """Shared fixtures and helpers for the talex test suite."""
 
+import math
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -21,6 +23,80 @@ def P(*coeffs, min_exp=0):
 def CP(*coeffs, min_exp=0):
     """Complex-coefficient Laurent polynomial from ascending coefficients."""
     return LaurentPoly({min_exp + k: complex(c) for k, c in enumerate(coeffs)})
+
+
+# -- reference Laurent arithmetic ------------------------------------------
+# LaurentPoly's arithmetic as plain pairwise loops in which every Fraction
+# meets a complex through Fraction's own fallback operators: the reference
+# that the paths converting exact coefficients once must match bit for
+# bit.  Polynomials are {exponent: coefficient} dicts, as
+# LaurentPoly(...).coeffs holds them.
+
+
+def ref_built(coeffs: dict) -> dict:
+    """LaurentPoly.__init__ on arithmetic results: zeros dropped."""
+    return {int(k): c for k, c in coeffs.items() if c != 0}
+
+
+def ref_add(p: dict, q: dict) -> dict:
+    coeffs = dict(p)
+    for k, c in q.items():
+        s = coeffs.get(k, 0) + c
+        if s == 0 and isinstance(s, Rational):
+            coeffs.pop(k, None)
+        else:
+            coeffs[k] = s
+    return ref_built(coeffs)
+
+
+def ref_neg(p: dict) -> dict:
+    return {k: -c for k, c in p.items()}
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    coeffs: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = k1 + k2
+            coeffs[k] = coeffs.get(k, 0) + c1 * c2
+    return ref_built(coeffs)
+
+
+def ref_pow(p: dict, n: int) -> dict:
+    if n and len(p) == 1:
+        (k, c), = p.items()
+        return ref_built({k * n: c ** n})
+    out, base = {0: Fraction(1)}, p
+    while n:
+        if n & 1:
+            out = ref_mul(out, base)
+        base = ref_mul(base, base)
+        n >>= 1
+    return out
+
+
+def ref_evaluate(p: dict, x):
+    exact = all(isinstance(c, Fraction) for c in p.values())
+    total = Fraction(0) if exact and isinstance(x, Rational) else 0j
+    for k, c in p.items():
+        total = total + c * x ** k
+    return total
+
+
+def same_number(a, b) -> bool:
+    """a and b of one type and, for floats, bit for bit (signed zeros)."""
+    if type(a) is not type(b):
+        return False
+    if not isinstance(a, complex):
+        return a == b
+    return all(math.copysign(1.0, u) == math.copysign(1.0, v) and u == v
+               for u, v in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def same_coefficients(p: LaurentPoly, ref: dict) -> bool:
+    """The keys of p in ref's order, each coefficient same_number."""
+    return (list(p.coeffs) == list(ref)
+            and all(same_number(p.coeffs[k], ref[k]) for k in ref))
 
 
 def load_fixture_text(name):

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 from talex import charcurves as cc
 from talex._sl2 import _Equations, _residual
 from talex.cli import main
-from talex.errors import AlgebraError, SolveError
+from talex.errors import AlgebraError, CertificationError, SolveError
+from talex.laurent import LaurentPoly
 from talex.matrix import det
 from talex.multipoly import MultiPoly, exact_divide
 from talex.representations import (Representation, _det_one_on_trace_rows,
                                    abelian_rep, solve_representation)
 from talex.twisted import fox_matrix_laurent, wada_invariant
+
+from conftest import same_coefficients
 
 YZ = ("y", "z")
 YZW = ("y", "z", "w")
@@ -140,6 +143,28 @@ class TestPlaneCurves:
         zs = C.z_values(2.0)
         assert len(zs) == 1 and abs(zs[0] - 3.0) < 1e-10
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_slice_is_the_composed_slice_bit_for_bit(self, which,
+                                                     monkeypatch):
+        curve = cc.curve_components()[which]
+        slices = []
+
+        def spy(p, *args, **kwargs):
+            slices.append(p)
+            return complex_roots(p, *args, **kwargs)
+
+        complex_roots = cc.complex_roots
+        monkeypatch.setattr(cc, "complex_roots", spy)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            y0 = complex(3 * rng.standard_normal(), 2 * rng.standard_normal())
+            del slices[:]
+            curve.z_values(y0)
+            composed = curve.poly.compose({"y": y0, "z": LaurentPoly.t()},
+                                          LaurentPoly.zero()).cleanup()
+            assert len(slices) == 1
+            assert same_coefficients(slices[0], composed.coeffs)
+
     def test_requires_the_curve_variables(self):
         with pytest.raises(AlgebraError):
             cc.PlaneCurve(MultiPoly.var(("a", "b"), "a"), name="bogus")
@@ -192,6 +217,14 @@ class TestPsi2:
         x = MultiPoly.var(("x",), "x")
         assert cc.psi2_polynomial() == x ** 3 + 6 * x ** 2 + 6 * x + 5
 
+    def test_built_once_and_never_changed(self, capsys):
+        psi = cc.psi2_polynomial()
+        text = psi.to_text()
+        assert main(["pretzel935", "--json"]) == 0
+        capsys.readouterr()
+        assert cc.psi2_polynomial() is psi
+        assert psi.to_text() == text == "x^3 + 6*x^2 + 6*x + 5"
+
     def test_value_on_the_parabola_component(self):
         # on C, x = y^2 - z = 1, and psi2(1) = 18
         p = cc.psi2_polynomial()
@@ -204,6 +237,18 @@ class TestPsi2:
         assert cert.max_det_error <= 1e-6
         assert cert.max_trace_error <= 1e-6
         assert cert.to_json_dict()["samples"] == cert.samples
+
+    def test_a_nan_determinant_fails_the_certificate(self, monkeypatch):
+        monkeypatch.setattr(cc, "leading_determinant_sample",
+                            lambda rho: complex(float("nan"), 0.0))
+        with pytest.raises(CertificationError, match="det error inf"):
+            cc.certify_psi2(cc.curve_components(), seed=0)
+
+    def test_a_nan_trace_fails_the_trace_table(self, p935_curve_rep):
+        mats = [list(m) for m in p935_curve_rep.matrices]
+        mats[0][0] = complex(float("nan"), 0.0)
+        rho = Representation(p935_curve_rep.presentation, mats)
+        assert cc.trace_table_residual(rho, 1.0) == float("inf")
 
     def test_certificate_json_shape(self):
         # built by hand: the solve is covered above and by criterion 4

@@ -413,6 +413,24 @@ class TestPretzelCommand:
         b = run("pretzel935", "--json")
         assert a == b
 
+    def test_cached_constants_never_change_the_output(self, run):
+        # each seed cold, with every talex cache cleared, then warm
+        def clear_caches():
+            for name, mod in list(sys.modules.items()):
+                if name == "talex" or name.startswith("talex."):
+                    for fn in vars(mod).values():
+                        if hasattr(fn, "cache_clear"):
+                            fn.cache_clear()
+
+        cold = []
+        for seed in range(4):
+            clear_caches()
+            cold.append(run("pretzel935", "--json", "--seed", str(seed)))
+        warm = [run("pretzel935", "--json", "--seed", str(seed))
+                for seed in range(4)]
+        assert all(code == 0 for code, _, _ in cold)
+        assert warm == cold
+
     def test_stdout_matches_the_readme(self, run):
         # the README's "The full pretzel pipeline" block, after its command
         readme = Path(__file__).resolve().parent.parent / "README.md"

@@ -16,7 +16,8 @@ from talex.laurent import (
     squarefree_decomposition,
 )
 
-from conftest import CP, P
+from conftest import (CP, P, ref_add, ref_evaluate, ref_mul, ref_neg,
+                      ref_pow, same_coefficients, same_number)
 
 
 class TestConstruction:
@@ -180,6 +181,53 @@ class TestDomainFlag:
     def test_cancelled_complex_terms_leave_an_exact_polynomial(self):
         p = LaurentPoly({0: Fraction(1), 1: 2j}) + LaurentPoly({1: -2j})
         assert p.coeffs == {0: Fraction(1)} and p.is_exact()
+
+
+# Coefficients of the three domain shapes, complex parts including +-0.0.
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(-6, 6, allow_subnormal=False))
+_complexes = st.builds(complex, _parts, _parts)
+_exponents = st.integers(-3, 3)
+domain_laurent = st.one_of(
+    st.dictionaries(_exponents, _fractions, max_size=4),
+    st.dictionaries(_exponents, _complexes, max_size=4),
+    st.dictionaries(_exponents, st.one_of(_fractions, _complexes),
+                    max_size=4)).map(LaurentPoly)
+# points away from 0, where negative powers overflow
+_point_parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 6),
+                         st.floats(-6, -0.01))
+_points = st.one_of(_fractions.filter(bool),
+                    st.builds(complex, _point_parts, _point_parts).filter(bool))
+
+
+class TestAgainstReferenceLoops:
+    """+, -, *, ** and evaluate against a copy of the pairwise loops in
+    which every Fraction meets a complex through Fraction's own operators:
+    the same keys in the same order, the same coefficient types, the same
+    bits, on exact, all-complex and mixed operands."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(domain_laurent, domain_laurent)
+    def test_ring_operations(self, p, q):
+        a, b = p.coeffs, q.coeffs
+        assert same_coefficients(p + q, ref_add(a, b))
+        assert same_coefficients(p - q, ref_add(a, ref_neg(b)))
+        assert same_coefficients(p * q, ref_mul(a, b))
+        assert same_coefficients(q * p, ref_mul(b, a))
+        for r in (p + q, p - q, p * q):
+            assert r.is_exact() == all(type(c) is Fraction
+                                       for c in r.coeffs.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(domain_laurent, st.integers(0, 4))
+    def test_powers(self, p, n):
+        assert same_coefficients(p ** n, ref_pow(p.coeffs, n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(domain_laurent, _points)
+    def test_evaluate(self, p, x):
+        assert same_number(p.evaluate(x), ref_evaluate(p.coeffs, x))
 
 
 class TestDivision:

@@ -11,6 +11,8 @@ from talex.errors import AlgebraError
 from talex.laurent import LaurentPoly
 from talex.multipoly import MultiPoly, exact_divide, resultant, sylvester_matrix
 
+from conftest import ref_add, ref_mul, ref_pow, same_coefficients, same_number
+
 YZ = ("y", "z")
 YW = ("y", "w")
 
@@ -231,6 +233,72 @@ class TestCompose:
         # a monomial image is inverted: (2z)^-2 z = z^-1 / 4
         assert p.compose({"y": 2 * z, "z": z}, MultiPoly.zero(YZ)) == \
             mk(YZ, {(0, -1): Fraction(1, 4)})
+
+
+def _ref_compose(p: MultiPoly, images: dict, zero):
+    """compose as plain loops in which every Fraction meets a complex
+    through Fraction's own operators, with the Laurent images and zero as
+    dicts for conftest's reference loops."""
+    num = [i for i, v in enumerate(p.vars) if not isinstance(images[v], dict)]
+    rest = [i for i in range(len(p.vars)) if i not in num]
+
+    def power(i: int, e: int):
+        x = images[p.vars[i]]
+        return ref_pow(x, e) if isinstance(x, dict) else x ** e
+
+    grouped: dict = {}
+    for ex, c in p.terms.items():
+        for i in num:
+            c = c * power(i, ex[i])
+        key = tuple(ex[i] for i in rest)
+        grouped[key] = grouped.get(key, 0) + c
+    total = zero
+    for key, c in grouped.items():
+        for i, e in zip(rest, key):
+            # a number times a LaurentPoly is the polynomial times constant(c)
+            c = (ref_mul(c, power(i, e)) if isinstance(c, dict) else
+                 ref_mul(power(i, e), {0: c} if c != 0 else {}))
+        total = ref_add(total, c) if isinstance(total, dict) else total + c
+    return total
+
+
+_compose_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                           st.floats(-3, 3).filter(lambda v: abs(v) >= 0.01))
+_numeric_images = st.one_of(
+    small_fractions, st.builds(complex, _compose_parts, _compose_parts))
+_domain_images = st.one_of(
+    st.dictionaries(st.integers(-2, 2), small_fractions, max_size=3),
+    st.dictionaries(st.integers(-2, 2),
+                    st.builds(complex, _compose_parts, _compose_parts),
+                    max_size=3),
+    st.dictionaries(st.integers(-2, 2), st.one_of(
+        small_fractions, st.builds(complex, _compose_parts, _compose_parts)),
+        max_size=3)).map(lambda d: LaurentPoly(d).coeffs)
+
+
+class TestComposeAgainstReferenceLoops:
+    """compose against the loops in which Fractions meet complex numbers
+    through Fraction's own operators: numeric images (exact, complex with
+    +-0.0 parts, or one of each) and Laurent images of every domain shape
+    give the same type, keys, key order and bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(yz_polys, _numeric_images, _numeric_images)
+    def test_numeric_images(self, p, y, z):
+        images = {"y": y, "z": z}
+        zero = 0j if any(isinstance(v, complex) for v in (y, z)) \
+            else Fraction(0)
+        assert same_number(p.compose(images, zero),
+                           _ref_compose(p, images, zero))
+
+    @settings(max_examples=200, deadline=None)
+    @given(yz_polys, st.one_of(_numeric_images, _domain_images),
+           _domain_images)
+    def test_laurent_images(self, p, y, z):
+        got = p.compose({v: LaurentPoly(x) if isinstance(x, dict) else x
+                         for v, x in (("y", y), ("z", z))},
+                        LaurentPoly.zero())
+        assert same_coefficients(got, _ref_compose(p, {"y": y, "z": z}, {}))
 
 
 class TestNormalization:

@@ -125,6 +125,20 @@ class TestRepresentation:
         conj = trefoil_irr.conjugate(g)
         assert conj.relator_residual() < 1e-8
 
+    def test_a_nan_entry_fails_every_residual_bound(self, trefoil_irr):
+        mats = [list(m) for m in trefoil_irr.matrices]
+        mats[1][2] = complex(float("nan"), 0.0)
+        rho = Representation(trefoil_irr.presentation, mats)
+        assert rho.relator_residual() == float("inf")
+
+    def test_solved_and_closed_form_entries_are_plain_complex(self, p935):
+        # Newton without ca, the closed form with it
+        cons = {"a": 2.5, "b": 2.5, "c": 2.5, "ab": 5.25, "bc": 5.25}
+        newton = solve_representation(p935, cons, seed=0)
+        closed = closed_form_representation(p935, {**cons, "ca": 5.25})
+        for rho in (newton, closed):
+            assert all(type(e) is complex for m in rho.matrices for e in m)
+
 
 def _nested_mul(a, b):
     """The 2x2 product of flat a and b through nested lists."""
