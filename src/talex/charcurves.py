@@ -65,7 +65,7 @@ from .multipoly import MultiPoly, exact_divide, resultant
 from .presentations import Presentation, parse_presentation
 from .representations import (Representation, _worse,
                               representation_from_traces)
-from .roots import complex_roots
+from .roots import _CLUSTER_RADIUS, complex_roots
 from .twisted import _fox_scan, wada_invariant
 
 RV_VARS = ("y1", "y2", "v")
@@ -305,8 +305,7 @@ class CensusResult:
         }
 
 
-def census(curve: PlaneCurve, c, cluster_radius: float = 1e-8,
-           residual_tol: float = 1e-8) -> CensusResult:
+def census(curve: PlaneCurve, c) -> CensusResult:
     """Count characters on the curve where psi_2(y^2 - z) equals c.
 
     Exact rational c first gets an exact divisibility test: when the
@@ -328,9 +327,7 @@ def census(curve: PlaneCurve, c, cluster_radius: float = 1e-8,
             return CensusResult(curve.name, c_val, None, [], [])
     else:
         c_val = complex(c)
-    x_roots = complex_roots(psi.compose({"x": t}, LaurentPoly.zero()) - c_val,
-                            cluster_radius=cluster_radius,
-                            residual_tol=residual_tol)
+    x_roots = complex_roots(psi.compose({"x": t}, LaurentPoly.zero()) - c_val)
     witnesses: list[tuple[complex, complex]] = []
     degenerate: list[complex] = []
     for x0, _ in x_roots:
@@ -344,19 +341,18 @@ def census(curve: PlaneCurve, c, cluster_radius: float = 1e-8,
         if slice_poly.degree() == 0:
             degenerate.append(x0)
             continue
-        for y0, _ in complex_roots(slice_poly, cluster_radius=cluster_radius,
-                                   residual_tol=residual_tol):
+        for y0, _ in complex_roots(slice_poly):
             witnesses.append((complex(y0), complex(y0) ** 2 - complex(x0)))
-    witnesses = _dedupe_pairs(witnesses, cluster_radius)
+    witnesses = _dedupe_pairs(witnesses)
     return CensusResult(curve.name, c, len(witnesses), witnesses, degenerate)
 
 
-def _dedupe_pairs(pairs: list[tuple[complex, complex]], radius: float
+def _dedupe_pairs(pairs: list[tuple[complex, complex]]
                   ) -> list[tuple[complex, complex]]:
     out: list[tuple[complex, complex]] = []
     for y0, z0 in sorted(pairs, key=lambda p: (p[0].real, p[0].imag,
                                                p[1].real, p[1].imag)):
-        if all(abs(y0 - a) + abs(z0 - b) > radius for a, b in out):
+        if all(abs(y0 - a) + abs(z0 - b) > _CLUSTER_RADIUS for a, b in out):
             out.append((y0, z0))
     return out
 
@@ -508,12 +504,16 @@ def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve],
     return cert
 
 
-def monic_witness_report(monic: CensusResult,
-                         residual_tol: float = 1e-8) -> list[dict]:
+# monic_witness_report refuses a witness whose relators miss by more.
+_WITNESS_RESIDUAL_TOL = 1e-8
+
+
+def monic_witness_report(monic: CensusResult) -> list[dict]:
     """Close the loop on a monic census (C' at 1): every witness of it is
     built into a representation and its twisted leading coefficient is
-    reported; construction failure or residual above tol is an error (the
-    census and the invariant engine must agree)."""
+    reported; construction failure or a residual above
+    _WITNESS_RESIDUAL_TOL is an error (the census and the invariant engine
+    must agree)."""
     out = []
     for y0, z0 in monic.witnesses:
         try:
@@ -523,10 +523,10 @@ def monic_witness_report(monic: CensusResult,
                 "monic witness (%r, %r) did not solve: %s" % (y0, z0, exc)
             ) from exc
         ta = wada_invariant(rho.presentation, rho)
-        if rho.residual > residual_tol:
+        if rho.residual > _WITNESS_RESIDUAL_TOL:
             raise CertificationError(
                 "monic witness residual %.3g exceeds %.3g"
-                % (rho.residual, residual_tol))
+                % (rho.residual, _WITNESS_RESIDUAL_TOL))
         out.append({
             "y": [y0.real, y0.imag],
             "z": [z0.real, z0.imag],

@@ -25,7 +25,6 @@ import argparse
 import cmath
 import dataclasses
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -60,20 +59,11 @@ class RunConfig:
     companion: str | None = None
     lam: str | None = None
     winding: int = 0
-    tol_clean: float = 1e-10
-    tol_cluster: float = 1e-8
-    tol_residual: float = 1e-8
     seed: int = 0
     report: str | None = None
     json_out: bool = False
 
     def __post_init__(self):
-        for name in ("tol_clean", "tol_cluster", "tol_residual"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:    # also refuses nan
-                raise ParseError("%s must be %s" % (
-                    name.replace("_", "-"),
-                    "positive" if value <= 0 else "finite"))
         if self.seed < 0:
             raise ParseError("seed must be nonnegative, got %d" % self.seed)
 
@@ -194,7 +184,7 @@ def _cmd_alexander(cfg: RunConfig) -> None:
 def _cmd_twisted(cfg: RunConfig) -> None:
     p = _load_presentation(cfg)
     rho = _load_representation(cfg, p)
-    ta = wada_invariant(p, rho, clean_eps=cfg.tol_clean)
+    ta = wada_invariant(p, rho)
     payload = {"twisted": ta.to_json_dict(),
                "representation_residual": rho.relator_residual()}
     lines = []
@@ -266,7 +256,7 @@ def _cmd_monic_scan(cfg: RunConfig) -> None:
         except SolveError as exc:
             entry.update({"solved": False, "reason": str(exc)})
             return entry
-        ta = wada_invariant(p, rho, clean_eps=cfg.tol_clean)
+        ta = wada_invariant(p, rho)
         entry["solved"] = True
         entry["residual"] = rho.relator_residual()
         if ta.polynomial is None:
@@ -303,7 +293,7 @@ def _cmd_monic_scan(cfg: RunConfig) -> None:
 def _cmd_genus(cfg: RunConfig) -> None:
     p = _load_presentation(cfg)
     rho = _load_representation(cfg, p)
-    ta = wada_invariant(p, rho, clean_eps=cfg.tol_clean)
+    ta = wada_invariant(p, rho)
     if ta.polynomial is None:
         raise NonPolynomialError(
             "twisted value is not a polynomial; no degree census")
@@ -378,14 +368,10 @@ def _cmd_pretzel935(cfg: RunConfig) -> None:
     c_curve, cp_curve = curves
     psi = charcurves.psi2_polynomial()
     cert = charcurves.certify_psi2(curves, seed=cfg.seed)
-    c18 = charcurves.census(c_curve, 18, cluster_radius=cfg.tol_cluster,
-                            residual_tol=cfg.tol_residual)
-    monic = charcurves.census(cp_curve, 1, cluster_radius=cfg.tol_cluster,
-                              residual_tol=cfg.tol_residual)
-    nongenus = charcurves.census(cp_curve, 0, cluster_radius=cfg.tol_cluster,
-                                 residual_tol=cfg.tol_residual)
-    loop = charcurves.monic_witness_report(monic,
-                                           residual_tol=cfg.tol_residual)
+    c18 = charcurves.census(c_curve, 18)
+    monic = charcurves.census(cp_curve, 1)
+    nongenus = charcurves.census(cp_curve, 0)
+    loop = charcurves.monic_witness_report(monic)
     payload = {
         "curves": {"C": c_curve.to_text(), "Cprime": cp_curve.to_text()},
         "psi2": psi.to_text(),
@@ -441,14 +427,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "pretzel character-curve pipeline.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # Each subcommand registers only the tolerances it reads, and --seed
-    # with them; RunConfig holds the defaults.
-    tol_help = {"clean": "relative cleanup epsilon (default 1e-10)",
-                "cluster": "root clustering radius (default 1e-8)",
-                "residual": "residual bound (default 1e-8)"}
-
-    def add(name: str, help_: str, tols: tuple = (),
-            **flags) -> argparse.ArgumentParser:
+    # Each subcommand registers only the options it reads; RunConfig holds
+    # the defaults.
+    def add(name: str, help_: str, **flags) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
         if flags.get("pres"):
             sp.add_argument("--pres", help="presentation file (gens:/rel: lines)")
@@ -468,9 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if flags.get("omega"):
             sp.add_argument("--lambda", dest="lam",
                             help="unit-circle evaluation point omega")
-        for tol in tols:
-            sp.add_argument("--tol-" + tol, type=float, help=tol_help[tol])
-        if tols:
+        if flags.get("seed"):
             sp.add_argument("--seed", type=int,
                             help="seed for all sampling (default 0)")
         sp.add_argument("--report", help="write the JSON report to this path")
@@ -480,16 +459,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("alexander", "classical Alexander polynomial", pres=True)
     add("twisted", "twisted Alexander value of one representation",
-        ("clean",), pres=True, rep=True)
+        pres=True, rep=True, seed=True)
     add("monic-scan", "sweep characters and report monic hits",
-        ("clean",), pres=True, rep=True)
+        pres=True, rep=True, seed=True)
     add("genus", "degree census against the 4g-2 bound",
-        ("clean",), pres=True, rep=True, seifert=True)
+        pres=True, rep=True, seifert=True, seed=True)
     add("signature", "Levine-Tristram signature report", seifert=True,
         omega=True)
     add("satellite", "satellite Alexander polynomial", satellite=True)
     add("pretzel935", "full character-curve pipeline with certifications",
-        ("cluster", "residual"))
+        seed=True)
     return ap
 
 

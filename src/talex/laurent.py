@@ -9,8 +9,8 @@ domain.  The domain is decided once, when the polynomial is constructed,
 and kept with it: polynomials are not mutated after construction, so
 is_exact() costs no scan of the coefficients.  Zeros, exact or complex,
 are dropped on construction; other floating coefficients are only pruned
-by an explicit cleanup(eps), which drops entries whose magnitude is at
-most eps times the largest magnitude present.
+by an explicit cleanup(), which drops entries whose magnitude is at
+most _CLEAN_EPS = 1e-10 times the largest magnitude present.
 
 The mixed-domain rule: where a Fraction meets a complex, the result is
 that of complex(Fraction) meeting it, the conversion Fraction's own
@@ -45,7 +45,7 @@ from numbers import Number, Rational
 from . import _zt
 from .errors import AlgebraError, NonPolynomialError
 
-DEFAULT_CLEAN_EPS = 1e-10
+_CLEAN_EPS = 1e-10
 
 
 def _is_exact(c) -> bool:
@@ -151,14 +151,13 @@ class LaurentPoly:
     def max_abs(self) -> float:
         return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
 
-    def cleanup(self, eps: float = DEFAULT_CLEAN_EPS) -> "LaurentPoly":
-        """Drop coefficients of relative magnitude <= eps (floating domain).
-
-        Exact polynomials are returned unchanged: exact zeros never appear.
-        """
+    def cleanup(self) -> "LaurentPoly":
+        """Drop coefficients of relative magnitude <= _CLEAN_EPS (floating
+        domain).  Exact polynomials are returned unchanged: exact zeros
+        never appear."""
         if self.is_exact() or not self.coeffs:
             return self
-        cut = eps * self.max_abs()
+        cut = _CLEAN_EPS * self.max_abs()
         return _built({k: c for k, c in self.coeffs.items()
                        if abs(complex(c)) > cut})
 
@@ -304,7 +303,7 @@ class LaurentPoly:
         """Exact division; raises if the division leaves a nonzero remainder.
 
         The quotient is LaurentRational(self, other).attempt_polynomial()
-        at DEFAULT_CLEAN_EPS: exact operands are decided by the reduction
+        at _CLEAN_EPS: exact operands are decided by the reduction
         in Z[t], floating ones by long division.
         """
         other = self._as_poly(other)
@@ -514,7 +513,7 @@ class LaurentRational:
     def is_exact(self) -> bool:
         return self.num.is_exact() and self.den.is_exact()
 
-    def attempt_polynomial(self, eps: float = DEFAULT_CLEAN_EPS) -> LaurentPoly | None:
+    def attempt_polynomial(self, eps: float = _CLEAN_EPS) -> LaurentPoly | None:
         """The quotient as a Laurent polynomial, or None if division fails."""
         if self.num.is_zero():
             return LaurentPoly.zero()

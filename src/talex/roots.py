@@ -4,13 +4,13 @@ complex_roots accepts exact or floating Laurent polynomials.  Laurent
 units t^k are stripped first (0 is never counted as a root).  Exact inputs
 go through the square-free decomposition, so every companion-matrix solve
 sees only simple roots and multiplicities are carried exactly; floating
-inputs rely on clustering at a configurable radius, which is the honest
-resolution limit of floating multiplicity detection.
+inputs rely on clustering at the fixed radius _CLUSTER_RADIUS, which is
+the honest resolution limit of floating multiplicity detection.
 
 Every root r that complex_roots returns is certified against the residual
 bound
 
-    |p(r)| <= tol * (sum of |coefficients|) * max(1, |r|)^deg(p)
+    |p(r)| <= _RESIDUAL_TOL * (sum of |coefficients|) * max(1, |r|)^deg(p)
 
 which is the attainable backward-error scale; violation raises
 RootFindingError rather than returning an uncertified value.
@@ -58,8 +58,10 @@ from . import _zt
 from .errors import AlgebraError, RootFindingError
 from .laurent import LaurentPoly, _dense, squarefree_decomposition
 
-DEFAULT_CLUSTER_RADIUS = 1e-8
-DEFAULT_RESIDUAL_TOL = 1e-8
+# Floating roots this close count as one root.
+_CLUSTER_RADIUS = 1e-8
+# The factor of the residual bound above.
+_RESIDUAL_TOL = 1e-8
 # Newton steps that polish a root, at most.
 _POLISH_STEPS = 20
 # Unit-circle refinement in bits, and Newton steps at most; see above.
@@ -98,12 +100,12 @@ def _newton_polish(p: LaurentPoly, dp: LaurentPoly, r: complex) -> complex:
     return best
 
 
-def _cluster(roots: list[complex], radius: float) -> list[tuple[complex, int]]:
-    """Greedy merge of points closer than the radius; centroid representative."""
+def _cluster(roots: list[complex]) -> list[tuple[complex, int]]:
+    """Greedy merge of points within _CLUSTER_RADIUS, each at its centroid."""
     clusters: list[list[complex]] = []
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
         for cl in clusters:
-            if abs(r - cl[0]) <= radius:
+            if abs(r - cl[0]) <= _CLUSTER_RADIUS:
                 cl.append(r)
                 break
         else:
@@ -115,9 +117,7 @@ def _cluster(roots: list[complex], radius: float) -> list[tuple[complex, int]]:
     return out
 
 
-def complex_roots(p, cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-                  residual_tol: float = DEFAULT_RESIDUAL_TOL
-                  ) -> list[tuple[complex, int]]:
+def complex_roots(p) -> list[tuple[complex, int]]:
     """All complex roots with multiplicities, sorted by (real, imag)."""
     p = _as_poly(p)
     if p.is_zero():
@@ -136,7 +136,7 @@ def complex_roots(p, cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
     else:
         raw = [complex(r) for r in np.roots(_dense_desc(p))]
         dp = p.derivative()
-        for centroid, mult in _cluster(raw, cluster_radius):
+        for centroid, mult in _cluster(raw):
             if mult == 1:
                 centroid = _newton_polish(p, dp, centroid)
             found.append((centroid, mult))
@@ -144,7 +144,7 @@ def complex_roots(p, cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
     norm = float(sum(abs(complex(c)) for c in p.coeffs.values()))
     deg = p.degree()
     for r, _ in found:
-        bound = residual_tol * norm * max(1.0, abs(r)) ** deg
+        bound = _RESIDUAL_TOL * norm * max(1.0, abs(r)) ** deg
         val = abs(complex(p.evaluate(r)))
         if val > bound:
             raise RootFindingError(

@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import AlgebraError, CertificationError
-from .laurent import DEFAULT_CLEAN_EPS, LaurentPoly, LaurentRational
+from .laurent import LaurentPoly, LaurentRational
 from .matrix import det
 from .presentations import Presentation, simplify
 from .representations import Representation
@@ -181,13 +181,12 @@ class TwistedAlex:
         return out
 
 
-def make_twisted(value: LaurentRational,
-                 clean_eps: float = DEFAULT_CLEAN_EPS) -> TwistedAlex:
+def make_twisted(value: LaurentRational) -> TwistedAlex:
     """Classify a quotient and normalize its polynomial representative."""
     poly = value.attempt_polynomial(_POLY_TOL)
     if poly is None:
         return TwistedAlex(value, None, None, None, None)
-    poly = poly.cleanup(clean_eps)
+    poly = poly.cleanup()
     if poly.is_zero():
         return TwistedAlex(value, poly, 0, poly[0], False)
     poly = poly.shift(-poly.min_exp())
@@ -198,8 +197,7 @@ def make_twisted(value: LaurentRational,
 
 
 def wada_invariant(p: Presentation, rho: Representation,
-                   removed: int | None = None,
-                   clean_eps: float = DEFAULT_CLEAN_EPS) -> TwistedAlex:
+                   removed: int | None = None) -> TwistedAlex:
     """The twisted Alexander value det(Phi M_k) / det(Phi(gamma_k) - 1).
 
     The removed column defaults to the last generator.  The numerator is
@@ -212,7 +210,7 @@ def wada_invariant(p: Presentation, rho: Representation,
     """
     q, k, kept, shift = _reduced(p, removed)
     rho_q = Representation(q, [rho.matrices[i] for i in kept], rho.residual)
-    num = det(fox_matrix_laurent(q, rho_q, k)).shift(shift).cleanup(clean_eps)
+    num = det(fox_matrix_laurent(q, rho_q, k)).shift(shift).cleanup()
 
     g = rho_q.image(FreeWord([k + 1]))
     den = LaurentPoly({2: _mat_det(g), 1: -(g[0] + g[3]), 0: 1})
@@ -221,7 +219,7 @@ def wada_invariant(p: Presentation, rho: Representation,
     if num.is_zero():
         raise AlgebraError("numerator determinant vanishes; representation "
                            "does not define a twisted polynomial")
-    return make_twisted(LaurentRational(num, den), clean_eps)
+    return make_twisted(LaurentRational(num, den))
 
 
 def alexander(p: Presentation, removed: int | None = None) -> LaurentPoly:

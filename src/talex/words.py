@@ -62,18 +62,11 @@ class FreeWord:
         return cls(letters)
 
     def to_string(self, names: list[str]) -> str:
-        out = []
-        for x in self.tietze:
-            nm = names[abs(x) - 1]
-            if len(nm) != 1:
-                raise ValueError("string form needs single-letter names")
-            out.append(nm if x > 0 else nm.upper())
-        return "".join(out)
-
-    @property
-    def letters(self) -> tuple[tuple[int, int], ...]:
-        """The word as (generator-index, exponent) pairs, exponent = +-1."""
-        return tuple((abs(x) - 1, 1 if x > 0 else -1) for x in self.tietze)
+        """The word with inverses in uppercase; over single-letter names
+        this is the form from_string reads, longer names are spaced."""
+        sep = "" if all(len(nm) == 1 for nm in names) else " "
+        return sep.join(names[x - 1] if x > 0 else names[-x - 1].upper()
+                        for x in self.tietze)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         return FreeWord(self.tietze + other.tietze)

@@ -386,7 +386,7 @@ class TestSolveOnCurve:
 
     def test_monic_witness_loop_reports_the_given_census(self):
         _, Cp = cc.curve_components()
-        monic = cc.census(Cp, 1, cluster_radius=1e-6)
+        monic = cc.census(Cp, 1)
         rows = cc.monic_witness_report(monic)
         reported = [(complex(*r["y"]), complex(*r["z"])) for r in rows]
         assert reported == list(monic.witnesses)

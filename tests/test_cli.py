@@ -10,8 +10,13 @@ from pathlib import Path
 import pytest
 
 import talex
-from talex.cli import main
+from talex.cli import _build_parser, main
 from talex.fixtures import fixture_path
+
+
+SUBCOMMANDS = ("alexander", "twisted", "monic-scan", "genus", "signature",
+               "satellite", "pretzel935")
+SEEDED = {"twisted", "monic-scan", "genus", "pretzel935"}
 
 
 @pytest.fixture
@@ -85,17 +90,20 @@ class TestAlexanderCommand:
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("flag", ["clean", "cluster", "residual"])
-    def test_negative_tolerance_rejected(self, run, flag, value):
-        # a nan or infinite bound makes every "val > bound" test false;
-        # each flag is given to a subcommand that reads it
-        argv = (["twisted", "--pres", "fixtures/3_1.pres", "--lambda=2"]
-                if flag == "clean" else ["pretzel935"])
-        code, out, err = run(*argv, "--tol-%s=%s" % (flag, value))
-        assert (code, out) == (2, "")
-        assert json.loads(err) == {
-            "error": "ParseError",
-            "reason": "tol-%s must be %s" % (
-                flag, "finite" if value in ("nan", "inf") else "positive")}
+    def test_negative_tolerance_rejected(self, flag, value, capsys):
+        # a nan or infinite bound would make every "val > bound" test
+        # false; the bounds are library constants, so no subcommand takes
+        # a tolerance flag at any value
+        for command in SUBCOMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--tol-%s=%s" % (flag, value)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_seed_only_where_sampled(self):
+        for command in SUBCOMMANDS:
+            _, extra = _build_parser().parse_known_args([command, "--seed=1"])
+            assert (extra == []) == (command in SEEDED)
 
 
 class TestTwistedCommand:

@@ -237,37 +237,47 @@ def public_functions(source: str) -> dict[str, ast.FunctionDef]:
     return out
 
 
-def references(source: str, strings: bool) -> list[tuple[str, int]]:
-    """(name, line) of every loaded name and attribute, and with strings
-    of every part of a dotted string constant, as the tracer names what it
-    wraps."""
+def references(source: str, strings: bool) -> list[tuple[str, int, bool]]:
+    """(name, line, as an attribute) of every loaded name and attribute,
+    and with strings of every part of a string constant, as the tracer
+    names what it wraps; the parts of a dotted string count as
+    attributes."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, True))
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
-            out += [(part, node.lineno) for part in node.value.split(".")]
+            dotted = "." in node.value
+            out += [(part, node.lineno, dotted)
+                    for part in node.value.split(".")]
     return out
 
 
 def uncalled(sources: dict[str, str], others: list[str]) -> list[str]:
     """The public functions and methods of sources that no code refers to
-    by name outside their own def, in sources or in others (where dotted
-    strings count too).  Names are matched alone, as unset_defaults does."""
+    by name outside their own def, in sources or in others (where strings
+    count too).  Names are matched alone, as unset_defaults does, but a
+    method only through an attribute or a dotted string: a bare name that
+    equals a method's is some local variable."""
     refs = {module: references(source, False)
             for module, source in sources.items()}
-    outside = {name for source in others
-               for name, _ in references(source, True)}
+    outside = {(name, attr) for source in others
+               for name, _, attr in references(source, True)}
+
+    def called(module, qual, fn):
+        kinds = (True,) if "." in qual else (True, False)
+        return any((fn.name, attr) in outside for attr in kinds) or any(
+            name == fn.name and attr in kinds and not (
+                where == module and fn.lineno <= line <= fn.end_lineno)
+            for where, found in refs.items() for name, line, attr in found)
+
     return ["%s:%s" % (module, qual)
             for module, source in sorted(sources.items())
             for qual, fn in sorted(public_functions(source).items())
-            if fn.name not in outside
-            and not any(name == fn.name and not (
-                where == module and fn.lineno <= line <= fn.end_lineno)
-                for where, found in refs.items() for name, line in found)]
+            if not called(module, qual, fn)]
 
 
 # Public functions and methods that nothing in the package or the benchmark
@@ -316,8 +326,12 @@ def test_detects_uncalled_function():
          "    def used(self):\n        return self.idle\n"
          "    def idle(self):\n        return 0\n"
          "    def lonely(self):\n        return self.lonely()\n"
+         "    def shadowed(self):\n        return 0\n"
+         "    def spanned(self):\n        return 0\n"
          "class _Hidden:\n    def go(self):\n        return 0\n")
-    b = "import a\na.f(3)\nSPANS = ('a.traced', 'g')\n"
-    assert uncalled({"a.py": a}, [b]) == ["a.py:Box.lonely"]
+    b = ("import a\na.f(3)\nSPANS = ('a.traced', 'g', 'Box.spanned')\n"
+         "shadowed = 1\nprint(shadowed, 'lonely')\n")
+    assert uncalled({"a.py": a}, [b]) == ["a.py:Box.lonely", "a.py:Box.shadowed"]
     assert uncalled({"a.py": a}, []) == [
-        "a.py:Box.lonely", "a.py:f", "a.py:traced"]
+        "a.py:Box.lonely", "a.py:Box.shadowed", "a.py:Box.spanned", "a.py:f",
+        "a.py:traced"]

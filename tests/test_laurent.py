@@ -263,13 +263,13 @@ class TestDivision:
 class TestCleanup:
     def test_relative_threshold(self):
         p = LaurentPoly({0: 1e6 + 0j, 1: 1e-8 + 0j, 2: 1.0 + 0j})
-        cleaned = p.cleanup(1e-10)
+        cleaned = p.cleanup()
         assert 1 not in cleaned.coeffs  # 1e-8 is below 1e-10 * 1e6
         assert 2 in cleaned.coeffs
 
     def test_exact_input_unchanged(self):
         p = P(1, Fraction(1, 10 ** 30))
-        assert p.cleanup(1e-10) == p
+        assert p.cleanup() == p
 
 
 nonzero_exact = st.dictionaries(

@@ -153,6 +153,14 @@ class TestPdToWirtinger:
             assert p.relators == []
             assert alexander(p) == P(1)
 
+    def test_repr_past_twenty_six_generators(self):
+        # from 27 generators on the names are x0, x1, ..., not letters
+        p = pd_to_wirtinger(torus_pd(27))
+        text = repr(p)
+        assert text.startswith("<Presentation gens=x0 x1 x2 ")
+        assert " x26 rels=[X14 x0 x14 X1, X15 x1 x15 X2, " in text
+        assert text.count(",") == len(p.relators) - 1
+
     def test_fixture_diagrams_match_reference_polynomials(self):
         for pd_name, alex_name in (("3_1.pd", "3_1.alex"),
                                    ("9_35.pd", "9_35.alex"),

@@ -85,7 +85,7 @@ class TestComplexRoots:
             p = CP(1)
             for r in planted:
                 p = p * LaurentPoly({0: -r, 1: 1.0 + 0j})
-            found = complex_roots(p, cluster_radius=1e-8)
+            found = complex_roots(p)
             assert len(found) == len(planted)
             for r in planted:
                 assert min(abs(r - f) for f, _ in found) < 1e-7
@@ -93,7 +93,7 @@ class TestComplexRoots:
     def test_float_cluster_counts_multiplicity(self):
         # (t-1)(t-1-1e-10) is one double root at the 1e-8 resolution
         p = LaurentPoly({0: 1.0 + 1e-10, 1: -(2.0 + 1e-10), 2: 1.0 + 0j})
-        roots = complex_roots(p, cluster_radius=1e-6)
+        roots = complex_roots(p)
         assert len(roots) == 1
         assert roots[0][1] == 2
 
@@ -102,10 +102,11 @@ class TestComplexRoots:
         keys = [(r.real, r.imag) for r, _ in roots]
         assert keys == sorted(keys)
 
-    def test_uncertified_root_raises(self):
+    def test_uncertified_root_raises(self, monkeypatch):
+        monkeypatch.setattr(roots_module, "_RESIDUAL_TOL", 1e-300)
         p = CP(*[(-1) ** k * (k + 1) for k in range(21)])
         with pytest.raises(RootFindingError):
-            complex_roots(p, residual_tol=1e-300)
+            complex_roots(p)
 
 
 class TestUnitCircleRoots:

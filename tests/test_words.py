@@ -37,6 +37,7 @@ class TestFreeWord:
         w = W("aBcA")
         assert w.tietze == (1, -2, 3, -1)
         assert w.to_string(NAMES) == "aBcA"
+        assert w.to_string(["x0", "x1", "x2"]) == "x0 X1 x2 X0"
         assert W("").is_identity()
         assert FreeWord().to_string(NAMES) == ""
 
@@ -72,9 +73,6 @@ class TestFreeWord:
         for _ in range(50):
             u, v = random_word(rng, 3, 10), random_word(rng, 3, 10)
             assert (u * v).exponent_sum() == u.exponent_sum() + v.exponent_sum()
-
-    def test_letters_expose_index_sign_pairs(self):
-        assert W("aaB").letters == ((0, 1), (0, 1), (1, -1))
 
     def test_hash_and_len(self):
         assert len(W("aBc")) == 3
