@@ -9,6 +9,9 @@ the determinant is 1.  The gauge coordinates x of n generators are (a, q)
 for A = [[a, q], [0, 1/a]], (b, d) for B = [[b, 0], [d, 1/b]] and four
 free entries for each further generator.  _residual and _jacobian
 evaluate the solver's equations and their exact Jacobian at x.
+_jacobian forms and sums its terms as numpy array operations in a fixed
+order: numpy's complex product rounds differently from Python's in the
+last bit, and the solver's trajectories are pinned bit for bit.
 _det_one_on_trace_rows finds a further generator from trace rows linear
 in it and det = 1, for the solver's seeds and the closed form (its
 gauges: the representations module docstring).
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,8 +71,8 @@ class _Equations:
     Rows, in order: the four entries of image(r) - I for each relator r,
     det - 1 for each generator after the second, tr(image(w)) - v for each
     constraint.  Words are stored as letter codes, g for generator g and
-    n + g for its inverse.  The Jacobian's term table is built on first
-    use, since _residual alone never reads it.
+    n + g for its inverse.  The Jacobian's terms are listed on first use,
+    since _residual alone never reads them.
     """
 
     def __init__(self, p: Presentation, constraints: dict[FreeWord, complex]):
@@ -81,72 +85,44 @@ class _Equations:
         words = list(p.relators) + list(constraints)
         self.words = [[x - 1 if x > 0 else n - x - 1 for x in w]
                       for w in words]
-        self.nrows = 4 * self.nrel + self.nfree + len(self.targets)
 
     @functools.cached_property
-    def table(self) -> "_TermTable":
-        return _TermTable(self)
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Jacobian's terms as the integer columns (word, coordinate,
+        slot, i, j, sign, kind), and the first term of each (word,
+        coordinate) group.
 
-
-class _TermTable:
-    """The gathers, scatters and factors _jacobian reads for one _Equations.
-
-    The table has one term for each letter, each coordinate its generator
-    depends on and each matrix entry (i, j) of the letter that the
-    coordinate moves, with a sign and a factor kind (0: 1, 1: d(1/a)/da,
-    2: d(1/b)/db).  Kept as terms = [(word, coordinate, slot, i, j, sign,
-    kind), ...] with slot the letter's position among all letters, it is
-    sorted by (word, coordinate) so that np.add.reduceat sums each
-    Jacobian entry's terms.
-    """
-
-    def __init__(self, eq: _Equations):
-        n = eq.n
+        There is one term for each letter, each coordinate its generator
+        depends on and each matrix entry (i, j) of the letter that the
+        coordinate moves, with a sign and a factor kind (0: 1, 1: d(1/a)/da,
+        2: d(1/b)/db); slot is the letter's position among all letters.
+        The terms are sorted by (word, coordinate), so that np.add.reduceat
+        sums each Jacobian entry's terms from the group starts.
+        """
+        n = self.n
         # (coordinate, i, j, factor kind) for each generator
         moves = [[(0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 0)],
                  [(2, 0, 0, 0), (2, 1, 1, 2), (3, 1, 0, 0)]][:n]
-        for f in range(eq.nfree):
+        for f in range(self.nfree):
             moves.append([(4 + 4 * f + 2 * i + j, i, j, 0)
                           for i in (0, 1) for j in (0, 1)])
         terms = []
         slot = 0
-        for wi, w in enumerate(eq.words):
+        for wi, w in enumerate(self.words):
             for c in w:
                 for k, i, j, kind in moves[c % n]:
                     if c < n:
-                        terms.append((wi, k, slot, i, j, 1.0, kind))
+                        terms.append((wi, k, slot, i, j, 1, kind))
                     else:   # the adjugate moves entry (1-j, 1-i)
                         terms.append((wi, k, slot, 1 - j, 1 - i,
-                                      1.0 if i == j else -1.0, kind))
+                                      1 if i == j else -1, kind))
                 slot += 1
         terms.sort(key=lambda t: t[:2])
-        self.terms = terms
-        cols = list(zip(*terms)) or [()] * 7
-        word, var, slot, row_i, col_j = (np.array(c, dtype=int)
-                                         for c in cols[:5])
-        self.sign = np.array(cols[5], dtype=float)
-        self.kind = np.array(cols[6], dtype=int)
+        cols = np.array(terms, dtype=int).reshape(-1, 7).T
+        word, var = cols[:2]
         new_group = np.ones(len(terms), dtype=bool)
         new_group[1:] = (word[1:] != word[:-1]) | (var[1:] != var[:-1])
-        self.starts = np.flatnonzero(new_group)
-        # Flat gathers from the scans' entry lists: column row_i of each
-        # term's prefix, row col_j of its suffix.
-        pair = np.arange(2)
-        self.pre_at = 4 * slot[:, None] + 2 * pair + row_i[:, None]
-        self.suf_at = 4 * slot[:, None] + 2 * col_j[:, None] + pair
-        # Flat destinations in the (rows, nvars) Jacobian: the four entries
-        # of each relator group, the det rows, one trace entry per
-        # constraint group.  Groups are sorted by word, relators first.
-        gword, gvar = word[self.starts], var[self.starts]
-        self.nrel_groups = int(np.sum(gword < eq.nrel))
-        rel_w, rel_v = gword[:self.nrel_groups], gvar[:self.nrel_groups]
-        self.rel_to = ((4 * rel_w[:, None] + np.arange(4)) * eq.nvars
-                       + rel_v[:, None]).ravel()
-        free = np.arange(eq.nfree)[:, None]
-        self.det_to = ((4 * eq.nrel + free) * eq.nvars + 4 + 4 * free
-                       + np.arange(4)).ravel()
-        tr_row = 4 * eq.nrel + eq.nfree + gword[self.nrel_groups:] - eq.nrel
-        self.trace_to = tr_row * eq.nvars + gvar[self.nrel_groups:]
+        return cols, np.flatnonzero(new_group)
 
 
 def _letter_images(eq: _Equations, x: np.ndarray) -> list[Matrix2]:
@@ -198,37 +174,17 @@ def _det_one_on_trace_rows(prods: list, traces: list) -> list[np.ndarray]:
     return [c0 + s * nv for s in roots]
 
 
-# _residual squares its bound and widens it by this relative margin, far
-# above the rounding difference between its running sum and
-# np.linalg.norm, so that a point is never rejected against its own norm.
-_BOUND_MARGIN = 1e-12
-
-
-def _residual(eq: _Equations, x: np.ndarray, bound: float = np.inf):
-    """f(x), the rows described in _Equations, or None as soon as the
-    relator rows, summed word by word, make the norm of f exceed bound."""
+def _residual(eq: _Equations, x: np.ndarray) -> np.ndarray:
+    """f(x), the rows described in _Equations."""
     imgs = _letter_images(eq, x)
-    limit = bound * bound * (1.0 + _BOUND_MARGIN)
-    rel, traces = [], []
-    total = 0.0
-    for k, w in enumerate(eq.words):
-        m = (functools.reduce(_mat_mul, [imgs[c] for c in w]) if w
-             else _COMPLEX_ID)
-        if k >= eq.nrel:
-            traces.append(m[0] + m[3])
-            continue
-        m00, m01, m10, m11 = m
-        m00 -= 1.0
-        m11 -= 1.0
-        rel += (m00, m01, m10, m11)
-        total += (m00.real * m00.real + m00.imag * m00.imag
-                  + m01.real * m01.real + m01.imag * m01.imag
-                  + m10.real * m10.real + m10.imag * m10.imag
-                  + m11.real * m11.real + m11.imag * m11.imag)
-        if total > limit:
-            return None
-    dets = [_mat_det(m) - 1.0 for m in imgs[2:eq.n]]
-    f = np.array(rel + dets + traces, dtype=complex)
+    prods = [functools.reduce(_mat_mul, [imgs[c] for c in w]) if w
+             else _COMPLEX_ID for w in eq.words]
+    rows = []
+    for m00, m01, m10, m11 in prods[:eq.nrel]:
+        rows += (m00 - 1.0, m01, m10, m11 - 1.0)
+    rows += [_mat_det(m) - 1.0 for m in imgs[2:eq.n]]
+    rows += [m[0] + m[3] for m in prods[eq.nrel:]]
+    f = np.array(rows, dtype=complex)
     f[len(f) - len(eq.targets):] -= eq.targets
     return f
 
@@ -238,41 +194,32 @@ def _jacobian(eq: _Equations, x: np.ndarray) -> np.ndarray:
 
     A word's derivative is the matrix analogue of the Fox prefix scan,
     d(m_1 ... m_L)/dx = sum_l (m_1 ... m_{l-1}) dm_l/dx (m_{l+1} ... m_L).
-    Each term of eq's table moves one entry (i, j) of one letter, so it
-    contributes column i of the prefix times row j of the suffix.  The
-    scans list the entries of every prefix and suffix, four per letter.
+    Each of eq's terms moves one entry (i, j) of one letter, so it
+    contributes column i of the letter's prefix times row j of its suffix.
+    The terms are summed per (word, coordinate) into a dense
+    (word, coordinate, 2, 2) buffer, and the relator and trace rows are
+    cut out of it.
     """
     imgs = _letter_images(eq, x)
     pre, suf = [], []
     for w in filter(None, eq.words):
-        pre += _COMPLEX_ID
-        # suffixes from the right, each stored backwards: reversing the
-        # word's list puts them in letter order with entries in order
-        tails = list(_COMPLEX_ID)
-        if len(w) > 1:
-            m = imgs[w[0]]
-            pre += m
-            for c in w[1:-1]:
-                m = _mat_mul(m, imgs[c])
-                pre += m
-            m = imgs[w[-1]]
-            tails += m[::-1]
-            for c in w[-2:0:-1]:
-                m = _mat_mul(imgs[c], m)
-                tails += m[::-1]
-        suf += reversed(tails)
-    pre, suf = np.array(pre, dtype=complex), np.array(suf, dtype=complex)
+        ms = [imgs[c] for c in w]
+        pre += [_COMPLEX_ID, *accumulate(ms[:-1], _mat_mul)]
+        suf += [*accumulate(ms[:0:-1], lambda s, m: _mat_mul(m, s))][::-1]
+        suf.append(_COMPLEX_ID)
+    pre = np.array(pre, dtype=complex).reshape(-1, 2, 2)
+    suf = np.array(suf, dtype=complex).reshape(-1, 2, 2)
+    (word, var, slot, i, j, sign, kind), starts = eq.terms
     factors = np.array([1.0, -1.0 / x[0] ** 2,
                         -1.0 / x[2] ** 2 if eq.n >= 2 else 0.0])
-    tab = eq.table
-    coef = tab.sign * factors[tab.kind]
-    terms = (coef[:, None, None] * pre[tab.pre_at][:, :, None]
-             * suf[tab.suf_at][:, None, :])
-    sums = np.add.reduceat(terms, tab.starts, axis=0)
-    jac = np.zeros(eq.nrows * eq.nvars, dtype=complex)
-    jac[tab.rel_to] = sums[:tab.nrel_groups].ravel()
-    jac[tab.det_to] = [e for m00, m01, m10, m11 in imgs[2:eq.n]
-                       for e in (m11, -m10, -m01, m00)]
-    jac[tab.trace_to] = (sums[tab.nrel_groups:, 0, 0]
-                         + sums[tab.nrel_groups:, 1, 1])
-    return jac.reshape(eq.nrows, eq.nvars)
+    terms = ((sign * factors[kind])[:, None, None]
+             * pre[slot, :, i][:, :, None] * suf[slot, j, :][:, None, :])
+    dw = np.zeros((len(eq.words), eq.nvars, 2, 2), dtype=complex)
+    dw[word[starts], var[starts]] = np.add.reduceat(terms, starts, axis=0)
+    ddet = np.zeros((eq.nfree, eq.nvars), dtype=complex)
+    for f, (m00, m01, m10, m11) in enumerate(imgs[2:eq.n]):
+        ddet[f, 4 + 4 * f: 8 + 4 * f] = (m11, -m10, -m01, m00)
+    return np.concatenate((
+        dw[:eq.nrel].transpose(0, 2, 3, 1).reshape(-1, eq.nvars),
+        ddet,
+        dw[eq.nrel:, :, 0, 0] + dw[eq.nrel:, :, 1, 1]))

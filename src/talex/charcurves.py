@@ -96,12 +96,12 @@ def pretzel935_presentation() -> Presentation:
         return parse_presentation(fh.read())
 
 
-def _mono(var: str, vars_: tuple = RV_VARS, power: int = 1) -> MultiPoly:
-    return MultiPoly.var(vars_, var, power)
+def _mono(var: str) -> MultiPoly:
+    return MultiPoly.var(RV_VARS, var)
 
 
-def _const(c, vars_: tuple = RV_VARS) -> MultiPoly:
-    return MultiPoly.constant(vars_, c)
+def _const(c) -> MultiPoly:
+    return MultiPoly.constant(RV_VARS, c)
 
 
 @lru_cache(maxsize=None)

@@ -57,12 +57,12 @@ class MultiPoly:
         return cls(vars, {(0,) * len(vars): Fraction(c)})
 
     @classmethod
-    def var(cls, vars, name, power: int = 1) -> "MultiPoly":
+    def var(cls, vars, name) -> "MultiPoly":
         vars = tuple(vars)
         if name not in vars:
             raise AlgebraError("unknown variable %r (have %r)" % (name, vars))
         ex = [0] * len(vars)
-        ex[vars.index(name)] = power
+        ex[vars.index(name)] = 1
         return cls(vars, {tuple(ex): Fraction(1)})
 
     # -- structure -----------------------------------------------------------

@@ -426,10 +426,8 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
             for _ in range(25):
                 xn = x + lam * step
                 if abs(xn[0]) >= 1e-8 and (n < 2 or abs(xn[2]) >= 1e-8):
-                    # a candidate whose relator rows alone reach the
-                    # current norm is rejected before the rest is summed
-                    fn = _residual(eq, xn, np.inf if at_floor else norm)
-                    nn = np.inf if fn is None else np.linalg.norm(fn)
+                    fn = _residual(eq, xn)
+                    nn = np.linalg.norm(fn)
                     # at the floor only the full step is worth trying
                     if nn < norm or at_floor:
                         break
@@ -449,7 +447,8 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                 stop = "stagnant"
                 break
 
-        worst = float(np.max(np.abs(f)))
+        # with one generator and no constraints f has no rows
+        worst = float(np.max(np.abs(f), initial=0.0))
         best = min(best, worst)
         if worst <= _SOLVE_TOL:
             rho = _at_gauge_point(p, x)

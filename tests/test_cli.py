@@ -542,6 +542,17 @@ OVERFLOWING = [
      ["twisted", "--pres", "fixtures/9_35.pres", "--constraints", "c"]),
 ]
 
+# The same, for a one-generator diagram or presentation with no
+# constraints: the solver's equations have no rows, and every
+# representation is reducible, so every case must exit 5 as well.
+ONE_GENERATOR = [
+    ("%s-one-generator-%s" % (cmd, kind), {"k": text, "c": ""},
+     [cmd, "--" + kind, "k", "--constraints", "c"])
+    for cmd in ("twisted", "genus")
+    for kind, text in (("pd", "1, 2, 2, 1\n"), ("pres", "gens: a\n"))
+]
+EXIT_FIVE = OVERFLOWING + ONE_GENERATOR
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("files, argv", [case[1:] for case in MALFORMED],
@@ -560,8 +571,8 @@ class TestMalformedInputs:
 
 
 class TestOverflowingTraces:
-    @pytest.mark.parametrize("files, argv", [case[1:] for case in OVERFLOWING],
-                             ids=[case[0] for case in OVERFLOWING])
+    @pytest.mark.parametrize("files, argv", [case[1:] for case in EXIT_FIVE],
+                             ids=[case[0] for case in EXIT_FIVE])
     def test_exit_five_with_one_json_reason(self, tmp_path, files, argv):
         # in a subprocess, so that numpy's warnings and LAPACK's own
         # messages would reach the stderr checked here

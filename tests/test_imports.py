@@ -1,7 +1,8 @@
 """Every name a talex module imports is read somewhere in that module,
 every module-level private name is read somewhere in the package, every
-defaulted parameter of a public function is set by some caller, and every
-public function or method is referred to by some caller.
+defaulted parameter of a module-level function or public method is set by
+some caller, and every public function or method is referred to by some
+caller.
 
 No linter ships with the test dependencies, so this is the guard against
 dead imports, dead helpers, knobs that no caller turns and public code
@@ -116,9 +117,9 @@ def test_detects_dead_helper():
 def defaulted_parameters(source: str) -> dict[str, tuple[str, str, list]]:
     """Map "function(param)" or "Class.method(param)" to (the name a call
     uses, param, the parameters that positional arguments fill) for each
-    parameter with a default of a public module-level function, or of a
-    public or __init__ method of a public class.  A call names __init__ by
-    its class.  Dataclass fields are not covered."""
+    parameter with a default of a module-level function, public or
+    private, or of a public or __init__ method of a public class.  A call
+    names __init__ by its class.  Dataclass fields are not covered."""
     out = {}
 
     def visit(fn, owner):
@@ -137,7 +138,7 @@ def defaulted_parameters(source: str) -> dict[str, tuple[str, str, list]]:
                                             [x.arg for x in pos])
 
     for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef):
             visit(node, None)
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
@@ -219,7 +220,8 @@ def test_detects_unset_default():
     b = ("from a import Box, f, g\n"
          "f(1, steps=4)\ng(1, *[2])\nBox(1, 2).scaled(3)\nBox.make(1)\n")
     assert unset_defaults({"a.py": a}, [a, b]) == [
-        "a.py:Box.make(n)", "a.py:Box.scaled(m)", "a.py:f(tol)"]
+        "a.py:Box.make(n)", "a.py:Box.scaled(m)", "a.py:_private(r)",
+        "a.py:f(tol)"]
 
 
 def public_functions(source: str) -> dict[str, ast.FunctionDef]:

@@ -328,14 +328,14 @@ class TestMultiPolyDeterminants:
         y = MultiPoly.var(vars_, "y")
         z = MultiPoly.var(vars_, "z")
         one = MultiPoly.constant(vars_, 1)
-        yinv = MultiPoly.var(vars_, "y", -1)
+        yinv = MultiPoly.var(vars_, "y") ** -1
         assert det([[yinv, one], [one, z]]) == yinv * z - one
 
     def test_resultant_with_negative_powers_outside_the_variable(self):
         vars_ = ("y", "w")
         y = MultiPoly.var(vars_, "y")
         w = MultiPoly.var(vars_, "w")
-        yinv = MultiPoly.var(vars_, "y", -1)
+        yinv = MultiPoly.var(vars_, "y") ** -1
         assert resultant(w * w - yinv, w - y, "w") == y * y - yinv
 
     def test_domains_and_variables_must_agree(self):

@@ -49,7 +49,7 @@ class TestConstruction:
     def test_var_and_constant(self):
         y = MultiPoly.var(YZ, "y")
         assert y.terms == {(1, 0): Fraction(1)}
-        assert MultiPoly.var(YZ, "z", 3).terms == {(0, 3): Fraction(1)}
+        assert (MultiPoly.var(YZ, "z") ** 3).terms == {(0, 3): Fraction(1)}
         assert MultiPoly.constant(YZ, 5).constant_value() == 5
         with pytest.raises(AlgebraError):
             MultiPoly.var(YZ, "q")
