@@ -15,7 +15,8 @@ each pseudo-remainder, a positive multiple of the remainder over Q, is
 replaced by its primitive part, so the coefficients stay as small as the
 gcd's own.  squarefree is Yun's algorithm, the package's one square-free
 decomposition; every divisor in it is a primitive gcd, so each of its
-divisions is exact.
+divisions is exact.  bareiss is the package's one fraction-free
+determinant elimination, over square matrices of such lists.
 """
 
 from __future__ import annotations
@@ -110,6 +111,51 @@ def exact_div(num: list[int], den: list[int]) -> list[int]:
         raise NonPolynomialError("inexact division in Z[t] (degree %d by %d)"
                                  % (len(num) - 1, len(den) - 1))
     return quot
+
+
+def bareiss(m: list[list[list[int]]]) -> tuple[list[int], int]:
+    """(last pivot, sign) of fraction-free Bareiss elimination (Bareiss
+    1968) with first-nonzero row pivoting on a square matrix m over Z[t],
+    eliminated in place: det m = sign * last pivot, ([], 1) when m is
+    singular and ([1], 1) when it is empty.  Every division is exact."""
+    n = len(m)
+    # Bareiss step k turns a row with a zero in column k into itself times
+    # pivot_k / pivot_(k-1).  Those factors telescope, so such a row is left
+    # alone: its next update divides by base[i], the pivot it last saw, and
+    # on becoming the pivot row it is first brought up to date.
+    prev = [1]
+    base = [prev] * n
+    sign = 1
+    for k in range(n):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return [], 1
+            m[k], m[pivot] = m[pivot], m[k]
+            base[k], base[pivot] = base[pivot], base[k]
+            sign = -sign
+        top = m[k]
+        if base[k] is not prev:
+            top[k:] = [exact_div(mul(x, prev), base[k]) for x in top[k:]]
+        piv = top[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            a = row[k]
+            if not a:
+                continue
+            for j in range(k + 1, n):
+                x, b = row[j], top[j]
+                if b:
+                    num = sub(mul(x, piv), mul(a, b))
+                elif x:
+                    num = mul(x, piv)
+                else:
+                    continue
+                row[j] = exact_div(num, base[i])
+            row[k] = []
+            base[i] = piv
+        prev = piv
+    return prev, sign
 
 
 def pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

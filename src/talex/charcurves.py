@@ -313,7 +313,9 @@ def census(curve: PlaneCurve, c) -> CensusResult:
     identically and the census is infinite (count None).  Otherwise the
     values x0 with psi_2(x0) = c are found (exactly when c is rational),
     each slice x = y^2 - z = x0 is intersected with the curve, and the
-    distinct intersection points are the witnesses.
+    distinct intersection points are the witnesses.  Roots at 0 count, both
+    x0 = 0 and y0 = 0; a slice is degenerate only when it is a nonzero
+    constant, so y^2 is the root y0 = 0 twice, not a miss.
     """
     if isinstance(c, complex) and c.imag == 0:
         c = c.real
@@ -327,7 +329,8 @@ def census(curve: PlaneCurve, c) -> CensusResult:
             return CensusResult(curve.name, c_val, None, [], [])
     else:
         c_val = complex(c)
-    x_roots = complex_roots(psi.compose({"x": t}, LaurentPoly.zero()) - c_val)
+    x_roots = _roots_with_zero(psi.compose({"x": t}, LaurentPoly.zero())
+                               - c_val)
     witnesses: list[tuple[complex, complex]] = []
     degenerate: list[complex] = []
     for x0, _ in x_roots:
@@ -338,13 +341,19 @@ def census(curve: PlaneCurve, c) -> CensusResult:
         if slice_poly.is_zero():
             # The whole slice lies on the curve: infinitely many points.
             return CensusResult(curve.name, c, None, [], [])
-        if slice_poly.degree() == 0:
+        if slice_poly.max_exp() == 0:
             degenerate.append(x0)
             continue
-        for y0, _ in complex_roots(slice_poly):
+        for y0, _ in _roots_with_zero(slice_poly):
             witnesses.append((complex(y0), complex(y0) ** 2 - complex(x0)))
     witnesses = _dedupe_pairs(witnesses)
     return CensusResult(curve.name, c, len(witnesses), witnesses, degenerate)
+
+
+def _roots_with_zero(p: LaurentPoly) -> list[tuple[complex, int]]:
+    """The roots of a polynomial p: complex_roots, which takes t as a unit,
+    and the root 0 counted min_exp() times."""
+    return [(0j, p.min_exp())] * (p.min_exp() > 0) + complex_roots(p)
 
 
 def _dedupe_pairs(pairs: list[tuple[complex, complex]]

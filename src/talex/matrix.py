@@ -4,9 +4,9 @@ det() has two elimination kernels, chosen by the entry domain:
 
   * exact entries: each row is cleared into Z[t], multiplied by the lcm
     of its coefficient denominators and shifted by its lowest exponent,
-    and fraction-free Bareiss elimination (Bareiss 1968) with row
-    pivoting runs on the dense int lists of the package's Z[t] kernel
-    (_zt), skipping the rows that have a zero in the pivot column.  The
+    and the package's one fraction-free Bareiss elimination (Bareiss
+    1968), _zt.bareiss, runs on the dense int lists with row pivoting,
+    skipping the rows that have a zero in the pivot column.  The
     scale and the shift are undone at the end.  Every division is exact
     in Z[t]; an inexact quotient raises NonPolynomialError.  MultiPoly
     entries are first packed into one variable by a Kronecker
@@ -113,14 +113,14 @@ def det(rows):
 
 
 def _integer_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Bareiss elimination over Z[t] for exact Laurent entries.
+    """The determinant of exact Laurent entries by the Z[t] kernel.
 
     Row i is multiplied by the lcm L_i of its coefficient denominators and
     by t^-s_i, s_i its lowest exponent, so every entry becomes a dense
-    list of ints, constant term first.  The determinant of the cleared
-    matrix, divided by prod L_i and shifted by sum s_i, is the answer.
+    list of ints, constant term first.  _zt.bareiss eliminates the cleared
+    matrix; its determinant, sign times the last pivot, divided by prod L_i
+    and shifted by sum s_i, is the answer.
     """
-    n = len(rows)
     m = []
     shift, scale = 0, 1
     for row in rows:
@@ -132,46 +132,9 @@ def _integer_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         shift += low
         scale *= den
         m.append([_zt.cleared(e.coeffs, low, den) for e in row])
-    # Bareiss step k turns a row with a zero in column k into itself times
-    # pivot_k / pivot_(k-1).  Those factors telescope, so such a row is left
-    # alone: its next update divides by base[i], the pivot it last saw, and
-    # on becoming the pivot row it is first brought up to date.
-    prev = [1]
-    base = [prev] * n
-    sign = 1
-    for k in range(n):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return LaurentPoly.zero()
-            m[k], m[pivot] = m[pivot], m[k]
-            base[k], base[pivot] = base[pivot], base[k]
-            sign = -sign
-        top = m[k]
-        if base[k] is not prev:
-            top[k:] = [_zt.exact_div(_zt.mul(x, prev), base[k])
-                       for x in top[k:]]
-        piv = top[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            a = row[k]
-            if not a:
-                continue
-            for j in range(k + 1, n):
-                x, b = row[j], top[j]
-                if b:
-                    num = _zt.sub(_zt.mul(x, piv), _zt.mul(a, b))
-                elif x:
-                    num = _zt.mul(x, piv)
-                else:
-                    continue
-                row[j] = _zt.exact_div(num, base[i])
-            row[k] = []
-            base[i] = piv
-        prev = piv
-    # The last pivot is the determinant of the cleared matrix.
+    pivot, sign = _zt.bareiss(m)
     return LaurentPoly._clean(
-        _zt.coefficients(prev, shift, Fraction(sign, scale)), True)
+        _zt.coefficients(pivot, shift, Fraction(sign, scale)), True)
 
 
 def _packed_det(rows: list[list[MultiPoly]]) -> MultiPoly:

@@ -8,19 +8,21 @@ and jumps only across roots of odd multiplicity; the averaged convention
 takes the mean of the two one-sided values, recovering a well-defined
 number at the roots themselves.  sigma(1) = 0 always (H(1) = 0).
 
-Loading computes delta(t) once and validates its value at t = 1,
+Loading computes delta(t) once, by the Bareiss kernel of _zt on the
+integer rows of V - tV^T, and validates its value at t = 1,
 det(V - V^T) = +-1, the fairness check that V actually is a Seifert
 matrix of a knot.  delta is then exact and palindromic, and
-delta(-1) = det(V + V^T) is the knot determinant, which is odd, so
-delta meets the contract of roots.unit_circle_roots: its unit-circle
-roots are found exactly, once per matrix, as real roots of q(t + 1/t) in
-(-2, 2) isolated by Sturm counts and refined by exact bisection at dyadic
-points.  They cut the circle into constancy arcs; sigma is read
-once per arc, at its midpoint, and the jump at a root is the difference
-of the arcs on either side.  The arc through omega = 1 is read at
-omega = 1 up to rounding, where H vanishes and sigma is 0, its value on
-the whole arc.  Eigenvalues within _ZERO_TOL of 0 count as zeros of the
-form, not toward its signature.
+delta(-1) = det(V + V^T) is the knot determinant, which is odd, so delta
+meets the contract of roots.unit_circle_roots: its unit-circle roots are
+found exactly, once per matrix, as real roots of q(t + 1/t) in (-2, 2)
+isolated by Sturm counts and refined by exact bisection at dyadic
+points.  They cut the circle into constancy arcs; sigma is read once per
+arc, at its midpoint, all arcs from one eigvalsh call on the stacked
+forms, and the jump at a root is the difference of the arcs on either
+side.  The arc through omega = 1 is read at omega = 1 up to rounding,
+where H vanishes and sigma is 0, its value on the whole arc.
+Eigenvalues within _ZERO_TOL of 0 count as zeros of the form, not
+toward its signature.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _zt
 from .errors import AlgebraError, CertificationError, ParseError
 from .laurent import LaurentPoly
-from .matrix import det
 from .roots import unit_circle_roots
 
 _ZERO_TOL = 1e-9
@@ -51,15 +53,18 @@ class SeifertMatrix:
         if self.n % 2 != 0:
             raise ParseError("Seifert matrix of a knot has even size, got %d"
                              % self.n)
-        # V - tV^T; the entries where V and V^T both vanish share one zero.
-        zero = LaurentPoly.zero()
-        self._delta = det([[LaurentPoly({0: a, 1: -b}) if a or b else zero
-                            for a, b in zip(row, col)]
-                           for row, col in zip(self.rows, zip(*self.rows))])
+        # V - tV^T as dense Z[t] lists: a - bt, a or 0.
+        pivot, sign = _zt.bareiss([[[a, -b] if b else [a] if a else []
+                                    for a, b in zip(row, col)]
+                                   for row, col in zip(self.rows,
+                                                       zip(*self.rows))])
+        self._delta = LaurentPoly._clean(
+            _zt.coefficients(pivot, 0, Fraction(sign)), True)
         pairing = self._delta.evaluate(Fraction(1))   # det(V - V^T)
         if pairing not in (1, -1):
             raise ParseError("det(V - V^T) = %s; a knot Seifert matrix needs "
                              "+-1" % pairing)
+        self._form = np.array(self.rows, dtype=complex).reshape(self.n, self.n)
         self._unit_roots = None
         self._arc_sigs: list[int] | None = None
         self._jumps: list[tuple[float, int]] | None = None
@@ -96,9 +101,16 @@ class SeifertMatrix:
         return "SeifertMatrix(%dx%d)" % (self.n, self.n)
 
 
-def _hermitian_form(v: SeifertMatrix, omega: complex) -> np.ndarray:
-    V = np.array(v.rows, dtype=complex) if v.n else np.zeros((0, 0), dtype=complex)
-    return (1 - omega) * V + (1 - np.conj(omega)) * V.T
+def _signatures(v: SeifertMatrix, omegas: list[complex]
+                ) -> list[tuple[int, int]]:
+    """(signature, near-zero eigenvalue count) of H(omega) per omega, all
+    from one eigvalsh call on the stacked forms."""
+    w = np.array(omegas, dtype=complex).reshape(-1, 1, 1)
+    eig = np.linalg.eigvalsh((1 - w) * v._form + (1 - w.conj()) * v._form.T)
+    pos = np.sum(eig > _ZERO_TOL, axis=1)
+    neg = np.sum(eig < -_ZERO_TOL, axis=1)
+    zeros = np.sum(np.abs(eig) <= _ZERO_TOL, axis=1)
+    return [(int(p - q), int(z)) for p, q, z in zip(pos, neg, zeros)]
 
 
 def lt_signature_detail(v: SeifertMatrix, omega: complex) -> tuple[int, int]:
@@ -107,12 +119,7 @@ def lt_signature_detail(v: SeifertMatrix, omega: complex) -> tuple[int, int]:
     if not abs(abs(omega) - 1.0) <= 1e-12:    # also refuses nan
         raise AlgebraError("omega must lie on the unit circle, got |omega| = %r"
                            % abs(omega))
-    if v.n == 0:
-        return 0, 0
-    eig = np.linalg.eigvalsh(_hermitian_form(v, omega))
-    zeros = int(np.sum(np.abs(eig) <= _ZERO_TOL))
-    sig = int(np.sum(eig > _ZERO_TOL)) - int(np.sum(eig < -_ZERO_TOL))
-    return sig, zeros
+    return _signatures(v, [omega])[0]
 
 
 def lt_signature(v: SeifertMatrix, omega: complex) -> int:
@@ -150,8 +157,8 @@ def averaged_signature(v: SeifertMatrix, omega: complex) -> Fraction:
     angles = [a for a, _ in v.unit_roots()]
     theta = float(np.angle(omega))
     eps = _safe_radius(angles, theta) / 2.0
-    plus = lt_signature(v, np.exp(1j * (theta + eps)))
-    minus = lt_signature(v, np.exp(1j * (theta - eps)))
+    (plus, _), (minus, _) = _signatures(
+        v, [np.exp(1j * (theta + eps)), np.exp(1j * (theta - eps))])
     return Fraction(plus + minus, 2)
 
 
@@ -164,8 +171,8 @@ def _arc_signatures(v: SeifertMatrix) -> list[int]:
     if v._arc_sigs is None:
         angles = [a for a, _ in v.unit_roots()]
         ends = angles[1:] + [a + 2.0 * np.pi for a in angles[:1]]
-        v._arc_sigs = [lt_signature(v, np.exp(0.5j * (a + b)))
-                       for a, b in zip(angles, ends)]
+        v._arc_sigs = [sig for sig, _ in _signatures(
+            v, [np.exp(0.5j * (a + b)) for a, b in zip(angles, ends)])]
     return v._arc_sigs
 
 

@@ -309,6 +309,26 @@ class TestCensus:
             assert abs(abs(y0.imag) - 1.7457431218879391) < 1e-8
             assert abs(z0 - 1.952380952380952) < 1e-8
 
+    def test_root_x0_zero_counts(self):
+        # psi_2(x) - 5 = x(x^2 + 6x + 6), and on x0 = 0 the slice of C' is
+        # y^2 - 1, so (y, z) = (+-1, 1) are characters.
+        _, Cp = cc.curve_components()
+        res = cc.census(Cp, 5)
+        assert res.count == 6
+        assert res.degenerate_roots == []
+        for y0 in (1, -1):
+            assert any(abs(y - y0) + abs(z - 1) < 1e-9
+                       for y, z in res.witnesses)
+
+    def test_slice_root_y0_zero_counts(self):
+        # psi_2(-1) = 4, and on x0 = -1 the slice of C' is y^2: a double
+        # root at y0 = 0, the character (0, 1), not a degenerate slice.
+        _, Cp = cc.curve_components()
+        res = cc.census(Cp, 4)
+        assert res.count == 5
+        assert res.degenerate_roots == []
+        assert any(abs(y) + abs(z - 1) < 1e-9 for y, z in res.witnesses)
+
     def test_identically_satisfied_on_parabola(self):
         C, _ = cc.curve_components()
         res = cc.census(C, 18)

@@ -228,6 +228,10 @@ _matrices = st.integers(0, 4).flatmap(_square)
 _matrix_pairs = st.integers(0, 4).flatmap(lambda n: st.tuples(_square(n),
                                                                _square(n)))
 
+_seifert_like = st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-3, 3)), min_size=n,
+             max_size=n), min_size=n, max_size=n))
+
 
 class TestIntegerBareiss:
     """The exact Laurent path: rows cleared into Z[t], Bareiss on ints."""
@@ -252,6 +256,20 @@ class TestIntegerBareiss:
                     for e in row] for row in rows]
         diff = det(floated) - exact
         assert diff.max_abs() <= 1e-9 * max(1.0, exact.max_abs())
+
+    @settings(max_examples=80, deadline=None)
+    @given(_seifert_like)
+    def test_kernel_on_int_rows_matches_det(self, v):
+        # V - tV^T as the int rows SeifertMatrix builds; zero rows and zero
+        # pivots come from the zero-heavy entries.
+        pairs = [list(zip(row, col)) for row, col in zip(v, zip(*v))]
+        pivot, sign = _zt.bareiss([[[a, -b] if b else [a] if a else []
+                                    for a, b in row] for row in pairs])
+        got = LaurentPoly(_zt.coefficients(pivot, 0, Fraction(sign)))
+        t = LaurentPoly.t()
+        assert got == det([[a - b * t for a, b in row] for row in pairs])
+        assert got.evaluate(Fraction(2)) == _cofactor_det(
+            [[a - 2 * b for a, b in row] for row in pairs], 1)
 
     def test_inexact_quotient_raises(self):
         assert _zt.exact_div([2, 4, 6], [2]) == [1, 2, 3]

@@ -83,13 +83,13 @@ class TestSeifertMatrix:
 
     def test_one_determinant_per_matrix(self, monkeypatch):
         calls = []
-        real_det = signature.det
+        real_bareiss = signature._zt.bareiss
 
-        def counting_det(rows):
-            calls.append(len(rows))
-            return real_det(rows)
+        def counting_bareiss(m):
+            calls.append(len(m))
+            return real_bareiss(m)
 
-        monkeypatch.setattr(signature, "det", counting_det)
+        monkeypatch.setattr(signature._zt, "bareiss", counting_bareiss)
         v = v935()
         v.alexander()
         signature_jumps(v)
@@ -116,19 +116,19 @@ class TestSeifertMatrix:
 
     def test_jumps_once_per_matrix(self, monkeypatch):
         calls = []
-        real_detail = signature.lt_signature_detail
+        real_signatures = signature._signatures
 
-        def counting_detail(v, omega):
-            calls.append(omega)
-            return real_detail(v, omega)
+        def counting_signatures(v, omegas):
+            calls.append(len(omegas))
+            return real_signatures(v, omegas)
 
-        monkeypatch.setattr(signature, "lt_signature_detail", counting_detail)
+        monkeypatch.setattr(signature, "_signatures", counting_signatures)
         v = v820()
         jumps = signature_jumps(v)
-        assert len(calls) == 2          # one per arc between its two roots
+        assert calls == [2]             # one solve, one omega per arc
         assert is_identically_zero(v)
         assert signature_jumps(v) is jumps
-        assert len(calls) == 2          # the verdict reads the kept arcs
+        assert calls == [2]             # the verdict reads the kept arcs
 
 
 class TestLtSignature:
@@ -284,3 +284,80 @@ class TestTorusKnotsT2n:
         v = SeifertMatrix(torus_seifert(n))
         assert lt_signature(v, -1.0) == -(n - 1)
         assert len(signature_jumps(v)) == n - 1
+
+
+def _arc_midpoints(v):
+    angles = [a for a, _ in v.unit_roots()]
+    ends = angles[1:] + [a + 2.0 * np.pi for a in angles[:1]]
+    return [np.exp(0.5j * (a + b)) for a, b in zip(angles, ends)]
+
+
+def _one_omega(v, omega):
+    """(signature, near-zero count) from one Hermitian form at omega alone."""
+    V = np.array(v.rows, dtype=complex).reshape(v.n, v.n)
+    eig = np.linalg.eigvalsh((1 - omega) * V + (1 - np.conj(omega)) * V.T)
+    tol = signature._ZERO_TOL
+    return (int(np.sum(eig > tol)) - int(np.sum(eig < -tol)),
+            int(np.sum(np.abs(eig) <= tol)))
+
+
+def _fixture_rows(name):
+    return SeifertMatrix.from_text(load_fixture_text(name + ".seifert")).rows
+
+
+@pytest.mark.parametrize("knot", ["3_1", "8_20", "9_35", *range(5, 42, 2)])
+def test_stacked_solve_matches_one_omega_reads(knot):
+    """Fixtures by name, T(2, n) by n."""
+    v = SeifertMatrix(torus_seifert(knot) if isinstance(knot, int)
+                      else _fixture_rows(knot))
+    omegas = _arc_midpoints(v) + [np.exp(1j * a) for a, _ in v.unit_roots()]
+    assert signature._signatures(v, omegas) == [_one_omega(v, complex(w))
+                                                for w in omegas]
+
+
+def _block_sum(a, b):
+    """V1 (+) V2, a Seifert matrix of the connected sum."""
+    return ([row + [0] * len(b) for row in a]
+            + [[0] * len(a) + row for row in b])
+
+
+def _mirror(rows):
+    """-V^T, a Seifert matrix of the mirror image."""
+    return [[-x for x in col] for col in zip(*rows)]
+
+
+class TestConnectedSumAndMirror:
+    @pytest.mark.parametrize("a, b", [
+        (TREFOIL_V, TREFOIL_V),
+        (torus_seifert(3), torus_seifert(5)),
+        (torus_seifert(5), _fixture_rows("8_20")),
+        (TREFOIL_V, _mirror(TREFOIL_V)),
+    ], ids=["3_1#3_1", "T23#T25", "T25#8_20", "square"])
+    def test_delta_multiplies_and_sigma_adds(self, a, b):
+        v1, v2 = SeifertMatrix(a), SeifertMatrix(b)
+        v = SeifertMatrix(_block_sum(a, b))
+        assert v.alexander() == v1.alexander() * v2.alexander()
+        for w in _arc_midpoints(v):
+            assert (lt_signature(v, w)
+                    == lt_signature(v1, w) + lt_signature(v2, w))
+        for theta, jump in signature_jumps(v):
+            assert jump == sum(j for part in (v1, v2)
+                               for a, j in signature_jumps(part)
+                               if abs(a - theta) < 1e-9)
+
+    def test_square_knot_signature_vanishes(self):
+        v = SeifertMatrix(_block_sum(TREFOIL_V, _mirror(TREFOIL_V)))
+        assert [m for _, m in v.unit_roots()] == [2, 2]
+        assert signature_jumps(v) == []
+        assert is_identically_zero(v)
+
+    @pytest.mark.parametrize("rows", [
+        TREFOIL_V, torus_seifert(5), _fixture_rows("8_20"),
+        _fixture_rows("9_35"), _block_sum(TREFOIL_V, torus_seifert(5)),
+    ], ids=["3_1", "T25", "8_20", "9_35", "3_1#T25"])
+    def test_mirror_negates_sigma_and_jumps(self, rows):
+        v, m = SeifertMatrix(rows), SeifertMatrix(_mirror(rows))
+        assert m.alexander() == v.alexander()
+        for w in _arc_midpoints(v) + [-1.0]:
+            assert lt_signature(m, w) == -lt_signature(v, w)
+        assert signature_jumps(m) == [(a, -j) for a, j in signature_jumps(v)]
