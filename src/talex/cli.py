@@ -154,7 +154,8 @@ def _fmt_complex(z) -> str:
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    blob = json.dumps(payload, sort_keys=True, indent=2)
+    if cfg.report or cfg.json_out:
+        blob = json.dumps(payload, sort_keys=True, indent=2)
     if cfg.report:
         try:
             with open(cfg.report, "w", encoding="utf-8") as fh:
@@ -258,7 +259,7 @@ def _cmd_monic_scan(cfg: RunConfig) -> None:
             return entry
         ta = wada_invariant(p, rho)
         entry["solved"] = True
-        entry["residual"] = rho.relator_residual()
+        entry["residual"] = rho.residual
         if ta.polynomial is None:
             entry["polynomial"] = None
         else:

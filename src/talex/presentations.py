@@ -21,7 +21,7 @@ from __future__ import annotations
 import string
 
 from .errors import ParseError
-from .words import FreeWord, _reduce
+from .words import FreeWord
 
 _DEFAULT_NAMES = string.ascii_lowercase
 
@@ -157,6 +157,8 @@ def pd_to_wirtinger(pd: list[tuple[int, int, int, int]]) -> Presentation:
     Each crossing contributes the relator  o^e u o^-e v^-1  where u is the
     arc of the incoming under-edge, v the arc of the outgoing under-edge,
     o the over-arc, and e = +-1 by the over-strand's travel direction.
+    The strands must chain the edges into one cycle; a code that does not,
+    such as a link's, raises ParseError.
     One relator (the last crossing's) is redundant and dropped, so the
     result has deficiency one.  A one-crossing diagram therefore yields the
     free presentation of Z on a single generator.
@@ -203,7 +205,7 @@ def pd_to_wirtinger(pd: list[tuple[int, int, int, int]]) -> Presentation:
     def gen(edge: int) -> int:
         return arc_index[find(edge)] + 1   # 1-based Tietze letter
 
-    relators = []
+    relators, starts = [], []
     for a, b, c, d in pd:
         # Over-strand travel: exactly one of b,d is the other's successor.
         if d == b % nedges + 1:
@@ -213,10 +215,20 @@ def pd_to_wirtinger(pd: list[tuple[int, int, int, int]]) -> Presentation:
         else:
             raise ParseError("crossing %s: over-edges %d,%d are not "
                              "consecutive" % ((a, b, c, d), b, d))
+        starts += a if c == a % nedges + 1 else 0, b if sign < 0 else d
         o, u, v = gen(b), gen(a), gen(c)
         w = FreeWord([sign * o, u, -sign * o, -v])
         if not w.is_identity():       # kinks relate an arc to itself
             relators.append(w)
+
+    # Each step e -> e + 1 of the one cycle 1 -> 2 -> ... -> 2n -> 1 must be
+    # taken by a strand (a backward under-strand takes none, and counts as
+    # 0); with two edges the direction is ambiguous, and a kink passes.
+    missing = set(range(1, nedges + 1)).difference(starts)
+    if missing and n > 1:
+        e = min(missing)
+        raise ParseError("PD code is not one closed strand: no strand runs "
+                         "from edge %d to edge %d" % (e, e % nedges + 1))
 
     # Any single Wirtinger relator is a consequence of the others; drop one
     # unless a trivial kink relator already served as the drop.
@@ -230,51 +242,27 @@ def pd_to_wirtinger(pd: list[tuple[int, int, int, int]]) -> Presentation:
     return Presentation(n, relators, names, wirtinger=True)
 
 
-def _exponent_sum(letters) -> int:
-    return sum(1 if x > 0 else -1 for x in letters)
-
-
-def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in reversed(letters))
-
-
 def _substitute(r: tuple[int, ...], g: int, w: tuple[int, ...],
                 w_inv: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Replace letter g of r by the word w, freely and cyclically reduce,
-    and return the result with the exponent sum of the conjugator removed."""
-    letters: list[int] = []
+    """Replace letter g of r by the word w and g^-1 by w_inv, freely
+    reducing on a stack as the letters come, then cyclically reduce.
+    Returns the result and the exponent sum of the conjugator removed."""
+    out = [0]                        # a sentinel that matches no letter
     for x in r:
-        if x == g:
-            letters += w
-        elif x == -g:
-            letters += w_inv
+        if x == g or x == -g:
+            for y in w if x == g else w_inv:
+                if out[-1] == -y:
+                    out.pop()
+                else:
+                    out.append(y)
+        elif out[-1] == -x:
+            out.pop()
         else:
-            letters.append(x)
-    out = _reduce(letters)
-    i = 0
-    while 2 * i + 1 < len(out) and out[i] == -out[-1 - i]:
+            out.append(x)
+    i, n = 1, len(out)
+    while 2 * i < n and out[i] == -out[n - i]:
         i += 1
-    return out[i:len(out) - i], _exponent_sum(out[:i])
-
-
-def _elimination(rels: dict[int, tuple[int, ...]], i: int, g: int):
-    """Solve relator i for its one letter of generator g and substitute.
-
-    Returns (change in total relator length, exponent sum of the Fox
-    prefix, {j: (new relator j, conjugator exponent sum)}), or None when a
-    relator would reduce to the identity."""
-    r = rels[i]
-    pos = next(j for j, x in enumerate(r) if abs(x) == g)
-    w = r[pos + 1:] + r[:pos]
-    if r[pos] > 0:
-        w = _inverse(w)
-    w_inv = _inverse(w)
-    others = {j: _substitute(s, g, w, w_inv) for j, s in rels.items()
-              if j != i and (g in s or -g in s)}
-    if not all(s for s, _ in others.values()):
-        return None
-    growth = sum(len(s) - len(rels[j]) for j, (s, _) in others.items())
-    return (growth - len(r), _exponent_sum(r[:pos]) - (r[pos] < 0), others)
+    return tuple(out[i:n - i + 1]), sum(1 if x > 0 else -1 for x in out[1:i])
 
 
 def simplify(p: Presentation, keep: int
@@ -288,7 +276,9 @@ def simplify(p: Presentation, keep: int
     least total relator length, ties going to the first relator, then the
     lowest generator.  A pair that would reduce a relator to the identity
     is passed over; the steps stop when no pair is left.  Only the pairs
-    whose relators a step changed are evaluated again.
+    whose relators a step changed are evaluated again, each reading the
+    relators that hold its generator from an index kept up to date for
+    the changed relators, and substituting and reducing in one stack pass.
 
     Returns (q, kept, E): q's generators are those of p at the indices in
     kept, in order, and for every representation rho of p with det 1,
@@ -315,9 +305,33 @@ def _tietze(p: Presentation, keep: int
             counts[abs(x)] = counts.get(abs(x), 0) + 1
         return [g for g, c in counts.items() if c == 1 and g != keep + 1]
 
+    def elimination(i: int, g: int):
+        # (growth, Fox prefix exponent sum, {j: (new relator j, conjugator
+        # exponent sum)}), or None when a relator would become the identity
+        r = rels[i]
+        pos = r.index(g) if g in r else r.index(-g)
+        w = r[pos + 1:] + r[:pos]
+        w_inv = tuple(-x for x in reversed(w))
+        if r[pos] > 0:
+            w, w_inv = w_inv, w
+        growth, others = -len(r), {}
+        for j in holds[g]:
+            if j != i:
+                s, c = others[j] = _substitute(rels[j], g, w, w_inv)
+                if not s:
+                    return None
+                growth += len(s) - len(rels[j])
+        prefix = sum(1 if x > 0 else -1 for x in r[:pos]) - (r[pos] < 0)
+        return growth, prefix, others
+
     rels = dict(enumerate(r.tietze for r in p.relators))
+    holds: dict[int, set[int]] = {}     # generator -> relators holding it
+    for i, r in rels.items():
+        for x in r:
+            holds.setdefault(abs(x), set()).add(i)
     # Substitution keeps exponent sums, so the usable relators stay usable.
-    usable = {i: singles(r) for i, r in rels.items() if _exponent_sum(r) == 0}
+    usable = {i: singles(r.tietze) for i, r in enumerate(p.relators)
+              if r.exponent_sum() == 0}
     steps: dict[tuple[int, int], tuple | None] = {}
     gone: set[int] = set()
     shift = 0
@@ -325,21 +339,26 @@ def _tietze(p: Presentation, keep: int
         for i, gens in usable.items():
             for g in gens:
                 if (i, g) not in steps:
-                    steps[(i, g)] = _elimination(rels, i, g)
+                    steps[(i, g)] = elimination(i, g)
         options = [(s[0], i, g) for (i, g), s in steps.items() if s is not None]
         if not options:
             break
         _, i, g = min(options)
         _, prefix, others = steps[(i, g)]
-        changed = {abs(x) for j in (i, *others) for x in rels[j]}
         shift += 2 * prefix
+        changed = {abs(x) for j in (i, *others) for x in rels[j]}
+        for j in (i, *others):
+            for x in rels[j]:
+                holds[abs(x)].discard(j)
+        del rels[i], usable[i]
         for j, (s, c) in others.items():
             rels[j] = s
             shift += 2 * c
-            changed.update(abs(x) for x in s)
+            for x in s:
+                holds[abs(x)].add(j)
+                changed.add(abs(x))
             if j in usable:
                 usable[j] = singles(s)
-        del rels[i], usable[i]
         gone.add(g)
         steps = {(j, h): s for (j, h), s in steps.items()
                  if j != i and j not in others and h not in changed}

@@ -12,6 +12,7 @@ import pytest
 import talex
 from talex.cli import _build_parser, main
 from talex.fixtures import fixture_path
+from talex.representations import Representation
 
 
 SUBCOMMANDS = ("alexander", "twisted", "monic-scan", "genus", "signature",
@@ -68,6 +69,14 @@ class TestAlexanderCommand:
         assert "report written to %s" % report in out
         data = json.loads(report.read_text())
         assert data["text"] == "7*t^2 - 13*t + 7"
+
+    def test_text_output_serializes_no_json(self, run, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called without --json/--report")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        code, out, _ = run("alexander", "--pd", "fixtures/8_20.pd")
+        assert (code, out) == (0, "t^4 - 2*t^3 + 3*t^2 - 2*t + 1\n")
 
     def test_missing_file_is_parse_error(self, run):
         code, out, err = run("alexander", "--pres", "no_such_file.pres")
@@ -171,6 +180,25 @@ class TestMonicScanCommand:
         assert code == 0
         assert "sweep ab over 3 steps" in out
         assert "MONIC" in out
+
+    def test_residual_is_computed_once_per_solve(self, run, monkeypatch):
+        # the solved rows report the residual their representation already
+        # holds, so each solve computes it once and the command not again
+        real = Representation.relator_residual
+        calls = []
+
+        def counting(rho):
+            calls.append(rho)
+            return real(rho)
+
+        monkeypatch.setattr(Representation, "relator_residual", counting)
+        code, out, _ = run("monic-scan", "--pres", "fixtures/3_1.pres",
+                           "--constraints", BENCH_SWEEP, "--json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(calls) == sum(r["solved"] for r in rows) == 1
+        assert [r["residual"] for r in rows if r["solved"]] == \
+            [calls[0].residual]
 
     def test_sweep_line_required(self, run, tmp_path, trefoil_slice):
         code, _, err = run("monic-scan", "--pres", "fixtures/3_1.pres",
@@ -568,6 +596,29 @@ class TestMalformedInputs:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ParseError"
+
+
+class TestLinkDiagrams:
+    # Two-component codes whose crossings each look valid: the strands close
+    # up into two loops, so no command may treat them as a knot.
+    @pytest.mark.parametrize("code_text", ["1,3,2,4\n3,1,4,2\n",
+                                           "1,4,2,3\n4,1,3,2\n"],
+                             ids=["hopf", "hopf-reversed-crossing"])
+    @pytest.mark.parametrize("argv", [
+        ["alexander"], ["twisted", "--lambda", "3/2"],
+        ["genus", "--lambda", "3/2"]], ids=lambda a: a[0])
+    def test_exit_two_naming_the_missing_step(self, run, tmp_path, code_text,
+                                              argv):
+        path = tmp_path / "link.pd"
+        path.write_text(code_text)
+        code, out, err = run(*argv, "--pd", str(path))
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        reason = json.loads(lines[0])
+        assert reason["error"] == "ParseError"
+        assert reason["reason"] == ("PD code is not one closed strand: no "
+                                    "strand runs from edge 2 to edge 3")
 
 
 class TestOverflowingTraces:

@@ -11,6 +11,9 @@ import check and as a caller: its imports are the public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -337,3 +340,17 @@ def test_detects_uncalled_function():
     assert uncalled({"a.py": a}, []) == [
         "a.py:Box.lonely", "a.py:Box.shadowed", "a.py:Box.spanned", "a.py:f",
         "a.py:traced"]
+
+
+# Modules that importing the CLI must not load: each costs start-up time and
+# memory in every process, and talex needs none of them to start.
+HEAVY = ("numpy.random", "scipy", "sympy", "hypothesis")
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    code = ("import sys, talex.cli; "
+            "print(' '.join(m for m in %r if m in sys.modules))" % (HEAVY,))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.stdout.split() == []

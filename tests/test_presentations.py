@@ -1,6 +1,10 @@
 """Presentation parsing, PD codes, and Wirtinger presentations."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talex import (
     ParseError,
@@ -11,6 +15,9 @@ from talex import (
     pd_to_wirtinger,
     simplify,
 )
+
+from talex.presentations import _substitute
+from talex.words import _reduce
 
 from conftest import P, load_fixture_text, normalized, torus_pd
 
@@ -146,6 +153,18 @@ class TestPdToWirtinger:
         p = pd_to_wirtinger(parse_pd(TREFOIL_PD))
         assert alexander(p) == P(1, -1, 1)
 
+    @pytest.mark.parametrize("text", ["1,3,2,4\n3,1,4,2\n",
+                                      "1,4,2,3\n4,1,3,2\n"])
+    def test_two_component_codes_rejected(self, text):
+        # each crossing's strands are consecutive, but they close up into
+        # two loops 1 -> 2 -> 1 and 3 -> 4 -> 3, not one knot
+        with pytest.raises(ParseError, match="from edge 2 to edge 3"):
+            pd_to_wirtinger(parse_pd(text))
+
+    def test_torus_knot_codes_are_one_strand(self):
+        for n in range(3, 82, 2):
+            assert pd_to_wirtinger(torus_pd(n)).num_generators == n
+
     def test_one_crossing_unknots(self):
         for text in ("1,2,2,1\n", "1,1,2,2\n"):
             p = pd_to_wirtinger(parse_pd(text))
@@ -207,6 +226,67 @@ class TestSimplify:
         for text in ("gens: a b\nrel: abb\n", "gens: a b c\nrel: aB\nrel: aB\n"):
             p = parse_presentation(text)
             assert simplify(p, p.num_generators - 1)[0] is p
+
+
+def _digest(p, keeps):
+    """A short hash of simplify's (relators, kept, shift) at each keep."""
+    out = []
+    for keep in keeps:
+        q, kept, shift = simplify(p, keep)
+        out.append(([r.tietze for r in q.relators], kept, shift))
+    return hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+
+
+# _digest of T(2, n) at every keep column.  The values pin the steps the
+# pass takes, and with them every complex --pd output: a faster pass must
+# take the same steps.
+TORUS_DIGESTS = {
+    3: "95a84e29f404e3d9", 5: "8aa88ed43c066e97", 7: "4f4576250499a122",
+    9: "d47a27e795348ca5", 11: "f3e45f53677a3009", 13: "d268389c3cf2e417",
+    15: "aecd07a41420495c", 17: "d78e04f5909e6c96", 19: "d0a85ce754cd7ccf",
+    21: "d4edbae0fbaceb4a", 23: "27bd7e2064daa068", 25: "786c445ce81dc1f0",
+    27: "3881646d85f06d29", 29: "a92e4ad853881d6c", 31: "2016e5f322ef97c5",
+    33: "defb92c6fa64f76c", 35: "1aabfaa3635cfc6f", 37: "6f2b4887c0b144e8",
+    39: "4e0483722fe5a989", 41: "2f54d323d5e550e6",
+}
+FIXTURE_DIGESTS = {"3_1.pd": "95a84e29f404e3d9", "8_20.pd": "000c7d5fd28b6d6b",
+                   "9_35.pd": "f85f75db45bfb043"}
+
+
+class TestPinnedReductions:
+    @pytest.mark.parametrize("n", sorted(TORUS_DIGESTS))
+    def test_torus_knots(self, n):
+        assert _digest(pd_to_wirtinger(torus_pd(n)), range(n)) == TORUS_DIGESTS[n]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
+    def test_fixture_diagrams(self, name):
+        p = pd_to_wirtinger(parse_pd(load_fixture_text(name)))
+        assert _digest(p, range(p.num_generators)) == FIXTURE_DIGESTS[name]
+
+
+def naive_substitute(r, g, w, w_inv):
+    """Substitute, then freely reduce with words._reduce, then strip the
+    conjugator letter by letter: the reference for _substitute."""
+    out = _reduce([y for x in r
+                   for y in (w if x == g else w_inv if x == -g else (x,))])
+    conjugator = []
+    while len(out) > 1 and out[0] == -out[-1]:
+        conjugator.append(out[0])
+        out = out[1:-1]
+    return out, sum(1 if x > 0 else -1 for x in conjugator)
+
+
+_letters = st.lists(st.integers(-4, 4).filter(bool), max_size=12)
+
+
+class TestSubstitute:
+    @settings(max_examples=300, deadline=None)
+    @given(_letters, st.integers(1, 4), _letters)
+    def test_matches_naive_substitution(self, r, g, w):
+        w = tuple(w)
+        w_inv = tuple(-x for x in reversed(w))
+        assert _substitute(tuple(r), g, w, w_inv) == \
+            naive_substitute(r, g, w, w_inv)
 
 
 def _parse_alex(text):
