@@ -32,8 +32,8 @@ denominators and content and run in Z[t] (the _zt kernel): a primitive
 pseudo-remainder gcd, exact trial division and Yun's algorithm
 (_zt.squarefree), with the same results as over Q and no Fraction per
 step.  Exact division (/) reads that reduction: an exact LaurentRational
-is a polynomial exactly when its reduced denominator is 1.  divmod_poly,
-and division with complex coefficients, are long division.
+is a polynomial exactly when its reduced denominator is 1.  A complex
+quotient is divided at samples on the unit circle (_sampled_quotient).
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from numbers import Number, Rational
+
+import numpy as np
 
 from . import _zt
 from .errors import AlgebraError, NonPolynomialError
@@ -279,32 +281,12 @@ class LaurentPoly:
 
     # -- division ----------------------------------------------------------
 
-    def divmod_poly(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
-        """Quotient and remainder with deg(rem as ordinary poly) < deg(other).
-
-        Both operands are shifted to ordinary polynomials first; the result
-        is shifted back, so this is division in the Laurent ring (remainders
-        carry the dividend's unit).  Long division, over Fractions when
-        both operands are exact.
-        """
-        if other.is_zero():
-            raise AlgebraError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero(), LaurentPoly.zero()
-        sh_n, sh_d = self.min_exp(), other.min_exp()
-        num = _dense(self.shift(-sh_n))
-        den = _dense(other.shift(-sh_d))
-        q, r = _dense_divmod(num, den)
-        quot = LaurentPoly.from_coefficients(q).shift(sh_n - sh_d)
-        rem = LaurentPoly.from_coefficients(r).shift(sh_n)
-        return quot, rem
-
     def __truediv__(self, other) -> "LaurentPoly":
         """Exact division; raises if the division leaves a nonzero remainder.
 
         The quotient is LaurentRational(self, other).attempt_polynomial()
-        at _CLEAN_EPS: exact operands are decided by the reduction
-        in Z[t], floating ones by long division.
+        at _CLEAN_EPS: exact operands are decided by the reduction in Z[t],
+        floating ones by _sampled_quotient.
         """
         other = self._as_poly(other)
         if other.is_zero():
@@ -424,29 +406,42 @@ def _coeff_text(c) -> str:
     return "(%.12g%+.12gj)" % (z.real, z.imag)
 
 
-def _dense(p: LaurentPoly) -> list:
-    n = p.max_exp()
-    assert p.min_exp() >= 0
-    zero = Fraction(0) if p.is_exact() else 0j
-    out = [zero] * (n + 1)
-    for k, c in p.coeffs.items():
-        out[k] = c
-    return out
+def _sampled_quotient(num: LaurentPoly, den: LaurentPoly,
+                      eps: float) -> LaurentPoly | None:
+    """num / den by division at the samples, or None if den does not
+    divide num to within eps.
 
-
-def _dense_divmod(num: list, den: list) -> tuple[list, list]:
-    """Long division by den, whose top coefficient is not 0."""
-    lead = den[-1]
-    rem = list(num)
-    qlen = max(len(num) - len(den) + 1, 0)
-    quot = [0] * qlen
-    for i in range(qlen - 1, -1, -1):
-        c = rem[i + len(den) - 1] / lead
-        quot[i] = c
-        if c != 0:
-            for j, d in enumerate(den):
-                rem[i + j] = rem[i + j] - c * d
-    return quot, rem[:len(den) - 1]
+    Samples: with N = span(num) + 1 and d = span(den), the N points
+    t_j = r w^j, w = e^(2 pi i/N), for the one of the d + 1 rotations
+    r = w^(s/(d+1)) whose smallest |den(t_j)| is largest; one inverse DFT
+    gives den at all N(d+1) points.  Each root of den spoils at most one
+    rotation, so den never vanishes at a sample, even at roots on the unit
+    circle.  Quotient: one inverse DFT evaluates num at the samples, and
+    one DFT of num(t_j) / den(t_j) gives q_k r^k; q is its low N - d
+    outputs.  Certificate: q is accepted when |num - q den|_inf <=
+    eps max(|num|_inf, 1).  The top d DFT outputs alone would not do: for
+    a root of den far outside the circle they shrink like |root|^-N and
+    pass numerators that den does not divide.
+    """
+    low, dlow = num.min_exp(), den.min_exp()
+    n, d = num.max_exp() - low + 1, den.max_exp() - dlow
+    m = n * (d + 1)
+    b = [complex(den[dlow + k]) for k in range(d + 1)]
+    # den at the m-th roots of unity; rotation s holds every (d+1)-th from s
+    at = np.fft.ifft(b, m, norm="forward").tolist()
+    s = max(range(d + 1), key=lambda s: min(map(abs, at[s::d + 1])))
+    rk = [cmath.exp(2j * cmath.pi * s * k / m) for k in range(n)]
+    rest = [complex(num[low + k]) for k in range(n)]  # num, then num - q den
+    values = np.fft.ifft([c * r for c, r in zip(rest, rk)], norm="forward")
+    values = [v / t for v, t in zip(values.tolist(), at[s::d + 1])]
+    q = np.fft.fft(values, norm="forward")[:max(n - d, 0)].tolist()
+    q = [c / r for c, r in zip(q, rk)]
+    for i, c in enumerate(q):
+        for j, e in enumerate(b, i):
+            rest[j] -= c * e
+    if not max(map(abs, rest)) <= eps * max(num.max_abs(), 1.0):
+        return None
+    return _built({low - dlow + k: c for k, c in enumerate(q)})
 
 
 # -- exact division, gcd and square-free structure, through Z[t] -------------
@@ -489,8 +484,8 @@ class LaurentRational:
     reduction runs in Z[t]: with num = t^a f / m and den = t^b g / n, f and
     g in Z[t], and G their gcd, the reduced pair is
     t^(a-b) (f/G) n / (m l) over (g/G) / l, l the leading coefficient of
-    g/G.  Floating instances are stored as given; attempt_polynomial tries
-    the division at a stated tolerance.
+    g/G.  Floating instances are stored as given; attempt_polynomial
+    divides them at the samples (_sampled_quotient).
     """
 
     __slots__ = ("num", "den")
@@ -520,10 +515,7 @@ class LaurentRational:
         if self.is_exact():
             # reduced on construction: den is 1 exactly when it divides num
             return self.num if self.den.degree() == 0 else None
-        q, r = self.num.divmod_poly(self.den)
-        if r.is_zero() or r.max_abs() <= eps * max(self.num.max_abs(), 1.0):
-            return q
-        return None
+        return _sampled_quotient(self.num, self.den, eps)
 
     def evaluate(self, x):
         return self.num.evaluate(x) / self.den.evaluate(x)

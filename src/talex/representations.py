@@ -354,7 +354,9 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
         disc = np.sqrt(complex(tr * tr - 4.0))
         root = (tr + disc) / 2.0 if rng.integers(2) else (tr - disc) / 2.0
         if abs(root) < 1e-3:
-            root = (tr + disc) / 2.0
+            # the other root, from the sum that does not cancel
+            root = (tr + disc if abs(tr + disc) >= abs(tr - disc)
+                    else tr - disc) / 2.0
         return root * (1.0 + 0.05 * (rng.standard_normal() +
                                      1j * rng.standard_normal()))
 

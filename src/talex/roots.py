@@ -56,7 +56,7 @@ import numpy as np
 
 from . import _zt
 from .errors import AlgebraError, RootFindingError
-from .laurent import LaurentPoly, _dense, squarefree_decomposition
+from .laurent import LaurentPoly, squarefree_decomposition
 
 # Floating roots this close count as one root.
 _CLUSTER_RADIUS = 1e-8
@@ -81,7 +81,8 @@ def _as_poly(p) -> LaurentPoly:
 
 def _dense_desc(p: LaurentPoly) -> np.ndarray:
     """Descending coefficient array of the ordinary-polynomial part."""
-    return np.array(_dense(p.shift(-p.min_exp()))[::-1], dtype=complex)
+    return np.array([p[k] for k in range(p.max_exp(), p.min_exp() - 1, -1)],
+                    dtype=complex)
 
 
 def _newton_polish(p: LaurentPoly, dp: LaurentPoly, r: complex) -> complex:

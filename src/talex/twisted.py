@@ -56,10 +56,10 @@ from .representations import Representation
 from ._sl2 import _COMPLEX_ID, _mat_adjugate, _mat_det, _mat_mul
 from .words import FreeWord
 
-# A floating quotient is a polynomial when the division remainder is
-# within _POLY_TOL of the numerator's scale; it is monic when its leading
-# coefficient is within _MONIC_TOL of 1; its coefficients are symmetric
-# when psi_k and psi_(4g-2-k) agree to _SYM_TOL relative.
+# A floating quotient q = num / den is a polynomial when num - q den has
+# no coefficient above _POLY_TOL max(|num|, 1); it is monic when its
+# leading coefficient is within _MONIC_TOL of 1; its coefficients are
+# symmetric when psi_k and psi_(4g-2-k) agree to _SYM_TOL relative.
 _POLY_TOL = 1e-8
 _MONIC_TOL = 1e-5
 _SYM_TOL = 1e-6

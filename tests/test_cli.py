@@ -1,13 +1,18 @@
 """The talex command line: text output, JSON output, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import talex
 from talex.cli import _build_parser, main
@@ -230,23 +235,23 @@ P935_CONSTRAINTS = "".join("trace %s = %s 0\n" % (w, v) for w, v in (
     ("a", 2.5), ("b", 2.5), ("c", 2.5), ("ab", 5.25), ("bc", 5.25),
     ("ca", 5.25)))
 P935_TWISTED = (
-    "(18-3.65697076048e-15j)*t^2 + (-45+6.43873370515e-14j)*t "
-    "+ (18+5.05180012243e-14j)\n"
-    "degree span 2, leading 18-3.65697076048e-15j, monic no\n")
+    "(18-1.32496932808e-14j)*t^2 + (-45+5.01634349493e-14j)*t "
+    "+ (18-2.84217094304e-15j)\n"
+    "degree span 2, leading 18-1.32496932808e-14j, monic no\n")
 P935_WITHOUT_CA = P935_CONSTRAINTS.rsplit("trace ca", 1)[0]
 P935_WITHOUT_CA_TWISTED = (
-    "(18-2.6908865888e-14j)*t^2 + (-45-3.47811579112e-14j)*t "
-    "+ (18-6.24599214651e-14j)\n"
-    "degree span 2, leading 18-2.6908865888e-14j, monic no\n")
+    "(18-9.24063275381e-15j)*t^2 + (-45+3.24556544357e-15j)*t "
+    "+ (18+2.84217094304e-15j)\n"
+    "degree span 2, leading 18-9.24063275381e-15j, monic no\n")
 # tr(cA) = tr c tr a - tr(ca): the rows of ca and cA are dependent with
 # that of c for every A, so this set goes to the solver too.
 P935_CA_AND_CA_INVERSE = "".join("trace %s = %s 0\n" % (w, v) for w, v in (
     ("a", 2.5), ("b", 2.5), ("ab", 5.25), ("c", 2.5), ("ca", 5.25),
     ("cA", 1.0)))
 P935_CA_AND_CA_INVERSE_TWISTED = (
-    "(18-4.08799761892e-14j)*t^2 + (-45-6.13763014649e-14j)*t "
-    "+ (18-1.26910033646e-13j)\n"
-    "degree span 2, leading 18-4.08799761892e-14j, monic no\n")
+    "(18-5.28036157361e-15j)*t^2 + (-45+1.29822617743e-14j)*t "
+    "+ (18+4.26325641456e-15j)\n"
+    "degree span 2, leading 18-5.28036157361e-15j, monic no\n")
 
 
 def _replace_solver(monkeypatch, fn):
@@ -379,6 +384,36 @@ class TestGenusCommand:
                            "--constraints", trefoil_slice)
         assert code == 0
         assert "genus lower bound 1" in out
+
+
+# 3_1 at trace a = trace b = T and trace ab = 1, a point of the curve
+# tr ab = 1: the twist is exactly t^2 + 1, while the denominator
+# t^2 - T t + 1 grows with T.
+@pytest.mark.parametrize("trace", ["10", "1e2", "1e3", "1e5", "1e7"])
+class TestLargeTraceSlice:
+    @pytest.fixture
+    def cons(self, tmp_path, trace):
+        path = tmp_path / "slice.cons"
+        path.write_text("trace a = %s 0\ntrace b = %s 0\ntrace ab = 1 0\n"
+                        % (trace, trace))
+        return str(path)
+
+    def test_twisted_is_t_squared_plus_one(self, run, cons):
+        code, out, err = run("twisted", "--pres", "fixtures/3_1.pres",
+                             "--constraints", cons, "--json")
+        assert (code, err) == (0, "")
+        coeffs = json.loads(out)["twisted"]["polynomial"]["coeffs"]
+        got = {int(k): complex(*v) for k, v in coeffs.items()}
+        assert set(got) <= {0, 1, 2}
+        for k, want in ((0, 1), (1, 0), (2, 1)):
+            assert abs(got.get(k, 0) - want) <= 1e-12
+
+    def test_genus_span_two(self, run, cons):
+        code, out, err = run("genus", "--pres", "fixtures/3_1.pres",
+                             "--constraints", cons,
+                             "--seifert", "fixtures/3_1.seifert")
+        assert (code, err) == (0, "")
+        assert "degree span 2" in out
 
 
 class TestSignatureCommand:
@@ -596,6 +631,79 @@ class TestMalformedInputs:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ParseError"
+
+
+# Structured random input files: the fixtures' PD codes and Seifert
+# matrices with up to two entries replaced, and presentations and
+# constraint files of the right shape.  Entries are mostly small integers,
+# and otherwise huge (1e308, 10^20), non-finite, floats or not numbers.
+_FUZZ_INT = st.integers(-1, 8).map(str)
+_FUZZ_ENTRY = st.one_of(
+    _FUZZ_INT, _FUZZ_INT, _FUZZ_INT,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e308", "-1e308", "nan", "inf", "1" + "0" * 20,
+                     "1/2", "x", ""]))
+
+
+def _spike(text, spikes, sep):
+    rows = [line.split(sep) for line in text.split("\n") if line]
+    cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    for pos, entry in spikes:
+        i, j = cells[pos % len(cells)]
+        rows[i][j] = entry
+    return "\n".join(sep.join(row) for row in rows)
+
+
+def _spiked_fixtures(suffix, sep):
+    texts = [Path(fixture_path(k + suffix)).read_text()
+             for k in ("3_1", "8_20", "9_35")]
+    return st.builds(_spike, st.sampled_from(texts),
+                     st.lists(st.tuples(st.integers(0, 99), _FUZZ_ENTRY),
+                              max_size=2), st.just(sep))
+
+
+_FUZZ_FILES = st.fixed_dictionaries({
+    "pd": _spiked_fixtures(".pd", ","),
+    "pres": st.builds(
+        lambda gens, rels: "gens: %s\n" % " ".join(gens)
+        + "".join("rel: %s\n" % r for r in rels),
+        st.lists(st.sampled_from("abcx"), min_size=1, max_size=3,
+                 unique=True),
+        st.lists(st.text("abcABx1", min_size=1, max_size=8), max_size=3)),
+    "seifert": _spiked_fixtures(".seifert", " "),
+    "cons": st.lists(st.builds(
+        "trace {} = {} {}".format,
+        st.sampled_from(["a", "b", "ab", "aB", "c", "abAB"]),
+        _FUZZ_ENTRY, _FUZZ_ENTRY), max_size=3).map("\n".join),
+})
+_FUZZ_ARGV = [
+    ["alexander", "--pd", "pd"],
+    ["alexander", "--pres", "pres"],
+    ["twisted", "--pd", "pd", "--lambda=3/2"],
+    ["twisted", "--pres", "pres", "--constraints", "cons"],
+    ["twisted", "--pres", "fixtures/3_1.pres", "--constraints", "cons"],
+    ["genus", "--pres", "fixtures/3_1.pres", "--constraints", "cons",
+     "--seifert", "seifert"],
+    ["signature", "--seifert", "seifert"],
+]
+
+
+class TestParserFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(_FUZZ_FILES, st.sampled_from(_FUZZ_ARGV))
+    def test_every_input_ends_in_an_exit_code(self, files, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                Path(tmp, name).write_text(text)
+            argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3, 4, 5, 6, 7)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
 class TestLinkDiagrams:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from talex import _zt
@@ -173,7 +173,9 @@ class TestDomainFlag:
                    p.shift(k), p.scale(c), p.cleanup(), p.derivative(),
                    LaurentPoly.from_json_dict(p.to_json_dict())]
         if not q.is_zero():
-            results.extend(p.divmod_poly(q))
+            quot = LaurentRational(p, q).attempt_polynomial()
+            if quot is not None:
+                results.append(quot)
         for r in results:
             assert r.is_exact() == all(isinstance(x, Fraction)
                                        for x in r.coeffs.values())
@@ -234,9 +236,6 @@ class TestDivision:
     def test_exact_quotient(self):
         t = LaurentPoly.t()
         assert (t * t - 1) / (t - 1) == t + 1
-        q, r = (t * t - 1).divmod_poly(t + 2)
-        assert q * (t + 2) + r == t * t - 1
-        assert r == P(3)
 
     def test_inexact_quotient_raises(self):
         t = LaurentPoly.t()
@@ -258,6 +257,51 @@ class TestDivision:
     def test_division_respects_laurent_units(self):
         p = LaurentPoly({-1: Fraction(1), 1: Fraction(1)})  # t^-1 + t
         assert p / LaurentPoly.t(-1) == P(1, 0, 1)
+
+
+# Floating quotients q with a nonzero lowest coefficient, and denominators
+# whose roots sit where division at the samples could fail: on the
+# unrotated grid (t^2 - 1 at even N), on the unit circle (t^2 + 1, and
+# t^2 - T t + 1 for real T in (-2, 2)), far off it (|T| up to 1e7), or
+# nowhere (a constant).
+_q_parts = st.floats(-4, 4, allow_subnormal=False)
+_q_lowest = st.builds(complex, st.floats(0.5, 4), _q_parts)
+_float_quotients = st.builds(
+    lambda lowest, rest, low: CP(lowest, *rest, min_exp=low),
+    _q_lowest, st.lists(st.builds(complex, _q_parts, _q_parts), max_size=8),
+    st.integers(-3, 3))
+_float_dens = st.builds(
+    lambda den, low: den.shift(low),
+    st.one_of(st.just(CP(-1, 0, 1)), st.just(CP(1, 0, 1)),
+              st.builds(lambda tr: CP(1, -tr, 1),
+                        st.one_of(st.floats(-2, 2), st.floats(-1e7, 1e7))),
+              st.builds(lambda c: CP(c), _q_lowest)),
+    st.integers(-3, 3))
+
+
+class TestSampledQuotient:
+    @settings(max_examples=200, deadline=None)
+    @given(_float_quotients, _float_dens)
+    # N = 6 puts +-1, the roots of t^2 - 1, on the unrotated samples
+    @example(CP(1, 2, 3, 4), CP(-1, 0, 1))
+    def test_recovers_the_quotient(self, q, den):
+        got = LaurentRational(q * den, den).attempt_polynomial(1e-8)
+        assert got is not None
+        scale = q.max_abs()
+        for k in set(q.coeffs) | set(got.coeffs):
+            assert abs(got[k] - q[k]) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(_float_quotients, _float_dens)
+    def test_perturbed_numerator_is_refused(self, q, den):
+        # den has a root z with |z| >= 1, and num(z) = delta z^top, so
+        # every residual has a coefficient of at least delta / N
+        num = q * den
+        if den.degree() == 0:
+            return
+        delta = 1e-3 * max(num.max_abs(), 1.0)
+        num = num + LaurentPoly({num.max_exp(): delta + 0j})
+        assert LaurentRational(num, den).attempt_polynomial(1e-8) is None
 
 
 class TestCleanup:
@@ -545,9 +589,6 @@ class TestIntegerKernel:
         assert _same(p / g, _oracle_quotient(p, g))
         assert _same(p / (g * h), f)
         for a, b in ((p, q), (f, g), (q, p)):
-            want = _oracle_divmod(a, b)
-            got = a.divmod_poly(b)
-            assert _same(got[0], want[0]) and _same(got[1], want[1])
             quot = _oracle_quotient(a, b)
             if quot is None:
                 with pytest.raises(NonPolynomialError):

@@ -329,6 +329,14 @@ class TestSolveRepresentation:
         with pytest.raises(SolveError):
             solve_representation(trefoil, cons, seed=0, restarts=8)
 
+    def test_start_takes_the_eigenvalue_that_does_not_cancel(self):
+        # for Re y < 0 the principal sqrt(y^2 - 4) is near -y, so the
+        # start (y + sqrt(y^2 - 4)) / 2 cancels to 0; a start at 0 divided
+        # by zero instead of failing as a solve
+        p = parse_presentation("gens: a\n")
+        with pytest.raises(SolveError, match="reducible"):
+            solve_representation(p, {p.word("a"): -1 + 134217728j})
+
     def test_reducible_locus_reported(self, trefoil):
         # on the slice tr(ab) = 1, commutator trace 2 forces reducibility
         s = complex(3 ** 0.5)

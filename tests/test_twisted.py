@@ -198,18 +198,18 @@ class TestWadaInvariant:
                 assert ta.value == reducible_formula(delta, lam)
 
     def test_exact_path_runs_no_fraction_long_division(self, monkeypatch):
-        """An exact twist divides and reduces in Z[t]: the Fraction
-        division behind LaurentPoly.divmod_poly is not reached."""
+        """An exact twist divides and reduces in Z[t]: the floating
+        quotient at the samples is not reached."""
         p = pd_to_wirtinger(torus_pd(21))
         lam = Fraction(3, 2)
         calls = []
-        real = LaurentPoly.divmod_poly
+        real = talex.laurent._sampled_quotient
 
-        def counted(self, other):
-            calls.append(other)
-            return real(self, other)
+        def counted(num, den, eps):
+            calls.append(den)
+            return real(num, den, eps)
 
-        monkeypatch.setattr(LaurentPoly, "divmod_poly", counted)
+        monkeypatch.setattr(talex.laurent, "_sampled_quotient", counted)
         ta = wada_invariant(p, abelian_rep(p, lam))
         assert calls == []
         closed = LaurentPoly({k: Fraction((-1) ** k) for k in range(21)})
