@@ -14,14 +14,19 @@ order: numpy's complex product rounds differently from Python's in the
 last bit, and the solver's trajectories are pinned bit for bit.
 _det_one_on_trace_rows finds a further generator from trace rows linear
 in it and det = 1, for the solver's seeds and the closed form (its
-gauges: the representations module docstring).
+gauges: the representations module docstring), in plain complex
+arithmetic: the rows' null vector is the commutator of two of their
+products, and their minimum-norm solution comes from a 3x3 Gram system.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, combinations
+from operator import mul
 
 import numpy as np
 
@@ -82,9 +87,7 @@ class _Equations:
         self.nvars = 2 * min(n, 2) + 4 * self.nfree
         self.nrel = len(p.relators)
         self.targets = np.array(list(constraints.values()), dtype=complex)
-        words = list(p.relators) + list(constraints)
-        self.words = [[x - 1 if x > 0 else n - x - 1 for x in w]
-                      for w in words]
+        self.words = _letter_codes(n, (*p.relators, *constraints))
 
     @functools.cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -125,6 +128,14 @@ class _Equations:
         return cols, np.flatnonzero(new_group)
 
 
+@functools.lru_cache(maxsize=64)
+def _letter_codes(n: int, words: tuple[FreeWord, ...]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """The words as letter codes, computed once per word tuple."""
+    return tuple(tuple(x - 1 if x > 0 else n - x - 1 for x in w)
+                 for w in words)
+
+
 def _letter_images(eq: _Equations, x: np.ndarray) -> list[Matrix2]:
     """Images of the letter codes at x: generators, then their adjugates
     (inverses in SL2)."""
@@ -132,37 +143,70 @@ def _letter_images(eq: _Equations, x: np.ndarray) -> list[Matrix2]:
     return gens + [_mat_adjugate(m) for m in gens]
 
 
-def _det_one_on_trace_rows(prods: list, traces: list) -> list[np.ndarray]:
-    """The matrices C, as flat arrays (c00, c01, c10, c11), with
-    tr(P_k C) = traces[k] for each matrix P_k in prods and det C = 1.
+def _mat_norm(a: Matrix2) -> float:
+    return math.hypot(*map(abs, a))
 
-    The trace rows are linear in C.  When they are finite, consistent and
-    leave a one-dimensional null space, C = c0 + s nv (c0 their
-    minimum-norm solution, nv a null vector) and det C = 1 is a quadratic
-    in s: the result lists C at its two roots, the +sqrt root first, or at
-    its one root when the quadratic is linear.  Otherwise it is empty.
-    The root of smaller magnitude is q0 / (q2 s) from the larger one,
-    because the textbook formula cancels when the roots differ greatly in
-    size.
+
+def _trace_of_product(p: Matrix2, c: Matrix2):
+    """tr(P C), the trace row of P applied to C."""
+    return p[0] * c[0] + p[2] * c[1] + p[1] * c[2] + p[3] * c[3]
+
+
+def _det_one_on_trace_rows(prods: list, traces: list) -> list[Matrix2]:
+    """The matrices C with tr(P_k C) = traces[k] for each matrix P_k in
+    prods, prods[0] the identity, and det C = 1.
+
+    The trace rows are linear in C.  For the first pair of products P, P'
+    that do not commute, the rows I, P, P' span three dimensions, and
+    their null vector is the commutator K = PP' - P'P, since tr K = tr(PK)
+    = tr(P'K) = 0.  With nv = K / |K| (a real scale, so that the root
+    order below depends on no phase) and c0 the minimum-norm solution of
+    those three rows, from their 3x3 Gram system, C = c0 + s nv and
+    det C = 1 is a quadratic in s: the result lists C at its two roots,
+    the +sqrt root first, or at its one root when the quadratic is linear.
+    It is empty when an entry is not finite, when every pair of products
+    commutes, or when a row misses c0 or a further row misses nv.  The
+    root of smaller magnitude is q0 / (q2 s) from the larger one, because
+    the textbook formula cancels when the roots differ greatly in size.
     """
-    # tr(P C) = p00 c00 + p10 c01 + p01 c10 + p11 c11
-    mat = np.array(prods, dtype=complex)[:, [0, 2, 1, 3]]
-    b = np.array(traces, dtype=complex)
-    if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(b))):
+    if not all(map(cmath.isfinite, chain(*prods, traces))):
         return []
-    c0, *_ = np.linalg.lstsq(mat, b, rcond=None)
-    if np.linalg.norm(mat @ c0 - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
+    prods = [tuple(map(complex, p)) for p in prods]
+    for i, j in combinations(range(1, len(prods)), 2):
+        p, q = prods[i], prods[j]
+        k = [x - y for x, y in zip(_mat_mul(p, q), _mat_mul(q, p))]
+        norm = _mat_norm(k)
+        if 1e-10 * _mat_norm(p) * _mat_norm(q) < norm < math.inf:
+            break
+    else:
         return []
-    _, sv, vh = np.linalg.svd(mat)
-    null = vh[np.sum(sv > 1e-10 * sv[0]):].conj().T
-    if null.shape[1] != 1:
+    nv = tuple(e / norm for e in k)
+    # c0 = sum_j y_j M_j^* over M = (I, P, P'), the conjugate transposes,
+    # with tr(M_i c0) = traces: the Gram system G_ij = tr(M_i M_j^*),
+    # solved by Cramer's rule on its columns
+    mats = (prods[0], p, q)
+    stars = [[complex(e.real, -e.imag) for e in (m[0], m[2], m[1], m[3])]
+             for m in mats]
+    cols = [[_trace_of_product(m, star) for m in mats] for star in stars]
+    crosses = [_cross(cols[1], cols[2]), _cross(cols[2], cols[0]),
+               _cross(cols[0], cols[1])]
+    det = sum(map(mul, cols[0], crosses[0]))
+    if not det:
         return []
-    nv = null[:, 0]
+    b = [complex(traces[m]) for m in (0, i, j)]
+    y = [sum(map(mul, b, x)) / det for x in crosses]
+    c0 = tuple(sum(map(mul, e, y)) for e in zip(*stars))
+    miss = math.hypot(*(abs(_trace_of_product(m, c0) - t)
+                        for m, t in zip(prods, traces)))
+    if not miss <= 1e-9 * max(1.0, math.hypot(*map(abs, traces))) or any(
+            abs(_trace_of_product(m, nv)) > 1e-10 * _mat_norm(m)
+            for n, m in enumerate(prods) if n not in (0, i, j)):
+        return []
     q2 = _mat_det(nv)
     q1 = c0[0] * nv[3] + nv[0] * c0[3] - c0[1] * nv[2] - nv[1] * c0[2]
     q0 = _mat_det(c0) - 1.0
     if abs(q2) > 1e-12:
-        disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
+        disc = cmath.sqrt(q1 * q1 - 4.0 * q2 * q0)
         roots = [(-q1 + disc) / (2 * q2), (-q1 - disc) / (2 * q2)]
         big = 0 if abs(roots[0]) >= abs(roots[1]) else 1
         if roots[big] != 0:
@@ -171,7 +215,12 @@ def _det_one_on_trace_rows(prods: list, traces: list) -> list[np.ndarray]:
         roots = [-q0 / q1]
     else:
         return []
-    return [c0 + s * nv for s in roots]
+    return [tuple(c + s * v for c, v in zip(c0, nv)) for s in roots]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
 
 def _residual(eq: _Equations, x: np.ndarray) -> np.ndarray:

@@ -196,7 +196,9 @@ def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     entry.evaluate(t_j) bit for bit.  Array ufuncs (t_j ** k over all j, c
     times an array of powers) are not used: their SIMD kernels can round
     the last bit differently, and the output would no longer be
-    reproducible from the per-point definition.
+    reproducible from the per-point definition.  The samples are taken
+    with numpy's floating-point warnings off; a sampled determinant that
+    is not finite is an AlgebraError.
     """
     n = len(rows)
     lo = hi = 0
@@ -212,18 +214,22 @@ def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     terms = [list(rows[i][k].coeffs.items()) for i, k in where]
     exps = {k for entry in terms for k, _ in entry}
     sampled = []
-    for j in range(npts):
-        t = np.exp(2j * np.pi * j / npts)
-        pw = {k: t ** k if k >= 0 else 1.0 / t ** -k for k in exps}
-        for entry in terms:
-            total = 0j
-            for k, c in entry:
-                total = total + c * pw[k]
-            sampled.append(complex(total))
-    mats = np.zeros((npts, n, n), dtype=complex)
-    mats[(slice(None),) + tuple(zip(*where))] = \
-        np.array(sampled).reshape(npts, len(where))
-    dets = np.linalg.det(mats)
+    with np.errstate(all="ignore"):
+        for j in range(npts):
+            t = np.exp(2j * np.pi * j / npts)
+            pw = {k: t ** k if k >= 0 else 1.0 / t ** -k for k in exps}
+            for entry in terms:
+                total = 0j
+                for k, c in entry:
+                    total = total + c * pw[k]
+                sampled.append(complex(total))
+        mats = np.zeros((npts, n, n), dtype=complex)
+        mats[(slice(None),) + tuple(zip(*where))] = \
+            np.array(sampled).reshape(npts, len(where))
+        dets = np.linalg.det(mats)
+    if not np.isfinite(dets).all():
+        raise AlgebraError("the sampled determinant overflows: an entry or "
+                           "a product of entries is too large for a float")
     values = np.empty(npts, dtype=complex)
     for j in range(npts):
         values[j] = dets[j] * np.exp(-2j * np.pi * j * lo / npts)

@@ -29,16 +29,18 @@ values of tr(abc), the roots of a quadratic in them (Fricke).  A and B
 are built in the gauge from a + 1/a = tr a and b + 1/b = tr b with
 |a|, |b| >= 1 and qd = tr ab - ab' - 1/(ab'); a third image C solves the
 trace rows linear in it (_trace_rows) with det C = 1, a quadratic whose
-roots are the two values of tr(abc).  The solver's equations decide each
+roots are the two values of tr(abc), in plain complex arithmetic
+(_sl2._det_one_on_trace_rows).  The solver's equations decide each
 candidate.  No one gauge serves both cases.  Misses of 1e-10 at 400
 on-curve trefoil points (|Re y| <= 40, |Im y| <= 20) and 1,200 points of
-9_35's curve C' (y in [-5, 5] x [-3, 3]i):
+9_35's curve C' (y in [-5, 5] x [-3, 3]i; C itself, 400 points, has
+none):
 
     x                 trefoil   C'
-    (a, s, 1/b, s)       0      257    two generators
-    (a, 1, b, d)       302       13    three generators
-    (a, 1, 1/b, d)       0      310
-    (a, s, b, s)       158       37
+    (a, s, 1/b, s)       0      269    two generators
+    (a, 1, b, d)       302       12    three generators
+    (a, 1, 1/b, d)       0      308
+    (a, s, b, s)       158       32
 
 Equal couplings keep the relator products balanced at large |tr a|; a
 pair with 1/b on top makes the rows linear in C nearly dependent near
@@ -395,7 +397,7 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
             # Newton on the trace slice, leaving only the relators to solve.
             prods, traces = _trace_rows(3 + i, gen_trace.get(2 + i, y0),
                                         constraints, _gauge_images(x, 2 + i))
-            cands = _det_one_on_trace_rows(prods, traces) if len(prods) > 2 else []
+            cands = _det_one_on_trace_rows(prods, traces)
             entries = None
             if cands:
                 c = cands[0] if len(cands) == 1 or rng.integers(2) else cands[1]
@@ -483,11 +485,14 @@ def _at_gauge_point(p: Presentation, x: np.ndarray) -> Representation:
     return rho
 
 
-def _linear_rows(gi: int, words) -> list[tuple[tuple, FreeWord]]:
+@lru_cache(maxsize=64)
+def _linear_rows(gi: int, words: tuple[FreeWord, ...]
+                 ) -> tuple[tuple[tuple, FreeWord], ...]:
     """(rest, w) for each word w linear in generator gi (1-based): gi
     occurs once in w, at exponent +1, and only earlier generators
     elsewhere, so tr(w) = tr(P C) by cyclic invariance, with C the image of
-    gi and P that of rest, w's letters after gi then before."""
+    gi and P that of rest, w's letters after gi then before.  It reads the
+    words alone, so each word tuple is scanned once."""
     rows = []
     for w in words:
         t = w.tietze
@@ -495,22 +500,18 @@ def _linear_rows(gi: int, words) -> list[tuple[tuple, FreeWord]]:
                 and all(abs(l) < gi for l in t if l != gi)):
             k = t.index(gi)
             rows.append((t[k + 1:] + t[:k], w))
-    return rows
+    return tuple(rows)
 
 
 def _trace_rows(gi: int, trace_gi: complex, constraints: dict,
                 images: list) -> tuple[list, list]:
     """(prods, traces) for _det_one_on_trace_rows: tr C = trace_gi, then the
-    _linear_rows of C, the image of generator gi, given the images before.
-    The products P are taken by np.matmul, whose rounding the closed
-    form's digits carry."""
+    _linear_rows of C, the image of generator gi, given the images before."""
     prods, traces = [_COMPLEX_ID], [trace_gi]
-    for rest, w in _linear_rows(gi, constraints):
-        mats = [images[l - 1] if l > 0 else _mat_adjugate(images[-l - 1])
-                for l in rest]
-        prods.append(reduce(np.matmul,
-                            np.array(mats, dtype=complex).reshape(-1, 2, 2),
-                            np.eye(2, dtype=complex)).ravel())
+    for rest, w in _linear_rows(gi, tuple(constraints)):
+        prods.append(reduce(_mat_mul, [
+            images[l - 1] if l > 0 else _mat_adjugate(images[-l - 1])
+            for l in rest]))
         traces.append(constraints[w])
     return prods, traces
 

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,9 +236,9 @@ P935_CONSTRAINTS = "".join("trace %s = %s 0\n" % (w, v) for w, v in (
     ("a", 2.5), ("b", 2.5), ("c", 2.5), ("ab", 5.25), ("bc", 5.25),
     ("ca", 5.25)))
 P935_TWISTED = (
-    "(18-1.32496932808e-14j)*t^2 + (-45+5.01634349493e-14j)*t "
-    "+ (18-2.84217094304e-15j)\n"
-    "degree span 2, leading 18-1.32496932808e-14j, monic no\n")
+    "(18-2.11214462944e-14j)*t^2 + (-45+5.51746125407e-14j)*t "
+    "+ (18-2.84217094304e-14j)\n"
+    "degree span 2, leading 18-2.11214462944e-14j, monic no\n")
 P935_WITHOUT_CA = P935_CONSTRAINTS.rsplit("trace ca", 1)[0]
 P935_WITHOUT_CA_TWISTED = (
     "(18-9.24063275381e-15j)*t^2 + (-45+3.24556544357e-15j)*t "
@@ -287,6 +288,22 @@ class TestClosedFormRouting:
     def test_pinned_three_generator_set_runs_no_newton_solve(
             self, run, tmp_path, monkeypatch):
         _replace_solver(monkeypatch, _no_solver)
+        path = tmp_path / "p935.cons"
+        path.write_text(P935_CONSTRAINTS)
+        code, out, err = run("twisted", "--pres", "fixtures/9_35.pres",
+                             "--constraints", str(path))
+        assert (code, out, err) == (0, P935_TWISTED, "")
+
+    def test_pinned_sets_call_no_lstsq_or_svd(self, run, tmp_path,
+                                              monkeypatch):
+        # the third generator of the closed form is solved in plain complex
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("a LAPACK least-squares or SVD was called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+        monkeypatch.setattr(np.linalg, "svd", no_lapack)
+        for y0, z0 in ((2.5, 5.25), (2.2 + 0.3j, (2.2 + 0.3j) ** 2 - 1)):
+            assert talex.solve_on_curve(y0, z0).residual <= 1e-10
         path = tmp_path / "p935.cons"
         path.write_text(P935_CONSTRAINTS)
         code, out, err = run("twisted", "--pres", "fixtures/9_35.pres",
@@ -729,23 +746,39 @@ class TestLinkDiagrams:
                                     "strand runs from edge 2 to edge 3")
 
 
+def _run_in_subprocess(tmp_path, argv):
+    """talex argv in a fresh interpreter, so that numpy's warnings and
+    LAPACK's own messages would reach the stderr a test checks."""
+    src = os.path.dirname(os.path.dirname(talex.__file__))
+    return subprocess.run([sys.executable, "-m", "talex", *argv],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=False)
+
+
 class TestOverflowingTraces:
     @pytest.mark.parametrize("files, argv", [case[1:] for case in EXIT_FIVE],
                              ids=[case[0] for case in EXIT_FIVE])
     def test_exit_five_with_one_json_reason(self, tmp_path, files, argv):
-        # in a subprocess, so that numpy's warnings and LAPACK's own
-        # messages would reach the stderr checked here
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        src = os.path.dirname(os.path.dirname(talex.__file__))
-        proc = subprocess.run([sys.executable, "-m", "talex", *argv],
-                              cwd=tmp_path, capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src),
-                              check=False)
+        proc = _run_in_subprocess(tmp_path, argv)
         assert (proc.returncode, proc.stdout) == (5, "")
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "SolveError"
+
+
+class TestOverflowingLambda:
+    def test_exit_three_naming_the_overflow(self, tmp_path):
+        proc = _run_in_subprocess(tmp_path, ["twisted", "--pres",
+                                             "fixtures/3_1.pres",
+                                             "--lambda=1e200,0"])
+        assert (proc.returncode, proc.stdout) == (3, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        reason = json.loads(lines[0])
+        assert reason["error"] == "AlgebraError"
+        assert "overflows" in reason["reason"]
 
 
 class TestDispatch:

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import talex
@@ -28,8 +28,9 @@ from talex import (
     wada_invariant,
 )
 from talex.errors import SolveError
-from talex._sl2 import (_COMPLEX_ID, _Equations, _gauge_images, _jacobian,
-                        _mat_adjugate, _mat_det, _mat_mul, _residual)
+from talex._sl2 import (_COMPLEX_ID, _Equations, _det_one_on_trace_rows,
+                        _gauge_images, _jacobian, _mat_adjugate, _mat_det,
+                        _mat_mul, _residual)
 
 from conftest import P, load_fixture_text, random_det1_matrix
 
@@ -175,6 +176,153 @@ class TestMatrixFormat:
         assert _mat_mul(_mat_mul(a, b), c) == _mat_mul(a, _mat_mul(b, c))
         d = _mat_det(a)
         assert _mat_mul(a, _mat_adjugate(a)) == (d, 0, 0, d)
+
+
+def _lstsq_det_one(prods, traces):
+    """The LAPACK route to the matrices C of _det_one_on_trace_rows, kept
+    as an oracle: c0 from np.linalg.lstsq, the null vector from
+    np.linalg.svd."""
+    mat = np.array(prods, dtype=complex)[:, [0, 2, 1, 3]]
+    b = np.array(traces, dtype=complex)
+    if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(b))):
+        return []
+    c0, *_ = np.linalg.lstsq(mat, b, rcond=None)
+    if np.linalg.norm(mat @ c0 - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
+        return []
+    _, sv, vh = np.linalg.svd(mat)
+    null = vh[np.sum(sv > 1e-10 * sv[0]):].conj().T
+    if null.shape[1] != 1:
+        return []
+    nv = null[:, 0]
+    q2 = _mat_det(nv)
+    q1 = c0[0] * nv[3] + nv[0] * c0[3] - c0[1] * nv[2] - nv[1] * c0[2]
+    q0 = _mat_det(c0) - 1.0
+    if abs(q2) > 1e-12:
+        disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
+        roots = [(-q1 + disc) / (2 * q2), (-q1 - disc) / (2 * q2)]
+        big = 0 if abs(roots[0]) >= abs(roots[1]) else 1
+        if roots[big] != 0:
+            roots[1 - big] = q0 / (q2 * roots[big])
+    elif abs(q1) > 1e-12:
+        roots = [-q0 / q1]
+    else:
+        return []
+    return [c0 + s * nv for s in roots]
+
+
+def _rows_from(c, prods):
+    """traces[k] = tr(P_k C) for the products P_k."""
+    return [sum(_mat_mul(p, c)[::3]) for p in prods]
+
+
+def _nearest(m, cands):
+    return min(np.linalg.norm(np.subtract(m, c)) for c in cands)
+
+
+# Pairs of words in A and B whose products do not commute in the free
+# group, as Tietze letters (-1 is A^-1).
+_NONCOMMUTING = [((1,), (2,)), ((1, 2), (2, 1)), ((1, 2, 1), (2,)),
+                 ((1, -2), (2, 2)), ((2, -1, 2), (1, 2))]
+
+
+def _word_image(letters, a, b):
+    mats = {1: a, 2: b, -1: _mat_adjugate(a), -2: _mat_adjugate(b)}
+    out = _COMPLEX_ID
+    for x in letters:
+        out = _mat_mul(out, mats[x])
+    return out
+
+
+class TestDetOneOnTraceRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(_NONCOMMUTING))
+    def test_matches_the_lstsq_route_and_contains_c(self, seed, words):
+        rng = np.random.default_rng(seed)
+        a, b, c = (random_det1_matrix(rng) for _ in range(3))
+        prods = [_COMPLEX_ID] + [_word_image(w, a, b) for w in words]
+        traces = _rows_from(c, prods)
+        oracle = _lstsq_det_one(prods, traces)
+        # Away from dependent rows (the rows' condition number, squared by
+        # the Gram system, stays below 1e3) and from a double root, both
+        # routes are accurate to 1e-9.
+        sv = np.linalg.svd(np.array(prods)[:, [0, 2, 1, 3]],
+                           compute_uv=False)
+        assume(sv[0] <= 1e3 * sv[2] and len(oracle) == 2)
+        scale = max(np.linalg.norm(m) for m in oracle)
+        assume(np.linalg.norm(oracle[0] - oracle[1]) >= 1e-3 * scale)
+        cands = _det_one_on_trace_rows(prods, traces)
+        assert len(cands) == 2
+        assert all(type(m) is tuple and len(m) == 4 for m in cands)
+        for m in cands:
+            assert _nearest(m, oracle) <= 1e-9 * scale
+        for m in oracle:
+            assert _nearest(m, cands) <= 1e-9 * scale
+        assert _nearest(c, cands) <= 1e-9 * scale
+
+    def _pair(self):
+        rng = np.random.default_rng(7)
+        return (random_det1_matrix(rng) for _ in range(3))
+
+    def test_commuting_rows_are_refused(self):
+        a, _, c = self._pair()
+        prods = [_COMPLEX_ID, a, _mat_adjugate(a)]
+        traces = _rows_from(c, prods)
+        assert _det_one_on_trace_rows(prods, traces) == []
+        assert _lstsq_det_one(prods, traces) == []
+
+    def test_a_line_of_constant_det_is_refused(self):
+        # B diagonal and A, C upper triangular: the null vector is the
+        # upper corner, along which det C does not change (d = 0 in the
+        # closed form's gauge)
+        a = (1.7 + 0.2j, 1.0, 0j, 1 / (1.7 + 0.2j))
+        b = (0.6 - 0.9j, 0j, 0j, 1 / (0.6 - 0.9j))
+        c = (2.1 + 0.4j, -0.3 + 1.1j, 0j, 1 / (2.1 + 0.4j))
+        prods = [_COMPLEX_ID, b, a]
+        traces = _rows_from(c, prods)
+        assert _det_one_on_trace_rows(prods, traces) == []
+        assert _lstsq_det_one(prods, traces) == []
+
+    @pytest.mark.parametrize("where", ["product", "trace"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_entry_is_refused(self, where, value):
+        a, b, c = self._pair()
+        prods = [_COMPLEX_ID, a, b]
+        traces = _rows_from(c, prods)
+        if where == "product":
+            prods[2] = (b[0], complex(value), b[2], b[3])
+        else:
+            traces[1] = complex(value)
+        assert _det_one_on_trace_rows(prods, traces) == []
+        assert _lstsq_det_one(prods, traces) == []
+
+    def test_an_inconsistent_fourth_row_is_refused(self):
+        # A^-1 = (tr A) I - A: the fourth row is dependent on the first two
+        a, b, c = self._pair()
+        prods = [_COMPLEX_ID, a, b, _mat_adjugate(a)]
+        traces = _rows_from(c, prods)
+        assert len(_det_one_on_trace_rows(prods, traces)) == 2
+        traces[3] += 1e-6
+        assert _det_one_on_trace_rows(prods, traces) == []
+        assert _lstsq_det_one(prods, traces) == []
+
+    def test_a_fourth_row_off_the_null_vector_is_refused(self):
+        # I, A, B and AB span all 2x2 matrices, so no line of C solves
+        # them, even where the fourth trace holds at the minimum-norm point
+        # c0 of the first three rows
+        a, b, c = self._pair()
+        prods = [_COMPLEX_ID, a, b]
+        c0, *_ = np.linalg.lstsq(np.array(prods)[:, [0, 2, 1, 3]],
+                                 _rows_from(c, prods), rcond=None)
+        prods.append(_mat_mul(a, b))
+        traces = _rows_from(c0, prods)
+        assert _det_one_on_trace_rows(prods, traces) == []
+        assert _lstsq_det_one(prods, traces) == []
+
+    def test_the_first_noncommuting_pair_is_used(self):
+        a, b, c = self._pair()
+        prods = [_COMPLEX_ID, a, _mat_adjugate(a), b]
+        cands = _det_one_on_trace_rows(prods, _rows_from(c, prods))
+        assert _nearest(c, cands) <= 1e-10
 
 
 class TestCharacters:
