@@ -8,7 +8,9 @@ determinant and adjugate, and the adjugate is the inverse exactly when
 the determinant is 1.  The gauge coordinates x of n generators are (a, q)
 for A = [[a, q], [0, 1/a]], (b, d) for B = [[b, 0], [d, 1/b]] and four
 free entries for each further generator.  _residual and _jacobian
-evaluate the solver's equations and their exact Jacobian at x.
+evaluate the solver's equations and their exact Jacobian at x; _residual
+is _rows, the equations at given generator images, on the images of x,
+so a caller that holds the images evaluates the same rows on them.
 _jacobian forms and sums its terms as numpy array operations in a fixed
 order: numpy's complex product rounds differently from Python's in the
 last bit, and the solver's trajectories are pinned bit for bit.
@@ -86,7 +88,7 @@ class _Equations:
         self.nfree = max(n - 2, 0)
         self.nvars = 2 * min(n, 2) + 4 * self.nfree
         self.nrel = len(p.relators)
-        self.targets = np.array(list(constraints.values()), dtype=complex)
+        self.targets = tuple(map(complex, constraints.values()))
         self.words = _letter_codes(n, (*p.relators, *constraints))
 
     @functools.cached_property
@@ -136,10 +138,9 @@ def _letter_codes(n: int, words: tuple[FreeWord, ...]
                  for w in words)
 
 
-def _letter_images(eq: _Equations, x: np.ndarray) -> list[Matrix2]:
-    """Images of the letter codes at x: generators, then their adjugates
-    (inverses in SL2)."""
-    gens = _gauge_images(x.tolist(), eq.n)
+def _letter_images(gens: list[Matrix2]) -> list[Matrix2]:
+    """Images of the letter codes: the generator images, then their
+    adjugates (inverses in SL2)."""
     return gens + [_mat_adjugate(m) for m in gens]
 
 
@@ -223,19 +224,23 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def _residual(eq: _Equations, x: np.ndarray) -> np.ndarray:
-    """f(x), the rows described in _Equations."""
-    imgs = _letter_images(eq, x)
+def _rows(eq: _Equations, imgs: list[Matrix2]) -> list[complex]:
+    """The rows described in _Equations at the letter images imgs, the
+    relator rows first (4 per relator)."""
     prods = [functools.reduce(_mat_mul, [imgs[c] for c in w]) if w
              else _COMPLEX_ID for w in eq.words]
     rows = []
     for m00, m01, m10, m11 in prods[:eq.nrel]:
         rows += (m00 - 1.0, m01, m10, m11 - 1.0)
     rows += [_mat_det(m) - 1.0 for m in imgs[2:eq.n]]
-    rows += [m[0] + m[3] for m in prods[eq.nrel:]]
-    f = np.array(rows, dtype=complex)
-    f[len(f) - len(eq.targets):] -= eq.targets
-    return f
+    rows += [m[0] + m[3] - v for m, v in zip(prods[eq.nrel:], eq.targets)]
+    return rows
+
+
+def _residual(eq: _Equations, x: np.ndarray) -> np.ndarray:
+    """f(x): the rows at the gauge images of x.tolist()."""
+    imgs = _letter_images(_gauge_images(x.tolist(), eq.n))
+    return np.array(_rows(eq, imgs), dtype=complex)
 
 
 def _jacobian(eq: _Equations, x: np.ndarray) -> np.ndarray:
@@ -249,7 +254,7 @@ def _jacobian(eq: _Equations, x: np.ndarray) -> np.ndarray:
     (word, coordinate, 2, 2) buffer, and the relator and trace rows are
     cut out of it.
     """
-    imgs = _letter_images(eq, x)
+    imgs = _letter_images(_gauge_images(x.tolist(), eq.n))
     pre, suf = [], []
     for w in filter(None, eq.words):
         ms = [imgs[c] for c in w]

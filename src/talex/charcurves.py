@@ -45,7 +45,13 @@ read without forming the determinant over Laurent polynomials.  The
 samples are built in closed form from curve_constraints by
 representations.representation_from_traces, not solved for.  Monicness
 of the twisted polynomial at a character is then the root count census
-of psi_2(x) = c intersected with the curve, computed exactly.
+of psi_2(x) = c intersected with the curve.  Two of its steps are exact
+for a rational c: the test that the condition holds identically on the
+curve (an exact division), and the roots x0 of psi_2(x) - c, split by
+the square-free decomposition so that their multiplicities are exact.
+The slices x = x0 of the curve and their roots y0 are floating, as are
+the x0 themselves; every root carries complex_roots' residual
+certificate.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ from .representations import (Representation, _worse,
                               representation_from_traces)
 from .roots import _CLUSTER_RADIUS, complex_roots
 from .twisted import _fox_scan, wada_invariant
+from .words import FreeWord
 
 RV_VARS = ("y1", "y2", "v")
 YZ_VARS = ("y", "z")
@@ -194,12 +201,16 @@ class PlaneCurve:
 
     poly: MultiPoly
     name: str = ""
+    # poly.to_complex(), built once for the float slices
+    poly_c: MultiPoly = dataclasses.field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if tuple(self.poly.vars) != YZ_VARS:
             raise AlgebraError("plane curve must live in variables %s"
                                % (YZ_VARS,))
         object.__setattr__(self, "poly", self.poly.primitive_normalized())
+        object.__setattr__(self, "poly_c", self.poly.to_complex())
 
     def evaluate(self, y, z):
         return self.poly.evaluate({"y": y, "z": z})
@@ -208,17 +219,17 @@ class PlaneCurve:
         """The roots z of the univariate polynomial z -> curve(y0, z).
 
         The slice sums complex(c) * y0^i over the terms c y^i z^j of each
-        z^j, in term order from 0, which is what
-        poly.compose({"y": y0, "z": t}, LaurentPoly.zero()) computes, bit
-        for bit (a test holds the two together).
+        z^j, in term order from 0, on the complex image poly_c, which is
+        what poly.compose({"y": y0, "z": t}, LaurentPoly.zero()) computes,
+        bit for bit (a test holds the two together).
         """
         y0 = complex(y0)
         powers: dict[int, complex] = {}
         grouped: dict[int, complex] = {}
-        for (i, j), c in self.poly.terms.items():
+        for (i, j), c in self.poly_c.terms.items():
             if i not in powers:
                 powers[i] = _pow_any(y0, i)
-            grouped[j] = grouped.get(j, 0) + complex(c) * powers[i]
+            grouped[j] = grouped.get(j, 0) + c * powers[i]
         slice_ = LaurentPoly(grouped).cleanup()
         if slice_.is_zero():
             raise AlgebraError("curve is identically zero along y = %r" % y0)
@@ -316,6 +327,18 @@ def census(curve: PlaneCurve, c) -> CensusResult:
     distinct intersection points are the witnesses.  Roots at 0 count, both
     x0 = 0 and y0 = 0; a slice is degenerate only when it is a nonzero
     constant, so y^2 is the root y0 = 0 twice, not a miss.
+
+    The slices run all-complex: the curve's complex image poly_c under
+    y -> t and z -> t^2 - x0 with coefficients 1+0j, so no Fraction meets
+    a complex.  They equal bit for bit the exact curve under the mixed
+    images (curve.poly.compose with the exact t), because the exact
+    intermediates of that composition are integers: a curve coefficient
+    times a binomial coefficient of (t^2 - x0)^j (only the leading 1 stays
+    exact for a complex x0 != 0), and sums of such products.  On 1+0j
+    coefficients every such product (a binomial is positive) and sum is
+    exact, with imaginary part +0.0 as in complex(Fraction), while it
+    stays below 2^53.  A primitive PlaneCurve has integer coefficients,
+    so the rule holds while coefficient * binomial < 2^53.
     """
     if isinstance(c, complex) and c.imag == 0:
         c = c.real
@@ -334,10 +357,7 @@ def census(curve: PlaneCurve, c) -> CensusResult:
     witnesses: list[tuple[complex, complex]] = []
     degenerate: list[complex] = []
     for x0, _ in x_roots:
-        # On the slice x = x0 the constraint z = y^2 - x0 turns the curve
-        # into a univariate polynomial in y.
-        slice_poly = curve.poly.compose({"y": t, "z": t * t - x0},
-                                        LaurentPoly.zero()).cleanup()
+        slice_poly = _x_slice(curve, x0).cleanup()
         if slice_poly.is_zero():
             # The whole slice lies on the curve: infinitely many points.
             return CensusResult(curve.name, c, None, [], [])
@@ -348,6 +368,18 @@ def census(curve: PlaneCurve, c) -> CensusResult:
             witnesses.append((complex(y0), complex(y0) ** 2 - complex(x0)))
     witnesses = _dedupe_pairs(witnesses)
     return CensusResult(curve.name, c, len(witnesses), witnesses, degenerate)
+
+
+# t with coefficient 1+0j, census's image of y
+_T_COMPLEX = LaurentPoly({1: 1 + 0j})
+
+
+def _x_slice(curve: PlaneCurve, x0: complex) -> LaurentPoly:
+    """The curve on the slice x = x0, where z = y^2 - x0 turns it into a
+    univariate polynomial in y: poly_c under y -> t, z -> t^2 - x0, all
+    complex (census docstring)."""
+    t = _T_COMPLEX
+    return curve.poly_c.compose({"y": t, "z": t * t - x0}, LaurentPoly.zero())
 
 
 def _roots_with_zero(p: LaurentPoly) -> list[tuple[complex, int]]:
@@ -406,8 +438,10 @@ def leading_determinant_sample(rho: Representation) -> complex:
     return complex(np.linalg.det(np.array(a, dtype=complex)))
 
 
-# The trace table as polynomials in x, built once.
-_TRACE_POLYS = tuple((w, LaurentPoly.from_coefficients(coeffs))
+# The trace table as (word over the meridians a, b, c, complex image of
+# the polynomial in x), parsed and built once.
+_TRACE_POLYS = tuple((FreeWord.from_string(w, ["a", "b", "c"]),
+                      LaurentPoly.from_coefficients(coeffs).to_complex())
                      for w, coeffs in TRACE_TABLE)
 
 
@@ -416,8 +450,7 @@ def trace_table_residual(rho: Representation, x_value: complex) -> float:
     one is NaN)."""
     worst = 0.0
     x_value = complex(x_value)
-    for word_text, poly in _TRACE_POLYS:
-        w = rho.presentation.word(word_text)
+    for w, poly in _TRACE_POLYS:
         worst = _worse(worst, abs(complex(rho.trace(w))
                                   - poly.evaluate(x_value)))
     return worst
@@ -480,7 +513,7 @@ def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve],
     any sample, or if no representation on a curve can be solved.
     """
     rng = np.random.default_rng(seed)
-    psi = psi2_polynomial()
+    psi = psi2_polynomial().to_complex()
     collected = 0
     max_det = 0.0
     max_tr = 0.0
@@ -531,11 +564,11 @@ def monic_witness_report(monic: CensusResult) -> list[dict]:
             raise CertificationError(
                 "monic witness (%r, %r) did not solve: %s" % (y0, z0, exc)
             ) from exc
-        ta = wada_invariant(rho.presentation, rho)
         if rho.residual > _WITNESS_RESIDUAL_TOL:
             raise CertificationError(
                 "monic witness residual %.3g exceeds %.3g"
                 % (rho.residual, _WITNESS_RESIDUAL_TOL))
+        ta = wada_invariant(rho.presentation, rho)
         out.append({
             "y": [y0.real, y0.imag],
             "z": [z0.real, z0.imag],

@@ -18,10 +18,12 @@ operators make.  So when one operand of * is exact and the other
 all-complex, the exact coefficients are converted once and the product
 runs on complex numbers alone, and evaluate at a complex point converts
 each coefficient once; the bits are those of the pairwise Fraction
-fallback.  A polynomial that holds both Fractions and complex numbers
-(such as t^2 - x0 for a complex x0) keeps the pairwise loop, as does +,
-whose coefficients found in one operand only keep their type.  Results
-are built on already-clean dicts (_clean), never re-coerced.
+fallback.  to_complex() is the one complex image of a polynomial, for
+loops that meet the same exact polynomial many times.  A polynomial that
+holds both Fractions and complex numbers (such as t^2 - x0 for a complex
+x0) keeps the pairwise loop, as does +, whose coefficients found in one
+operand only keep their type.  Results are built on already-clean dicts
+(_clean), never re-coerced.
 
 The zero polynomial has empty support.  degree() is the span from lowest
 to highest exponent, the natural degree notion for quantities defined up
@@ -149,6 +151,13 @@ class LaurentPoly:
     def __getitem__(self, k: int):
         c = self.coeffs.get(k, 0)
         return c if c else (Fraction(0) if self.is_exact() else 0j)
+
+    def to_complex(self) -> "LaurentPoly":
+        """The complex image: each coefficient through complex(c).  A loop
+        that evaluates one exact polynomial at many complex points, or
+        multiplies it by complex ones, builds this once; by the
+        mixed-domain rule its values are those of the polynomial itself."""
+        return _built({k: complex(c) for k, c in self.coeffs.items()})
 
     def max_abs(self) -> float:
         return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)

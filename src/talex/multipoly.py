@@ -13,7 +13,9 @@ MultiPoly.  A negative power needs a nonzero number or a monomial image.
 It follows the mixed-domain rule of the laurent module: a Fraction
 coefficient that meets a complex power is converted once by
 complex(Fraction), the value Fraction's own operators use, and the term
-goes on in complex numbers alone.
+goes on in complex numbers alone.  to_complex() converts every
+coefficient once, for a polynomial evaluated at many complex points; the
+image holds complex terms and serves compose and evaluate only.
 
 The monomial order used throughout is lex in the stored variable order;
 Python's tuple comparison on exponent vectors implements it directly.
@@ -185,6 +187,15 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
+
+    def to_complex(self) -> "MultiPoly":
+        """The complex image, for compose and evaluate only: the same
+        terms, each coefficient through complex(c).  By the mixed-domain
+        rule its values at complex points are those of the polynomial
+        itself."""
+        out = MultiPoly(self.vars)
+        out.terms = {ex: complex(c) for ex, c in self.terms.items()}
+        return out
 
     # -- variable plumbing -----------------------------------------------------
 

@@ -31,7 +31,10 @@ are built in the gauge from a + 1/a = tr a and b + 1/b = tr b with
 trace rows linear in it (_trace_rows) with det C = 1, a quadratic whose
 roots are the two values of tr(abc), in plain complex arithmetic
 (_sl2._det_one_on_trace_rows).  The solver's equations decide each
-candidate.  No one gauge serves both cases.  Misses of 1e-10 at 400
+candidate: its images are built once, at numpy's 1/a and 1/b as the
+returned Representation holds them, and one pass of _sl2._rows on them
+both decides it and gives its relator residual.  No one gauge serves
+both cases.  Misses of 1e-10 at 400
 on-curve trefoil points (|Re y| <= 40, |Im y| <= 20) and 1,200 points of
 9_35's curve C' (y in [-5, 5] x [-3, 3]i; C itself, 400 points, has
 none):
@@ -62,7 +65,8 @@ from .errors import AlgebraError, ParseError, SolveError
 from .laurent import LaurentPoly, LaurentRational
 from ._sl2 import (_COMPLEX_ID, _EXACT_ID, Matrix2, _Equations,
                    _det_one_on_trace_rows, _gauge_images, _jacobian,
-                   _mat_adjugate, _mat_det, _mat_mul, _residual)
+                   _letter_images, _mat_adjugate, _mat_det, _mat_mul,
+                   _residual, _rows)
 from .presentations import Presentation
 from .words import FreeWord
 
@@ -589,12 +593,18 @@ def _closed_form(p: Presentation, cons: dict) -> Representation:
             raise SolveError(reason)
         points = [pair + list(c) for c in cands]
     eq = _Equations(p, cons)
-    best, reducible = np.inf, False
-    for x in map(np.array, points):
-        worst = float(np.max(np.abs(_residual(eq, x))))
+    best, reducible = math.inf, False
+    for x in points:
+        # one set of images per candidate, at numpy's 1/a and 1/b as in
+        # _at_gauge_point; its relator rows give the residual
+        gens = [tuple(map(complex, m))
+                for m in _gauge_images(np.array(x), n)]
+        rows = _rows(eq, _letter_images(gens))
+        residual = reduce(_worse, map(abs, rows[:4 * eq.nrel]), 0.0)
+        worst = reduce(_worse, map(abs, rows[4 * eq.nrel:]), residual)
         best = min(best, worst)
         if worst <= _SOLVE_TOL:
-            rho = _at_gauge_point(p, x)
+            rho = Representation(p, gens, residual)
             if not rho.is_reducible():
                 return rho
             reducible = True

@@ -128,12 +128,14 @@ def complex_roots(p) -> list[tuple[complex, int]]:
 
     found: list[tuple[complex, int]] = []
     if p.is_exact():
+        # polished and certified on complex images, made once: the same
+        # values as the exact polynomials at complex points
         for factor, mult in squarefree_decomposition(p):
-            raw = np.roots(_dense_desc(factor))
-            dfactor = factor.derivative()
-            for r in raw:
-                found.append((_newton_polish(factor, dfactor, complex(r)),
-                              mult))
+            fc = factor.to_complex()
+            dfc = factor.derivative().to_complex()
+            for r in np.roots(_dense_desc(fc)):
+                found.append((_newton_polish(fc, dfc, complex(r)), mult))
+        p = p.to_complex()
     else:
         raw = [complex(r) for r in np.roots(_dense_desc(p))]
         dp = p.derivative()

@@ -288,7 +288,27 @@ class TestPsi2:
             cc.leading_determinant_sample(rho)
 
 
+_census_values = st.one_of(
+    st.sampled_from([0, 1, 4, 5, 18, 49, 0.3 + 0.7j]),
+    st.builds(complex, st.floats(-60, 60), st.floats(-60, 60)))
+
+
 class TestCensus:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1]), _census_values)
+    def test_slices_are_the_mixed_slices_bit_for_bit(self, which, c):
+        # census's all-complex slice at each x0 with psi_2(x0) = c against
+        # the exact curve under the exact t and the mixed t^2 - x0
+        curve = cc.curve_components()[which]
+        t = LaurentPoly.t()
+        psi = cc.psi2_polynomial().compose({"x": t}, LaurentPoly.zero())
+        for x0, _ in cc._roots_with_zero(psi - c):
+            mixed = curve.poly.compose({"y": t, "z": t * t - x0},
+                                       LaurentPoly.zero())
+            assert same_coefficients(
+                cc._x_slice(curve, x0),
+                {k: complex(v) for k, v in mixed.coeffs.items()})
+
     def test_monic_census(self):
         _, Cp = cc.curve_components()
         res = cc.census(Cp, 1)
@@ -403,6 +423,27 @@ class TestSolveOnCurve:
         rows = cc.monic_witness_report(cc.census(Cp, 1))
         assert len(rows) == 6
         assert calls == [2]
+
+    def test_witness_residual_is_checked_before_the_determinant(
+            self, monkeypatch):
+        # a witness over the residual bound fails without a twisted
+        # determinant being formed for it
+        solve = cc.solve_on_curve
+
+        def off_by_a_millionth(y0, z0):
+            rho = solve(y0, z0)
+            rho.residual = 1e-6
+            return rho
+
+        def no_determinant(*args, **kwargs):
+            raise AssertionError("wada_invariant was called")
+
+        monkeypatch.setattr(cc, "solve_on_curve", off_by_a_millionth)
+        monkeypatch.setattr(cc, "wada_invariant", no_determinant)
+        _, Cp = cc.curve_components()
+        with pytest.raises(CertificationError,
+                           match="residual 1e-06 exceeds 1e-08"):
+            cc.monic_witness_report(cc.census(Cp, 1))
 
     def test_monic_witness_loop_reports_the_given_census(self):
         _, Cp = cc.curve_components()

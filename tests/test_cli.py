@@ -1,6 +1,7 @@
 """The talex command line: text output, JSON output, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -188,23 +189,37 @@ class TestMonicScanCommand:
         assert "MONIC" in out
 
     def test_residual_is_computed_once_per_solve(self, run, monkeypatch):
-        # the solved rows report the residual their representation already
-        # holds, so each solve computes it once and the command not again
-        real = Representation.relator_residual
-        calls = []
+        # each closed-form solve evaluates the solver's rows once, and the
+        # solved rows report the residual of that pass's relator rows, so
+        # neither the solve nor the command computes it again
+        real = talex.representations._rows
+        passes = []
 
-        def counting(rho):
-            calls.append(rho)
-            return real(rho)
+        def counting(eq, imgs):
+            passes.append(real(eq, imgs))
+            return passes[-1]
 
-        monkeypatch.setattr(Representation, "relator_residual", counting)
+        def again(rho):
+            raise AssertionError("relator_residual was called")
+
+        monkeypatch.setattr(talex.representations, "_rows", counting)
+        monkeypatch.setattr(Representation, "relator_residual", again)
         code, out, _ = run("monic-scan", "--pres", "fixtures/3_1.pres",
                            "--constraints", BENCH_SWEEP, "--json")
         assert code == 0
         rows = json.loads(out)["rows"]
-        assert len(calls) == sum(r["solved"] for r in rows) == 1
-        assert [r["residual"] for r in rows if r["solved"]] == \
-            [calls[0].residual]
+        assert len(passes) == len(rows) == 5
+        assert sum(r["solved"] for r in rows) == 1
+        for r, f in zip(rows, passes):
+            if r["solved"]:
+                assert r["residual"] == max(map(abs, f[:4]))
+
+    def test_bench_sweep_json_bytes_are_pinned(self, run):
+        code, out, err = run("monic-scan", "--pres", "fixtures/3_1.pres",
+                             "--constraints", BENCH_SWEEP, "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "edb4bbc4fe6995ed383999ab698159b1cb387e616131ca4bda640d06382cc594")
 
     def test_sweep_line_required(self, run, tmp_path, trefoil_slice):
         code, _, err = run("monic-scan", "--pres", "fixtures/3_1.pres",
@@ -479,6 +494,16 @@ class TestSatelliteCommand:
         assert out == "7*t^6 - 13*t^5 + 13*t^3 - 13*t + 7\n"
 
 
+# sha256 of the full-precision `pretzel935 --json` payload at seeds 0-3:
+# the floating census, certificate and monic loop are pinned bit for bit.
+P935_JSON_SHA256 = (
+    "ecbb45e6480f8ab388253317ad34f0203132bd74a451dd376b8a39e34d242dc7",
+    "697a465874e71750f030ca0d56246e709c725981e4258b03846f6b721f88fe49",
+    "f6e710e5e10fe013db01dabab71d5aa65e94cefac83486503ea35eb9eb0ce161",
+    "6c112d491a4144a3fa51eb5e8ff58f7a5b587cb4dc1f0373f99176592ae38e1c",
+)
+
+
 class TestPretzelCommand:
     def test_full_payload(self, run):
         code, out, _ = run("pretzel935", "--json")
@@ -518,6 +543,12 @@ class TestPretzelCommand:
                 for seed in range(4)]
         assert all(code == 0 for code, _, _ in cold)
         assert warm == cold
+
+    @pytest.mark.parametrize("seed, digest", enumerate(P935_JSON_SHA256))
+    def test_json_bytes_are_pinned(self, run, seed, digest):
+        code, out, err = run("pretzel935", "--json", "--seed", str(seed))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_stdout_matches_the_readme(self, run):
         # the README's "The full pretzel pipeline" block, after its command

@@ -20,6 +20,26 @@ from conftest import (CP, P, ref_add, ref_evaluate, ref_mul, ref_neg,
                       ref_pow, same_coefficients, same_number)
 
 
+_image_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(-3, 3).filter(lambda v: abs(v) >= 0.01))
+_complex_points = st.builds(complex, _image_parts, _image_parts).filter(
+    lambda x: x != 0)
+
+
+class TestComplexImage:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(-3, 5), st.fractions(
+        min_value=-50, max_value=50, max_denominator=7), max_size=6),
+        _complex_points)
+    def test_evaluate_is_bit_identical(self, coeffs, x):
+        p = LaurentPoly(coeffs)
+        image = p.to_complex()
+        assert list(image.coeffs) == list(p.coeffs)
+        assert all(type(c) is complex for c in image.coeffs.values())
+        assert image.is_exact() == p.is_zero()
+        assert same_number(image.evaluate(x), p.evaluate(x))
+
+
 class TestConstruction:
     def test_zero_coefficients_dropped(self):
         p = LaurentPoly({0: Fraction(0), 1: Fraction(2)})

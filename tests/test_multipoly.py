@@ -301,6 +301,22 @@ class TestComposeAgainstReferenceLoops:
         assert same_coefficients(got, _ref_compose(p, {"y": y, "z": z}, {}))
 
 
+_complex_points = st.builds(complex, _compose_parts, _compose_parts).filter(
+    lambda x: x != 0)
+
+
+class TestComplexImage:
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_yz_polys, _complex_points, _complex_points)
+    def test_compose_is_bit_identical(self, p, y, z):
+        image = p.to_complex()
+        assert list(image.terms) == list(p.terms)
+        assert all(type(c) is complex for c in image.terms.values())
+        for images in ({"y": y, "z": z}, {"y": y, "z": Fraction(3, 2)}):
+            assert same_number(image.compose(images, 0j),
+                               p.compose(images, 0j))
+
+
 class TestNormalization:
     def test_content_and_primitive(self):
         p = mk(YZ, {(1, 0): Fraction(4, 3), (0, 0): Fraction(2, 3)})

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from talex import roots as roots_module
 from talex.errors import AlgebraError, RootFindingError
-from talex.laurent import LaurentPoly
+from talex.laurent import LaurentPoly, squarefree_decomposition
 from talex.roots import complex_roots, unit_circle_roots
 
-from conftest import CP, P, load_fixture_text
+from conftest import CP, P, load_fixture_text, same_number
 
 
 def _angle(x):
@@ -107,6 +107,54 @@ class TestComplexRoots:
         p = CP(*[(-1) ** k * (k + 1) for k in range(21)])
         with pytest.raises(RootFindingError):
             complex_roots(p)
+
+
+def _exact_roots_on_fractions(p: LaurentPoly):
+    """complex_roots of an exact p with every factor, derivative and p
+    itself evaluated on its Fractions (a copy of the exact path before it
+    converted them once), or the RootFindingError it raises."""
+    if p.degree() == 0:
+        return []
+    found = []
+    for factor, mult in squarefree_decomposition(p):
+        dfactor = factor.derivative()
+        for r in np.roots(roots_module._dense_desc(factor)):
+            found.append((roots_module._newton_polish(factor, dfactor,
+                                                      complex(r)), mult))
+    norm = float(sum(abs(complex(c)) for c in p.coeffs.values()))
+    for r, _ in found:
+        bound = roots_module._RESIDUAL_TOL * norm * max(1.0, abs(r)) ** \
+            p.degree()
+        if abs(complex(p.evaluate(r))) > bound:
+            return RootFindingError
+    return sorted(found, key=lambda rm: (rm[0].real, rm[0].imag))
+
+
+_small_factors = st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(
+    lambda c: c[-1] != 0 and any(c[:-1]))
+
+
+class TestExactRootsOnComplexImages:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_small_factors, st.integers(1, 3)),
+                    min_size=1, max_size=3),
+           st.fractions(min_value=-5, max_value=5,
+                        max_denominator=9).filter(bool),
+           st.integers(-2, 2))
+    def test_same_roots_bit_for_bit(self, factors, scale, shift):
+        p = LaurentPoly.constant(scale).shift(shift)
+        for coeffs, power in factors:
+            p = p * P(*coeffs) ** power
+        want = _exact_roots_on_fractions(p)
+        try:
+            got = complex_roots(p)
+        except RootFindingError:
+            got = RootFindingError
+        if want is RootFindingError or got is RootFindingError:
+            assert got is want
+            return
+        assert [m for _, m in got] == [m for _, m in want]
+        assert all(same_number(r, s) for (r, _), (s, _) in zip(got, want))
 
 
 class TestUnitCircleRoots:
