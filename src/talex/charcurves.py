@@ -493,8 +493,10 @@ def _curve_sample_points(curve: PlaneCurve, rng: np.random.Generator,
     All budget values of y0 are drawn up front, so the generator's state
     afterwards does not depend on how many points the caller takes.
     """
-    ys = [complex(2.2 + 0.8 * rng.standard_normal(),
-                  0.8 * rng.standard_normal()) for _ in range(budget)]
+    # one call draws the same stream as 2 * budget scalar calls
+    normals = rng.standard_normal(2 * budget).tolist()
+    ys = [complex(2.2 + 0.8 * re, 0.8 * im)
+          for re, im in zip(normals[::2], normals[1::2])]
     for y0 in ys:
         try:
             zs = curve.z_values(y0)
