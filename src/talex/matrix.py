@@ -11,13 +11,12 @@ det() has two elimination kernels, chosen by the entry domain:
     in Z[t]; an inexact quotient raises NonPolynomialError.  MultiPoly
     entries are first packed into one variable by a Kronecker
     substitution, and the result is unpacked.
-  * Laurent entries with complex coefficients: evaluation of the nonzero
-    entries at the roots of unity, with one power table per sample point,
-    then one stacked numpy LU determinant over all sample points, followed
-    by an inverse DFT.  The exponent window of the determinant is bounded
+  * Laurent entries with complex coefficients: one inverse DFT samples
+    every nonzero entry at the roots of unity, one stacked numpy LU
+    determinant runs over all sample points, and one forward DFT gives
+    the coefficients.  The exponent window of the determinant is bounded
     by row-wise exponent sums, so the interpolation is exact in exact
-    arithmetic and stable in floating arithmetic.  Each sampled value is
-    bit-identical to a per-point evaluation (see _interpolated_det).
+    arithmetic and stable in floating arithmetic (see _interpolated_det).
 
 Scalar entries are lifted to constant Laurent polynomials, so the
 determinant of a scalar matrix is a constant LaurentPoly, and that of the
@@ -27,7 +26,7 @@ empty matrix is LaurentPoly.one().
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from numbers import Rational
 from operator import mul
 
@@ -185,20 +184,15 @@ def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
 
     The determinant's exponents lie in [lo, hi], lo and hi the sums of the
     rows' lowest and highest exponents, so its values at the npts =
-    hi - lo + 1 roots of unity t_j determine it through an inverse DFT.
-    At each t_j one power table over the exponents the entries use is
-    built, every nonzero entry is summed from it (zeros stay 0), and the
-    npts matrices are stacked and factored by one np.linalg.det call.
-
-    Powers, products and sums are numpy scalar operations in the order of
-    LaurentPoly.evaluate: t**k, 1.0/t**-k for k < 0, and total + c * t**k
-    from 0j in the entry's coefficient order, so each value is that of
-    entry.evaluate(t_j) bit for bit.  Array ufuncs (t_j ** k over all j, c
-    times an array of powers) are not used: their SIMD kernels can round
-    the last bit differently, and the output would no longer be
-    reproducible from the per-point definition.  The samples are taken
-    with numpy's floating-point warnings off; a sampled determinant that
-    is not finite is an AlgebraError.
+    hi - lo + 1 roots of unity t_j = e^(2 pi i j/npts) determine it.  Each
+    nonzero entry's coefficients, each through complex(c), are wrapped
+    modulo npts into one row of an (entries x npts) array; no entry spans
+    npts exponents, so no two of them share a slot.  One inverse DFT along
+    the rows gives every entry at every t_j, the npts matrices are stacked
+    (zeros stay 0) and factored by one np.linalg.det call, and one forward
+    DFT of the determinants gives the coefficient of t^m at output index
+    m mod npts.  The samples are taken with numpy's floating-point
+    warnings off; a determinant that is not finite is an AlgebraError.
     """
     n = len(rows)
     lo = hi = 0
@@ -209,32 +203,31 @@ def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         lo += min(a for a, _ in exts)
         hi += max(b for _, b in exts)
     npts = hi - lo + 1
-    where = [(i, k) for i, row in enumerate(rows)
+    where = [i * n + k for i, row in enumerate(rows)
              for k, e in enumerate(row) if not e.is_zero()]
-    terms = [list(rows[i][k].coeffs.items()) for i, k in where]
-    exps = {k for entry in terms for k, _ in entry}
-    sampled = []
+    wrapped = [0j] * (len(where) * npts)
+    for base, ik in zip(range(0, len(wrapped), npts), where):
+        for k, c in rows[ik // n][ik % n].coeffs.items():
+            wrapped[base + k % npts] = complex(c)
     with np.errstate(all="ignore"):
-        for j in range(npts):
-            t = np.exp(2j * np.pi * j / npts)
-            pw = {k: t ** k if k >= 0 else 1.0 / t ** -k for k in exps}
-            for entry in terms:
-                total = 0j
-                for k, c in entry:
-                    total = total + c * pw[k]
-                sampled.append(complex(total))
-        mats = np.zeros((npts, n, n), dtype=complex)
-        mats[(slice(None),) + tuple(zip(*where))] = \
-            np.array(sampled).reshape(npts, len(where))
-        dets = np.linalg.det(mats)
-    if not np.isfinite(dets).all():
+        sampled = np.fft.ifft(np.array(wrapped).reshape(len(where), npts),
+                              norm="forward").T
+        if len(where) == n * n:
+            mats = sampled.reshape(npts, n, n)
+        else:
+            mats = np.zeros((npts, n * n), dtype=complex)
+            mats[:, where] = sampled
+            mats = mats.reshape(npts, n, n)
+        coeffs = np.fft.fft(np.linalg.det(mats), norm="forward")
+        scale = float(np.abs(coeffs).max())
+    if not isfinite(scale):
         raise AlgebraError("the sampled determinant overflows: an entry or "
                            "a product of entries is too large for a float")
-    values = np.empty(npts, dtype=complex)
-    for j in range(npts):
-        values[j] = dets[j] * np.exp(-2j * np.pi * j * lo / npts)
-    coeffs = np.fft.fft(values) / npts
-    scale = np.max(np.abs(coeffs)) or 1.0
-    out = {lo + m: complex(c) for m, c in enumerate(coeffs)
-           if abs(c) > 1e-13 * scale}
+    coeffs = coeffs.tolist()
+    scale = scale or 1.0
+    out = {}
+    for m in range(lo, hi + 1):
+        c = coeffs[m % npts]
+        if abs(c) > 1e-13 * scale:
+            out[m] = c
     return LaurentPoly(out)

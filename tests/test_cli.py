@@ -219,7 +219,7 @@ class TestMonicScanCommand:
                              "--constraints", BENCH_SWEEP, "--json")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "edb4bbc4fe6995ed383999ab698159b1cb387e616131ca4bda640d06382cc594")
+            "c4fd22e8e2767a2fbb1723e8c87ca8170ad6c9ba6546caee89a50285b20e7437")
 
     def test_sweep_line_required(self, run, tmp_path, trefoil_slice):
         code, _, err = run("monic-scan", "--pres", "fixtures/3_1.pres",
@@ -251,22 +251,21 @@ P935_CONSTRAINTS = "".join("trace %s = %s 0\n" % (w, v) for w, v in (
     ("a", 2.5), ("b", 2.5), ("c", 2.5), ("ab", 5.25), ("bc", 5.25),
     ("ca", 5.25)))
 P935_TWISTED = (
-    "(18-2.11214462944e-14j)*t^2 + (-45+5.51746125407e-14j)*t "
-    "+ (18-2.84217094304e-14j)\n"
-    "degree span 2, leading 18-2.11214462944e-14j, monic no\n")
+    "(18-1.3200903934e-14j)*t^2 + (-45+4.86834816536e-14j)*t "
+    "+ (18-2.27373675443e-14j)\n"
+    "degree span 2, leading 18-1.3200903934e-14j, monic no\n")
 P935_WITHOUT_CA = P935_CONSTRAINTS.rsplit("trace ca", 1)[0]
 P935_WITHOUT_CA_TWISTED = (
-    "(18-9.24063275381e-15j)*t^2 + (-45+3.24556544357e-15j)*t "
-    "+ (18+2.84217094304e-15j)\n"
-    "degree span 2, leading 18-9.24063275381e-15j, monic no\n")
+    "(18+3.96027118021e-15j)*t^2 + (-45-1.62278272179e-14j)*t "
+    "+ (18+2.27373675443e-14j)\n"
+    "degree span 2, leading 18+3.96027118021e-15j, monic no\n")
 # tr(cA) = tr c tr a - tr(ca): the rows of ca and cA are dependent with
 # that of c for every A, so this set goes to the solver too.
 P935_CA_AND_CA_INVERSE = "".join("trace %s = %s 0\n" % (w, v) for w, v in (
     ("a", 2.5), ("b", 2.5), ("ab", 5.25), ("c", 2.5), ("ca", 5.25),
     ("cA", 1.0)))
 P935_CA_AND_CA_INVERSE_TWISTED = (
-    "(18-5.28036157361e-15j)*t^2 + (-45+1.29822617743e-14j)*t "
-    "+ (18+4.26325641456e-15j)\n"
+    "(18-5.28036157361e-15j)*t^2 - 45*t + 18\n"
     "degree span 2, leading 18-5.28036157361e-15j, monic no\n")
 
 
@@ -497,10 +496,10 @@ class TestSatelliteCommand:
 # sha256 of the full-precision `pretzel935 --json` payload at seeds 0-3:
 # the floating census, certificate and monic loop are pinned bit for bit.
 P935_JSON_SHA256 = (
-    "ecbb45e6480f8ab388253317ad34f0203132bd74a451dd376b8a39e34d242dc7",
-    "697a465874e71750f030ca0d56246e709c725981e4258b03846f6b721f88fe49",
-    "f6e710e5e10fe013db01dabab71d5aa65e94cefac83486503ea35eb9eb0ce161",
-    "6c112d491a4144a3fa51eb5e8ff58f7a5b587cb4dc1f0373f99176592ae38e1c",
+    "bb87ca387d159e37a5b9b5ad7a1e63ff5584538dc083aec663d4c7c1b3779444",
+    "60e6b627bacba9139452e5672654f55933ed0c9927ecc5d4cc617721f430ece6",
+    "7534e3f1da8ed0321539e5d441dc4bf7c910335cced0ab0e01402fd8a1b36112",
+    "df4bd5afeb20c8d6e4b56c5bf67fda08078dfc58561e97c86e062ed6738c2391",
 )
 
 

@@ -1,6 +1,7 @@
 """Determinants over the package's coefficient domains."""
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ from talex.representations import Representation, abelian_rep
 from talex.twisted import fox_matrix_laurent
 
 from conftest import CP, P, torus_pd
+
+# numpy's floating-point warnings are errors here: the determinant samples
+# under np.errstate and reports an overflow as an AlgebraError
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _cofactor_det(rows, one):
@@ -129,21 +134,53 @@ class TestLaurentDeterminants:
         assert d.min_exp() == -3
 
 
-def _dense_interpolated_det(rows):
-    """The interpolation determinant evaluating every entry, zeros too."""
-    n = len(rows)
+def _window(rows):
+    """lo and hi of the determinant's exponent window."""
     lo = sum(min(e.min_exp() for e in row if not e.is_zero()) for row in rows)
     hi = sum(max(e.max_exp() for e in row if not e.is_zero()) for row in rows)
+    return lo, hi
+
+
+def _interpolated(values, lo, hi):
+    """The Laurent polynomial with exponents in [lo, hi] that takes the
+    given values at the roots of unity, by one forward DFT."""
     npts = hi - lo + 1
-    values = np.empty(npts, dtype=complex)
+    coeffs = np.fft.fft(values, norm="forward")
+    scale = float(np.max(np.abs(coeffs))) or 1.0
+    coeffs = coeffs.tolist()
+    return LaurentPoly({m: coeffs[m % npts] for m in range(lo, hi + 1)
+                        if abs(coeffs[m % npts]) > 1e-13 * scale})
+
+
+def _dense_interpolated_det(rows):
+    """The interpolation determinant sampling every entry, zeros too, by
+    its own inverse DFT, with one LU per sample point."""
+    lo, hi = _window(rows)
+    npts = hi - lo + 1
+    samples = []
+    for row in rows:
+        for e in row:
+            wrapped = np.zeros(npts, dtype=complex)
+            for k, c in e.coeffs.items():
+                wrapped[k % npts] = complex(c)
+            samples.append(np.fft.ifft(wrapped, norm="forward"))
+    n = len(rows)
+    values = [np.linalg.det(np.array([s[j] for s in samples]).reshape(n, n))
+              for j in range(npts)]
+    return _interpolated(values, lo, hi)
+
+
+def _evaluated_det(rows):
+    """The accuracy reference: every entry by LaurentPoly.evaluate at each
+    t_j, the determinant at each point, and t_j^-lo multiplied in."""
+    lo, hi = _window(rows)
+    npts = hi - lo + 1
+    values = []
     for j in range(npts):
         t = np.exp(2j * np.pi * j / npts)
         mat = np.array([[complex(e.evaluate(t)) for e in row] for row in rows])
-        values[j] = np.linalg.det(mat) * np.exp(-2j * np.pi * j * lo / npts)
-    coeffs = np.fft.fft(values) / npts
-    scale = np.max(np.abs(coeffs)) or 1.0
-    return LaurentPoly({lo + m: complex(c) for m, c in enumerate(coeffs)
-                        if abs(c) > 1e-13 * scale})
+        values.append(np.linalg.det(mat) * np.exp(-2j * np.pi * j * lo / npts))
+    return _interpolated(values, 0, npts - 1).shift(lo)
 
 
 _exponents = st.integers(-25, 25)
@@ -180,11 +217,51 @@ def _bits(poly):
     return {k: (c.real.hex(), c.imag.hex()) for k, c in poly.coeffs.items()}
 
 
+def _assert_close_to_evaluation(rows, got, reference):
+    """got is within 1e-12 max(1, B) of reference, B = prod over rows of
+    the sum of |coefficient| in the row: a bound on every coefficient of
+    every term of the determinant's expansion.  The determinant's own
+    coefficients can cancel far below B (to 0 for a singular matrix),
+    while the rounding of both routes scales with B."""
+    bound = prod(sum(abs(complex(c)) for e in row for c in e.coeffs.values())
+                 for row in rows)
+    assert (got - reference).max_abs() <= 1e-12 * max(1.0, bound)
+
+
 class TestInterpolatedDet:
     @settings(max_examples=60, deadline=None)
     @given(_sparse_complex_matrices())
     def test_sparse_evaluation_is_bit_identical(self, rows):
         assert _bits(det(rows)) == _bits(_dense_interpolated_det(rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse_complex_matrices())
+    def test_close_to_per_point_evaluation(self, rows):
+        _assert_close_to_evaluation(rows, det(rows), _evaluated_det(rows))
+
+    @pytest.mark.parametrize("rows", [
+        # all exponents negative
+        [[CP(2, 1j, min_exp=-4), CP(0.5, min_exp=-2)],
+         [CP(-1, 3, min_exp=-3), CP(1j, 1, 2, min_exp=-5)]],
+        # lo = -3 is not a multiple of npts = 6
+        [[CP(1, 2, min_exp=-2), CP(1j, 0, 1)],
+         [CP(3, min_exp=-1), CP(0.25, -1, min_exp=1)]],
+        # npts = 1: every entry a constant
+        [[CP(2 + 1j), CP(-1)], [CP(0.5), CP(3j)]],
+        # a row with one nonzero entry
+        [[LaurentPoly.zero(), CP(1, -2, min_exp=-1), LaurentPoly.zero()],
+         [CP(1j, 1), CP(2), CP(0, 1, min_exp=-1)],
+         [CP(-1), CP(1, 1j), CP(3, min_exp=2)]],
+        # Fraction coefficients mixed with complex ones
+        [[LaurentPoly({-1: Fraction(1, 3), 0: 2 + 1j, 2: Fraction(-5, 7)}),
+          P(1, 2)],
+         [LaurentPoly({0: Fraction(7, 3), 1: 0.5j}), P(-2, min_exp=-1)]],
+    ], ids=["negative", "lo-not-multiple", "npts-1", "one-entry-row",
+            "mixed-fractions"])
+    def test_edge_cases(self, rows):
+        got = det(rows)
+        assert _bits(got) == _bits(_dense_interpolated_det(rows))
+        _assert_close_to_evaluation(rows, got, _evaluated_det(rows))
 
     @pytest.mark.parametrize("reduced", [False, True])
     def test_torus_fox_matrix_is_bit_identical(self, reduced):
@@ -211,6 +288,29 @@ class TestInterpolatedDet:
                 [CP(0, 0, 1j), CP(5)]]
         det(rows)
         assert calls == [(5, 2, 2)]     # exponents -1 .. 3
+
+    def test_one_inverse_and_one_forward_dft(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft"):
+            real = getattr(np.fft, name)
+
+            def counting(a, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        rows = [[CP(1, 2), LaurentPoly.zero()],
+                [CP(0, 0, 1j), LaurentPoly({-1: Fraction(1, 3)})]]
+        det(rows)
+        # three nonzero entries at 5 points (exponents -1 .. 3)
+        assert calls == [("ifft", (3, 5)), ("fft", (5,))]
+
+    @pytest.mark.parametrize("big", [complex("inf"), complex("nan"), 1e200])
+    def test_overflow_raises_without_a_warning(self, big):
+        rows = [[LaurentPoly({1: big}), CP(1)], [CP(0, 1), CP(big)]]
+        with pytest.raises(AlgebraError, match="the sampled determinant "
+                                               "overflows"):
+            det(rows)
 
 
 _fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
