@@ -224,10 +224,7 @@ def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         raise AlgebraError("the sampled determinant overflows: an entry or "
                            "a product of entries is too large for a float")
     coeffs = coeffs.tolist()
+    coeffs = coeffs[lo % npts:] + coeffs[:lo % npts]    # from t^lo up
     scale = scale or 1.0
-    out = {}
-    for m in range(lo, hi + 1):
-        c = coeffs[m % npts]
-        if abs(c) > 1e-13 * scale:
-            out[m] = c
-    return LaurentPoly(out)
+    return LaurentPoly({lo + m: c for m, c in enumerate(coeffs)
+                        if abs(c) > 1e-13 * scale})
