@@ -51,7 +51,11 @@ curve (an exact division), and the roots x0 of psi_2(x) - c, split by
 the square-free decomposition so that their multiplicities are exact.
 The slices x = x0 of the curve and their roots y0 are floating, as are
 the x0 themselves; every root carries complex_roots' residual
-certificate.
+certificate.  A slice is expanded densely on the curve's complex image,
+and it equals bit for bit the exact curve composed with the mixed images
+y -> t, z -> t^2 - x0 (census states the rule;
+TestCensus::test_slices_are_the_mixed_slices_bit_for_bit holds it), as a
+y-slice of PlaneCurve.z_values equals its composition.
 """
 
 from __future__ import annotations
@@ -284,6 +288,15 @@ def _psi2_of_trace() -> MultiPoly:
     return psi2_polynomial().compose({"x": y * y - z}, MultiPoly.zero(YZ_VARS))
 
 
+@lru_cache(maxsize=None)
+def _psi2_univariate() -> LaurentPoly:
+    """psi_2 as a LaurentPoly in t = x, built once, with its terms in
+    psi2_polynomial()'s order (x^3 first): census subtracts c from it, and
+    certify_psi2 evaluates its complex image."""
+    return psi2_polynomial().compose({"x": LaurentPoly.t()},
+                                     LaurentPoly.zero())
+
+
 @dataclasses.dataclass
 class CensusResult:
     """Outcome of counting curve characters with a given leading value.
@@ -328,32 +341,32 @@ def census(curve: PlaneCurve, c) -> CensusResult:
     x0 = 0 and y0 = 0; a slice is degenerate only when it is a nonzero
     constant, so y^2 is the root y0 = 0 twice, not a miss.
 
-    The slices run all-complex: the curve's complex image poly_c under
-    y -> t and z -> t^2 - x0 with coefficients 1+0j, so no Fraction meets
-    a complex.  They equal bit for bit the exact curve under the mixed
-    images (curve.poly.compose with the exact t), because the exact
-    intermediates of that composition are integers: a curve coefficient
-    times a binomial coefficient of (t^2 - x0)^j (only the leading 1 stays
-    exact for a complex x0 != 0), and sums of such products.  On 1+0j
-    coefficients every such product (a binomial is positive) and sum is
-    exact, with imaginary part +0.0 as in complex(Fraction), while it
-    stays below 2^53.  A primitive PlaneCurve has integer coefficients,
-    so the rule holds while coefficient * binomial < 2^53.
+    The slices run all-complex: _x_slice expands the curve's complex image
+    poly_c under y -> t and z -> t^2 - x0 with coefficients 1+0j, so no
+    Fraction meets a complex, densely into one coefficient dict with the
+    operations of poly_c.compose (its docstring).  They equal bit for bit
+    the exact curve under the mixed images (curve.poly.compose with the
+    exact t), because the exact intermediates of that composition are
+    integers: a curve coefficient times a binomial coefficient of
+    (t^2 - x0)^j (only the leading 1 stays exact for a complex x0 != 0),
+    and sums of such products.  On 1+0j coefficients every such product
+    (a binomial is positive) and sum is exact, with imaginary part +0.0 as
+    in complex(Fraction), while it stays below 2^53.  A primitive
+    PlaneCurve has integer coefficients, so the rule holds while
+    coefficient * binomial < 2^53;
+    TestCensus::test_slices_are_the_mixed_slices_bit_for_bit holds it.
     """
     if isinstance(c, complex) and c.imag == 0:
         c = c.real
     if isinstance(c, float) and c.is_integer():
         c = int(c)
-    psi = psi2_polynomial()
-    t = LaurentPoly.t()
     if isinstance(c, (int, Fraction)):
         c_val = Fraction(c)
         if exact_divide(_psi2_of_trace() - c_val, curve.poly) is not None:
             return CensusResult(curve.name, c_val, None, [], [])
     else:
         c_val = complex(c)
-    x_roots = _roots_with_zero(psi.compose({"x": t}, LaurentPoly.zero())
-                               - c_val)
+    x_roots = _roots_with_zero(_psi2_univariate() - c_val)
     witnesses: list[tuple[complex, complex]] = []
     degenerate: list[complex] = []
     for x0, _ in x_roots:
@@ -370,16 +383,44 @@ def census(curve: PlaneCurve, c) -> CensusResult:
     return CensusResult(curve.name, c, len(witnesses), witnesses, degenerate)
 
 
-# t with coefficient 1+0j, census's image of y
-_T_COMPLEX = LaurentPoly({1: 1 + 0j})
+# t^2 with coefficient 1+0j: census's image t of y, squared
+_T2_COMPLEX = LaurentPoly({2: 1 + 0j})
 
 
 def _x_slice(curve: PlaneCurve, x0: complex) -> LaurentPoly:
     """The curve on the slice x = x0, where z = y^2 - x0 turns it into a
     univariate polynomial in y: poly_c under y -> t, z -> t^2 - x0, all
-    complex (census docstring)."""
-    t = _T_COMPLEX
-    return curve.poly_c.compose({"y": t, "z": t * t - x0}, LaurentPoly.zero())
+    complex (census docstring).
+
+    The expansion is dense: each term c y^i z^j adds c t^i (t^2 - x0)^j
+    into one coefficient dict, with each power (t^2 - x0)^j formed once per
+    slice.  It makes the products, sums and zero-drops of
+    poly_c.compose({"y": t, "z": t * t - x0}, LaurentPoly.zero()) in the
+    same order, so its coefficients and their order are that composition's
+    bit for bit.  There c t^i is c itself at t^i (compose forms
+    0 + (1+0j) * (0 + c), which is c for the nonzero complex(Fraction)
+    values of poly_c, imaginary part +0.0); each coefficient p of
+    (t^2 - x0)^j, the exact one at j = 0 as 1+0j, gives 0 + c * p, dropped
+    when zero; and the running sum drops a coefficient that cancels to
+    zero.  TestCensus::test_slices_are_the_mixed_slices_bit_for_bit holds
+    it to the mixed composition.
+    """
+    base = _T2_COMPLEX - x0
+    z_powers: dict[int, dict[int, complex]] = {}
+    acc: dict[int, complex] = {}
+    for (i, j), c in curve.poly_c.terms.items():
+        if j not in z_powers:
+            z_powers[j] = (base ** j).to_complex().coeffs
+        for k, p in z_powers[j].items():
+            v = 0 + c * p
+            if v:
+                e = i + k
+                s = acc.get(e, 0) + v
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+    return LaurentPoly._clean(acc, False)
 
 
 def _roots_with_zero(p: LaurentPoly) -> list[tuple[complex, int]]:
@@ -515,7 +556,7 @@ def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve],
     any sample, or if no representation on a curve can be solved.
     """
     rng = np.random.default_rng(seed)
-    psi = psi2_polynomial().to_complex()
+    psi = _psi2_univariate().to_complex()
     collected = 0
     max_det = 0.0
     max_tr = 0.0
@@ -530,7 +571,7 @@ def certify_psi2(curves: tuple[PlaneCurve, PlaneCurve],
             except SolveError:
                 continue
             x_val = complex(y0) ** 2 - complex(z0)
-            predicted = complex(psi.evaluate({"x": x_val}))
+            predicted = complex(psi.evaluate(x_val))
             sampled = leading_determinant_sample(rho)
             max_det = _worse(max_det, abs(sampled - predicted))
             max_tr = _worse(max_tr, trace_table_residual(rho, x_val))

@@ -215,13 +215,7 @@ class LaurentPoly:
         if n and len(self.coeffs) == 1:
             (k, c), = self.coeffs.items()
             return LaurentPoly({k * n: c ** n})
-        out, base = LaurentPoly.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _binary_power(LaurentPoly.one(), self, n)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -404,6 +398,20 @@ def _pow_any(x, k: int):
     if x == 0:
         raise AlgebraError("substituting 0 into a negative power")
     return (Fraction(x) if isinstance(x, Rational) else x) ** k
+
+
+def _binary_power(one, base, n: int):
+    """base**n for n >= 0 by square-and-multiply from one (the ring's
+    unit), low bit first.  The loop stops at the highest bit, so it forms
+    no square it does not use.  LaurentPoly and MultiPoly powers share it."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def _coeff_text(c) -> str:

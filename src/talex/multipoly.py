@@ -27,7 +27,7 @@ from fractions import Fraction
 from numbers import Number, Rational
 
 from .errors import AlgebraError
-from .laurent import _pow_any
+from .laurent import _binary_power, _pow_any
 
 
 class MultiPoly:
@@ -154,14 +154,7 @@ class MultiPoly:
             return MultiPoly(self.vars, {tuple(e * n for e in ex): c ** n})
         if n < 0:
             raise AlgebraError("negative polynomial power")
-        out = MultiPoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _binary_power(MultiPoly.constant(self.vars, 1), self, n)
 
     def scale(self, c) -> "MultiPoly":
         c = Fraction(c)

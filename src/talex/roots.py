@@ -86,14 +86,20 @@ def _dense_desc(p: LaurentPoly) -> np.ndarray:
 
 
 def _newton_polish(p: LaurentPoly, dp: LaurentPoly, r: complex) -> complex:
-    """Newton steps on p, with derivative dp, from r while |p| falls."""
-    best, best_val = r, abs(complex(p.evaluate(r)))
+    """Newton steps on p, with derivative dp, from r while |p| falls.
+
+    p is evaluated once at the start and once per step, at the new point;
+    that value is both the step's test and the next step's numerator.
+    """
+    pr = complex(p.evaluate(r))
+    best, best_val = r, abs(pr)
     for _ in range(_POLISH_STEPS):
         d = complex(dp.evaluate(r))
         if d == 0:
             break
-        r = r - complex(p.evaluate(r)) / d
-        v = abs(complex(p.evaluate(r)))
+        r = r - pr / d
+        pr = complex(p.evaluate(r))
+        v = abs(pr)
         if v < best_val:
             best, best_val = r, v
         else:

@@ -75,6 +75,15 @@ def ref_pow(p: dict, n: int) -> dict:
     return out
 
 
+def square_and_multiply(one, p, n: int):
+    """p**n for n = 0..6 as the products square-and-multiply forms from
+    the unit one, written out: no square beyond the highest bit of n."""
+    p2 = p * p
+    p4 = p2 * p2
+    return {0: one, 1: one * p, 2: one * p2, 3: (one * p) * p2,
+            4: one * p4, 5: (one * p) * p4, 6: (one * p2) * p4}[n]
+
+
 def ref_evaluate(p: dict, x):
     exact = all(isinstance(c, Fraction) for c in p.values())
     total = Fraction(0) if exact and isinstance(x, Rational) else 0j

@@ -1,6 +1,8 @@
 """The pretzel-knot character-variety computation end to end."""
 
 import cmath
+import hashlib
+import json
 import sys
 from fractions import Fraction
 
@@ -288,6 +290,24 @@ class TestPsi2:
             cc.leading_determinant_sample(rho)
 
 
+# sha256 of json.dumps(census(curve, c).to_json_dict(), sort_keys=True):
+# on C' at c = 4, where the slice x0 = -1 is y^2 and its double root y0 = 0
+# is one witness (count 5), at c = 5 (the root x0 = 0), 49 and a complex c,
+# and on C at a complex c, where every slice is a nonzero constant (count 0,
+# three degenerate roots).  The pretzel935 command reaches none of them.
+CENSUS_JSON_SHA256 = {
+    ("Cprime", 4):
+        "c51a71ad82ad69cf05b796315437d26404d2ef43ad761a7de32935434f31a00f",
+    ("Cprime", 5):
+        "0d27afdd647357161dd6c8e6ca0a2bc15f5ddb966a2fea8ae114bde5156c2834",
+    ("Cprime", 49):
+        "b2029f107400b7c6517b5639a9535a64b932823836014001a3fccb1bbc1f5267",
+    ("Cprime", 0.3 + 0.7j):
+        "600c42e6b797735d18805ad49908bba1fea93e3eb3a42cbd3cfe48e1b9ed655e",
+    ("C", 2 + 1j):
+        "b12f6b1a5fa647c6e456d311dd4f5f2140698e9e114ac900a50914e6fec267e4",
+}
+
 _census_values = st.one_of(
     st.sampled_from([0, 1, 4, 5, 18, 49, 0.3 + 0.7j]),
     st.builds(complex, st.floats(-60, 60), st.floats(-60, 60)))
@@ -374,6 +394,14 @@ class TestCensus:
     def test_float_c_coerced(self):
         _, Cp = cc.curve_components()
         assert cc.census(Cp, 1.0 + 0j).count == 6
+
+    @pytest.mark.parametrize("name, c", list(CENSUS_JSON_SHA256),
+                             ids=["%s-%s" % key for key in CENSUS_JSON_SHA256])
+    def test_json_bytes_are_pinned(self, name, c):
+        curve, = (k for k in cc.curve_components() if k.name == name)
+        blob = json.dumps(cc.census(curve, c).to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            CENSUS_JSON_SHA256[name, c]
 
     def test_json_shape(self):
         _, Cp = cc.curve_components()

@@ -17,7 +17,8 @@ from talex.laurent import (
 )
 
 from conftest import (CP, P, ref_add, ref_evaluate, ref_mul, ref_neg,
-                      ref_pow, same_coefficients, same_number)
+                      ref_pow, same_coefficients, same_number,
+                      square_and_multiply)
 
 
 _image_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -245,6 +246,20 @@ class TestAgainstReferenceLoops:
     @given(domain_laurent, st.integers(0, 4))
     def test_powers(self, p, n):
         assert same_coefficients(p ** n, ref_pow(p.coeffs, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(domain_laurent.filter(lambda p: len(p.coeffs) != 1),
+           st.integers(0, 6))
+    def test_powers_are_the_square_and_multiply_products(self, p, n):
+        # a monomial's power is c ** n on its one coefficient instead
+        power = p ** n
+        assert same_coefficients(
+            power, square_and_multiply(LaurentPoly.one(), p, n).coeffs)
+        if p.is_exact():
+            product = LaurentPoly.one()
+            for _ in range(n):
+                product = product * p
+            assert power == product
 
     @settings(max_examples=300, deadline=None)
     @given(domain_laurent, _points)

@@ -11,7 +11,8 @@ from talex.errors import AlgebraError
 from talex.laurent import LaurentPoly
 from talex.multipoly import MultiPoly, exact_divide, resultant, sylvester_matrix
 
-from conftest import ref_add, ref_mul, ref_pow, same_coefficients, same_number
+from conftest import (ref_add, ref_mul, ref_pow, same_coefficients,
+                      same_number, square_and_multiply)
 
 YZ = ("y", "z")
 YW = ("y", "w")
@@ -75,6 +76,19 @@ class TestArithmetic:
         assert (y + z) ** 2 == y * y + 2 * y * z + z * z
         assert (y + z) ** 0 == MultiPoly.constant(YZ, 1)
         assert y.scale(Fraction(1, 2)) * 2 == y
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.deferred(lambda: yz_polys).filter(lambda p: len(p.terms) != 1),
+           st.integers(0, 6))
+    def test_powers_are_the_square_and_multiply_products(self, p, n):
+        # a monomial's power is c ** n on its one term instead
+        power = p ** n
+        chain = square_and_multiply(MultiPoly.constant(YZ, 1), p, n)
+        assert list(power.terms.items()) == list(chain.terms.items())
+        product = MultiPoly.constant(YZ, 1)
+        for _ in range(n):
+            product = product * p
+        assert power == product
 
     def test_mixed_vars_rejected(self):
         with pytest.raises(AlgebraError):

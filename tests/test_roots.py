@@ -109,6 +109,83 @@ class TestComplexRoots:
             complex_roots(p)
 
 
+def _polish_three_evaluations(p, dp, r):
+    """_newton_polish as it was when each step evaluated p three times:
+    the reference its iterates must match."""
+    best, best_val = r, abs(complex(p.evaluate(r)))
+    for _ in range(roots_module._POLISH_STEPS):
+        d = complex(dp.evaluate(r))
+        if d == 0:
+            break
+        r = r - complex(p.evaluate(r)) / d
+        v = abs(complex(p.evaluate(r)))
+        if v < best_val:
+            best, best_val = r, v
+        else:
+            break
+    return best
+
+
+def _planted_float_polys():
+    """The polynomials of test_planted_float_roots_recovered."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        planted = [complex(rng.normal(), rng.normal())
+                   for _ in range(int(rng.integers(1, 7)))]
+        planted = [r for i, r in enumerate(planted)
+                   if all(abs(r - s) > 1e-2 for s in planted[:i])]
+        p = CP(1)
+        for r in planted:
+            p = p * LaurentPoly({0: -r, 1: 1.0 + 0j})
+        yield p
+
+
+# the inputs of TestComplexRoots that have roots
+_POLISH_CASES = [P(1, 0, 1), P(5, 6, 6, 1), P(4, 6, 6, 1),
+                 P(1, -1, 1) ** 3 * P(-1, 2) ** 2,
+                 LaurentPoly({-1: 1.0 + 0j, 1: 1.0 + 0j}), [-1, 0, 1],
+                 LaurentPoly({0: 1.0 + 1e-10, 1: -(2.0 + 1e-10),
+                              2: 1.0 + 0j}), *_planted_float_polys()]
+
+
+class TestNewtonPolish:
+    def test_p_is_evaluated_once_per_step(self, monkeypatch):
+        evaluated = []
+        evaluate = LaurentPoly.evaluate
+        polish = roots_module._newton_polish
+        counts = []
+
+        def spy_evaluate(self, x):
+            evaluated.append(self)
+            return evaluate(self, x)
+
+        def spy_polish(p, dp, r):
+            del evaluated[:]
+            out = polish(p, dp, r)
+            steps = sum(q is dp for q in evaluated)
+            counts.append((sum(q is p for q in evaluated), steps))
+            return out
+
+        monkeypatch.setattr(LaurentPoly, "evaluate", spy_evaluate)
+        monkeypatch.setattr(roots_module, "_newton_polish", spy_polish)
+        for p in _POLISH_CASES:
+            complex_roots(p)
+        assert counts
+        assert all(n_p <= steps + 1 for n_p, steps in counts)
+        assert all(steps <= roots_module._POLISH_STEPS for _, steps in counts)
+        assert max(steps for _, steps in counts) >= 2
+
+    def test_roots_are_unchanged(self, monkeypatch):
+        got = [complex_roots(p) for p in _POLISH_CASES]
+        monkeypatch.setattr(roots_module, "_newton_polish",
+                            _polish_three_evaluations)
+        for roots, p in zip(got, _POLISH_CASES):
+            want = complex_roots(p)
+            assert [m for _, m in roots] == [m for _, m in want]
+            assert all(same_number(r, s)
+                       for (r, _), (s, _) in zip(roots, want))
+
+
 def _exact_roots_on_fractions(p: LaurentPoly):
     """complex_roots of an exact p with every factor, derivative and p
     itself evaluated on its Fractions (a copy of the exact path before it
