@@ -10,8 +10,10 @@ leaves through coefficients, one Fraction per nonzero coefficient.
 Division, gcd and the square-free decomposition run on integers only.
 By Gauss's lemma a primitive d divides f in Q[t] exactly when it divides
 f in Z[t], so quotient decides exact division over Q by trial division
-with integer remainders.  gcd is the primitive pseudo-remainder sequence:
-each pseudo-remainder, a positive multiple of the remainder over Q, is
+with integer remainders.  pseudo_remainder is remainder-only: |lead b|^k a
+mod b, a positive multiple of the remainder over Q (the sign the Sturm
+chains of roots need), each step touching only deg b + 1 coefficients.
+gcd is the primitive pseudo-remainder sequence: each pseudo-remainder is
 replaced by its primitive part, so the coefficients stay as small as the
 gcd's own.  squarefree is Yun's algorithm, the package's one square-free
 decomposition; every divisor in it is a primitive gcd, so each of its
@@ -158,28 +160,25 @@ def bareiss(m: list[list[list[int]]]) -> tuple[list[int], int]:
     return prev, sign
 
 
-def pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """(q, r) with |lead b|^k a = q b + r and deg r < deg b, where k =
-    max(deg a - deg b + 1, 0) is the length of q; b != [].  r is a
-    positive multiple of the remainder of a by b over Q."""
-    r = list(a)
-    lead = b[-1]
-    mult = abs(lead)
+def pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """r with |lead b|^k a = q b + r for some q in Z[t] and deg r < deg b,
+    where k = max(deg a - deg b + 1, 0); b != [].  r is a positive multiple
+    of the remainder of a by b over Q; q is not formed."""
     n = len(b) - 1
-    tops = []
-    for i in range(len(a) - len(b), -1, -1):
-        top = r[n + i] if lead > 0 else -r[n + i]
-        tops.append(top)
-        if mult != 1:
-            r = [mult * x for x in r]
-        for j, y in enumerate(b):
-            r[i + j] -= top * y
-        r.pop()
+    k = max(len(a) - n, 0)
+    lead = b[-1]
+    mult, low = abs(lead), b[:n]
+    # r: the coefficients of t^(i+1) .. t^(i+n) after the steps above i, at
+    # |lead|^steps; a lower one, untouched so far, is scaled as it enters.
+    r, scale = a[k:], 1
+    for i in range(k - 1, -1, -1):
+        r = [a[i] * scale] + r
+        top = r[n] if lead > 0 else -r[n]
+        r = [mult * x - top * y for x, y in zip(r, low)]
+        scale *= mult
     while r and r[-1] == 0:
         r.pop()
-    # The coefficient of t^i is scaled by |lead| in each of the i later
-    # steps.
-    return [top * mult ** i for i, top in enumerate(reversed(tops))], r
+    return r
 
 
 def gcd(a: list[int], b: list[int]) -> list[int]:
@@ -189,7 +188,7 @@ def gcd(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, primitive(pseudo_divmod(a, b)[1])[1]
+        a, b = b, primitive(pseudo_remainder(a, b))[1]
     return a
 
 

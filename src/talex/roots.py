@@ -13,7 +13,8 @@ bound
     |p(r)| <= _RESIDUAL_TOL * (sum of |coefficients|) * max(1, |r|)^deg(p)
 
 which is the attainable backward-error scale; violation raises
-RootFindingError rather than returning an uncertified value.
+RootFindingError rather than returning an uncertified value.  A simple
+root of a floating input is judged by the |p(r)| its Newton polish found.
 
 unit_circle_roots decides which roots lie on the unit circle exactly.  Its
 input must be exact and palindromic (c_k = c_(D-k) once the unit t^k is
@@ -85,8 +86,10 @@ def _dense_desc(p: LaurentPoly) -> np.ndarray:
                     dtype=complex)
 
 
-def _newton_polish(p: LaurentPoly, dp: LaurentPoly, r: complex) -> complex:
-    """Newton steps on p, with derivative dp, from r while |p| falls.
+def _newton_polish(p: LaurentPoly, dp: LaurentPoly,
+                   r: complex) -> tuple[complex, float]:
+    """(root, |p(root)|) after Newton steps on p, with derivative dp, from
+    r while |p| falls.
 
     p is evaluated once at the start and once per step, at the new point;
     that value is both the step's test and the next step's numerator.
@@ -104,7 +107,7 @@ def _newton_polish(p: LaurentPoly, dp: LaurentPoly, r: complex) -> complex:
             best, best_val = r, v
         else:
             break
-    return best
+    return best, best_val
 
 
 def _cluster(roots: list[complex]) -> list[tuple[complex, int]]:
@@ -132,7 +135,7 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     if p.degree() == 0:
         return []
 
-    found: list[tuple[complex, int]] = []
+    found: list[tuple[complex, int, float | None]] = []   # (r, m, |p(r)|)
     if p.is_exact():
         # polished and certified on complex images, made once: the same
         # values as the exact polynomials at complex points
@@ -140,30 +143,34 @@ def complex_roots(p) -> list[tuple[complex, int]]:
             fc = factor.to_complex()
             dfc = factor.derivative().to_complex()
             for r in np.roots(_dense_desc(fc)):
-                found.append((_newton_polish(fc, dfc, complex(r)), mult))
+                found.append((_newton_polish(fc, dfc, complex(r))[0], mult,
+                              None))
         p = p.to_complex()
     else:
         raw = [complex(r) for r in np.roots(_dense_desc(p))]
         dp = p.derivative()
         for centroid, mult in _cluster(raw):
+            val = None
             if mult == 1:
-                centroid = _newton_polish(p, dp, centroid)
-            found.append((centroid, mult))
+                centroid, val = _newton_polish(p, dp, centroid)
+            found.append((centroid, mult, val))
 
     norm = float(sum(abs(complex(c)) for c in p.coeffs.values()))
     deg = p.degree()
-    for r, _ in found:
+    for r, _, val in found:
         bound = _RESIDUAL_TOL * norm * max(1.0, abs(r)) ** deg
-        val = abs(complex(p.evaluate(r)))
+        if val is None:
+            val = abs(complex(p.evaluate(r)))
         if val > bound:
             raise RootFindingError(
                 "root %r not certified: |p(root)| = %.3g exceeds %.3g"
                 % (r, val, bound))
-    total = sum(m for _, m in found)
+    total = sum(m for _, m, _ in found)
     if total != deg:
         raise RootFindingError("found %d roots (with multiplicity) for a "
                                "degree-%d polynomial" % (total, deg))
-    return sorted(found, key=lambda rm: (rm[0].real, rm[0].imag))
+    return sorted(((r, m) for r, m, _ in found),
+                  key=lambda rm: (rm[0].real, rm[0].imag))
 
 
 # -- unit-circle roots through q(t + 1/t) ------------------------------------
@@ -217,7 +224,7 @@ def _sturm_chain(f: list[int]) -> list[list[int]]:
     chain = [f, _zt.derivative(f)]
     while len(chain[-1]) > 1:
         # The primitive part of a positive multiple of -rem(f_(i-1), f_i).
-        r = _zt.primitive(_zt.pseudo_divmod(chain[-2], chain[-1])[1])[1]
+        r = _zt.primitive(_zt.pseudo_remainder(chain[-2], chain[-1]))[1]
         if not r:
             break
         chain.append([-c for c in r])

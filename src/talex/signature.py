@@ -16,11 +16,16 @@ delta(-1) = det(V + V^T) is the knot determinant, which is odd, so delta
 meets the contract of roots.unit_circle_roots: its unit-circle roots are
 found exactly, once per matrix, as real roots of q(t + 1/t) in (-2, 2)
 isolated by Sturm counts and refined by exact bisection at dyadic
-points.  They cut the circle into constancy arcs; sigma is read once per
-arc, at its midpoint, all arcs from one eigvalsh call on the stacked
-forms, and the jump at a root is the difference of the arcs on either
-side.  The arc through omega = 1 is read at omega = 1 up to rounding,
-where H vanishes and sigma is 0, its value on the whole arc.
+points.  They cut the circle into constancy arcs, and the jump at a root
+is the difference of the arcs on either side.  V is real, so
+H(conj omega) = conj H(omega) has the same eigenvalues and
+sigma(conj omega) = sigma(omega) (Levine 1969; Tristram 1969); the roots
+come in conjugate pairs, none at omega = -1 (delta(-1) is odd).  So one
+eigvalsh call on the stacked forms reads sigma at the midpoints of the
+arcs from the first root to the one across omega = -1, and of the arc
+through omega = 1: m/2 + 1 forms for m roots.  Each arc in the lower half
+takes the value of its mirror.  The arc through omega = 1 is read at
+omega = 1 up to rounding, where H vanishes and sigma is 0.
 Eigenvalues within _ZERO_TOL of 0 count as zeros of the form, not
 toward its signature.
 """
@@ -163,16 +168,22 @@ def averaged_signature(v: SeifertMatrix, omega: complex) -> Fraction:
 
 
 def _arc_signatures(v: SeifertMatrix) -> list[int]:
-    """sigma on each constancy arc, read once at the arc's midpoint and kept.
+    """sigma on each constancy arc, found once and kept.
 
     Arc i runs from the i-th unit-circle root of delta to the next, the
-    last one around through omega = 1 back to the first.
+    last one around through omega = 1 back to the first.  Of m roots, arcs
+    0 to m/2 - 1 and m - 1 are read at their midpoints; arc m/2 + j
+    mirrors arc m/2 - 2 - j (see the module docstring).
     """
     if v._arc_sigs is None:
         angles = [a for a, _ in v.unit_roots()]
-        ends = angles[1:] + [a + 2.0 * np.pi for a in angles[:1]]
-        v._arc_sigs = [sig for sig, _ in _signatures(
-            v, [np.exp(0.5j * (a + b)) for a, b in zip(angles, ends)])]
+        half = len(angles) // 2
+        read = [np.exp(0.5j * (a + b))
+                for a, b in zip(angles[:half], angles[1:half + 1])]
+        read += [np.exp(0.5j * (a + (b + 2.0 * np.pi)))
+                 for a, b in zip(angles[-1:], angles[:1])]
+        sigs = [sig for sig, _ in _signatures(v, read)]
+        v._arc_sigs = sigs[:half] + sigs[:half - 1][::-1] + sigs[half:]
     return v._arc_sigs
 
 

@@ -1,5 +1,6 @@
 """Exact and floating Laurent polynomials and rational functions."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from talex.laurent import (
     has_simple_root,
     squarefree_decomposition,
 )
+from talex.roots import _sturm_chain
 
 from conftest import (CP, P, ref_add, ref_evaluate, ref_mul, ref_neg,
                       ref_pow, same_coefficients, same_number,
@@ -666,3 +668,114 @@ class TestIntegerKernel:
         got = squarefree_decomposition(p)
         assert [m for _, m in got] == [m for _, m in want]
         assert all(_same(a, b) for (a, _), (b, _) in zip(got, want))
+
+
+# -- the remainder-only pseudo-division against the pseudo_divmod it
+# replaced, which formed the quotient and scaled the whole remainder by
+# |lead b| at every step; gcd, squarefree and the Sturm chain of roots are
+# kept as they were on it, as the references.
+
+
+def _ref_pseudo_divmod(a: list[int], b: list[int]) -> tuple[list, list]:
+    r = list(a)
+    lead = b[-1]
+    mult = abs(lead)
+    n = len(b) - 1
+    tops = []
+    for i in range(len(a) - len(b), -1, -1):
+        top = r[n + i] if lead > 0 else -r[n + i]
+        tops.append(top)
+        if mult != 1:
+            r = [mult * x for x in r]
+        for j, y in enumerate(b):
+            r[i + j] -= top * y
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return [top * mult ** i for i, top in enumerate(reversed(tops))], r
+
+
+def _ref_gcd(a: list[int], b: list[int]) -> list[int]:
+    a, b = _zt.primitive(a)[1], _zt.primitive(b)[1]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _zt.primitive(_ref_pseudo_divmod(a, b)[1])[1]
+    return a
+
+
+def _ref_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
+    df = _zt.derivative(f)
+    a = _ref_gcd(f, df)
+    w, y = _zt.exact_div(f, a), _zt.exact_div(df, a)
+    out = []
+    m = 1
+    while len(w) > 1:
+        z = _zt.sub(y, _zt.derivative(w))
+        g = _ref_gcd(w, z)
+        if len(g) > 1:
+            out.append((g if g[-1] > 0 else [-c for c in g], m))
+        w, y = _zt.exact_div(w, g), _zt.exact_div(z, g)
+        m += 1
+    return out
+
+
+def _ref_sturm_chain(f: list[int]) -> list[list[int]]:
+    chain = [f, _zt.derivative(f)]
+    while len(chain[-1]) > 1:
+        r = _zt.primitive(_ref_pseudo_divmod(chain[-2], chain[-1])[1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def _trimmed(c: list) -> list:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+_dividends = st.lists(st.integers(-60, 60), max_size=14).map(_trimmed)
+# divisors with |lead| up to 12, so that most steps scale the remainder
+_divisors = st.tuples(st.lists(st.integers(-30, 30), max_size=6),
+                      st.integers(-12, 12).filter(bool)).map(
+    lambda lb: lb[0] + [lb[1]])
+
+
+class TestPseudoRemainder:
+    @settings(max_examples=400, deadline=None)
+    @given(_dividends, _divisors)
+    @example([1, 2, 3, 4, 5, 6, 7, 8, 9], [6, -13, 6])
+    @example([0, 0, 0, 5], [-7, 0, -3])
+    @example([4, 1], [0, 0, 0, 2])
+    @example([5, 7, 11], [-4])
+    def test_positive_multiple_of_the_fraction_remainder(self, a, b):
+        r = _zt.pseudo_remainder(a, b)
+        assert r == _ref_pseudo_divmod(a, b)[1]
+        rem = _trimmed(_oracle_dense_divmod([Fraction(c) for c in a],
+                                            [Fraction(c) for c in b])[1])
+        assert len(r) == len(rem) < len(b)
+        if rem:
+            scale = r[-1] / rem[-1]
+            assert scale > 0 and all(x == scale * y for x, y in zip(r, rem))
+            den = math.lcm(*(y.denominator for y in rem))
+            assert (_zt.primitive(r)[1]
+                    == _zt.primitive([int(y * den) for y in rem])[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dividends, _divisors)
+    def test_gcd_and_sturm_chain_match_the_references(self, a, b):
+        assert _zt.gcd(a, b) == _ref_gcd(a, b)
+        assert _zt.gcd(b, a) == _ref_gcd(b, a)
+        for f in (a, b, _zt.mul(a, b)):
+            if len(f) > 1:
+                assert _sturm_chain(f) == _ref_sturm_chain(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_powers)
+    def test_squarefree_and_sturm_chain_match_the_references(self, powers):
+        f = _product(*powers)
+        assert _zt.squarefree(f) == _ref_squarefree(f)
+        assert _sturm_chain(f) == _ref_sturm_chain(f)

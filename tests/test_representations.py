@@ -3,8 +3,10 @@
 import cmath
 import hashlib
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Number, Rational
 
 import numpy as np
 import pytest
@@ -168,6 +170,38 @@ class TestMatrixFormat:
     def test_accepts_flat_sequences(self, trefoil):
         rho = Representation(trefoil, [[1, 0, 0, 1], np.array([2, 0, 0, 0.5])])
         assert all(type(m) is tuple and len(m) == 4 for m in rho.matrices)
+
+    @pytest.mark.parametrize("mats", [
+        [(1, 0, 0, 1), (Fraction(3, 2), 0, 0, Fraction(2, 3))],
+        [(1, 0, 0, 1), (2.0, 0, 0, 0.5)],
+        [(1j, 0, 0, -1j), (1, 0, 0, 1)],
+        [(np.float64(2), 0, 0, 0.5), (1, 0, 0, 1)],
+        [(np.complex128(1j), 0, 0, -1j), (1, 0, 0, 1)],
+        [(np.int64(1), 0, 0, 1), (1, np.int64(2), 0, Fraction(1))],
+        [np.array([1, 0, 0, 1]), np.array([1, 2, 0, 1])],
+        [(True, False, False, True), (1, 0, 0, 1)],
+        [(Decimal(1), 0, 0, 1), (1, 0, 0, 1)],
+        [("1", 0, 0, 1), (1, 0, 0, 1)],
+        [(None, 0, 0, 1), (1, 0, 0, 1)],
+        [(1, 0, 0, 1), "abcd"],
+        [(1, 0, 0, 1), None],
+        [(1, 0, 0, 1), (1, 0, 0, [1])],
+    ], ids=["fraction", "float", "complex", "np.float64", "np.complex128",
+            "np.int64", "int-array", "bool", "decimal", "str", "none-entry",
+            "str-image", "none-image", "list-entry"])
+    def test_type_rule_matches_the_abcs(self, trefoil, mats):
+        """Refused or accepted, and is_exact(), as the numbers ABCs decide
+        on every entry."""
+        flat = [tuple(m) if np.iterable(m) else () for m in mats]
+        if not all(len(m) == 4 and all(isinstance(e, Number) for e in m)
+                   for m in flat):
+            with pytest.raises(AlgebraError, match="four numbers"):
+                Representation(trefoil, mats)
+            return
+        rho = Representation(trefoil, mats)
+        assert rho.is_exact() == all(isinstance(e, Rational)
+                                     for m in flat for e in m)
+        assert rho.matrices == flat
 
     @settings(max_examples=200, deadline=None)
     @given(_FLAT_FRACTIONS, _FLAT_FRACTIONS, _FLAT_FRACTIONS)

@@ -123,7 +123,7 @@ def _polish_three_evaluations(p, dp, r):
             best, best_val = r, v
         else:
             break
-    return best
+    return best, best_val
 
 
 def _planted_float_polys():
@@ -175,6 +175,40 @@ class TestNewtonPolish:
         assert all(steps <= roots_module._POLISH_STEPS for _, steps in counts)
         assert max(steps for _, steps in counts) >= 2
 
+    def test_certificate_reuses_the_polished_value(self, monkeypatch):
+        """Outside the polish, p is evaluated once per root the polish did
+        not judge: every root of an exact input, on p's complex image, and
+        every cluster of a floating one."""
+        evaluate = LaurentPoly.evaluate
+        polish = roots_module._newton_polish
+        depth, outside = [0], []
+
+        def spy_evaluate(self, x):
+            if not depth[0]:
+                outside.append(self)
+            return evaluate(self, x)
+
+        def spy_polish(p, dp, r):
+            depth[0] += 1
+            try:
+                return polish(p, dp, r)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(LaurentPoly, "evaluate", spy_evaluate)
+        monkeypatch.setattr(roots_module, "_newton_polish", spy_polish)
+        for p in map(roots_module._as_poly, _POLISH_CASES):
+            del outside[:]
+            found = complex_roots(p)
+            if p.is_exact():
+                assert len(outside) == len(found)
+                assert all(q == p.to_complex() for q in outside)
+            else:
+                assert len(outside) == sum(m > 1 for _, m in found)
+                assert all(q is p for q in outside)
+        assert any(not p.is_exact() and len(complex_roots(p)) > 1
+                   for p in map(roots_module._as_poly, _POLISH_CASES))
+
     def test_roots_are_unchanged(self, monkeypatch):
         got = [complex_roots(p) for p in _POLISH_CASES]
         monkeypatch.setattr(roots_module, "_newton_polish",
@@ -197,7 +231,7 @@ def _exact_roots_on_fractions(p: LaurentPoly):
         dfactor = factor.derivative()
         for r in np.roots(roots_module._dense_desc(factor)):
             found.append((roots_module._newton_polish(factor, dfactor,
-                                                      complex(r)), mult))
+                                                      complex(r))[0], mult))
     norm = float(sum(abs(complex(c)) for c in p.coeffs.values()))
     for r, _ in found:
         bound = roots_module._RESIDUAL_TOL * norm * max(1.0, abs(r)) ** \

@@ -361,3 +361,38 @@ class TestConnectedSumAndMirror:
         for w in _arc_midpoints(v) + [-1.0]:
             assert lt_signature(m, w) == -lt_signature(v, w)
         assert signature_jumps(m) == [(a, -j) for a, j in signature_jumps(v)]
+
+
+@pytest.mark.parametrize("rows", [
+    *[_fixture_rows(name) for name in ("3_1", "8_20", "9_35")],
+    *[torus_seifert(n) for n in range(5, 42, 2)],
+    _block_sum(TREFOIL_V, torus_seifert(5)),
+    _block_sum(torus_seifert(5), _fixture_rows("8_20")),
+    _block_sum(TREFOIL_V, _mirror(TREFOIL_V)),
+    _mirror(_fixture_rows("9_35")),
+    _mirror(_block_sum(TREFOIL_V, torus_seifert(7))),
+], ids=["3_1", "8_20", "9_35", *("T2_%d" % n for n in range(5, 42, 2)),
+        "3_1#T25", "T25#8_20", "square", "mirror-9_35", "mirror-3_1#T27"])
+def test_mirrored_arcs_match_one_omega_reads(rows):
+    """Every arc, the copied lower half too, against its own midpoint."""
+    v = SeifertMatrix(rows)
+    assert signature._arc_signatures(v) == [_one_omega(v, complex(w))[0]
+                                            for w in _arc_midpoints(v)]
+
+
+@pytest.mark.parametrize("rows, roots", [
+    (torus_seifert(21), 20), (_fixture_rows("8_20"), 2), ([[0, 1], [0, 0]], 0),
+], ids=["T2_21", "8_20", "no-roots"])
+def test_half_the_arcs_are_solved(monkeypatch, rows, roots):
+    calls = []
+    real_signatures = signature._signatures
+
+    def counting_signatures(v, omegas):
+        calls.append(len(omegas))
+        return real_signatures(v, omegas)
+
+    monkeypatch.setattr(signature, "_signatures", counting_signatures)
+    v = SeifertMatrix(rows)
+    assert len(signature._arc_signatures(v)) == len(v.unit_roots()) == roots
+    # m/2 + 1 forms in one solve; none with no roots
+    assert calls == [roots // 2 + 1 if roots else 0]
