@@ -75,34 +75,28 @@ from .words import FreeWord
 _REDUCIBLE_TOL = 1e-6
 # The relative bound on |delta(lam^2)| of burde_derham_check.
 _BURDE_DE_RHAM_TOL = 1e-8
-# Entry types judged without the numbers ABCs: type -> exact.
-_PLAIN_ENTRIES = {int: True, Fraction: True, float: False, complex: False}
 
 
 class Representation:
     """Images of the generators of a presentation in SL(2,C), each the
     flat 4-tuple (m00, m01, m10, m11).  The constructor takes any
     4-sequences of numbers, exact when every entry is a numbers.Rational,
-    and refuses other shapes.  Tuples and int, Fraction, float and complex
-    entries are judged by type; only others meet np.iterable and the ABCs."""
+    and refuses other shapes."""
 
     def __init__(self, presentation: Presentation, matrices, residual: float = 0.0):
         if len(matrices) != presentation.num_generators:
             raise AlgebraError("need one matrix per generator")
-        mats = [m if type(m) is tuple else tuple(m) if np.iterable(m) else ()
-                for m in matrices]
-        kinds = {type(e): e for m in mats for e in m}
+        mats = [tuple(m) if np.iterable(m) else () for m in matrices]
+        # The numbers ABCs decide by type: check one entry of each.
+        kinds = {type(e): e for m in mats for e in m}.values()
         if any(len(m) != 4 for m in mats) or not all(
-                t in _PLAIN_ENTRIES or isinstance(e, Number)
-                for t, e in kinds.items()):
+                isinstance(e, Number) for e in kinds):
             raise AlgebraError("a generator image must be four numbers "
                                "(m00, m01, m10, m11)")
         self.presentation = presentation
         self.matrices: list[Matrix2] = mats
         self.residual = float(residual)
-        self._exact = all(_PLAIN_ENTRIES[t] if t in _PLAIN_ENTRIES
-                          else isinstance(e, Rational)
-                          for t, e in kinds.items())
+        self._exact = all(isinstance(e, Rational) for e in kinds)
 
     def is_exact(self) -> bool:
         return self._exact
