@@ -4,9 +4,9 @@ The package computes the classical and twisted Alexander polynomials of a
 knot from a deficiency-one presentation of its group (entered directly or
 derived from a planar diagram code), evaluates the fiberedness (monic) and
 genus (degree) obstructions carried by SL(2,C) representations, computes
-Levine-Tristram signature functions from Seifert matrices, and carries a
-complete exact model of the irreducible character curves of the
-(-3,-3,-3) pretzel knot, including the census of monic characters.
+Levine-Tristram signature functions from Seifert matrices, and carries
+the two irreducible character curves of the (-3,-3,-3) pretzel knot as
+exact term tables, with the census of monic characters on them.
 """
 
 from .errors import (AlgebraError, CertificationError, NonPolynomialError,
@@ -34,10 +34,8 @@ from .signature import (SeifertMatrix, averaged_signature,
                         lt_signature_detail, signature_jumps)
 from .charcurves import (CensusResult, PlaneCurve, Psi2Certificate, census,
                          certify_psi2, curve_components,
-                         eliminate_w, hlm_r, hlm_r6_cleared,
                          monic_witness_report, pretzel935_presentation,
-                         psi2_polynomial, r6_factors, resultant_curve,
-                         solve_on_curve)
+                         psi2_polynomial, solve_on_curve)
 
 __version__ = "0.1.0"
 

@@ -1,39 +1,28 @@
 """Character curves of the (-3,-3,-3) pretzel knot.
 
 The knot group of the pretzel knot P(-3,-3,-3) (9_35 in standard tables)
-carries a 3-bridge structure with meridional generators a, b, c.  An
-irreducible SL(2,C) character is determined by the six traces
+carries a 3-bridge structure with meridional generators a, b, c.  On the
+components of interest an irreducible SL(2,C) character is determined by
+the two traces
 
-    x = tr(a) = tr(b) = tr(c)   (all meridians are conjugate),
-    y1 = tr(ab), y2 = tr(bc), y3 = tr(ca),
+    y = tr(a) = tr(b) = tr(c)   (all meridians are conjugate),
+    z = tr(ab) = tr(bc) = tr(ca),
 
-and for this knot the defining equations force y1 = y2 = y3 =: z with
-tr(a) = tr(b) = tr(c) =: y on the components of interest.  The trace
-field is generated by (y, z), and the irreducible character variety is
-cut out by a single plane curve obtained by eliminating auxiliary
-variables from a recursively defined family r_m(y1, y2, v):
+and the irreducible characters there lie on two plane curves in (y, z):
 
-    r_0 = 0,  r_1 = 1,  r_2 = v,
-    r_m = -y1^{-1} y2 t_{m-1} r_{m-3}(y2, y1, v)
-          + (1/2)(y2^2 - 2 + y1^{-1} y2 t_{m-1} (2v - y1 y2)) r_{m-2}(y1, y2, v)
-          + (1/2)((y1 - 2 y1^{-1}) y2 t_{m-1} + 2v - y1 y2) r_{m-1}(y2, y1, v)
+    C  : y^2 - z - 1,
+    C' : y^4 z - 2y^4 - 2y^2 z^2 + 5y^2 z - 2y^2 + z^3 - 3z^2 + 3z - 1.
 
-with sign pattern (t_1, ..., t_5) = (1, -1, 1, -1, 1).  The recursion
-lives in the localization Z[y1^{-1}]; y1^5 r_6 is an honest polynomial.
-In the coordinates
-
-    y = y2,   b = y1^2 - 2,   w = y1 v
-
-the slice b = -1 is y1^2 = 1.  There a monomial y1^a y2^beta v^gamma
-equals y^beta w^gamma y1^(a - gamma), and y1^(a - gamma) = 1 because
-every monomial of y1^5 r_6 has a - gamma even; so the slice is the ring
-map y1 -> 1, y2 -> y, v -> w, taken straight into (y, z, w).  (The other
-branch y1 = -1, w = -v gives the same polynomial, for the same reason.)
-Together with the second defining equation w^2 - w y + z - 1 = 0 the
-slice eliminates to a plane curve in (y, z) that factors as
-(y^2 - z - 1)^2 times an irreducible quartic-cubic C'.  The two factors
-C : y^2 - z - 1 and C' are the two curves of irreducible characters this
-module exposes.
+curve_components carries them as term tables, the data of the paper's
+9_35 example; no elimination runs in the package.  The tests prove them.
+tests/test_charcurves.py::TestCurvesFromThePresentation derives them from
+the knot group: with a = (m, 1; 0, 1/m), b = (m, 0; u, 1/m) and c fixed
+by its traces up to one entry s, the resultant in s of every entry of
+every relator of 9_35.pres with det(c) - 1 is divisible by C, by C' and
+by the reducible locus z = 2, and the cofactors meet nowhere else.  The
+paper's own derivation, the HLM trace-polynomial recursion eliminated on
+the slice b = -1 (tests/hlm_recursion.py), gives (C^2)(C') up to a
+scalar, which acceptance criteria 02 and 03 check.
 
 On either curve the leading coefficient of the twisted Alexander
 polynomial is a single trace polynomial psi_2(x) = x^3 + 6x^2 + 6x + 5
@@ -71,7 +60,7 @@ from .errors import (AlgebraError, CertificationError, RootFindingError,
                      SolveError)
 from .fixtures import fixture_path
 from .laurent import LaurentPoly, _pow_any
-from .multipoly import MultiPoly, exact_divide, resultant
+from .multipoly import MultiPoly, exact_divide
 from .presentations import Presentation, parse_presentation
 from .representations import (Representation, _worse,
                               representation_from_traces)
@@ -79,12 +68,7 @@ from .roots import _CLUSTER_RADIUS, complex_roots
 from .twisted import _fox_scan, wada_invariant
 from .words import FreeWord
 
-RV_VARS = ("y1", "y2", "v")
 YZ_VARS = ("y", "z")
-YZW_VARS = ("y", "z", "w")
-
-# Sign pattern t_1 .. t_5 entering the trace recursion.
-T_SIGNS = (1, -1, 1, -1, 1)
 
 #: Trace-identity table on the curves: word -> polynomial in x = y^2 - z.
 #: Each entry is (word over the presentation's generators, coefficients of
@@ -105,98 +89,6 @@ def pretzel935_presentation() -> Presentation:
     it share one Tietze reduction (Presentation._reductions)."""
     with open(fixture_path("9_35.pres"), encoding="utf-8") as fh:
         return parse_presentation(fh.read())
-
-
-def _mono(var: str) -> MultiPoly:
-    return MultiPoly.var(RV_VARS, var)
-
-
-def _const(c) -> MultiPoly:
-    return MultiPoly.constant(RV_VARS, c)
-
-
-@lru_cache(maxsize=None)
-def hlm_r(m: int) -> MultiPoly:
-    """The m-th trace recursion polynomial in Z[y1, y1^{-1}, y2, v].
-
-    r_6 is an honest polynomial (no negative powers survive) and factors
-    into the product of a degree-2 and a degree-3 factor in v.
-    """
-    if m < 0:
-        raise AlgebraError("recursion index must be nonnegative")
-    if m == 0:
-        return MultiPoly.zero(RV_VARS)
-    if m == 1:
-        return _const(1)
-    if m == 2:
-        return _mono("v")
-    if m > len(T_SIGNS) + 1:
-        raise AlgebraError("sign pattern defined only up to index %d"
-                           % (len(T_SIGNS) + 1))
-    t = _const(T_SIGNS[m - 2])
-    y1 = _mono("y1")
-    y1_inv = MultiPoly(RV_VARS, {(-1, 0, 0): Fraction(1)})
-    y2 = _mono("y2")
-    v = _mono("v")
-    half = Fraction(1, 2)
-    swap_prev = hlm_r(m - 1).swap_vars("y1", "y2")
-    swap_back3 = hlm_r(m - 3).swap_vars("y1", "y2")
-    term3 = -(y1_inv * y2 * t) * swap_back3
-    term2 = ((y2 * y2 - _const(2)) + y1_inv * y2 * t * (_const(2) * v - y1 * y2)
-             ).scale(half) * hlm_r(m - 2)
-    term1 = ((y1 - _const(2) * y1_inv) * y2 * t + _const(2) * v - y1 * y2
-             ).scale(half) * swap_prev
-    return term3 + term2 + term1
-
-
-def hlm_r6_cleared() -> MultiPoly:
-    """y1^5 * r_6, the polynomial whose vanishing cuts the curve."""
-    y1_5 = MultiPoly(RV_VARS, {(5, 0, 0): Fraction(1)})
-    p = y1_5 * hlm_r(6)
-    if p.has_negative_exponents():
-        raise AlgebraError("y1^5 r_6 still has negative exponents")
-    return p
-
-
-def r6_factors() -> tuple[MultiPoly, MultiPoly]:
-    """The two factors of r_6: (quadratic in v, cubic in v).
-
-    quadratic = v^2 - v y1 y2 + y1^2 + y2^2 - 3
-    cubic     = v^3 - v^2 y1 y2 + v (y1^2 + y2^2 - 1) - y1 y2
-    """
-    y1 = _mono("y1")
-    y2 = _mono("y2")
-    v = _mono("v")
-    quad = v * v - v * y1 * y2 + y1 * y1 + y2 * y2 - _const(3)
-    cubic = (v ** 3 - v * v * y1 * y2 + v * (y1 * y1 + y2 * y2 - _const(1))
-             - y1 * y2)
-    return quad, cubic
-
-
-def slice_b_minus_one() -> MultiPoly:
-    """y1^5 r_6 on the slice b = y1^2 - 2 = -1, over (y, z, w)."""
-    return hlm_r6_cleared().compose(
-        {"y1": 1, "y2": MultiPoly.var(YZW_VARS, "y"),
-         "v": MultiPoly.var(YZW_VARS, "w")}, MultiPoly.zero(YZW_VARS))
-
-
-def second_equation() -> MultiPoly:
-    """The companion defining equation w^2 - w y + z - 1 in (y, z, w)."""
-    w = MultiPoly.var(YZW_VARS, "w")
-    yy = MultiPoly.var(YZW_VARS, "y")
-    zz = MultiPoly.var(YZW_VARS, "z")
-    return w * w - w * yy + zz - MultiPoly.constant(YZW_VARS, 1)
-
-
-def eliminate_w(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Resultant in w of two polynomials over (y, z, w), returned over (y, z)."""
-    if tuple(p.vars) != YZW_VARS or tuple(q.vars) != YZW_VARS:
-        raise AlgebraError("eliminate_w needs polynomials over %s"
-                           % (YZW_VARS,))
-    res = resultant(p, q, "w")
-    if res.degree_in("w") > 0:
-        raise AlgebraError("resultant still involves w")
-    return MultiPoly(YZ_VARS, {ex[:2]: c for ex, c in res.terms.items()})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,30 +137,19 @@ class PlaneCurve:
         return self.poly.to_text()
 
 
-def resultant_curve() -> MultiPoly:
-    """Res_w of (y1^5 r_6)|_{b=-1} with w^2 - wy + z - 1, over (y, z)."""
-    return eliminate_w(slice_b_minus_one(), second_equation())
-
-
 @lru_cache(maxsize=None)
 def curve_components() -> tuple[PlaneCurve, PlaneCurve]:
-    """The two irreducible-character curves (C, C'), computed once; the
-    curves are frozen and never mutated, so every call shares them.
-
-    The eliminated polynomial factors exactly as (y^2 - z - 1)^2 times a
-    primitive quartic-cubic; failure of that exact division certifies a
-    pipeline defect, so it raises rather than returning junk.
+    """The two irreducible-character curves (C, C'), built once from their
+    term tables; the curves are frozen and never mutated, so every call
+    shares them.  The terms are listed lex-descending, the order in which
+    the float slices of PlaneCurve.z_values sum them.
     """
-    total = resultant_curve()
-    y = MultiPoly.var(YZ_VARS, "y")
-    z = MultiPoly.var(YZ_VARS, "z")
-    c_poly = y * y - z - MultiPoly.constant(YZ_VARS, 1)
-    rest = exact_divide(total, c_poly * c_poly)
-    if rest is None:
-        raise CertificationError(
-            "eliminated curve is not divisible by (y^2 - z - 1)^2")
+    c_poly = MultiPoly(YZ_VARS, {(2, 0): 1, (0, 1): -1, (0, 0): -1})
+    cprime_poly = MultiPoly(YZ_VARS, {
+        (4, 1): 1, (4, 0): -2, (2, 2): -2, (2, 1): 5, (2, 0): -2,
+        (0, 3): 1, (0, 2): -3, (0, 1): 3, (0, 0): -1})
     return (PlaneCurve(c_poly, name="C"),
-            PlaneCurve(rest, name="Cprime"))
+            PlaneCurve(cprime_poly, name="Cprime"))
 
 
 @lru_cache(maxsize=None)

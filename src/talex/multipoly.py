@@ -2,8 +2,8 @@
 
 A MultiPoly carries an ordered variable tuple and a term map from integer
 exponent vectors to nonzero Fractions.  Exponents may be negative: the
-ring is really a localization (Laurent in selected variables), which the
-trace-polynomial recursion needs for its intermediate values.
+ring is really a localization (Laurent in selected variables), as the
+entries of a matrix such as (m, 1; 0, 1/m) need.
 exact_divide needs honest polynomials and checks for nonnegative
 exponents first; resultant needs them only in the eliminated variable.
 
@@ -188,20 +188,6 @@ class MultiPoly:
         itself."""
         out = MultiPoly(self.vars)
         out.terms = {ex: complex(c) for ex, c in self.terms.items()}
-        return out
-
-    # -- variable plumbing -----------------------------------------------------
-
-    def swap_vars(self, a: str, b: str) -> "MultiPoly":
-        """The polynomial with variables a and b exchanged (same var tuple)."""
-        i, j = self.vars.index(a), self.vars.index(b)
-        terms = {}
-        for ex, c in self.terms.items():
-            lst = list(ex)
-            lst[i], lst[j] = lst[j], lst[i]
-            terms[tuple(lst)] = c
-        out = MultiPoly(self.vars)
-        out.terms = terms
         return out
 
     # -- substitution -----------------------------------------------------------

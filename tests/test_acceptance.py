@@ -26,6 +26,7 @@ from talex.signature import (
     lt_signature,
 )
 
+import hlm_recursion as hlm
 from conftest import P, TREFOIL_V, equal_up_to_even_shift, random_word
 
 
@@ -96,8 +97,8 @@ def criterion_01():
 def criterion_02():
     """Sixth trace polynomial equals the two-factor product exactly, < 1 s."""
     def check():
-        quad, cubic = cc.r6_factors()
-        assert cc.hlm_r(6) == quad * cubic
+        quad, cubic = hlm.r6_factors()
+        assert hlm.hlm_r(6) == quad * cubic
     _, dt = _timed(check)
     assert dt < 1.0, "factorization took %.2fs" % dt
 
@@ -108,7 +109,7 @@ def criterion_03():
     from talex.multipoly import MultiPoly, exact_divide
 
     def check():
-        res = cc.resultant_curve()
+        res = hlm.resultant_curve()
         C, Cp = cc.curve_components()
         product = C.poly * C.poly * Cp.poly
         q1 = exact_divide(res, product)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,16 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talex import charcurves as cc
-from talex._sl2 import _Equations, _residual
+from talex import multipoly
+from talex._sl2 import (_Equations, _mat_adjugate, _mat_det, _mat_mul,
+                        _residual)
 from talex.cli import main
 from talex.errors import AlgebraError, CertificationError, SolveError
 from talex.laurent import LaurentPoly
 from talex.matrix import det
-from talex.multipoly import MultiPoly, exact_divide
+from talex.multipoly import MultiPoly, exact_divide, resultant
 from talex.representations import (Representation, _det_one_on_trace_rows,
                                    abelian_rep, solve_representation)
 from talex.twisted import fox_matrix_laurent, wada_invariant
 
+import hlm_recursion as hlm
 from conftest import same_coefficients
 
 YZ = ("y", "z")
@@ -55,12 +59,12 @@ def curve_cprime_poly():
 
 class TestTraceRecursion:
     def test_base_cases(self):
-        r2 = cc.hlm_r(2)
-        assert cc.hlm_r(0).is_zero()
-        assert cc.hlm_r(1) == MultiPoly.constant(r2.vars, 1)
+        r2 = hlm.hlm_r(2)
+        assert hlm.hlm_r(0).is_zero()
+        assert hlm.hlm_r(1) == MultiPoly.constant(r2.vars, 1)
 
     def test_third_term(self):
-        r3 = cc.hlm_r(3)
+        r3 = hlm.hlm_r(3)
         v = MultiPoly.var(r3.vars, "v")
         y1 = MultiPoly.var(r3.vars, "y1")
         y2 = MultiPoly.var(r3.vars, "y2")
@@ -68,17 +72,17 @@ class TestTraceRecursion:
 
     def test_out_of_range(self):
         with pytest.raises(AlgebraError):
-            cc.hlm_r(-1)
+            hlm.hlm_r(-1)
         with pytest.raises(AlgebraError):
-            cc.hlm_r(7)
+            hlm.hlm_r(7)
 
     def test_r6_is_the_two_factor_product(self):
-        quad, cubic = cc.r6_factors()
-        assert cc.hlm_r(6) == quad * cubic
+        quad, cubic = hlm.r6_factors()
+        assert hlm.hlm_r(6) == quad * cubic
 
     def test_r6_factors_divide_the_cleared_form(self):
-        cleared = cc.hlm_r6_cleared()
-        quad, cubic = cc.r6_factors()
+        cleared = hlm.hlm_r6_cleared()
+        quad, cubic = hlm.r6_factors()
         assert not cleared.has_negative_exponents()
         rest = exact_divide(cleared, quad)
         assert rest is not None
@@ -87,7 +91,7 @@ class TestTraceRecursion:
 
 class TestSliceAndElimination:
     def test_slice_is_the_factored_product(self):
-        assert cc.slice_b_minus_one() == quad_slice_factor() * cubic_slice_factor()
+        assert hlm.slice_b_minus_one() == quad_slice_factor() * cubic_slice_factor()
 
     @staticmethod
     def _slice(p, y1, v_sign):
@@ -99,25 +103,25 @@ class TestSliceAndElimination:
     def test_slice_does_not_depend_on_the_sign_of_y1(self):
         # b = y1^2 - 2 = -1 has the two branches y1 = 1 (w = v) and
         # y1 = -1 (w = -v); both give the same slice.
-        cleared = cc.hlm_r6_cleared()
-        assert self._slice(cleared, -1, -1) == cc.slice_b_minus_one()
+        cleared = hlm.hlm_r6_cleared()
+        assert self._slice(cleared, -1, -1) == hlm.slice_b_minus_one()
         # an odd residual power of y1 would break that symmetry
         odd = cleared + MultiPoly.var(cleared.vars, "y1")
         assert self._slice(odd, -1, -1) != self._slice(odd, 1, 1)
 
     def test_eliminate_w_requires_the_yzw_variables(self):
-        q = cc.second_equation()
+        q = hlm.second_equation()
         with pytest.raises(AlgebraError):
-            cc.eliminate_w(cc.hlm_r6_cleared(), q)
+            hlm.eliminate_w(hlm.hlm_r6_cleared(), q)
         with pytest.raises(AlgebraError):
-            cc.eliminate_w(q, MultiPoly.var(("y", "w"), "w"))
+            hlm.eliminate_w(q, MultiPoly.var(("y", "w"), "w"))
 
     def test_second_equation_variables(self):
-        q = cc.second_equation()
+        q = hlm.second_equation()
         assert set(q.vars) == {"y", "z", "w"}
 
     def test_eliminate_w_matches_component_product(self):
-        res = cc.resultant_curve()
+        res = hlm.resultant_curve()
         c2cp = (curve_c_poly() ** 2) * curve_cprime_poly()
         q1 = exact_divide(res, c2cp)
         q2 = exact_divide(c2cp, res)
@@ -130,10 +134,126 @@ class TestSliceAndElimination:
         assert Cp.poly == curve_cprime_poly()
 
     def test_parabola_points_satisfy_the_resultant(self):
-        res = cc.resultant_curve()
+        res = hlm.resultant_curve()
         for y0 in (Fraction(2), Fraction(-3), Fraction(1, 2)):
             val = res.evaluate({"y": y0, "z": y0 * y0 - 1})
             assert val == 0
+
+    def test_curves_are_data(self, monkeypatch):
+        cached = cc.curve_components()
+
+        def eliminate(*args):
+            raise AssertionError("curve_components ran an elimination")
+
+        monkeypatch.setattr(cc, "exact_divide", eliminate)
+        monkeypatch.setattr(cc, "resultant", eliminate, raising=False)
+        monkeypatch.setattr(multipoly, "resultant", eliminate)
+        fresh = cc.curve_components.__wrapped__()
+        assert fresh == cached
+        for curve in fresh:
+            assert list(curve.poly.terms) == sorted(curve.poly.terms,
+                                                    reverse=True)
+
+
+# The knot group of 9_35 over Z[m^{+-1}, u^{+-1}, s]: a and b in the gauge
+# (m, 1; 0, 1/m) and (m, 0; u, 1/m), so that y = tr a = m + 1/m and
+# z = tr ab = m^2 + u + m^-2, and c = (s, c21/u; c21, y - s) with
+# c21 = z - m s - (y - s)/m, so that tr c = y and tr bc = tr ca = z.
+MUS = ("m", "u", "s")
+
+
+def _cleared(p):
+    """p times the Laurent monomial that makes its least exponent in each
+    variable 0: negative powers cleared, monomial factors divided out."""
+    return p * MultiPoly(MUS, {tuple(-p.min_exponent_in(v) for v in MUS): 1})
+
+
+def _gauge_traces():
+    """y = m + 1/m and z = m^2 + u + m^-2 over (m, u, s)."""
+    m, u = MultiPoly.var(MUS, "m"), MultiPoly.var(MUS, "u")
+    return m + m ** -1, m * m + u + m ** -2
+
+
+def _on_the_gauge(curve):
+    """A polynomial over (y, z) as a polynomial in (m, u), cleared."""
+    y, z = _gauge_traces()
+    return _cleared(curve.compose({"y": y, "z": z}, MultiPoly.zero(MUS)))
+
+
+def _known_factors():
+    """C^2, (z - 2)^2 and C' on the gauge: (1 - u)^2, D^2 with
+    D = m^2 (z - 2), and m^2 C'(m + 1/m, z)."""
+    C, Cp = cc.curve_components()
+    reducible = _on_the_gauge(MultiPoly.var(YZ, "z") - 2)
+    return (_on_the_gauge(C.poly) ** 2, reducible ** 2,
+            _on_the_gauge(Cp.poly))
+
+
+@lru_cache(maxsize=None)
+def _gauge_generators():
+    m, u, s = (MultiPoly.var(MUS, v) for v in MUS)
+    one, zero = MultiPoly.constant(MUS, 1), MultiPoly.zero(MUS)
+    y, z = _gauge_traces()
+    c21 = z - m * s - (y - s) * m ** -1
+    return ((m, one, zero, m ** -1), (m, zero, u, m ** -1),
+            (s, c21 * u ** -1, c21, y - s))
+
+
+@lru_cache(maxsize=None)
+def _relator_resultants():
+    """Res_s(e, det c - 1) over the 8 entries e of r - I, for both relators
+    r of 9_35.pres, each cleared of negative powers.  An inverse letter is
+    the adjugate, which is the inverse where det c = 1."""
+    gens = _gauge_generators()
+    det_c = _cleared(_mat_det(gens[2]) - 1)
+    out = []
+    for relator in cc.pretzel935_presentation().relators:
+        image = (1, 0, 0, 1)
+        for letter in relator.tietze:
+            g = gens[abs(letter) - 1]
+            image = _mat_mul(image, g if letter > 0 else _mat_adjugate(g))
+        for entry, identity in zip(image, (1, 0, 0, 1)):
+            out.append(resultant(_cleared(entry - identity), det_c, "s"))
+    return tuple(out)
+
+
+class TestCurvesFromThePresentation:
+    """C and C' derived from the knot group: every relator entry's
+    resultant is divisible by C^2, by the reducible locus z = 2 squared and
+    by C', and no third curve remains."""
+
+    def test_the_gauge_meets_the_traces(self):
+        a, b, c = _gauge_generators()
+        m, u = MultiPoly.var(MUS, "m"), MultiPoly.var(MUS, "u")
+        y, z = _gauge_traces()
+        assert _mat_det(a) == 1 and _mat_det(b) == 1
+        assert [g[0] + g[3] for g in (a, b, c)] == [y, y, y]
+        assert [_mat_mul(g, h)[0] + _mat_mul(g, h)[3]
+                for g, h in ((a, b), (b, c), (c, a))] == [z, z, z]
+        c_sq, reducible_sq, _ = _known_factors()
+        assert c_sq == (-u + 1) ** 2
+        assert reducible_sq == (m ** 4 + m * m * u - 2 * m * m + 1) ** 2
+
+    def test_each_curve_lies_on_the_variety(self):
+        c_sq, reducible_sq, cprime = _known_factors()
+        for res in _relator_resultants():
+            assert not res.is_zero()
+            for factor in (c_sq, reducible_sq, cprime):
+                assert exact_divide(res, factor) is not None
+            assert exact_divide(res, cprime * cprime) is None
+
+    def test_no_third_curve(self):
+        # the cofactors of two entries share no zero with m != 0: their
+        # resultant in u is a nonzero monomial in m alone
+        c_sq, reducible_sq, cprime = _known_factors()
+        known = c_sq * reducible_sq * cprime
+        cofactors = [exact_divide(res, known)
+                     for res in _relator_resultants()[:2]]
+        assert None not in cofactors
+        rest = resultant(*map(_cleared, cofactors), "u")
+        assert len(rest.terms) == 1
+        (ex, _), = rest.terms.items()
+        assert ex[1:] == (0, 0)
 
 
 class TestPlaneCurves:

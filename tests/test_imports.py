@@ -291,9 +291,6 @@ UNCALLED_ALLOWED = {
     "words.py:fundamental_identity_holds":
         "independent check of the Fox calculus, run by the acceptance and "
         "prefix-scan property tests",
-    "charcurves.py:r6_factors":
-        "the two factors of r_6, an independent check of the HLM "
-        "resultant curve in the acceptance tests",
     "multipoly.py:MultiPoly.constant_value":
         "reads the value of a constant polynomial, which the exact "
         "resultant and elimination tests compare",

@@ -107,11 +107,6 @@ class TestStructure:
         assert p.degree_in("z") == 3
         assert p.min_exponent_in("y") == 0
 
-    def test_var_permutations(self):
-        p = mk(YZ, {(2, 1): 3})
-        q = p.swap_vars("y", "z")
-        assert q.vars == YZ and q.terms == {(1, 2): Fraction(3)}
-
 
 class TestSubstitution:
     def test_numeric(self):
