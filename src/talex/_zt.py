@@ -5,7 +5,9 @@ A polynomial is a dense list of Python ints, constant term first, with no
 zero at the top; the zero polynomial is [].  An exact Laurent polynomial
 sum c_k t^k over Q enters through split, as t^low f(t) / den with f in
 Z[t], f(0) != 0 and den the lcm of the coefficient denominators, and
-leaves through coefficients, one Fraction per nonzero coefficient.
+leaves through coefficients, one Fraction per nonzero coefficient.  Its
+value at an exact point p/q is horner's q^deg f f(p/q), one integer sum
+that LaurentPoly.evaluate turns into one Fraction.
 
 Division, gcd and the square-free decomposition run on integers only.
 By Gauss's lemma a primitive d divides f in Q[t] exactly when it divides
@@ -55,6 +57,15 @@ def coefficients(f: list[int], low: int, scale: Fraction
     """The coefficients of scale * t^low * f, zeros left out."""
     num, den = scale.numerator, scale.denominator
     return {low + k: Fraction(c * num, den) for k, c in enumerate(f) if c}
+
+
+def horner(f: list[int], p: int, q: int) -> int:
+    """q^deg f * f(p/q), by Horner's rule in integers; 0 for f = []."""
+    acc, scale = 0, 1
+    for c in reversed(f):
+        acc = acc * p + c * scale
+        scale *= q
+    return acc
 
 
 def primitive(f: list[int]) -> tuple[int, list[int]]:

@@ -33,9 +33,11 @@ The reduction of LaurentRational and the square-free decomposition clear
 denominators and content and run in Z[t] (the _zt kernel): a primitive
 pseudo-remainder gcd, exact trial division and Yun's algorithm
 (_zt.squarefree), with the same results as over Q and no Fraction per
-step.  Exact division (/) reads that reduction: an exact LaurentRational
-is a polynomial exactly when its reduced denominator is 1.  A complex
-quotient is divided at samples on the unit circle (_sampled_quotient).
+step; an exact polynomial at an exact point is one integer Horner sum
+(_zt.horner).  Exact division (/) reads that reduction: an exact
+LaurentRational is a polynomial exactly when its reduced denominator is
+1.  A complex quotient is divided at samples on the unit circle
+(_sampled_quotient).
 """
 
 from __future__ import annotations
@@ -254,7 +256,12 @@ class LaurentPoly:
     # -- evaluation and calculus -------------------------------------------
 
     def evaluate(self, x):
-        """Value at x; exact when both the polynomial and x are exact."""
+        """Value at x; exact when both the polynomial and x are exact.
+
+        At an exact x = p/q an exact polynomial t^low f(t) / den (_zt.split)
+        is valued in integers, q^deg f f(p/q) by _zt.horner, and made one
+        Fraction at the end.  Other points run the loop term by term.
+        """
         if isinstance(x, complex):
             total = 0j
             for k, c in self.coeffs.items():
@@ -262,7 +269,19 @@ class LaurentPoly:
                     c = complex(c)
                 total = total + c * _pow_any(x, k)
             return total
-        total = Fraction(0) if (self._exact and _is_exact(_coerce(x))) else 0j
+        if self._exact and _is_exact(_coerce(x)):
+            f, low, den = _zt.split(self.coeffs)
+            if not f:
+                return Fraction(0)
+            p, q = x.numerator, x.denominator
+            if low < 0 and not p:
+                raise AlgebraError("substituting 0 into a negative power")
+            # f(x) / den = horner / (q^deg f den), then times (p/q)^low
+            num, den = _zt.horner(f, p, q), den * q ** (len(f) - 1)
+            if low >= 0:
+                return Fraction(num * p ** low, den * q ** low)
+            return Fraction(num * q ** -low, den * p ** -low)
+        total = 0j
         for k, c in self.coeffs.items():
             total = total + c * _pow_any(x, k)
         return total

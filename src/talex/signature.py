@@ -28,10 +28,22 @@ takes the value of its mirror.  The arc through omega = 1 is read at
 omega = 1 up to rounding, where H vanishes and sigma is 0.
 Eigenvalues within _ZERO_TOL of 0 count as zeros of the form, not
 toward its signature.
+
+The arc table, filled on first use and kept, also answers point reads.
+lt_signature(v, omega) is the value of the arc that holds omega when the
+angle of omega is more than _ARC_MARGIN = 1e-6 from every root; nearer
+a root, or on it, it solves H(omega) alone.  averaged_signature is the
+value of omega's arc away from the roots and, within _AT_ROOT = 1e-9 of
+a root, the mean of the two arcs that meet there.  With no roots sigma
+is 0 on the whole circle, the value it has next to omega = 1.
+lt_signature_detail always solves H(omega) alone: it also counts the
+near-zero eigenvalues, which no arc records.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +54,8 @@ from .laurent import LaurentPoly
 from .roots import unit_circle_roots
 
 _ZERO_TOL = 1e-9
+_ARC_MARGIN = 1e-6
+_AT_ROOT = 1e-9
 
 
 class SeifertMatrix:
@@ -65,7 +79,7 @@ class SeifertMatrix:
                                                        zip(*self.rows))])
         self._delta = LaurentPoly._clean(
             _zt.coefficients(pivot, 0, Fraction(sign)), True)
-        pairing = self._delta.evaluate(Fraction(1))   # det(V - V^T)
+        pairing = sign * sum(pivot)     # delta(1) = det(V - V^T)
         if pairing not in (1, -1):
             raise ParseError("det(V - V^T) = %s; a knot Seifert matrix needs "
                              "+-1" % pairing)
@@ -118,53 +132,53 @@ def _signatures(v: SeifertMatrix, omegas: list[complex]
     return [(int(p - q), int(z)) for p, q, z in zip(pos, neg, zeros)]
 
 
-def lt_signature_detail(v: SeifertMatrix, omega: complex) -> tuple[int, int]:
-    """(signature, number of excluded near-zero eigenvalues) at omega."""
+def _on_circle(omega) -> complex:
+    """omega as a complex number; AlgebraError off the unit circle."""
     omega = complex(omega)
     if not abs(abs(omega) - 1.0) <= 1e-12:    # also refuses nan
         raise AlgebraError("omega must lie on the unit circle, got |omega| = %r"
                            % abs(omega))
-    return _signatures(v, [omega])[0]
+    return omega
+
+
+def lt_signature_detail(v: SeifertMatrix, omega: complex) -> tuple[int, int]:
+    """(signature, number of excluded near-zero eigenvalues) at omega."""
+    return _signatures(v, [_on_circle(omega)])[0]
+
+
+def _arc_reading(v: SeifertMatrix, omega: complex) -> tuple[float, int, int]:
+    """(d, here, there): the angular distance d from omega to the nearest
+    unit-circle root of delta, sigma on the arc that holds omega, and sigma
+    on the arc across that root; (pi, 0, 0) with no roots."""
+    arcs = _arc_signatures(v)
+    if not arcs:
+        return math.pi, 0, 0
+    theta = cmath.phase(omega)
+    i, s = min(((i, (theta - a + math.pi) % (2.0 * math.pi) - math.pi)
+                for i, (a, _) in enumerate(v.unit_roots())),
+               key=lambda r: abs(r[1]))
+    # arc i follows root i, arc i - 1 precedes it
+    return (s, arcs[i], arcs[i - 1]) if s > 0 else (-s, arcs[i - 1], arcs[i])
 
 
 def lt_signature(v: SeifertMatrix, omega: complex) -> int:
-    """Signature of (1-omega)V + (1-conj omega)V^T, zeros excluded."""
-    return lt_signature_detail(v, omega)[0]
-
-
-def _safe_radius(angles: list[float], theta: float) -> float:
-    """Largest radius around theta certified free of OTHER circle roots.
-
-    A root within 1e-9 of theta is theta itself (the evaluation point
-    sitting on a root); every other root bounds the radius.  With no
-    other roots the radius is pi, the diameter of the angle metric.
-    """
-    d = np.pi
-    for a in angles:
-        diff = abs((a - theta + np.pi) % (2.0 * np.pi) - np.pi)
-        if diff > 1e-9:
-            d = min(d, diff)
-    return d
+    """Signature of (1-omega)V + (1-conj omega)V^T, zeros excluded: the
+    value of omega's arc, or one solve within _ARC_MARGIN of a root."""
+    omega = _on_circle(omega)
+    d, here, _ = _arc_reading(v, omega)
+    return here if d > _ARC_MARGIN else _signatures(v, [omega])[0][0]
 
 
 def averaged_signature(v: SeifertMatrix, omega: complex) -> Fraction:
     """Mean of the two one-sided signatures at omega.
 
-    The offsets are half the angular distance from omega to the nearest
-    unit-circle root of delta other than omega itself, so both offset
-    points stay inside the constancy arcs adjacent to omega.  Away from
-    the roots this reduces to lt_signature (both offsets share omega's
-    arc); at omega = 1 it gives 0, since delta(1) = +-1 keeps roots away.
+    Away from the roots both sides lie on omega's arc and the mean is its
+    value; within _AT_ROOT of a root it is the mean of the two arcs that
+    meet there.  At omega = 1 it gives 0, since delta(1) = +-1 keeps roots
+    away.
     """
-    omega = complex(omega)
-    if not abs(abs(omega) - 1.0) <= 1e-12:    # also refuses nan
-        raise AlgebraError("omega must lie on the unit circle")
-    angles = [a for a, _ in v.unit_roots()]
-    theta = float(np.angle(omega))
-    eps = _safe_radius(angles, theta) / 2.0
-    (plus, _), (minus, _) = _signatures(
-        v, [np.exp(1j * (theta + eps)), np.exp(1j * (theta - eps))])
-    return Fraction(plus + minus, 2)
+    d, here, there = _arc_reading(v, _on_circle(omega))
+    return Fraction(here + there, 2) if d <= _AT_ROOT else Fraction(here)
 
 
 def _arc_signatures(v: SeifertMatrix) -> list[int]:

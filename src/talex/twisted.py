@@ -236,10 +236,11 @@ def alexander(p: Presentation, removed: int | None = None) -> LaurentPoly:
         raise AlgebraError("Fox determinant vanishes; input does not present "
                            "a knot group at deficiency one")
     d = d.unit_normal()
-    if d.evaluate(Fraction(1)) not in (1, -1):
+    at_one = d.evaluate(Fraction(1))
+    if at_one not in (1, -1):
         raise CertificationError(
             "delta(1) = %s violates the knot condition delta(1) = +-1"
-            % d.evaluate(Fraction(1)))
+            % at_one)
     return d
 
 

@@ -126,6 +126,18 @@ def torus_pd(n):
              edge(2 * k + 2 + n)) for k in range(n)]
 
 
+def torus_seifert(n):
+    """Seifert matrix of T(2, n): -I plus ones on the superdiagonal."""
+    return [[-1 if j == i else 1 if j == i + 1 else 0 for j in range(n - 1)]
+            for i in range(n - 1)]
+
+
+def block_sum(a, b):
+    """V1 (+) V2, a Seifert matrix of the connected sum."""
+    return ([row + [0] * len(b) for row in a]
+            + [[0] * len(a) + row for row in b])
+
+
 def equal_up_to_even_shift(a: LaurentRational, b: LaurentRational) -> bool:
     """Equality of rational functions up to multiplication by t^{2i}."""
     lhs = a.num * b.den

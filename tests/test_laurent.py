@@ -148,6 +148,30 @@ class TestArithmetic:
         assert q == P(1, 0, 4)
 
 
+class TestExactEvaluate:
+    """evaluate at an exact point, one integer Horner sum over _zt.split's
+    list, against the Fraction sum taken term by term."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(-6, 6), st.fractions(
+               min_value=-9, max_value=9, max_denominator=12), max_size=6),
+           st.one_of(st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+                     st.integers(-9, 9),
+                     st.fractions(min_value=-9, max_value=9,
+                                  max_denominator=12)))
+    def test_equals_the_term_by_term_sum(self, coeffs, x):
+        p = LaurentPoly(coeffs)
+        if x == 0 and any(k < 0 for k in p.coeffs):
+            with pytest.raises(AlgebraError, match="negative power"):
+                p.evaluate(x)
+            return
+        total = Fraction(0)
+        for k, c in p.coeffs.items():
+            total += c * Fraction(x) ** k
+        got = p.evaluate(x)
+        assert type(got) is Fraction and got == total
+
+
 exact_laurent = st.dictionaries(
     st.integers(-4, 4),
     st.fractions(min_value=-6, max_value=6, max_denominator=7),

@@ -19,7 +19,8 @@ from talex.signature import (
 )
 from talex.twisted import alexander
 
-from conftest import P, TREFOIL_V, load_fixture_text, normalized, torus_pd
+from conftest import (P, TREFOIL_V, block_sum, load_fixture_text, normalized,
+                      torus_pd, torus_seifert)
 
 W6 = np.pi / 3  # angle of the first trefoil circle root
 
@@ -130,6 +131,32 @@ class TestSeifertMatrix:
         assert signature_jumps(v) is jumps
         assert calls == [2]             # the verdict reads the kept arcs
 
+    def test_point_read_and_jumps_share_one_solve(self, monkeypatch):
+        calls = []
+        real_signatures = signature._signatures
+
+        def counting_signatures(v, omegas):
+            calls.append(len(omegas))
+            return real_signatures(v, omegas)
+
+        monkeypatch.setattr(signature, "_signatures", counting_signatures)
+        v = SeifertMatrix(torus_seifert(21))
+        assert lt_signature(v, -1) == -20
+        assert len(signature_jumps(v)) == 20
+        assert calls == [11]            # m/2 + 1 forms for m = 20 roots
+
+    def test_construction_evaluates_no_polynomial(self, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("LaurentPoly.evaluate called")
+
+        monkeypatch.setattr(LaurentPoly, "evaluate", refuse)
+        for rows in (TREFOIL_V, torus_seifert(21), []):
+            SeifertMatrix(rows)
+        with pytest.raises(ParseError, match="det\\(V - V\\^T\\) = 0"):
+            SeifertMatrix([[1, 0], [0, 1]])
+        with pytest.raises(ParseError, match="det\\(V - V\\^T\\) = 4"):
+            SeifertMatrix([[0, 2], [0, 0]])
+
 
 class TestLtSignature:
     def test_trefoil_values(self):
@@ -157,6 +184,27 @@ class TestLtSignature:
     def test_nan_rejected(self):
         with pytest.raises(AlgebraError):
             lt_signature(trefoil_v(), complex("nan"))
+
+    def test_solves_alone_only_within_the_margin(self, monkeypatch):
+        v = trefoil_v()
+        signature_jumps(v)              # the arc table, kept
+        calls = []
+        real_signatures = signature._signatures
+
+        def counting_signatures(v, omegas):
+            calls.append(len(omegas))
+            return real_signatures(v, omegas)
+
+        monkeypatch.setattr(signature, "_signatures", counting_signatures)
+        margin = signature._ARC_MARGIN
+        # on the root H(omega) has one zero eigenvalue; the arcs carry none
+        assert lt_signature(v, np.exp(1j * W6)) == -1
+        assert lt_signature(v, np.exp(1j * (W6 + margin / 2))) == -2
+        assert calls == [1, 1]
+        assert lt_signature(v, np.exp(1j * (W6 + 2 * margin))) == -2
+        assert lt_signature(v, np.exp(1j * (W6 - 2 * margin))) == 0
+        assert lt_signature(v, 1.0) == 0
+        assert calls == [1, 1]
 
     def test_conjugation_symmetry(self):
         v = v935()
@@ -207,6 +255,23 @@ class TestAveragedSignature:
     def test_nan_rejected(self):
         with pytest.raises(AlgebraError):
             averaged_signature(trefoil_v(), complex("nan"))
+
+    @pytest.mark.parametrize("rows", [
+        TREFOIL_V, torus_seifert(9), block_sum(TREFOIL_V, TREFOIL_V),
+    ], ids=["3_1", "T2_9", "3_1#3_1"])
+    def test_reads_the_arc_table(self, monkeypatch, rows):
+        v = SeifertMatrix(rows)
+        arcs = signature._arc_signatures(v)
+
+        def refuse(v, omegas):
+            raise AssertionError("_signatures called")
+
+        monkeypatch.setattr(signature, "_signatures", refuse)
+        for i, (theta, _) in enumerate(v.unit_roots()):
+            assert averaged_signature(v, np.exp(1j * theta)) == \
+                Fraction(arcs[i - 1] + arcs[i], 2)
+        for arc, w in zip(arcs, _arc_midpoints(v)):
+            assert averaged_signature(v, w) == arc
 
     def test_half_integer_average_near_step(self):
         v = trefoil_v()
@@ -266,12 +331,6 @@ class TestIsIdenticallyZero:
         assert is_identically_zero(SeifertMatrix([]))
 
 
-def torus_seifert(n):
-    """Seifert matrix of T(2, n): -I plus ones on the superdiagonal."""
-    return [[-1 if j == i else 1 if j == i + 1 else 0 for j in range(n - 1)]
-            for i in range(n - 1)]
-
-
 @pytest.mark.parametrize("n", range(3, 14, 2))
 class TestTorusKnotsT2n:
     def test_alexander_closed_form(self, n):
@@ -315,12 +374,6 @@ def test_stacked_solve_matches_one_omega_reads(knot):
                                                 for w in omegas]
 
 
-def _block_sum(a, b):
-    """V1 (+) V2, a Seifert matrix of the connected sum."""
-    return ([row + [0] * len(b) for row in a]
-            + [[0] * len(a) + row for row in b])
-
-
 def _mirror(rows):
     """-V^T, a Seifert matrix of the mirror image."""
     return [[-x for x in col] for col in zip(*rows)]
@@ -335,7 +388,7 @@ class TestConnectedSumAndMirror:
     ], ids=["3_1#3_1", "T23#T25", "T25#8_20", "square"])
     def test_delta_multiplies_and_sigma_adds(self, a, b):
         v1, v2 = SeifertMatrix(a), SeifertMatrix(b)
-        v = SeifertMatrix(_block_sum(a, b))
+        v = SeifertMatrix(block_sum(a, b))
         assert v.alexander() == v1.alexander() * v2.alexander()
         for w in _arc_midpoints(v):
             assert (lt_signature(v, w)
@@ -346,14 +399,14 @@ class TestConnectedSumAndMirror:
                                if abs(a - theta) < 1e-9)
 
     def test_square_knot_signature_vanishes(self):
-        v = SeifertMatrix(_block_sum(TREFOIL_V, _mirror(TREFOIL_V)))
+        v = SeifertMatrix(block_sum(TREFOIL_V, _mirror(TREFOIL_V)))
         assert [m for _, m in v.unit_roots()] == [2, 2]
         assert signature_jumps(v) == []
         assert is_identically_zero(v)
 
     @pytest.mark.parametrize("rows", [
         TREFOIL_V, torus_seifert(5), _fixture_rows("8_20"),
-        _fixture_rows("9_35"), _block_sum(TREFOIL_V, torus_seifert(5)),
+        _fixture_rows("9_35"), block_sum(TREFOIL_V, torus_seifert(5)),
     ], ids=["3_1", "T25", "8_20", "9_35", "3_1#T25"])
     def test_mirror_negates_sigma_and_jumps(self, rows):
         v, m = SeifertMatrix(rows), SeifertMatrix(_mirror(rows))
@@ -363,21 +416,33 @@ class TestConnectedSumAndMirror:
         assert signature_jumps(m) == [(a, -j) for a, j in signature_jumps(v)]
 
 
-@pytest.mark.parametrize("rows", [
+ARC_FAMILIES = pytest.mark.parametrize("rows", [
     *[_fixture_rows(name) for name in ("3_1", "8_20", "9_35")],
     *[torus_seifert(n) for n in range(5, 42, 2)],
-    _block_sum(TREFOIL_V, torus_seifert(5)),
-    _block_sum(torus_seifert(5), _fixture_rows("8_20")),
-    _block_sum(TREFOIL_V, _mirror(TREFOIL_V)),
+    block_sum(TREFOIL_V, torus_seifert(5)),
+    block_sum(torus_seifert(5), _fixture_rows("8_20")),
+    block_sum(TREFOIL_V, _mirror(TREFOIL_V)),
     _mirror(_fixture_rows("9_35")),
-    _mirror(_block_sum(TREFOIL_V, torus_seifert(7))),
+    _mirror(block_sum(TREFOIL_V, torus_seifert(7))),
 ], ids=["3_1", "8_20", "9_35", *("T2_%d" % n for n in range(5, 42, 2)),
         "3_1#T25", "T25#8_20", "square", "mirror-9_35", "mirror-3_1#T27"])
+
+
+@ARC_FAMILIES
 def test_mirrored_arcs_match_one_omega_reads(rows):
     """Every arc, the copied lower half too, against its own midpoint."""
     v = SeifertMatrix(rows)
     assert signature._arc_signatures(v) == [_one_omega(v, complex(w))[0]
                                             for w in _arc_midpoints(v)]
+
+
+@ARC_FAMILIES
+def test_arc_reads_match_one_omega_reads(rows):
+    """lt_signature off the roots, read from the arc table, against a form
+    solved at omega alone: every arc midpoint and omega = -1."""
+    v = SeifertMatrix(rows)
+    for w in _arc_midpoints(v) + [-1.0]:
+        assert lt_signature(v, w) == _one_omega(v, complex(w))[0]
 
 
 @pytest.mark.parametrize("rows, roots", [
@@ -396,3 +461,12 @@ def test_half_the_arcs_are_solved(monkeypatch, rows, roots):
     assert len(signature._arc_signatures(v)) == len(v.unit_roots()) == roots
     # m/2 + 1 forms in one solve; none with no roots
     assert calls == [roots // 2 + 1 if roots else 0]
+
+
+@pytest.mark.parametrize("read", [lt_signature, lt_signature_detail,
+                                  averaged_signature])
+@pytest.mark.parametrize("omega", [0.5, 2j, complex("nan")])
+def test_one_unit_circle_check(read, omega):
+    with pytest.raises(AlgebraError,
+                       match="omega must lie on the unit circle, got"):
+        read(trefoil_v(), omega)
