@@ -37,6 +37,20 @@ def v820():
     return SeifertMatrix.from_text(load_fixture_text("8_20.seifert"))
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The number of forms in each signature._signatures call, in order."""
+    calls = []
+    real_signatures = signature._signatures
+
+    def counting_signatures(v, omegas):
+        calls.append(len(omegas))
+        return real_signatures(v, omegas)
+
+    monkeypatch.setattr(signature, "_signatures", counting_signatures)
+    return calls
+
+
 class TestSeifertMatrix:
     def test_from_text(self):
         v = SeifertMatrix.from_text("# comment\n-1 1\n0 -1\n")
@@ -115,35 +129,19 @@ class TestSeifertMatrix:
         assert jumps == signature_jumps(v)
         assert v.unit_roots() is v.unit_roots()
 
-    def test_jumps_once_per_matrix(self, monkeypatch):
-        calls = []
-        real_signatures = signature._signatures
-
-        def counting_signatures(v, omegas):
-            calls.append(len(omegas))
-            return real_signatures(v, omegas)
-
-        monkeypatch.setattr(signature, "_signatures", counting_signatures)
+    def test_jumps_once_per_matrix(self, solves):
         v = v820()
         jumps = signature_jumps(v)
-        assert calls == [2]             # one solve, one omega per arc
+        assert solves == [2]            # one solve, one omega per arc
         assert is_identically_zero(v)
         assert signature_jumps(v) is jumps
-        assert calls == [2]             # the verdict reads the kept arcs
+        assert solves == [2]            # the verdict reads the kept arcs
 
-    def test_point_read_and_jumps_share_one_solve(self, monkeypatch):
-        calls = []
-        real_signatures = signature._signatures
-
-        def counting_signatures(v, omegas):
-            calls.append(len(omegas))
-            return real_signatures(v, omegas)
-
-        monkeypatch.setattr(signature, "_signatures", counting_signatures)
+    def test_point_read_and_jumps_share_one_solve(self, solves):
         v = SeifertMatrix(torus_seifert(21))
         assert lt_signature(v, -1) == -20
         assert len(signature_jumps(v)) == 20
-        assert calls == [11]            # m/2 + 1 forms for m = 20 roots
+        assert solves == [11]           # m/2 + 1 forms for m = 20 roots
 
     def test_construction_evaluates_no_polynomial(self, monkeypatch):
         def refuse(self, x):
@@ -185,26 +183,18 @@ class TestLtSignature:
         with pytest.raises(AlgebraError):
             lt_signature(trefoil_v(), complex("nan"))
 
-    def test_solves_alone_only_within_the_margin(self, monkeypatch):
+    def test_solves_alone_only_within_the_margin(self, solves):
         v = trefoil_v()
         signature_jumps(v)              # the arc table, kept
-        calls = []
-        real_signatures = signature._signatures
-
-        def counting_signatures(v, omegas):
-            calls.append(len(omegas))
-            return real_signatures(v, omegas)
-
-        monkeypatch.setattr(signature, "_signatures", counting_signatures)
         margin = signature._ARC_MARGIN
         # on the root H(omega) has one zero eigenvalue; the arcs carry none
         assert lt_signature(v, np.exp(1j * W6)) == -1
         assert lt_signature(v, np.exp(1j * (W6 + margin / 2))) == -2
-        assert calls == [1, 1]
+        assert solves == [2, 1, 1]
         assert lt_signature(v, np.exp(1j * (W6 + 2 * margin))) == -2
         assert lt_signature(v, np.exp(1j * (W6 - 2 * margin))) == 0
         assert lt_signature(v, 1.0) == 0
-        assert calls == [1, 1]
+        assert solves == [2, 1, 1]
 
     def test_conjugation_symmetry(self):
         v = v935()
@@ -448,19 +438,11 @@ def test_arc_reads_match_one_omega_reads(rows):
 @pytest.mark.parametrize("rows, roots", [
     (torus_seifert(21), 20), (_fixture_rows("8_20"), 2), ([[0, 1], [0, 0]], 0),
 ], ids=["T2_21", "8_20", "no-roots"])
-def test_half_the_arcs_are_solved(monkeypatch, rows, roots):
-    calls = []
-    real_signatures = signature._signatures
-
-    def counting_signatures(v, omegas):
-        calls.append(len(omegas))
-        return real_signatures(v, omegas)
-
-    monkeypatch.setattr(signature, "_signatures", counting_signatures)
+def test_half_the_arcs_are_solved(solves, rows, roots):
     v = SeifertMatrix(rows)
     assert len(signature._arc_signatures(v)) == len(v.unit_roots()) == roots
     # m/2 + 1 forms in one solve; none with no roots
-    assert calls == [roots // 2 + 1 if roots else 0]
+    assert solves == [roots // 2 + 1 if roots else 0]
 
 
 @pytest.mark.parametrize("read", [lt_signature, lt_signature_detail,
