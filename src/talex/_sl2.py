@@ -7,10 +7,13 @@ _mat_mul, _mat_det and _mat_adjugate are the package's one 2x2 product,
 determinant and adjugate, and the adjugate is the inverse exactly when
 the determinant is 1.  The gauge coordinates x of n generators are (a, q)
 for A = [[a, q], [0, 1/a]], (b, d) for B = [[b, 0], [d, 1/b]] and four
-free entries for each further generator.  _residual and _jacobian
+free entries for each further generator.  A word is its tuple of
+Tietze letters, g for generator g and -g for its inverse, and
+_letter_images is the one table of their images, indexed by letter: the
+generator's matrix, or its adjugate for -g.  _residual and _jacobian
 evaluate the solver's equations and their exact Jacobian at x; _residual
-is _rows, the equations at given generator images, on the images of x,
-so a caller that holds the images evaluates the same rows on them.
+is _rows, the equations at given letter images, on the images of x, so a
+caller that holds the images evaluates the same rows on them.
 _jacobian forms and sums its terms as numpy array operations in a fixed
 order: numpy's complex product rounds differently from Python's in the
 last bit, and the solver's trajectories are pinned bit for bit.
@@ -77,9 +80,8 @@ class _Equations:
 
     Rows, in order: the four entries of image(r) - I for each relator r,
     det - 1 for each generator after the second, tr(image(w)) - v for each
-    constraint.  Words are stored as letter codes, g for generator g and
-    n + g for its inverse.  The Jacobian's terms are listed on first use,
-    since _residual alone never reads them.
+    constraint.  Words are stored as their Tietze letters.  The Jacobian's
+    terms are listed on first use, since _residual alone never reads them.
     """
 
     def __init__(self, p: Presentation, constraints: dict[FreeWord, complex]):
@@ -89,7 +91,7 @@ class _Equations:
         self.nvars = 2 * min(n, 2) + 4 * self.nfree
         self.nrel = len(p.relators)
         self.targets = tuple(map(complex, constraints.values()))
-        self.words = _letter_codes(n, (*p.relators, *constraints))
+        self.words = tuple(w.tietze for w in (*p.relators, *constraints))
 
     @functools.cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -115,8 +117,8 @@ class _Equations:
         slot = 0
         for wi, w in enumerate(self.words):
             for c in w:
-                for k, i, j, kind in moves[c % n]:
-                    if c < n:
+                for k, i, j, kind in moves[abs(c) - 1]:
+                    if c > 0:
                         terms.append((wi, k, slot, i, j, 1, kind))
                     else:   # the adjugate moves entry (1-j, 1-i)
                         terms.append((wi, k, slot, 1 - j, 1 - i,
@@ -130,18 +132,11 @@ class _Equations:
         return cols, np.flatnonzero(new_group)
 
 
-@functools.lru_cache(maxsize=64)
-def _letter_codes(n: int, words: tuple[FreeWord, ...]
-                  ) -> tuple[tuple[int, ...], ...]:
-    """The words as letter codes, computed once per word tuple."""
-    return tuple(tuple(x - 1 if x > 0 else n - x - 1 for x in w)
-                 for w in words)
-
-
-def _letter_images(gens: list[Matrix2]) -> list[Matrix2]:
-    """Images of the letter codes: the generator images, then their
-    adjugates (inverses in SL2)."""
-    return gens + [_mat_adjugate(m) for m in gens]
+def _letter_images(gens: list[Matrix2]) -> list:
+    """The images of the Tietze letters, indexed by letter: entry g is
+    generator g's image, entry -g its adjugate (the inverse in SL2); entry
+    0 is unused."""
+    return [None, *gens, *map(_mat_adjugate, reversed(gens))]
 
 
 def _mat_norm(a: Matrix2) -> float:
@@ -232,7 +227,7 @@ def _rows(eq: _Equations, imgs: list[Matrix2]) -> list[complex]:
     rows = []
     for m00, m01, m10, m11 in prods[:eq.nrel]:
         rows += (m00 - 1.0, m01, m10, m11 - 1.0)
-    rows += [_mat_det(m) - 1.0 for m in imgs[2:eq.n]]
+    rows += [_mat_det(m) - 1.0 for m in imgs[3:eq.n + 1]]
     rows += [m[0] + m[3] - v for m, v in zip(prods[eq.nrel:], eq.targets)]
     return rows
 
@@ -271,7 +266,7 @@ def _jacobian(eq: _Equations, x: np.ndarray) -> np.ndarray:
     dw = np.zeros((len(eq.words), eq.nvars, 2, 2), dtype=complex)
     dw[word[starts], var[starts]] = np.add.reduceat(terms, starts, axis=0)
     ddet = np.zeros((eq.nfree, eq.nvars), dtype=complex)
-    for f, (m00, m01, m10, m11) in enumerate(imgs[2:eq.n]):
+    for f, (m00, m01, m10, m11) in enumerate(imgs[3:eq.n + 1]):
         ddet[f, 4 + 4 * f: 8 + 4 * f] = (m11, -m10, -m01, m00)
     return np.concatenate((
         dw[:eq.nrel].transpose(0, 2, 3, 1).reshape(-1, eq.nvars),

@@ -260,15 +260,9 @@ class LaurentPoly:
 
         At an exact x = p/q an exact polynomial t^low f(t) / den (_zt.split)
         is valued in integers, q^deg f f(p/q) by _zt.horner, and made one
-        Fraction at the end.  Other points run the loop term by term.
+        Fraction at the end.  Other points run the loop term by term, a
+        coefficient made complex first when x is complex.
         """
-        if isinstance(x, complex):
-            total = 0j
-            for k, c in self.coeffs.items():
-                if type(c) is not complex:
-                    c = complex(c)
-                total = total + c * _pow_any(x, k)
-            return total
         if self._exact and _is_exact(_coerce(x)):
             f, low, den = _zt.split(self.coeffs)
             if not f:
@@ -281,8 +275,11 @@ class LaurentPoly:
             if low >= 0:
                 return Fraction(num * p ** low, den * q ** low)
             return Fraction(num * q ** -low, den * p ** -low)
+        cast = isinstance(x, complex)
         total = 0j
         for k, c in self.coeffs.items():
+            if cast and type(c) is not complex:
+                c = complex(c)
             total = total + c * _pow_any(x, k)
         return total
 

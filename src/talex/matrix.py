@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _zt
 from .errors import AlgebraError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _from_zt
 from .multipoly import MultiPoly
 
 
@@ -132,8 +132,7 @@ def _integer_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         scale *= den
         m.append([_zt.cleared(e.coeffs, low, den) for e in row])
     pivot, sign = _zt.bareiss(m)
-    return LaurentPoly._clean(
-        _zt.coefficients(pivot, shift, Fraction(sign, scale)), True)
+    return _from_zt(pivot, shift, Fraction(sign, scale))
 
 
 def _packed_det(rows: list[list[MultiPoly]]) -> MultiPoly:

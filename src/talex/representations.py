@@ -30,11 +30,8 @@ are built in the gauge from a + 1/a = tr a and b + 1/b = tr b with
 |a|, |b| >= 1 and qd = tr ab - ab' - 1/(ab'); a third image C solves the
 trace rows linear in it (_trace_rows) with det C = 1, a quadratic whose
 roots are the two values of tr(abc), in plain complex arithmetic
-(_sl2._det_one_on_trace_rows).  The solver's equations decide each
-candidate: its images are built once, at numpy's 1/a and 1/b as the
-returned Representation holds them, and one pass of _sl2._rows on them
-both decides it and gives its relator residual.  No one gauge serves
-both cases.  Misses of 1e-10 at 400
+(_sl2._det_one_on_trace_rows), and the solver's equations decide each
+candidate.  No one gauge serves both cases.  Misses of 1e-10 at 400
 on-curve trefoil points (|Re y| <= 40, |Im y| <= 20) and 1,200 points of
 9_35's curve C' (y in [-5, 5] x [-3, 3]i; C itself, 400 points, has
 none):
@@ -49,6 +46,10 @@ Equal couplings keep the relator products balanced at large |tr a|; a
 pair with 1/b on top makes the rows linear in C nearly dependent near
 tr ab = 2.  representation_from_traces is the one place that picks
 between the closed form and the solver.
+
+Both solvers judge a point by the images they return, at numpy's 1/a
+and 1/b (_at_gauge_point); Newton's iterates run on _sl2._residual, whose
+Python 1/a can differ in the last bit, and never accept a restart.
 """
 
 from __future__ import annotations
@@ -458,11 +459,10 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                 stop = "stagnant"
                 break
 
-        # with one generator and no constraints f has no rows
-        worst = float(np.max(np.abs(f), initial=0.0))
+        gens, residual, worst = _at_gauge_point(eq, x)
         best = min(best, worst)
         if worst <= _SOLVE_TOL:
-            rho = _at_gauge_point(p, x)
+            rho = Representation(p, gens, residual)
             if require_irreducible and rho.is_reducible():
                 best_reducible = rho
                 continue
@@ -480,16 +480,19 @@ def solve_representation(p: Presentation, constraints: dict[FreeWord, complex],
                      "%d restarts" % (_SOLVE_TOL, restarts), **counters)
 
 
-def _at_gauge_point(p: Presentation, x: np.ndarray) -> Representation:
-    """The representation at gauge coordinates x, with its relator residual.
-    Its entries are complex() of the images numpy computes from x: Python
+def _at_gauge_point(eq: _Equations, x: np.ndarray
+                    ) -> tuple[list[Matrix2], float, float]:
+    """The generator images at gauge coordinates x, their relator residual
+    and their largest row of eq, NaN read as inf (0 with no rows).  The
+    entries are complex() of the images numpy computes from x: Python
     arithmetic on them is faster than numpy's scalar arithmetic and rounds
     +, - and * alike, but Python's 1.0/a can differ from numpy's in the
-    last bit, so the images are not recomputed."""
-    rho = Representation(p, [tuple(map(complex, m))
-                             for m in _gauge_images(x, p.num_generators)])
-    rho.residual = rho.relator_residual()
-    return rho
+    last bit, so the rows are taken on the images that are returned."""
+    gens = [tuple(map(complex, m)) for m in _gauge_images(x, eq.n)]
+    rows = _rows(eq, _letter_images(gens))
+    residual = reduce(_worse, map(abs, rows[:4 * eq.nrel]), 0.0)
+    return gens, residual, reduce(_worse, map(abs, rows[4 * eq.nrel:]),
+                                  residual)
 
 
 @lru_cache(maxsize=64)
@@ -515,10 +518,9 @@ def _trace_rows(gi: int, trace_gi: complex, constraints: dict,
     """(prods, traces) for _det_one_on_trace_rows: tr C = trace_gi, then the
     _linear_rows of C, the image of generator gi, given the images before."""
     prods, traces = [_COMPLEX_ID], [trace_gi]
+    letters = _letter_images(images)
     for rest, w in _linear_rows(gi, tuple(constraints)):
-        prods.append(reduce(_mat_mul, [
-            images[l - 1] if l > 0 else _mat_adjugate(images[-l - 1])
-            for l in rest]))
+        prods.append(reduce(_mat_mul, [letters[l] for l in rest]))
         traces.append(constraints[w])
     return prods, traces
 
@@ -598,13 +600,7 @@ def _closed_form(p: Presentation, cons: dict) -> Representation:
     eq = _Equations(p, cons)
     best, reducible = math.inf, False
     for x in points:
-        # one set of images per candidate, at numpy's 1/a and 1/b as in
-        # _at_gauge_point; its relator rows give the residual
-        gens = [tuple(map(complex, m))
-                for m in _gauge_images(np.array(x), n)]
-        rows = _rows(eq, _letter_images(gens))
-        residual = reduce(_worse, map(abs, rows[:4 * eq.nrel]), 0.0)
-        worst = reduce(_worse, map(abs, rows[4 * eq.nrel:]), residual)
+        gens, residual, worst = _at_gauge_point(eq, np.array(x))
         best = min(best, worst)
         if worst <= _SOLVE_TOL:
             rho = Representation(p, gens, residual)

@@ -189,7 +189,7 @@ def _trace_polynomial(p: LaurentPoly) -> list[int]:
         raise AlgebraError("unit-circle roots need a palindromic polynomial, "
                            "got %s" % p.to_text())
     for t in (1, -1):
-        if sum(a * t ** k for k, a in enumerate(c)) == 0:
+        if _zt.horner(c, t, 1) == 0:
             raise AlgebraError("unit-circle roots need p(%d) != 0, got %s"
                                % (t, p.to_text()))
     d = len(c) // 2
@@ -205,17 +205,9 @@ def _trace_polynomial(p: LaurentPoly) -> list[int]:
     return q
 
 
-def _value(f: list[int], a: int, k: int) -> int:
-    """2^(k deg f) f(a / 2^k), by integer Horner."""
-    acc = f[-1]
-    for j, c in enumerate(reversed(f[:-1]), 1):
-        acc = acc * a + (c << k * j)
-    return acc
-
-
 def _sign_at(f: list[int], a: int, k: int) -> int:
     """Sign of f(a / 2^k)."""
-    v = _value(f, a, k)
+    v = _zt.horner(f, a, 1 << k)
     return (v > 0) - (v < 0)
 
 
@@ -281,11 +273,11 @@ def _newton(f: list[int], df: list[int], a: int, b: int,
     big = k + _NEWTON_BITS
     m = (a + b) << (_NEWTON_BITS - 1)
     for _ in range(_NEWTON_STEPS):
-        slope = _value(df, m, big)
+        slope = _zt.horner(df, m, 1 << big)
         if slope == 0:
             break
-        # f / f' at m / 2^big is _value(f) / (slope 2^big).
-        step = _value(f, m, big) // slope
+        # f / f' at m / 2^big is _zt.horner(f, m, 2^big) / (slope 2^big).
+        step = _zt.horner(f, m, 1 << big) // slope
         if step == 0:
             break
         m -= step

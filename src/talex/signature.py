@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _zt
 from .errors import AlgebraError, CertificationError, ParseError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _from_zt
 from .roots import unit_circle_roots
 
 _ZERO_TOL = 1e-9
@@ -77,8 +77,7 @@ class SeifertMatrix:
                                     for a, b in zip(row, col)]
                                    for row, col in zip(self.rows,
                                                        zip(*self.rows))])
-        self._delta = LaurentPoly._clean(
-            _zt.coefficients(pivot, 0, Fraction(sign)), True)
+        self._delta = _from_zt(pivot, 0, Fraction(sign))
         pairing = sign * sum(pivot)     # delta(1) = det(V - V^T)
         if pairing not in (1, -1):
             raise ParseError("det(V - V^T) = %s; a knot Seifert matrix needs "

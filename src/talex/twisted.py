@@ -53,7 +53,7 @@ from .laurent import LaurentPoly, LaurentRational
 from .matrix import det
 from .presentations import Presentation, simplify
 from .representations import Representation
-from ._sl2 import _COMPLEX_ID, _mat_adjugate, _mat_det, _mat_mul
+from ._sl2 import _COMPLEX_ID, _letter_images, _mat_det, _mat_mul
 from .words import FreeWord
 
 # A floating quotient q = num / den is a polynomial when num - q den has
@@ -94,8 +94,7 @@ def _fox_scan(p: Presentation, rho: Representation | None, removed: int
             den = lcm(*(Fraction(e).denominator for m in mats for e in m))
             start = (1, 0, 0, 1)
             mats = [tuple(int(e * den) for e in m) for m in mats]
-        letters = {g + 1: m for g, m in enumerate(mats)}
-        letters.update({-g: _mat_adjugate(m) for g, m in letters.items()})
+        letters = _letter_images(mats)
         step = lambda u, x: _mat_mul(u, letters[x])
         if den != 1:
             step = lambda u, x: tuple(e // den

@@ -259,6 +259,14 @@ P935_TWISTED = (
     "+ (18-2.27373675443e-14j)\n"
     "degree span 2, leading 18-1.3200903934e-14j, monic no\n")
 P935_WITHOUT_CA = P935_CONSTRAINTS.rsplit("trace ca", 1)[0]
+# The same set with tr(ab) swept over one value: every step goes to the
+# Newton solver, and each solved row carries the relator residual of the
+# images its judge accepted.
+P935_NEWTON_SWEEP = (P935_WITHOUT_CA.replace("trace ab = 5.25 0\n", "")
+                     + "sweep ab = 5.25 0 .. 5.25 0 steps 4\n")
+P935_NEWTON_SWEEP_SHA256 = {
+    0: "f16bc7d1904915fd88dac99a1e079429f90408061d211fc216f8f85c430febb6",
+    7: "6d0f69d87b09be9bdf8fc57292b057577525ae8eaf389b8f49f86c1bf24e138a"}
 P935_WITHOUT_CA_TWISTED = (
     "(18+3.96027118021e-15j)*t^2 + (-45-1.62278272179e-14j)*t "
     "+ (18+2.27373675443e-14j)\n"
@@ -338,6 +346,26 @@ class TestClosedFormRouting:
         self._assert_solved_by_seed_0(run, tmp_path, monkeypatch,
                                       P935_CA_AND_CA_INVERSE,
                                       P935_CA_AND_CA_INVERSE_TWISTED)
+
+    @pytest.mark.parametrize("seed", sorted(P935_NEWTON_SWEEP_SHA256))
+    def test_newton_sweep_json_bytes_are_pinned(self, run, tmp_path,
+                                                monkeypatch, seed):
+        calls = []
+
+        def spy(p, cons, seed=0):
+            calls.append(seed)
+            return solve(p, cons, seed=seed)
+
+        solve = _replace_solver(monkeypatch, spy)
+        path = tmp_path / "p935.sweep"
+        path.write_text(P935_NEWTON_SWEEP)
+        code, out, err = run("monic-scan", "--pres", "fixtures/9_35.pres",
+                             "--constraints", str(path), "--json",
+                             "--seed", str(seed))
+        assert (code, err) == (0, "")
+        assert calls == [seed + k for k in range(4)]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            P935_NEWTON_SWEEP_SHA256[seed])
 
     @staticmethod
     def _assert_solved_by_seed_0(run, tmp_path, monkeypatch, text, expected):

@@ -32,7 +32,7 @@ from talex import (
 from talex.errors import SolveError
 from talex._sl2 import (_COMPLEX_ID, _Equations, _det_one_on_trace_rows,
                         _gauge_images, _jacobian, _mat_adjugate, _mat_det,
-                        _mat_mul, _residual)
+                        _mat_mul, _residual, _rows)
 
 from conftest import P, load_fixture_text, random_det1_matrix
 
@@ -688,8 +688,10 @@ def _random_point(eq, seed):
 
 
 def _letter_images(eq, x):
+    """The images of the Tietze letters, indexed by letter: g for
+    generator g, -g for its adjugate."""
     gens = _gauge_images(x.tolist(), eq.n)
-    return gens + [_mat_adjugate(m) for m in gens]
+    return [None, *gens, *(_mat_adjugate(m) for m in reversed(gens))]
 
 
 def _product(imgs, w):
@@ -709,7 +711,7 @@ def _reference_residual(eq, x):
         m00, m01, m10, m11 = _product(imgs, w)
         rows += (m00 - 1.0, m01, m10, m11 - 1.0)
     rows += [m00 * m11 - m01 * m10 - 1.0
-             for m00, m01, m10, m11 in imgs[2:eq.n]]
+             for m00, m01, m10, m11 in imgs[3:eq.n + 1]]
     for w in eq.words[eq.nrel:]:
         m00, _, _, m11 = _product(imgs, w)
         rows.append(m00 + m11)
@@ -746,12 +748,20 @@ def _reference_jacobian(eq, x):
     dw = np.zeros((len(eq.words), eq.nvars, 2, 2), dtype=complex)
     dw[word[starts], var[starts]] = np.add.reduceat(terms, starts, axis=0)
     ddet = np.zeros((eq.nfree, eq.nvars), dtype=complex)
-    for f, (m00, m01, m10, m11) in enumerate(imgs[2:eq.n]):
+    for f, (m00, m01, m10, m11) in enumerate(imgs[3:eq.n + 1]):
         ddet[f, 4 + 4 * f: 8 + 4 * f] = (m11, -m10, -m01, m00)
     return np.concatenate((
         dw[:eq.nrel].transpose(0, 2, 3, 1).reshape(-1, eq.nvars),
         ddet,
         dw[eq.nrel:, :, 0, 0] + dw[eq.nrel:, :, 1, 1]))
+
+
+def _assert_residual_of_its_matrices(rho):
+    """rho.residual is, bit for bit, the largest relator row of _rows on
+    the letter images of rho.matrices."""
+    eq = _Equations(rho.presentation, {})
+    rows = _rows(eq, talex._sl2._letter_images(rho.matrices))
+    assert rho.residual.hex() == max(map(abs, rows[:4 * eq.nrel])).hex()
 
 
 def _central_differences(eq, x, h=1e-6):
@@ -839,6 +849,26 @@ class TestSolveCounters:
         assert hashlib.sha256(mats).hexdigest() == (
             "21b7a132f60d20f9c743a2cb77aed015a00890c5e70d3db6ea7444de013e2ce3")
         assert rho.residual.hex() == "0x1.00c102c043e41p-50"
+
+    def test_newton_returns_the_images_it_judged(self, p820, monkeypatch):
+        judged = []
+
+        def spy(eq, x):
+            judged.append(judge(eq, x))
+            return judged[-1]
+
+        judge = talex.representations._at_gauge_point
+        monkeypatch.setattr(talex.representations, "_at_gauge_point", spy)
+        cons = {p820.word("a"): 2.1 + 0j, p820.word("b"): 2.1 + 0j}
+        rho = solve_representation(p820, cons, seed=2)
+        gens, residual, worst = judged[-1]
+        assert worst <= 1e-10
+        assert (rho.matrices, rho.residual) == (gens, residual)
+        _assert_residual_of_its_matrices(rho)
+
+    def test_closed_form_residual_is_that_of_its_matrices(
+            self, p935_curve_rep):
+        _assert_residual_of_its_matrices(p935_curve_rep)
 
     def test_reducible_error_carries_counters(self, trefoil):
         s = complex(3 ** 0.5)
