@@ -11,8 +11,7 @@ exact term tables, with the census of monic characters on them.
 
 from .errors import (AlgebraError, CertificationError, NonPolynomialError,
                      ParseError, RootFindingError, SolveError, TalexError)
-from .words import (FreeWord, GroupRingElement, fox_derivative,
-                    fundamental_identity_holds)
+from .words import FreeWord, fox_derivative, fundamental_identity_holds
 from .presentations import (Presentation, parse_pd, parse_presentation,
                             pd_to_wirtinger, simplify)
 from .laurent import (LaurentPoly, LaurentRational, has_simple_root,

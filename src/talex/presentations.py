@@ -238,8 +238,7 @@ def pd_to_wirtinger(pd: list[tuple[int, int, int, int]]) -> Presentation:
         raise ParseError("PD code yields %d independent relators for %d "
                          "arcs; cannot form a deficiency-one presentation"
                          % (len(relators), n))
-    names = None if n <= len(_DEFAULT_NAMES) else ["x%d" % i for i in range(n)]
-    return Presentation(n, relators, names, wirtinger=True)
+    return Presentation(n, relators, wirtinger=True)
 
 
 def _substitute(r: tuple[int, ...], g: int, w: tuple[int, ...],

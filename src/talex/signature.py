@@ -85,7 +85,6 @@ class SeifertMatrix:
         self._form = np.array(self.rows, dtype=complex).reshape(self.n, self.n)
         self._unit_roots = None
         self._arc_sigs: list[int] | None = None
-        self._jumps: list[tuple[float, int]] | None = None
 
     @classmethod
     def from_text(cls, text: str) -> "SeifertMatrix":
@@ -207,10 +206,8 @@ def signature_jumps(v: SeifertMatrix) -> list[tuple[float, int]]:
     before it, one signature per arc.  Roots of even multiplicity may leave
     the signature unchanged; those contribute no entry, so a knot whose
     signature function is identically zero reports an empty list.  The
-    jumps are found once per matrix, and kept.
+    jumps are read off the kept arc table, with no further solve.
     """
-    if v._jumps is not None:
-        return v._jumps
     arcs = _arc_signatures(v)
     out = []
     for i, (theta, mult) in enumerate(v.unit_roots()):
@@ -222,7 +219,6 @@ def signature_jumps(v: SeifertMatrix) -> list[tuple[float, int]]:
                 % (theta, mult))
         if jump != 0:
             out.append((theta, jump))
-    v._jumps = out
     return out
 
 

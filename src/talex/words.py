@@ -1,12 +1,12 @@
-"""Words in a free group and the integral group ring.
+"""Words in a free group and their Fox derivatives.
 
 A word is stored as a Tietze sequence: a tuple of nonzero signed integers,
 where +k stands for the generator of index k-1 and -k for its inverse.
 Words are freely reduced on construction, so equality of FreeWord objects
 is equality in the free group.  The trivial word is the empty tuple.
 
-GroupRingElement is a finitely supported integer combination of reduced
-words, the ambient ring for Fox derivatives: the free derivative d/dx obeys
+An element of the integral group ring is a {FreeWord: int} map with no
+zero values.  The free derivative d/dx, one such map per word, obeys
 
     d(x)/dx = 1,   d(x^-1)/dx = -x^-1,   d(uv)/dx = du/dx + u * dv/dx,
 
@@ -109,101 +109,34 @@ class FreeWord:
         return "FreeWord(%r)" % (list(self.tietze),)
 
 
-class GroupRingElement:
-    """An element of the integral group ring of the free group.
+def fox_derivative(word: FreeWord, g: int) -> dict[FreeWord, int]:
+    """Free (Fox) derivative of a word with respect to generator index g,
+    as {word: coefficient} in order of first occurrence.
 
-    Stored as a dict mapping FreeWord to a nonzero integer coefficient.
+    Scans the word left to right: a letter x_g contributes +p for the
+    prefix p before it, a letter x_g^-1 contributes -(p * x_g^-1), i.e. the
+    prefix including the inverse letter itself.  The prefixes of a reduced
+    word are distinct words, so no two terms meet and none sums to zero.
     """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[FreeWord, int] | None = None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                assert isinstance(w, FreeWord)
-                if c:
-                    clean[w] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "GroupRingElement":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "GroupRingElement":
-        return cls({FreeWord(): 1})
-
-    @classmethod
-    def from_word(cls, w: FreeWord, coeff: int = 1) -> "GroupRingElement":
-        return cls({w: coeff})
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return GroupRingElement(terms)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        terms: dict[FreeWord, int] = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = u * v
-                terms[w] = terms.get(w, 0) + cu * cv
-        return GroupRingElement(terms)
-
-    def scale(self, k: int) -> "GroupRingElement":
-        return GroupRingElement({w: k * c for w, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "GroupRingElement(0)"
-        bits = ["%+d*%r" % (c, list(w.tietze)) for w, c in sorted(
-            self.terms.items(), key=lambda item: item[0].tietze)]
-        return "GroupRingElement(%s)" % " ".join(bits)
-
-
-def fox_derivative(word: FreeWord, g: int) -> GroupRingElement:
-    """Free (Fox) derivative of a word with respect to generator index g.
-
-    Scans the word left to right keeping the prefix p read so far: a letter
-    x_g contributes +p, a letter x_g^-1 contributes -(p * x_g^-1), i.e. the
-    prefix including the inverse letter itself.
-    """
+    letters = word.tietze
     terms: dict[FreeWord, int] = {}
-    prefix = FreeWord()
-    for x in word:
-        letter = FreeWord([x])
-        if abs(x) - 1 == g:
-            if x > 0:
-                contrib, sign = prefix, 1
-            else:
-                contrib, sign = prefix * letter, -1
-            terms[contrib] = terms.get(contrib, 0) + sign
-        prefix = prefix * letter
-    return GroupRingElement(terms)
+    for i, x in enumerate(letters):
+        if x == g + 1:
+            terms[FreeWord(letters[:i])] = 1
+        elif x == -g - 1:
+            terms[FreeWord(letters[:i + 1])] = -1
+    return terms
 
 
 def fundamental_identity_holds(word: FreeWord, num_generators: int) -> bool:
-    """Check sum_g d(w)/dg * (g - 1) == w - 1 in the group ring."""
-    total = GroupRingElement.zero()
+    """Check sum_g d(w)/dg * (g - 1) == w - 1 in the group ring: starting
+    from -(w - 1), add u * x_g and -u for each term u of d(w)/dg, then
+    every coefficient must be 0."""
+    total = {word: -1}
+    total[FreeWord()] = total.get(FreeWord(), 0) + 1
     for g in range(num_generators):
-        gen = GroupRingElement.from_word(FreeWord([g + 1]))
-        total = total + fox_derivative(word, g) * (gen - GroupRingElement.one())
-    target = GroupRingElement.from_word(word) - GroupRingElement.one()
-    return total == target
+        gen = FreeWord([g + 1])
+        for u, c in fox_derivative(word, g).items():
+            for v, k in ((u * gen, c), (u, -c)):
+                total[v] = total.get(v, 0) + k
+    return not any(total.values())

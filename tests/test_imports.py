@@ -1,8 +1,8 @@
 """Every name a talex module imports is read somewhere in that module,
 every module-level private name is read somewhere in the package, every
 defaulted parameter of a module-level function or public method is set by
-some caller, and every public function or method is referred to by some
-caller.
+some caller, every public function or method is referred to by some
+caller, and every packaged fixture file is named by some source or test.
 
 No linter ships with the test dependencies, so this is the guard against
 dead imports, dead helpers, knobs that no caller turns and public code
@@ -21,7 +21,8 @@ import pytest
 import talex
 
 PACKAGE = Path(talex.__file__).parent
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 MODULES = [p for p in SOURCES if p != PACKAGE / "__init__.py"]
 
@@ -187,8 +188,6 @@ ALLOWED = {
     "laurent.py:LaurentPoly.t(k)": "data: the exponent of t^k",
     "laurent.py:LaurentPoly.from_coefficients(min_exp)":
         "data: the exponent of the first coefficient",
-    "words.py:GroupRingElement.from_word(coeff)":
-        "data: the coefficient of the word",
     "representations.py:solve_representation(restarts)":
         "tests pin solver trajectories with small restart budgets",
     "representations.py:solve_representation(require_irreducible)":
@@ -337,6 +336,17 @@ def test_detects_uncalled_function():
     assert uncalled({"a.py": a}, []) == [
         "a.py:Box.lonely", "a.py:Box.shadowed", "a.py:Box.spanned", "a.py:f",
         "a.py:traced"]
+
+
+def test_every_fixture_file_is_named_by_a_source_or_test():
+    """The fixtures docstring promises that every corpus file is certified
+    by a cross-check; a file that no code names cannot be."""
+    code = "".join(p.read_text(encoding="utf-8")
+                   for p in SOURCES + sorted(TESTS.rglob("*.py")))
+    data = sorted(p.name for p in (PACKAGE / "fixtures").iterdir()
+                  if p.is_file() and p.suffix != ".py")
+    assert data
+    assert [name for name in data if name not in code] == []
 
 
 # Modules that importing the CLI must not load: each costs start-up time and

@@ -134,7 +134,7 @@ class TestSeifertMatrix:
         jumps = signature_jumps(v)
         assert solves == [2]            # one solve, one omega per arc
         assert is_identically_zero(v)
-        assert signature_jumps(v) is jumps
+        assert signature_jumps(v) == jumps
         assert solves == [2]            # the verdict reads the kept arcs
 
     def test_point_read_and_jumps_share_one_solve(self, solves):

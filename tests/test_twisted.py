@@ -56,7 +56,7 @@ def _reference_fox_matrix(p, removed, rho):
             if g == removed:
                 continue
             entries = [[{} for _ in range(size)] for _ in range(size)]
-            for w, c in fox_derivative(r, g).terms.items():
+            for w, c in fox_derivative(r, g).items():
                 k, m = w.exponent_sum(), image(w)
                 for i in range(size):
                     for j in range(size):

@@ -1,11 +1,11 @@
-"""Free words, the integral group ring, and the free differential calculus."""
+"""Free words and the free differential calculus."""
 
 import numpy as np
 import pytest
 
+import talex.words
 from talex import (
     FreeWord,
-    GroupRingElement,
     ParseError,
     fox_derivative,
     fundamental_identity_holds,
@@ -80,58 +80,23 @@ class TestFreeWord:
         assert list(W("aB")) == [1, -2]
 
 
-class TestGroupRing:
-    def test_zero_and_one(self):
-        one = GroupRingElement.one()
-        zero = GroupRingElement.zero()
-        assert (one - one) == zero
-        assert zero.is_zero()
-        assert not one.is_zero()
-
-    def test_ring_axioms_on_random_elements(self):
-        rng = np.random.default_rng(23)
-
-        def rand_elt():
-            e = GroupRingElement.zero()
-            for _ in range(int(rng.integers(1, 4))):
-                w = random_word(rng, 3, 5)
-                e = e + GroupRingElement.from_word(w, int(rng.integers(-3, 4)))
-            return e
-
-        for _ in range(20):
-            x, y, z = rand_elt(), rand_elt(), rand_elt()
-            assert (x + y) + z == x + (y + z)
-            assert (x * y) * z == x * (y * z)
-            assert x * (y + z) == x * y + x * z
-            assert (x + y) * z == x * z + y * z
-            assert x + y == y + x
-
-    def test_scale_and_negation(self):
-        e = GroupRingElement.from_word(W("ab"), 2)
-        assert e.scale(3) == GroupRingElement.from_word(W("ab"), 6)
-        assert -e == e.scale(-1)
-
-
 class TestFoxDerivative:
     def test_generator_rules(self):
-        ga = fox_derivative(W("a"), 0)
-        assert ga == GroupRingElement.one()
-        ginv = fox_derivative(W("A"), 0)
-        assert ginv == GroupRingElement.from_word(W("A"), -1)
-        assert fox_derivative(W("b"), 0).is_zero()
+        assert fox_derivative(W("a"), 0) == {FreeWord(): 1}
+        assert fox_derivative(W("A"), 0) == {W("A"): -1}
+        assert fox_derivative(W("b"), 0) == {}
 
     def test_product_word(self):
         # d(ab)/da = 1, d(ab)/db = a
-        assert fox_derivative(W("ab"), 0) == GroupRingElement.one()
-        assert fox_derivative(W("ab"), 1) == GroupRingElement.from_word(W("a"))
+        assert fox_derivative(W("ab"), 0) == {FreeWord(): 1}
+        assert fox_derivative(W("ab"), 1) == {W("a"): 1}
 
     def test_commutator(self):
         # d(abAB)/da = 1 - abA
-        expect = GroupRingElement.one() - GroupRingElement.from_word(W("abA"))
-        assert fox_derivative(W("abAB"), 0) == expect
+        assert fox_derivative(W("abAB"), 0) == {FreeWord(): 1, W("abA"): -1}
 
     def test_derivative_of_word_without_generator_vanishes(self):
-        assert fox_derivative(W("bcB"), 0).is_zero()
+        assert fox_derivative(W("bcB"), 0) == {}
 
     def test_nine_crossing_fixture_relator_derivatives(self):
         p = parse_presentation(load_fixture_text("9_35.pres"))
@@ -140,8 +105,7 @@ class TestFoxDerivative:
 
         da = fox_derivative(r1, 0)
         expect_da = {p.word(""): 1, p.word("aB"): 1, p.word("aBabA"): -1}
-        assert da == GroupRingElement(
-            {w: c for w, c in expect_da.items()})
+        assert list(da.items()) == list(expect_da.items())
 
         db = fox_derivative(r1, 1)
         expect_db = {
@@ -152,17 +116,19 @@ class TestFoxDerivative:
             p.word("aBabAbCbCB"): -1,
             p.word("aBabAbCbCBcB"): -1,
         }
-        assert db == GroupRingElement({w: c for w, c in expect_db.items()})
+        assert list(db.items()) == list(expect_db.items())
 
     def test_product_rule(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             u, v = random_word(rng, 4, 10), random_word(rng, 4, 10)
             for j in range(4):
-                lhs = fox_derivative(u * v, j)
-                rhs = fox_derivative(u, j) + (
-                    GroupRingElement.from_word(u) * fox_derivative(v, j))
-                assert lhs == rhs
+                rhs = dict(fox_derivative(u, j))
+                u_dv = {u * w: c for w, c in fox_derivative(v, j).items()}
+                for w, c in u_dv.items():
+                    rhs[w] = rhs.get(w, 0) + c
+                rhs = {w: c for w, c in rhs.items() if c}
+                assert fox_derivative(u * v, j) == rhs
 
     def test_fundamental_identity_on_fixture_relators(self):
         for name in ("3_1.pres", "9_35.pres"):
@@ -175,6 +141,17 @@ class TestFoxDerivative:
         for _ in range(100):
             w = random_word(rng, 4, 20)
             assert fundamental_identity_holds(w, 4)
+
+    def test_fundamental_identity_fails_on_a_dropped_term(self, monkeypatch):
+        real = talex.words.fox_derivative
+
+        def drop_last_term_of_da(word, g):
+            d = real(word, g)
+            return dict(list(d.items())[:-1]) if g == 0 else d
+
+        assert fundamental_identity_holds(W("abAB"), 2)
+        monkeypatch.setattr(talex.words, "fox_derivative", drop_last_term_of_da)
+        assert not fundamental_identity_holds(W("abAB"), 2)
 
 
 class TestAbelianization:
