@@ -2,12 +2,14 @@
 representations.solve_representation solves in its gauge.
 
 A 2x2 matrix is the flat 4-tuple (m00, m01, m10, m11), row by row, over
-any ring: Fractions, ints, complex floats.  This module owns the format;
-_mat_mul, _mat_det and _mat_adjugate are the package's one 2x2 product,
-determinant and adjugate, and the adjugate is the inverse exactly when
-the determinant is 1.  The gauge coordinates x of n generators are (a, q)
-for A = [[a, q], [0, 1/a]], (b, d) for B = [[b, 0], [d, 1/b]] and four
-free entries for each further generator.  A word is its tuple of
+any ring: Fractions, ints, complex floats, Laurent polynomials.  This
+module owns the format; _mat_mul, _mat_det and _mat_adjugate are the
+package's one 2x2 product, determinant and adjugate, and the adjugate is
+the inverse exactly when the determinant is 1.  _mat_det is also
+matrix.det()'s rule for a complex 2x2 over Laurent polynomials.  The
+gauge coordinates x of n generators are (a, q) for A = [[a, q], [0, 1/a]],
+(b, d) for B = [[b, 0], [d, 1/b]] and four free entries for each further
+generator.  A word is its tuple of
 Tietze letters, g for generator g and -g for its inverse, and
 _letter_images is the one table of their images, indexed by letter: the
 generator's matrix, or its adjugate for -g.  _residual and _jacobian

@@ -354,7 +354,8 @@ def leading_determinant_sample(rho: Representation) -> complex:
     a = []
     for row, top in _fox_scan(pres, rho, pres.num_generators - 1):
         for d in row:
-            if any(s != 0 and e not in (0, 1) for e, s in d.items()):
+            if not d.keys() <= {0, 1} and any(
+                    s != 0 and e not in (0, 1) for e, s in d.items()):
                 raise AlgebraError("Fox matrix entry is not linear in t")
         a.append([d.get(1, 0) / top for d in row])
     return complex(np.linalg.det(np.array(a, dtype=complex)))

@@ -263,7 +263,7 @@ class LaurentPoly:
         Fraction at the end.  Other points run the loop term by term, a
         coefficient made complex first when x is complex.
         """
-        if self._exact and _is_exact(_coerce(x)):
+        if self._exact and type(x) is not complex and _is_exact(_coerce(x)):
             f, low, den = _zt.split(self.coeffs)
             if not f:
                 return Fraction(0)

@@ -1,6 +1,6 @@
 """Square matrices over the package's coefficient domains.
 
-det() has two elimination kernels, chosen by the entry domain:
+det() chooses its route by the entry domain and the size:
 
   * exact entries: each row is cleared into Z[t], multiplied by the lcm
     of its coefficient denominators and shifted by its lowest exponent,
@@ -11,12 +11,20 @@ det() has two elimination kernels, chosen by the entry domain:
     in Z[t]; an inexact quotient raises NonPolynomialError.  MultiPoly
     entries are first packed into one variable by a Kronecker
     substitution, and the result is unpacked.
-  * Laurent entries with complex coefficients: one inverse DFT samples
-    every nonzero entry at the roots of unity, one stacked numpy LU
-    determinant runs over all sample points, and one forward DFT gives
-    the coefficients.  The exponent window of the determinant is bounded
-    by row-wise exponent sums, so the interpolation is exact in exact
-    arithmetic and stable in floating arithmetic (see _interpolated_det).
+  * Laurent entries with complex coefficients, 2x2: _sl2._mat_det of the
+    four entries, a d - b c in LaurentPoly arithmetic.  A twist numerator
+    of a two-generator knot is such a 2x2, and the product is cheaper
+    than numpy's per-call overhead on so small a matrix.
+  * Laurent entries with complex coefficients, any other size: one
+    inverse DFT samples every nonzero entry at the roots of unity, one
+    stacked numpy LU determinant runs over all sample points, and one
+    forward DFT gives the coefficients.  The exponent window of the
+    determinant is bounded by row-wise exponent sums, so the
+    interpolation is exact in exact arithmetic and stable in floating
+    arithmetic (see _interpolated_det).
+  Both complex routes end in _complex_result: every coefficient complex,
+  a non-finite one an AlgebraError, and those at most 1e-13 times the
+  largest dropped.
 
 Scalar entries are lifted to constant Laurent polynomials, so the
 determinant of a scalar matrix is a constant LaurentPoly, and that of the
@@ -33,6 +41,7 @@ from operator import mul
 import numpy as np
 
 from . import _zt
+from ._sl2 import _mat_det
 from .errors import AlgebraError
 from .laurent import LaurentPoly, _from_zt
 from .multipoly import MultiPoly
@@ -108,6 +117,8 @@ def det(rows):
              for e in row] for row in rows]
     if kinds <= {"exact", "laurent_exact"}:
         return _integer_det(rows)
+    if n == 2:
+        return _complex_result(_mat_det((*rows[0], *rows[1])).coeffs)
     return _interpolated_det(rows)
 
 
@@ -191,7 +202,7 @@ def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     (zeros stay 0) and factored by one np.linalg.det call, and one forward
     DFT of the determinants gives the coefficient of t^m at output index
     m mod npts.  The samples are taken with numpy's floating-point
-    warnings off; a determinant that is not finite is an AlgebraError.
+    warnings off, and _complex_result judges the coefficients.
     """
     n = len(rows)
     lo = hi = 0
@@ -217,13 +228,20 @@ def _interpolated_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             mats = np.zeros((npts, n * n), dtype=complex)
             mats[:, where] = sampled
             mats = mats.reshape(npts, n, n)
-        coeffs = np.fft.fft(np.linalg.det(mats), norm="forward")
-        scale = float(np.abs(coeffs).max())
-    if not isfinite(scale):
+        coeffs = np.fft.fft(np.linalg.det(mats), norm="forward").tolist()
+    coeffs = coeffs[lo % npts:] + coeffs[:lo % npts]    # from t^lo up
+    return _complex_result({lo + m: c for m, c in enumerate(coeffs)})
+
+
+def _complex_result(coeffs: dict[int, object]) -> LaurentPoly:
+    """The determinant on the coefficients of a complex route: those of
+    magnitude at most 1e-13 times the largest dropped, the rest made
+    complex, and any that is not finite an AlgebraError."""
+    mags = list(map(abs, coeffs.values()))
+    if not all(map(isfinite, mags)):
         raise AlgebraError("the sampled determinant overflows: an entry or "
                            "a product of entries is too large for a float")
-    coeffs = coeffs.tolist()
-    coeffs = coeffs[lo % npts:] + coeffs[:lo % npts]    # from t^lo up
-    scale = scale or 1.0
-    return LaurentPoly({lo + m: c for m, c in enumerate(coeffs)
-                        if abs(c) > 1e-13 * scale})
+    cut = 1e-13 * (max(mags, default=0.0) or 1.0)
+    kept = {k: complex(c) for (k, c), m in zip(coeffs.items(), mags)
+            if m > cut}
+    return LaurentPoly._clean(kept, not kept)     # complex unless empty

@@ -23,10 +23,12 @@ exact rho is scanned in ints.  With D the lcm of the denominators of its
 generator matrices, a relator of length m carries D^m rho(u) in place of
 rho(u): an integer matrix for every prefix u, updated by the integer
 matrix D rho(x) and one exact division by D per letter.  Each entry is
-summed over D^m and made a Fraction once.  The scan (_fox_scan) returns
-those raw sums, and two readers share it: fox_matrix_laurent turns them
-into Laurent entries, and charcurves.leading_determinant_sample reads
-the t^1 sums alone.
+summed over D^m and made a Fraction once.  Any other rho is scanned in
+plain Python complex numbers, its images converted first (numpy scalars
+among them), so fox_matrix_laurent takes its sums as they stand.  The
+scan (_fox_scan) returns those raw sums, and two readers share it:
+fox_matrix_laurent turns them into Laurent entries, and
+charcurves.leading_determinant_sample reads the t^1 sums alone.
 
 Both determinants are taken on presentations.simplify(p, k): Tietze moves
 eliminate generators other than the removed one, so a Wirtinger
@@ -49,7 +51,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import AlgebraError, CertificationError
-from .laurent import LaurentPoly, LaurentRational
+from .laurent import LaurentPoly, LaurentRational, _built
 from .matrix import det
 from .presentations import Presentation, simplify
 from .representations import Representation
@@ -94,6 +96,8 @@ def _fox_scan(p: Presentation, rho: Representation | None, removed: int
             den = lcm(*(Fraction(e).denominator for m in mats for e in m))
             start = (1, 0, 0, 1)
             mats = [tuple(int(e * den) for e in m) for m in mats]
+        else:       # numpy scalars too: every sum is then a plain complex
+            mats = [tuple(map(complex, m)) for m in mats]
         letters = _letter_images(mats)
         step = lambda u, x: _mat_mul(u, letters[x])
         if den != 1:
@@ -120,11 +124,12 @@ def _fox_scan(p: Presentation, rho: Representation | None, removed: int
 
 
 def _entry(d: dict, exact: bool, den: int) -> LaurentPoly:
-    """The Laurent entry of scan sums d: integers over den when exact."""
+    """The Laurent entry of scan sums d: integers over den when exact,
+    else plain complex numbers, which _built takes as they stand."""
     if exact:
         return LaurentPoly._clean({e: Fraction(s, den)
                                    for e, s in d.items() if s}, True)
-    return LaurentPoly(d)
+    return _built(d)
 
 
 def _reduced(p: Presentation, removed: int | None

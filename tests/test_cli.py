@@ -223,7 +223,7 @@ class TestMonicScanCommand:
                              "--constraints", BENCH_SWEEP, "--json")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c4fd22e8e2767a2fbb1723e8c87ca8170ad6c9ba6546caee89a50285b20e7437")
+            "301c6fbd5bc13fa820349c0e1c00d427b905eb43d8c5b976765e4ecc030144c0")
 
     def test_sweep_line_required(self, run, tmp_path, trefoil_slice):
         code, _, err = run("monic-scan", "--pres", "fixtures/3_1.pres",

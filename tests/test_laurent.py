@@ -289,6 +289,9 @@ class TestAgainstReferenceLoops:
 
     @settings(max_examples=300, deadline=None)
     @given(domain_laurent, _points)
+    # exact polynomials at complex points, which skip the exact branch
+    @example(LaurentPoly({-2: Fraction(1, 3), 1: Fraction(-5, 2)}), 0.5 - 1.5j)
+    @example(LaurentPoly({0: Fraction(7), 3: Fraction(1, 6)}), complex(-2.0, -0.0))
     def test_evaluate(self, p, x):
         assert same_number(p.evaluate(x), ref_evaluate(p.coeffs, x))
 

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talex import _zt
+from talex._sl2 import _mat_det
 from talex.errors import AlgebraError, NonPolynomialError
 from talex.laurent import LaurentPoly
-from talex.matrix import SquareMatrix, det
+from talex.matrix import SquareMatrix, _interpolated_det, det
 from talex.multipoly import MultiPoly, resultant
 from talex.presentations import pd_to_wirtinger, simplify
 from talex.representations import Representation, abelian_rep
@@ -197,10 +198,10 @@ _mixed_entries = st.one_of(
 
 
 @st.composite
-def _sparse_complex_matrices(draw):
+def _sparse_complex_matrices(draw, sizes=st.integers(1, 6)):
     """Matrices of up to 6 x 6 exact, complex and mixed entries with at least
-    one complex coefficient, so that det() interpolates."""
-    n = draw(st.integers(1, 6))
+    one complex coefficient, so that det() takes a complex route."""
+    n = draw(sizes)
     rows = [draw(st.lists(_mixed_entries, min_size=n, max_size=n))
             for _ in range(n)]
     for i, row in enumerate(rows):     # no zero rows: both paths return 0
@@ -232,7 +233,8 @@ class TestInterpolatedDet:
     @settings(max_examples=60, deadline=None)
     @given(_sparse_complex_matrices())
     def test_sparse_evaluation_is_bit_identical(self, rows):
-        assert _bits(det(rows)) == _bits(_dense_interpolated_det(rows))
+        assert _bits(_interpolated_det(rows)) == _bits(
+            _dense_interpolated_det(rows))
 
     @settings(max_examples=60, deadline=None)
     @given(_sparse_complex_matrices())
@@ -259,9 +261,9 @@ class TestInterpolatedDet:
     ], ids=["negative", "lo-not-multiple", "npts-1", "one-entry-row",
             "mixed-fractions"])
     def test_edge_cases(self, rows):
-        got = det(rows)
-        assert _bits(got) == _bits(_dense_interpolated_det(rows))
-        _assert_close_to_evaluation(rows, got, _evaluated_det(rows))
+        assert _bits(_interpolated_det(rows)) == _bits(
+            _dense_interpolated_det(rows))
+        _assert_close_to_evaluation(rows, det(rows), _evaluated_det(rows))
 
     @pytest.mark.parametrize("reduced", [False, True])
     def test_torus_fox_matrix_is_bit_identical(self, reduced):
@@ -273,7 +275,8 @@ class TestInterpolatedDet:
             rho = Representation(p, [rho.matrices[g] for g in kept])
             keep = kept.index(keep)
         rows = fox_matrix_laurent(p, rho, keep)
-        assert _bits(det(rows)) == _bits(_dense_interpolated_det(rows))
+        assert _bits(_interpolated_det(rows)) == _bits(
+            _dense_interpolated_det(rows))
 
     def test_one_stacked_lu_per_determinant(self, monkeypatch):
         calls = []
@@ -286,7 +289,7 @@ class TestInterpolatedDet:
         monkeypatch.setattr(np.linalg, "det", counting)
         rows = [[CP(1, 2), LaurentPoly({-1: Fraction(1, 3)})],
                 [CP(0, 0, 1j), CP(5)]]
-        det(rows)
+        _interpolated_det(rows)
         assert calls == [(5, 2, 2)]     # exponents -1 .. 3
 
     def test_one_inverse_and_one_forward_dft(self, monkeypatch):
@@ -301,7 +304,7 @@ class TestInterpolatedDet:
             monkeypatch.setattr(np.fft, name, counting)
         rows = [[CP(1, 2), LaurentPoly.zero()],
                 [CP(0, 0, 1j), LaurentPoly({-1: Fraction(1, 3)})]]
-        det(rows)
+        _interpolated_det(rows)
         # three nonzero entries at 5 points (exponents -1 .. 3)
         assert calls == [("ifft", (3, 5)), ("fft", (5,))]
 
@@ -311,6 +314,46 @@ class TestInterpolatedDet:
         with pytest.raises(AlgebraError, match="the sampled determinant "
                                                "overflows"):
             det(rows)
+
+
+class TestTwoByTwoProduct:
+    """det() of a complex 2x2 is _sl2._mat_det of its entries, a d - b c
+    in LaurentPoly arithmetic, made complex and cut at 1e-13 of its
+    largest coefficient; it runs no FFT and no LU."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sparse_complex_matrices(st.just(2)))
+    def test_equals_the_entry_product(self, rows):
+        got = det(rows)
+        want = {k: complex(c) for k, c in
+                _mat_det((*rows[0], *rows[1])).coeffs.items()}
+        cut = 1e-13 * (max(map(abs, want.values()), default=0.0) or 1.0)
+        assert all(type(c) is complex for c in got.coeffs.values())
+        assert _bits(got) == {k: (c.real.hex(), c.imag.hex())
+                              for k, c in want.items() if abs(c) > cut}
+
+    def test_no_numpy_call_for_a_two_by_two(self, monkeypatch):
+        calls = []
+        for module, name in ((np.fft, "fft"), (np.fft, "ifft"),
+                             (np.linalg, "det")):
+            real = getattr(module, name)
+
+            def counting(a, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        two = [[CP(1, 2), LaurentPoly({-1: Fraction(1, 3)})],
+               [CP(0, 0, 1j), CP(5)]]
+        det(two)
+        assert calls == []
+        three = [[CP(1, 2), LaurentPoly({-1: Fraction(1, 3)}), CP(1)],
+                 [CP(0, 0, 1j), CP(5), LaurentPoly.zero()],
+                 [CP(2j), LaurentPoly.zero(), CP(0, 1)]]
+        det(three)
+        # seven nonzero entries at 6 points (exponents -1 .. 4)
+        assert calls == [("ifft", (7, 6)), ("det", (6, 3, 3)),
+                         ("fft", (6,))]
 
 
 _fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))

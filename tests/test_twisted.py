@@ -110,6 +110,14 @@ class TestFoxMatrix:
             got = fox_matrix_laurent(p, rho, k)
             assert _bits(got) == _bits(_reference_fox_matrix(p, k, rho))
 
+    def test_numpy_images_scan_as_plain_complex(self, trefoil):
+        rho = abelian_rep(trefoil, 0.9 + 0.45j)
+        arrays = Representation(trefoil, [np.array(m) for m in rho.matrices])
+        got = fox_matrix_laurent(trefoil, arrays, 1)
+        assert _bits(got) == _bits(fox_matrix_laurent(trefoil, rho, 1))
+        assert all(type(c) is complex and not e.is_exact()
+                   for row in got for e in row for c in e.coeffs.values())
+
     def test_wada_invariant_calls_the_module_attribute(self, monkeypatch,
                                                        trefoil):
         """The benchmark tracer times Fox assembly by rebinding
