@@ -12,7 +12,13 @@ gauge coordinates x of n generators are (a, q) for A = [[a, q], [0, 1/a]],
 generator.  A word is its tuple of
 Tietze letters, g for generator g and -g for its inverse, and
 _letter_images is the one table of their images, indexed by letter: the
-generator's matrix, or its adjugate for -g.  _residual and _jacobian
+generator's matrix, or its adjugate for -g.  _word_product is the product
+of a word's images, _mat_mul's fold written out in one loop with no call
+per letter and rounded as the fold rounds: _rows and
+representations._trace_rows start it at the first letter, as reduce does,
+and Representation.image at the identity.  twisted._fox_scan writes the
+same product out inline.  Every other product, the Newton _jacobian's
+among them, goes through _mat_mul.  _residual and _jacobian
 evaluate the solver's equations and their exact Jacobian at x; _residual
 is _rows, the equations at given letter images, on the images of x, so a
 caller that holds the images evaluates the same rows on them.
@@ -51,6 +57,18 @@ def _mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
     b00, b01, b10, b11 = b
     return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _word_product(letters: list, word, start: Matrix2) -> Matrix2:
+    """start times the images letters[x] of the letters x of word, left to
+    right: the fold of _mat_mul written out, one pass with no call per
+    letter, so each entry is rounded as _mat_mul rounds it."""
+    m00, m01, m10, m11 = start
+    for x in word:
+        l00, l01, l10, l11 = letters[x]
+        m00, m01, m10, m11 = (m00 * l00 + m01 * l10, m00 * l01 + m01 * l11,
+                              m10 * l00 + m11 * l10, m10 * l01 + m11 * l11)
+    return m00, m01, m10, m11
 
 
 def _mat_det(a: Matrix2):
@@ -224,8 +242,8 @@ def _cross(u, v):
 def _rows(eq: _Equations, imgs: list[Matrix2]) -> list[complex]:
     """The rows described in _Equations at the letter images imgs, the
     relator rows first (4 per relator)."""
-    prods = [functools.reduce(_mat_mul, [imgs[c] for c in w]) if w
-             else _COMPLEX_ID for w in eq.words]
+    prods = [_word_product(imgs, w[1:], imgs[w[0]]) if w else _COMPLEX_ID
+             for w in eq.words]
     rows = []
     for m00, m01, m10, m11 in prods[:eq.nrel]:
         rows += (m00 - 1.0, m01, m10, m11 - 1.0)

@@ -65,7 +65,7 @@ from .presentations import Presentation, parse_presentation
 from .representations import (Representation, _worse,
                               representation_from_traces)
 from .roots import _CLUSTER_RADIUS, complex_roots
-from .twisted import _fox_scan, wada_invariant
+from .twisted import _ZEROS, _fox_scan, wada_invariant
 from .words import FreeWord
 
 YZ_VARS = ("y", "z")
@@ -345,19 +345,21 @@ def leading_determinant_sample(rho: Representation) -> complex:
     For the three-meridian presentation every Fox-matrix entry is linear
     in t, so the numerator determinant of the 4x4 block matrix has the
     form det(A t + B); its t^4 coefficient is det(A), the quantity the
-    closed form psi_2 abbreviates.  A is read from the t^1 sums of the
-    Fox scan (twisted._fox_scan), and det(A) is one LU factorization; an
-    entry with a nonzero sum at any other exponent than 0 or 1 is an
-    AlgebraError.
+    closed form psi_2 abbreviates.  A is read from the exponent-1 blocks
+    of the Fox scan (twisted._fox_scan), and det(A) is one LU
+    factorization; a block with a nonzero sum at any other exponent than 0
+    or 1 is an AlgebraError.
     """
     pres = rho.presentation
     a = []
-    for row, top in _fox_scan(pres, rho, pres.num_generators - 1):
-        for d in row:
+    for blocks, top in _fox_scan(pres, rho, pres.num_generators - 1):
+        for d in blocks:
             if not d.keys() <= {0, 1} and any(
-                    s != 0 and e not in (0, 1) for e, s in d.items()):
+                    any(b) and e not in (0, 1) for e, b in d.items()):
                 raise AlgebraError("Fox matrix entry is not linear in t")
-        a.append([d.get(1, 0) / top for d in row])
+        ones = [d.get(1, _ZEROS) for d in blocks]
+        for i in (0, 2):
+            a.append([s / top for b in ones for s in b[i:i + 2]])
     return complex(np.linalg.det(np.array(a, dtype=complex)))
 
 

@@ -27,6 +27,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import charcurves
@@ -153,7 +154,9 @@ def _fmt_complex(z) -> str:
     return "%.12g%+.12gj" % (z.real, z.imag)
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
+def _emit(cfg: RunConfig, payload: dict, text_lines: Iterable[str]) -> None:
+    """Write payload to the report and print it for --json; otherwise
+    print text_lines, which are read only then."""
     if cfg.report or cfg.json_out:
         blob = json.dumps(payload, sort_keys=True, indent=2)
     if cfg.report:
@@ -274,21 +277,22 @@ def _cmd_monic_scan(cfg: RunConfig) -> None:
     hits = [r["step"] for r in rows if r.get("monic")]
     payload = {"sweep_word": word_text, "steps": steps, "rows": rows,
                "monic_steps": hits, "monic_count": len(hits)}
-    lines = ["sweep %s over %d steps: %d monic"
-             % (word_text, steps, len(hits))]
-    for r in rows:
-        if not r["solved"]:
-            lines.append("step %2d  target %s  unsolved" %
-                         (r["step"], _fmt_complex(complex(*r["target"]))))
-        elif r.get("polynomial") is None:
-            lines.append("step %2d  target %s  non-polynomial" %
-                         (r["step"], _fmt_complex(complex(*r["target"]))))
-        else:
-            lines.append("step %2d  target %s  leading %s%s" %
-                         (r["step"], _fmt_complex(complex(*r["target"])),
-                          _fmt_complex(complex(*r["leading"])),
-                          "  MONIC" if r["monic"] else ""))
-    _emit(cfg, payload, lines)
+
+    def lines() -> Iterator[str]:
+        yield "sweep %s over %d steps: %d monic" % (word_text, steps, len(hits))
+        for r in rows:
+            if not r["solved"]:
+                verdict = "unsolved"
+            elif r.get("polynomial") is None:
+                verdict = "non-polynomial"
+            else:
+                verdict = "leading %s%s" % (
+                    _fmt_complex(complex(*r["leading"])),
+                    "  MONIC" if r["monic"] else "")
+            yield "step %2d  target %s  %s" % (
+                r["step"], _fmt_complex(complex(*r["target"])), verdict)
+
+    _emit(cfg, payload, lines())
 
 
 def _cmd_genus(cfg: RunConfig) -> None:
@@ -373,9 +377,11 @@ def _cmd_pretzel935(cfg: RunConfig) -> None:
     monic = charcurves.census(cp_curve, 1)
     nongenus = charcurves.census(cp_curve, 0)
     loop = charcurves.monic_witness_report(monic)
+    c_text, cp_text, psi_text = (c_curve.to_text(), cp_curve.to_text(),
+                                 psi.to_text())
     payload = {
-        "curves": {"C": c_curve.to_text(), "Cprime": cp_curve.to_text()},
-        "psi2": psi.to_text(),
+        "curves": {"C": c_text, "Cprime": cp_text},
+        "psi2": psi_text,
         "certification": cert.to_json_dict(),
         "censuses": {
             "C": "identically 18" if c18.identically_satisfied
@@ -386,9 +392,9 @@ def _cmd_pretzel935(cfg: RunConfig) -> None:
         "monic_loop": loop,
     }
     lines = [
-        "C:  %s" % c_curve.to_text(),
-        "C': %s" % cp_curve.to_text(),
-        "psi2(x) = %s" % psi.to_text(),
+        "C:  %s" % c_text,
+        "C': %s" % cp_text,
+        "psi2(x) = %s" % psi_text,
         "certification: %d samples, max det error %.2e, max trace error %.2e"
         % (cert.samples, cert.max_det_error, cert.max_trace_error),
         "census on C at 18: %s"

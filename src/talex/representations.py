@@ -57,7 +57,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from numbers import Number, Rational
 
 import numpy as np
@@ -67,7 +67,7 @@ from .laurent import LaurentPoly, LaurentRational
 from ._sl2 import (_COMPLEX_ID, _EXACT_ID, Matrix2, _Equations,
                    _det_one_on_trace_rows, _gauge_images, _jacobian,
                    _letter_images, _mat_adjugate, _mat_det, _mat_mul,
-                   _residual, _rows)
+                   _residual, _rows, _word_product)
 from .presentations import Presentation
 from .words import FreeWord
 
@@ -102,14 +102,14 @@ class Representation:
     def is_exact(self) -> bool:
         return self._exact
 
+    @cached_property
+    def _letters(self) -> list:
+        return _letter_images(self.matrices)
+
     def image(self, w: FreeWord) -> Matrix2:
-        out = _EXACT_ID if self._exact else _COMPLEX_ID
-        for x in w:
-            m = self.matrices[abs(x) - 1]
-            if x < 0:
-                m = _mat_adjugate(m)   # inverse in SL2
-            out = _mat_mul(out, m)
-        return out
+        """The product of w's letter images, folded from the identity."""
+        return _word_product(self._letters, w.tietze,
+                             _EXACT_ID if self._exact else _COMPLEX_ID)
 
     def trace(self, w: FreeWord):
         m = self.image(w)
@@ -520,7 +520,7 @@ def _trace_rows(gi: int, trace_gi: complex, constraints: dict,
     prods, traces = [_COMPLEX_ID], [trace_gi]
     letters = _letter_images(images)
     for rest, w in _linear_rows(gi, tuple(constraints)):
-        prods.append(reduce(_mat_mul, [letters[l] for l in rest]))
+        prods.append(_word_product(letters, rest[1:], letters[rest[0]]))
         traces.append(constraints[w])
     return prods, traces
 

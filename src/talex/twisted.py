@@ -18,17 +18,22 @@ Phi of the Fox matrix comes from one left-to-right scan per relator that
 carries the prefix u and its image t^ab(u) rho(u), one matrix product per
 letter: x_g adds +Phi(u) to column g, and x_g^-1 first extends u by itself,
 then adds -Phi(u).  These are the terms words.fox_derivative lists, in its
-order, so the sums equal those through the group ring to the last bit.  An
-exact rho is scanned in ints.  With D the lcm of the denominators of its
-generator matrices, a relator of length m carries D^m rho(u) in place of
-rho(u): an integer matrix for every prefix u, updated by the integer
+order, and each is added as old + c*s with the int c = +-1, onto int zeros
+at a new exponent, so the sums equal those through the group ring to the
+last bit.  The scan holds rho(u) as four locals and writes the 2x2 product
+out inline, with no call per letter, and each column keeps one
+{exponent: (s00, s01, s10, s11)} dict of block sums, one update per letter.
+An exact rho is scanned in ints.  With D the lcm of the denominators of
+its generator matrices, a relator of length m carries D^m rho(u) in place
+of rho(u): an integer matrix for every prefix u, updated by the integer
 matrix D rho(x) and one exact division by D per letter.  Each entry is
 summed over D^m and made a Fraction once.  Any other rho is scanned in
 plain Python complex numbers, its images converted first (numpy scalars
-among them), so fox_matrix_laurent takes its sums as they stand.  The
-scan (_fox_scan) returns those raw sums, and two readers share it:
-fox_matrix_laurent turns them into Laurent entries, and
-charcurves.leading_determinant_sample reads the t^1 sums alone.
+among them), so fox_matrix_laurent takes its sums as they stand.  Rank
+one scans the identity in ints.  The scan (_fox_scan) returns those raw
+blocks, and two readers share it: fox_matrix_laurent expands them into
+Laurent entries, and charcurves.leading_determinant_sample reads the
+exponent-1 blocks alone.
 
 Both determinants are taken on presentations.simplify(p, k): Tietze moves
 eliminate generators other than the removed one, so a Wirtinger
@@ -55,7 +60,7 @@ from .laurent import LaurentPoly, LaurentRational, _built
 from .matrix import det
 from .presentations import Presentation, simplify
 from .representations import Representation
-from ._sl2 import _COMPLEX_ID, _letter_images, _mat_det, _mat_mul
+from ._sl2 import _COMPLEX_ID, _letter_images, _mat_det
 from .words import FreeWord
 
 # A floating quotient q = num / den is a polynomial when num - q den has
@@ -74,62 +79,80 @@ def fox_matrix_laurent(p: Presentation, rho: Representation | None,
     2(n-1) x 2(n-1) matrix of Laurent polynomials, or 1x1 blocks when rho
     is None (rank one)."""
     exact = rho is None or rho.is_exact()
-    return [[_entry(d, exact, top) for d in row]
-            for row, top in _fox_scan(p, rho, removed)]
+    size = 1 if rho is None else 2
+    return [[_entry(blocks, 2 * i + j, exact, top)
+             for blocks in row for j in range(size)]
+            for row, top in _fox_scan(p, rho, removed) for i in range(size)]
 
 
 def _fox_scan(p: Presentation, rho: Representation | None, removed: int
               ) -> list[tuple[list[dict], int]]:
-    """The prefix scan of the module docstring: for each row of the Fox
-    matrix, its entries as {exponent: sum} dicts and the scale top by
-    which the sums exceed the entries (D^m for an exact rho, else 1)."""
+    """The prefix scan of the module docstring: for each relator, the
+    blocks of its kept columns, each an {exponent: (s00, s01, s10, s11)}
+    dict of the 2x2 sums, and the scale top by which the sums exceed the
+    entries (D^m for an exact rho, else 1).  Rank one scans the identity
+    in ints, so its sums are entry s00 of each block."""
     p.require_deficiency_one()
     n = p.num_generators
     if not 0 <= removed < n:
         raise AlgebraError("removed column %d out of range" % removed)
     den = 1
     if rho is None:
-        size, start, step = 1, (1,), lambda u, x: u
-    else:
-        size, start, mats = 2, _COMPLEX_ID, rho.matrices
-        if rho.is_exact():
-            den = lcm(*(Fraction(e).denominator for m in mats for e in m))
-            start = (1, 0, 0, 1)
-            mats = [tuple(int(e * den) for e in m) for m in mats]
-        else:       # numpy scalars too: every sum is then a plain complex
-            mats = [tuple(map(complex, m)) for m in mats]
-        letters = _letter_images(mats)
-        step = lambda u, x: _mat_mul(u, letters[x])
-        if den != 1:
-            step = lambda u, x: tuple(e // den
-                                      for e in _mat_mul(u, letters[x]))
+        start, mats = (1, 0, 0, 1), [(1, 0, 0, 1)] * n
+    elif rho.is_exact():
+        mats = rho.matrices
+        den = lcm(*(Fraction(e).denominator for m in mats for e in m))
+        start, mats = (1, 0, 0, 1), [tuple(int(e * den) for e in m)
+                                     for m in mats]
+    else:       # numpy scalars too: every sum is then a plain complex
+        start, mats = _COMPLEX_ID, [tuple(map(complex, m))
+                                    for m in rho.matrices]
+    letters = _letter_images(mats)
     rows: list[tuple[list[dict], int]] = []
     for r in p.relators:
         top = den ** len(r)
-        # each column g holds the size x size block of dicts, row by row
-        cols = [[{} for _ in start] for _ in range(n)]
-        u, e = start if top == 1 else (top, 0, 0, top), 0
+        cols = [{} for _ in range(n)]
+        at = [None, *cols, *reversed(cols)]     # indexed as letters is
+        u00, u01, u10, u11 = start if top == 1 else (top, 0, 0, top)
+        e = 0
         for x in r:
-            if x < 0:
-                u, e = step(u, x), e - 1
-            c = 1 if x > 0 else -1
-            for d, s in zip(cols[abs(x) - 1], u):
-                d[e] = d.get(e, 0) + c * s
+            l00, l01, l10, l11 = letters[x]
+            v00, v01, v10, v11 = (
+                u00 * l00 + u01 * l10, u00 * l01 + u01 * l11,
+                u10 * l00 + u11 * l10, u10 * l01 + u11 * l11)
+            if den != 1:
+                v00, v01, v10, v11 = (v00 // den, v01 // den,
+                                      v10 // den, v11 // den)
+            d = at[x]
             if x > 0:
-                u, e = step(u, x), e + 1
-        for i in range(size):
-            rows.append(([cols[g][size * i + j] for g in range(n)
-                          if g != removed for j in range(size)], top))
+                o00, o01, o10, o11 = d.get(e, _ZEROS)
+                d[e] = (o00 + 1 * u00, o01 + 1 * u01,
+                        o10 + 1 * u10, o11 + 1 * u11)
+                e += 1
+            else:   # x^-1 extends the prefix by itself first
+                e -= 1
+                o00, o01, o10, o11 = d.get(e, _ZEROS)
+                d[e] = (o00 + -1 * v00, o01 + -1 * v01,
+                        o10 + -1 * v10, o11 + -1 * v11)
+            u00, u01, u10, u11 = v00, v01, v10, v11
+        del cols[removed]
+        rows.append((cols, top))
     return rows
 
 
-def _entry(d: dict, exact: bool, den: int) -> LaurentPoly:
-    """The Laurent entry of scan sums d: integers over den when exact,
-    else plain complex numbers, which _built takes as they stand."""
+# The sums at an exponent not seen before.  A term is added as old + c*s
+# with the int c = +-1, as the group ring adds it, also onto these zeros:
+# s or -s in its place would round signed zeros differently.
+_ZEROS = (0, 0, 0, 0)
+
+
+def _entry(blocks: dict, k: int, exact: bool, den: int) -> LaurentPoly:
+    """The Laurent entry k of blocks of scan sums: integers over den when
+    exact, else plain complex numbers, which _built takes as they stand."""
     if exact:
-        return LaurentPoly._clean({e: Fraction(s, den)
-                                   for e, s in d.items() if s}, True)
-    return _built(d)
+        return LaurentPoly._clean({e: Fraction(b[k], den)
+                                   for e, b in blocks.items() if b[k]}, True)
+    return _built({e: b[k] for e, b in blocks.items()})
 
 
 def _reduced(p: Presentation, removed: int | None

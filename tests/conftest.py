@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import talex
+from talex._sl2 import _COMPLEX_ID, _EXACT_ID, _mat_adjugate, _mat_mul
 from talex.fixtures import fixture_path
 from talex.laurent import LaurentPoly, LaurentRational
 
@@ -100,6 +101,16 @@ def same_number(a, b) -> bool:
         return a == b
     return all(math.copysign(1.0, u) == math.copysign(1.0, v) and u == v
                for u, v in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def reference_image(rho, w):
+    """rho(w) by one _mat_mul per letter, from the identity, with the
+    adjugate for an inverse letter."""
+    out = _EXACT_ID if rho.is_exact() else _COMPLEX_ID
+    for x in w.tietze:
+        m = rho.matrices[abs(x) - 1]
+        out = _mat_mul(out, m if x > 0 else _mat_adjugate(m))
+    return out
 
 
 def same_coefficients(p: LaurentPoly, ref: dict) -> bool:

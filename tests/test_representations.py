@@ -5,7 +5,7 @@ import hashlib
 import math
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from numbers import Number, Rational
 
 import numpy as np
@@ -30,11 +30,13 @@ from talex import (
     wada_invariant,
 )
 from talex.errors import SolveError
-from talex._sl2 import (_COMPLEX_ID, _Equations, _det_one_on_trace_rows,
-                        _gauge_images, _jacobian, _mat_adjugate, _mat_det,
-                        _mat_mul, _residual, _rows)
+from talex._sl2 import (_COMPLEX_ID, _EXACT_ID, _Equations,
+                        _det_one_on_trace_rows, _gauge_images, _jacobian,
+                        _mat_adjugate, _mat_det, _mat_mul, _residual, _rows,
+                        _word_product)
 
-from conftest import P, load_fixture_text, random_det1_matrix
+from conftest import (P, load_fixture_text, random_det1_matrix, random_word,
+                      reference_image, same_number)
 
 
 class TestAbelianRep:
@@ -210,6 +212,59 @@ class TestMatrixFormat:
         assert _mat_mul(_mat_mul(a, b), c) == _mat_mul(a, _mat_mul(b, c))
         d = _mat_det(a)
         assert _mat_mul(a, _mat_adjugate(a)) == (d, 0, 0, d)
+
+
+_SIGNED_COMPLEX = st.one_of(
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]))
+
+
+@st.composite
+def _letters_and_word(draw):
+    """A letter table of 1-3 complex or Fraction images, signed zeros among
+    the complex ones, and a nonempty word over it."""
+    entries = draw(st.sampled_from((_SIGNED_COMPLEX,
+                                    st.fractions(-9, 9, max_denominator=7))))
+    gens = draw(st.lists(st.tuples(*[entries] * 4), min_size=1, max_size=3))
+    letter = st.integers(1, len(gens)).flatmap(
+        lambda g: st.sampled_from((g, -g)))
+    return (talex._sl2._letter_images(gens),
+            draw(st.lists(letter, min_size=1, max_size=12)))
+
+
+class TestWordProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(_letters_and_word())
+    def test_is_the_mat_mul_fold_bit_for_bit(self, case):
+        letters, word = case
+        mats = [letters[x] for x in word]
+        start = (_EXACT_ID if type(mats[0][0]) is Fraction else _COMPLEX_ID)
+        for got, want in (
+                (_word_product(letters, word[1:], letters[word[0]]),
+                 reduce(_mat_mul, mats)),
+                (_word_product(letters, word, start),
+                 reduce(_mat_mul, mats, start))):
+            assert len(got) == 4 and all(map(same_number, got, want))
+
+    def test_image_and_rows_on_fixed_representations(self, trefoil,
+                                                     trefoil_irr,
+                                                     p935_curve_rep):
+        rng = np.random.default_rng(40)
+        for rho in (trefoil_irr, p935_curve_rep,
+                    abelian_rep(trefoil, Fraction(3, 2))):
+            p = rho.presentation
+            words = [*p.relators, p.word(""), p.word("A"),
+                     *(random_word(rng, p.num_generators, 9)
+                       for _ in range(20))]
+            for w in words:
+                assert all(map(same_number, rho.image(w),
+                               reference_image(rho, w)))
+            if rho.is_exact():
+                continue
+            eq = _Equations(p, {w: 1.5 + 0j for w in words[-20:]})
+            imgs = talex._sl2._letter_images(rho.matrices)
+            assert (np.array(_rows(eq, imgs), dtype=complex).tobytes()
+                    == _reference_rows(eq, imgs).tobytes())
 
 
 def _lstsq_det_one(prods, traces):
@@ -705,7 +760,11 @@ def _product(imgs, w):
 
 def _reference_residual(eq, x):
     """_residual by one product per letter, row by row."""
-    imgs = _letter_images(eq, x)
+    return _reference_rows(eq, _letter_images(eq, x))
+
+
+def _reference_rows(eq, imgs):
+    """_rows by one product per letter, row by row, as an array."""
     rows = []
     for w in eq.words[:eq.nrel]:
         m00, m01, m10, m11 = _product(imgs, w)

@@ -31,41 +31,68 @@ from talex import (
     solve_representation,
     wada_invariant,
 )
+from talex._sl2 import _Equations, _letter_images, _rows
 from talex.laurent import LaurentPoly, LaurentRational
 from talex.presentations import pd_to_wirtinger
+from talex.twisted import _fox_scan
 
 from conftest import (
     P,
     equal_up_to_even_shift,
     load_fixture_text,
     random_det1_matrix,
+    reference_image,
     torus_pd,
 )
 
 
-def _reference_fox_matrix(p, removed, rho):
-    """The Phi-image of the Fox matrix term by term: every word of
-    fox_derivative imaged from scratch by rho.image (rank one for rho None)
-    and summed in the order fox_derivative lists it."""
+def _reference_sums(p, removed, rho):
+    """The Phi-image of the Fox matrix term by term: for each relator and
+    each kept column, the {exponent: sum} dicts of its block entries, row
+    by row, every word of fox_derivative imaged from scratch by
+    reference_image (by 1 for rho None, rank one) and summed in the order
+    fox_derivative lists it."""
     size = 1 if rho is None else 2
-    image = (lambda w: (Fraction(1),)) if rho is None else rho.image
-    rows = []
+    out = []
     for r in p.relators:
-        block_rows = [[] for _ in range(size)]
+        cols = []
         for g in range(p.num_generators):
             if g == removed:
                 continue
-            entries = [[{} for _ in range(size)] for _ in range(size)]
+            entries = [{} for _ in range(size * size)]
             for w, c in fox_derivative(r, g).items():
-                k, m = w.exponent_sum(), image(w)
-                for i in range(size):
-                    for j in range(size):
-                        d = entries[i][j]
-                        d[k] = d.get(k, 0) + c * m[size * i + j]
-            for out, row in zip(block_rows, entries):
-                out.extend(LaurentPoly(d) for d in row)
-        rows.extend(block_rows)
-    return rows
+                k = w.exponent_sum()
+                m = (Fraction(1),) if rho is None else reference_image(rho, w)
+                for d, s in zip(entries, m):
+                    d[k] = d.get(k, 0) + c * s
+            cols.append(entries)
+        out.append(cols)
+    return out
+
+
+def _reference_fox_matrix(p, removed, rho):
+    """The Laurent matrix of _reference_sums, block rows in order."""
+    size = 1 if rho is None else 2
+    return [[LaurentPoly(entries[size * i + j])
+             for entries in cols for j in range(size)]
+            for cols in _reference_sums(p, removed, rho) for i in range(size)]
+
+
+def _scan_bits(p, rho, removed):
+    """The raw sums of _fox_scan as _reference_bits lists them: an exact
+    scan's integer sums over its scale top."""
+    exact = rho is None or rho.is_exact()
+    size = 1 if rho is None else 2
+    return [[[[(e, repr(Fraction(b[i], top) if exact else b[i]))
+               for e, b in d.items()] for i in range(size * size)]
+             for d in blocks] for blocks, top in _fox_scan(p, rho, removed)]
+
+
+def _reference_bits(p, rho, removed):
+    """The (exponent, repr) items of every dict of _reference_sums, in
+    order."""
+    return [[[[(e, repr(s)) for e, s in entry.items()] for entry in col]
+             for col in cols] for cols in _reference_sums(p, removed, rho)]
 
 
 def _bits(matrix):
@@ -75,8 +102,12 @@ def _bits(matrix):
 
 
 _FRACTIONS = st.fractions(-4, 4, max_denominator=5)
-_COMPLEX = st.complex_numbers(max_magnitude=3, allow_nan=False,
-                              allow_infinity=False)
+# complex entries with signed zeros in either part among them
+_COMPLEX = st.one_of(
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]),
+    st.tuples(st.floats(-3, 3), st.sampled_from((0.0, -0.0))).flatmap(
+        lambda t: st.sampled_from((complex(*t), complex(*t[::-1])))))
 
 
 @st.composite
@@ -94,8 +125,12 @@ def _presentations_with_rho(draw):
         return p, None
     entries = _FRACTIONS if kind == "exact" else _COMPLEX
     mats = []
-    for _ in range(n):
-        a = draw(entries.filter(lambda z: abs(z) > 0.1))
+    for i in range(n):
+        pivots = entries.filter(lambda z: abs(z) > 0.1)
+        if kind == "exact" and i == 0:
+            # D > 1, so the scan divides by D at every letter
+            pivots = pivots.filter(lambda z: z.denominator > 1)
+        a = draw(pivots)
         b, c = draw(entries), draw(entries)
         mats.append((a, b, c, (1 + b * c) / a))
     return p, Representation(p, mats)
@@ -109,6 +144,55 @@ class TestFoxMatrix:
         for k in range(p.num_generators):
             got = fox_matrix_laurent(p, rho, k)
             assert _bits(got) == _bits(_reference_fox_matrix(p, k, rho))
+
+    @settings(max_examples=120, deadline=None)
+    @given(_presentations_with_rho())
+    def test_scan_sums_match_the_fox_derivative_terms_bit_for_bit(self,
+                                                                  case):
+        p, rho = case
+        for k in range(p.num_generators):
+            assert _scan_bits(p, rho, k) == _reference_bits(p, rho, k)
+
+    def test_overflowed_terms_are_added_as_the_group_ring_adds_them(self):
+        # an infinite prefix entry shows how a term is added: the int c
+        # times s turns +-inf+0j into +-inf+nanj, which s and -s would not
+        p = Presentation(2, [FreeWord([1, -2, 1, 1])])
+        rho = Representation(p, [(1e200 + 0j, 0j, 0j, 1e-200 + 0j),
+                                 (1e-200 + 0j, 0j, 0j, 1e200 + 0j)])
+        for k, term in ((0, (0, "(-inf+nanj)")), (1, (0, "(inf+nanj)"))):
+            bits = _scan_bits(p, rho, k)
+            assert term in bits[0][0][0]
+            assert bits == _reference_bits(p, rho, k)
+
+    def test_no_call_per_letter(self, monkeypatch, trefoil, p935,
+                                p935_curve_rep):
+        """The scan multiplies its 2x2 images inline, with no _mat_mul
+        call, and _rows folds each word in one _word_product call."""
+        calls = []
+        real_mul, real_fold = talex._sl2._mat_mul, talex._sl2._word_product
+
+        def mul(a, b):
+            calls.append("_mat_mul")
+            return real_mul(a, b)
+
+        def fold(letters, word, start):
+            calls.append(tuple(word))
+            return real_fold(letters, word, start)
+
+        for module in (talex._sl2, talex.twisted, talex.representations,
+                       talex.charcurves):
+            for name, spy in (("_mat_mul", mul), ("_word_product", fold)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy)
+        for p, rho in ((trefoil, None),
+                       (trefoil, abelian_rep(trefoil, Fraction(3, 2))),
+                       (p935, p935_curve_rep)):
+            _fox_scan(p, rho, 1)
+        assert calls == []
+        eq = _Equations(p935, {p935.word(w): 2.5 + 0j
+                               for w in ("a", "ab", "caB")})
+        _rows(eq, _letter_images(p935_curve_rep.matrices))
+        assert calls == [w[1:] for w in eq.words]
 
     def test_numpy_images_scan_as_plain_complex(self, trefoil):
         rho = abelian_rep(trefoil, 0.9 + 0.45j)
