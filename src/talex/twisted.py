@@ -71,6 +71,11 @@ _POLY_TOL = 1e-8
 _MONIC_TOL = 1e-5
 _SYM_TOL = 1e-6
 
+# The sums at an exponent not seen before.  A term is added as old + c*s
+# with the int c = +-1, as the group ring adds it, also onto these zeros:
+# s or -s in its place would round signed zeros differently.
+_ZEROS = (0, 0, 0, 0)
+
 
 def fox_matrix_laurent(p: Presentation, rho: Representation | None,
                        removed: int) -> list[list[LaurentPoly]]:
@@ -138,12 +143,6 @@ def _fox_scan(p: Presentation, rho: Representation | None, removed: int
         del cols[removed]
         rows.append((cols, top))
     return rows
-
-
-# The sums at an exponent not seen before.  A term is added as old + c*s
-# with the int c = +-1, as the group ring adds it, also onto these zeros:
-# s or -s in its place would round signed zeros differently.
-_ZEROS = (0, 0, 0, 0)
 
 
 def _entry(blocks: dict, k: int, exact: bool, den: int) -> LaurentPoly:
