@@ -65,7 +65,7 @@ from .presentations import Presentation, parse_presentation
 from .representations import (Representation, _worse,
                               representation_from_traces)
 from .roots import _CLUSTER_RADIUS, complex_roots
-from .twisted import _ZEROS, _fox_scan, wada_invariant
+from .twisted import _block_rows, _fox_scan, wada_invariant
 from .words import FreeWord
 
 YZ_VARS = ("y", "z")
@@ -346,9 +346,9 @@ def leading_determinant_sample(rho: Representation) -> complex:
     in t, so the numerator determinant of the 4x4 block matrix has the
     form det(A t + B); its t^4 coefficient is det(A), the quantity the
     closed form psi_2 abbreviates.  A is read from the exponent-1 blocks
-    of the Fox scan (twisted._fox_scan), and det(A) is one LU
-    factorization; a block with a nonzero sum at any other exponent than 0
-    or 1 is an AlgebraError.
+    of the Fox scan (twisted._fox_scan, twisted._block_rows), and det(A)
+    is one LU factorization; a block with a nonzero sum at any other
+    exponent than 0 or 1 is an AlgebraError.
     """
     pres = rho.presentation
     a = []
@@ -357,9 +357,7 @@ def leading_determinant_sample(rho: Representation) -> complex:
             if not d.keys() <= {0, 1} and any(
                     any(b) and e not in (0, 1) for e, b in d.items()):
                 raise AlgebraError("Fox matrix entry is not linear in t")
-        ones = [d.get(1, _ZEROS) for d in blocks]
-        for i in (0, 2):
-            a.append([s / top for b in ones for s in b[i:i + 2]])
+        a += ([s / top for s in row] for row in _block_rows(blocks, 1))
     return complex(np.linalg.det(np.array(a, dtype=complex)))
 
 

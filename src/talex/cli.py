@@ -27,7 +27,6 @@ import dataclasses
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import charcurves
@@ -154,9 +153,7 @@ def _fmt_complex(z) -> str:
     return "%.12g%+.12gj" % (z.real, z.imag)
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: Iterable[str]) -> None:
-    """Write payload to the report and print it for --json; otherwise
-    print text_lines, which are read only then."""
+def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
     if cfg.report or cfg.json_out:
         blob = json.dumps(payload, sort_keys=True, indent=2)
     if cfg.report:
@@ -277,22 +274,19 @@ def _cmd_monic_scan(cfg: RunConfig) -> None:
     hits = [r["step"] for r in rows if r.get("monic")]
     payload = {"sweep_word": word_text, "steps": steps, "rows": rows,
                "monic_steps": hits, "monic_count": len(hits)}
-
-    def lines() -> Iterator[str]:
-        yield "sweep %s over %d steps: %d monic" % (word_text, steps, len(hits))
-        for r in rows:
-            if not r["solved"]:
-                verdict = "unsolved"
-            elif r.get("polynomial") is None:
-                verdict = "non-polynomial"
-            else:
-                verdict = "leading %s%s" % (
-                    _fmt_complex(complex(*r["leading"])),
-                    "  MONIC" if r["monic"] else "")
-            yield "step %2d  target %s  %s" % (
-                r["step"], _fmt_complex(complex(*r["target"])), verdict)
-
-    _emit(cfg, payload, lines())
+    lines = ["sweep %s over %d steps: %d monic"
+             % (word_text, steps, len(hits))]
+    for r in rows:
+        if not r["solved"]:
+            verdict = "unsolved"
+        elif r.get("polynomial") is None:
+            verdict = "non-polynomial"
+        else:
+            verdict = "leading %s%s" % (_fmt_complex(complex(*r["leading"])),
+                                        "  MONIC" if r["monic"] else "")
+        lines.append("step %2d  target %s  %s" % (
+            r["step"], _fmt_complex(complex(*r["target"])), verdict))
+    _emit(cfg, payload, lines)
 
 
 def _cmd_genus(cfg: RunConfig) -> None:

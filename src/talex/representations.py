@@ -107,7 +107,11 @@ class Representation:
         return _letter_images(self.matrices)
 
     def image(self, w: FreeWord) -> Matrix2:
-        """The product of w's letter images, folded from the identity."""
+        """The product of w's letter images, folded from the identity.  A
+        letter beyond the generators is an AlgebraError."""
+        if max(map(abs, w.tietze), default=0) > len(self.matrices):
+            raise AlgebraError("word letter beyond the %d generators"
+                               % len(self.matrices))
         return _word_product(self._letters, w.tietze,
                              _EXACT_ID if self._exact else _COMPLEX_ID)
 

@@ -33,7 +33,7 @@ among them), so fox_matrix_laurent takes its sums as they stand.  Rank
 one scans the identity in ints.  The scan (_fox_scan) returns those raw
 blocks, and two readers share it: fox_matrix_laurent expands them into
 Laurent entries, and charcurves.leading_determinant_sample reads the
-exponent-1 blocks alone.
+exponent-1 blocks alone, as rows of A by _block_rows.
 
 Both determinants are taken on presentations.simplify(p, k): Tietze moves
 eliminate generators other than the removed one, so a Wirtinger
@@ -152,6 +152,13 @@ def _entry(blocks: dict, k: int, exact: bool, den: int) -> LaurentPoly:
         return LaurentPoly._clean({e: Fraction(b[k], den)
                                    for e, b in blocks.items() if b[k]}, True)
     return _built({e: b[k] for e, b in blocks.items()})
+
+
+def _block_rows(blocks: list[dict], e: int) -> list[list]:
+    """The two rows of the t^e sums of a relator's 2x2 blocks, side by
+    side: row i holds entries (i, 0) and (i, 1) of each block."""
+    at = [d.get(e, _ZEROS) for d in blocks]
+    return [[s for b in at for s in b[i:i + 2]] for i in (0, 2)]
 
 
 def _reduced(p: Presentation, removed: int | None

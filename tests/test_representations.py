@@ -119,6 +119,15 @@ class TestRepresentation:
         m = rho.image(trefoil.word(""))
         assert m == (1, 0, 0, 1)
 
+    @pytest.mark.parametrize("letter", [3, -3, 4, -4, 5])
+    def test_letter_beyond_the_generators_is_refused(self, trefoil, letter):
+        # letters 3 and 4 of a two-generator letter table would index the
+        # adjugates of the generators instead of failing
+        for rho in (abelian_rep(trefoil, Fraction(3)),
+                    abelian_rep(trefoil, 1.5 + 0.5j)):
+            with pytest.raises(AlgebraError, match="beyond the 2 generators"):
+                rho.image(talex.FreeWord([1, letter]))
+
     def test_json_round_trip(self, trefoil_irr):
         data = trefoil_irr.to_json_dict()
         back = Representation.from_json_dict(data, trefoil_irr.presentation)
